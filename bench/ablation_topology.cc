@@ -14,7 +14,16 @@
 // boundaries, so the binomial trees inside each group and the leader
 // exchange both cross ToRs. Rack groups keep member gathers inside one
 // switch and place exactly one leader per occupied rack.
+//
+// The workload is an N-1 strided checkpoint whose record lengths are drawn
+// per record from the rig seed (each record fills between half and all of
+// its slot). A uniform strided index pattern-compresses to a few bytes per
+// writer and would hide exactly the fabric volume this ablation measures;
+// ragged lengths defeat run detection, so every entry travels as a
+// delta-coded literal.
 #include "bench_util.h"
+
+#include "common/rng.h"
 
 using namespace tio;
 using namespace tio::workloads;
@@ -32,7 +41,6 @@ struct RowParams {
   std::size_t racks = 8;
   std::uint64_t per_proc = 0;
   std::uint64_t record = 0;
-  plfs::WireFormat wire = plfs::WireFormat::v1;
   Duration index_cpu = Duration::zero();
 };
 
@@ -45,16 +53,30 @@ struct RowResult {
 
 std::uint64_t topo_local(const char* name) { return counter(name).local_value(); }
 
+// Strided N-1 slots of `record` bytes; each write fills a seeded random
+// prefix of its slot, in [record/2, record].
+OpGen ragged_strided_ops(std::uint64_t bytes_per_proc, std::uint64_t record,
+                         std::uint64_t seed) {
+  const std::uint64_t rounds = bytes_per_proc / record;
+  return [=](int rank, int nprocs) {
+    Rng rng(hash_combine(seed, static_cast<std::uint64_t>(rank)));
+    std::vector<IoOp> ops;
+    ops.reserve(rounds);
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      const std::uint64_t len = record / 2 + rng.below(record / 2 + 1);
+      ops.push_back(IoOp{(r * nprocs + static_cast<std::uint64_t>(rank)) * record, len});
+    }
+    return ops;
+  };
+}
+
 RowResult run_row(const RowSpec& spec, const RowParams& p) {
   const int n = p.n;
   testbed::Rig::Options o = bench::lanl_rig();
   o.cluster.topology = spec.kind;
   o.cluster.racks = p.racks;
   o.cluster.oversubscription = spec.oversubscription;
-  // v1 by default: pattern compression (v2) shrinks a strided index to a
-  // few bytes per writer, which hides exactly the fabric volume this
-  // ablation exists to measure.
-  o.index_wire = p.wire;
+  const std::uint64_t seed = o.seed;
   testbed::Rig rig(o);
   // Zero by default: the mount's 1 us/entry merge cost swamps the exchange
   // (the open becomes CPU-bound) and would mask the fabric contention this
@@ -66,7 +88,7 @@ RowResult run_row(const RowSpec& spec, const RowParams& p) {
     rig.mount().parallel_read_group = 32;
   }
   plfs::Plfs plfs(rig.pfs(), rig.mount());
-  const OpGen ops = strided_ops(p.per_proc, p.record);
+  const OpGen ops = ragged_strided_ops(p.per_proc, p.record, seed);
 
   RowResult row;
   const std::uint64_t xb0 = topo_local("net.topo.bytes.cross_rack");
@@ -104,10 +126,7 @@ int main(int argc, char** argv) {
       "procs", 512, "reader processes (non-square counts make sqrt groups straddle racks)");
   auto* racks_flag = flags.add_i64("racks", 0, "rack count (0 = nodes/8, at least 1)");
   auto* per_proc_mib = flags.add_i64("per-proc-mib", 2, "MiB written per stream");
-  auto* record_kib = flags.add_i64("record-kib", 4, "record size KiB (small = big index)");
-  auto* wire_name = flags.add_string(
-      "index_wire", "v1", "index wire format: v1|v2 (v1 default — v2 compresses the "
-      "strided index away and hides the exchange volume)");
+  auto* record_kib = flags.add_i64("record-kib", 4, "record slot size KiB (small = big index)");
   auto* index_cpu_ns = flags.add_i64(
       "index-cpu-ns", 0, "per-entry index merge CPU in ns (0 isolates fabric time)");
   auto* shards_flag = bench::add_shards_flag(flags);
@@ -121,7 +140,6 @@ int main(int argc, char** argv) {
   params.n = static_cast<int>(*procs);
   params.per_proc = static_cast<std::uint64_t>(*per_proc_mib) << 20;
   params.record = static_cast<std::uint64_t>(*record_kib) << 10;
-  params.wire = bench::index_wire_or_die(*wire_name);
   if (*index_cpu_ns < 0) {
     std::fprintf(stderr, "--index-cpu-ns must be >= 0\n");
     return 1;
@@ -178,10 +196,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"ablation_topology\",\n");
     std::fprintf(f, "  \"config\": {\"procs\": %d, \"racks\": %zu, \"nodes\": %zu, "
                  "\"cores_per_node\": %zu, \"per_proc_mib\": %lld, \"record_kib\": %lld, "
-                 "\"index_wire\": \"%s\", \"index_cpu_ns\": %lld, \"shards\": %zu},\n",
+                 "\"index_cpu_ns\": %lld, \"shards\": %zu},\n",
                  n, racks, geom.nodes, geom.cores_per_node,
                  static_cast<long long>(*per_proc_mib), static_cast<long long>(*record_kib),
-                 plfs::wire_format_name(params.wire).c_str(),
                  static_cast<long long>(*index_cpu_ns), shards);
     std::fprintf(f, "  \"rows\": [");
     for (std::size_t i = 0; i < specs.size(); ++i) {

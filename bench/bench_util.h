@@ -17,7 +17,6 @@
 #include "common/table.h"
 #include "common/trace.h"
 #include "net/topology.h"
-#include "plfs/pattern.h"
 #include "sim/sharded.h"
 #include "testbed/testbed.h"
 #include "workloads/harness.h"
@@ -58,36 +57,6 @@ inline std::vector<int> sweep(int from, int max) {
   for (int v = from; v < max; v *= 2) out.push_back(v);
   if (out.empty() || out.back() != max) out.push_back(max);
   return out;
-}
-
-// Shared --index_backend flag (btree|flat|pattern) for the figure harnesses.
-inline std::string* add_index_backend_flag(FlagSet& flags) {
-  return flags.add_string("index_backend", "flat", "global index backend: btree|flat|pattern");
-}
-
-// Flag-value -> IndexBackend; exits with a usage message on bad input.
-inline plfs::IndexBackend index_backend_or_die(const std::string& name) {
-  plfs::IndexBackend backend = plfs::IndexBackend::flat;
-  if (!plfs::parse_index_backend(name, backend)) {
-    std::fprintf(stderr, "unknown --index_backend (want btree|flat|pattern): %s\n", name.c_str());
-    std::exit(1);
-  }
-  return backend;
-}
-
-// Shared --index_wire flag (v1|v2) selecting the index wire codec.
-inline std::string* add_index_wire_flag(FlagSet& flags) {
-  return flags.add_string("index_wire", "v2", "index wire format: v1|v2 (pattern-compressed)");
-}
-
-// Flag-value -> WireFormat; exits with a usage message on bad input.
-inline plfs::WireFormat index_wire_or_die(const std::string& name) {
-  plfs::WireFormat wire = plfs::WireFormat::v2;
-  if (!plfs::parse_wire_format(name, wire)) {
-    std::fprintf(stderr, "unknown --index_wire (want v1|v2): %s\n", name.c_str());
-    std::exit(1);
-  }
-  return wire;
 }
 
 // Shared --fault_plan flag (see pfs/faulty_fs.h for the grammar; a preset

@@ -1,14 +1,10 @@
 // Microbenchmarks of the index hot paths (google-benchmark): build, lookup,
-// and (de)serialization — the CPU work each reader pays at open.
+// and encode/decode — the CPU work each reader pays at open.
 //
-// The headline comparison is the global-index build: the map-based oracle
-// (BTreeIndex over a re-sorted concatenated pool, the original design)
-// versus the merge-based FlatIndex (k-way merge of per-writer sorted runs +
-// offset sweep) versus PatternIndex (runs compressed to arithmetic
-// progressions) at 10k/100k/1M entries. `--index_backend=btree|flat|pattern`
-// restricts the comparison to one backend; after the run a per-backend
-// serialized-size report (wire v1 vs v2) and the plfs.index.* counters are
-// printed.
+// The headline number is the global-index build: k-way merge of per-writer
+// sorted runs plus the FlatIndex offset sweep, at 10k/100k/1M entries.
+// After the run a serialized-size report (raw 40-byte records vs the
+// pattern-compressed encoding) and the plfs.index.* counters are printed.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,7 +21,6 @@
 #include "common/trace.h"
 #include "plfs/index.h"
 #include "plfs/index_builder.h"
-#include "plfs/mount.h"
 #include "plfs/pattern.h"
 #include "sim/sharded.h"
 
@@ -63,66 +58,29 @@ std::vector<std::shared_ptr<const std::vector<IndexEntry>>> strided_runs(int wri
 
 constexpr int kBuildWriters = 256;
 
-// The original design: concatenate every writer's log into one pool, then
-// sort the whole pool and feed a node-based map entry by entry.
-void BM_GlobalBuildOracleBTree(benchmark::State& state) {
-  const int per_writer = static_cast<int>(state.range(0)) / kBuildWriters;
-  const auto runs = strided_runs(kBuildWriters, per_writer);
-  std::vector<IndexEntry> pool;
-  for (const auto& r : runs) pool.insert(pool.end(), r->begin(), r->end());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BTreeIndex::build(pool));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(pool.size()));
-}
-
-// The refactored path: k-way merge of the already-sorted runs, then the
-// FlatIndex offset sweep — no re-sort, no node allocations.
+// K-way merge of the already-sorted runs, then the FlatIndex offset sweep —
+// no re-sort, no node allocations.
 void BM_GlobalBuildMergeFlat(benchmark::State& state) {
   const int per_writer = static_cast<int>(state.range(0)) / kBuildWriters;
   const auto runs = strided_runs(kBuildWriters, per_writer);
   for (auto _ : state) {
-    IndexBuilder builder(IndexBackend::flat);
+    IndexBuilder builder;
     for (const auto& r : runs) builder.add_run(r);
     benchmark::DoNotOptimize(builder.build());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(state.range(0)));
 }
-
-// Merge into the map backend: isolates how much of the win is the merge
-// (vs the flat representation).
-void BM_GlobalBuildMergeBTree(benchmark::State& state) {
-  const int per_writer = static_cast<int>(state.range(0)) / kBuildWriters;
-  const auto runs = strided_runs(kBuildWriters, per_writer);
-  for (auto _ : state) {
-    IndexBuilder builder(IndexBackend::btree);
-    for (const auto& r : runs) builder.add_run(r);
-    benchmark::DoNotOptimize(builder.build());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(state.range(0)));
-}
-
-// Pattern backend: same merge front-end, then run detection over the
-// resolved mappings so lookups answer arithmetically.
-void BM_GlobalBuildMergePattern(benchmark::State& state) {
-  const int per_writer = static_cast<int>(state.range(0)) / kBuildWriters;
-  const auto runs = strided_runs(kBuildWriters, per_writer);
-  for (auto _ : state) {
-    IndexBuilder builder(IndexBackend::pattern);
-    for (const auto& r : runs) builder.add_run(r);
-    benchmark::DoNotOptimize(builder.build());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(state.range(0)));
-}
+BENCHMARK(BM_GlobalBuildMergeFlat)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IndexBuildStrided(benchmark::State& state) {
   const auto entries = strided_entries(static_cast<int>(state.range(0)), 64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BTreeIndex::build(entries));
+    benchmark::DoNotOptimize(FlatIndex::build(entries));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(entries.size()));
@@ -137,23 +95,12 @@ void BM_IndexBuildSequentialCompresses(benchmark::State& state) {
                                  static_cast<std::uint64_t>(i) * 4096, i + 1, 0});
   }
   for (auto _ : state) {
-    const BTreeIndex idx = BTreeIndex::build(entries);
+    const FlatIndex idx = FlatIndex::build(entries);
     benchmark::DoNotOptimize(idx.mapping_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_IndexBuildSequentialCompresses)->Arg(1024)->Arg(16384);
-
-void BM_IndexLookupBTree(benchmark::State& state) {
-  const BTreeIndex idx = BTreeIndex::build(strided_entries(static_cast<int>(state.range(0)), 64));
-  Rng rng(42);
-  const std::uint64_t size = idx.logical_size();
-  for (auto _ : state) {
-    const std::uint64_t off = rng.below(size - 1);
-    benchmark::DoNotOptimize(idx.lookup(off, std::min<std::uint64_t>(1 << 20, size - off)));
-  }
-}
-BENCHMARK(BM_IndexLookupBTree)->Arg(64)->Arg(1024);
 
 void BM_IndexLookupFlat(benchmark::State& state) {
   const FlatIndex idx = FlatIndex::build(strided_entries(static_cast<int>(state.range(0)), 64));
@@ -166,44 +113,10 @@ void BM_IndexLookupFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexLookupFlat)->Arg(64)->Arg(1024);
 
-void BM_IndexLookupPattern(benchmark::State& state) {
-  const PatternIndex idx =
-      PatternIndex::build(strided_entries(static_cast<int>(state.range(0)), 64));
-  Rng rng(42);
-  const std::uint64_t size = idx.logical_size();
-  for (auto _ : state) {
-    const std::uint64_t off = rng.below(size - 1);
-    benchmark::DoNotOptimize(idx.lookup(off, std::min<std::uint64_t>(1 << 20, size - off)));
-  }
-}
-BENCHMARK(BM_IndexLookupPattern)->Arg(64)->Arg(1024);
-
-void BM_EntrySerialization(benchmark::State& state) {
-  const auto entries = strided_entries(256, 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(serialize_entries(entries));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(entries.size() * IndexEntry::kSerializedSize));
-}
-BENCHMARK(BM_EntrySerialization);
-
-void BM_EntryDeserialization(benchmark::State& state) {
-  const auto entries = strided_entries(256, 64);
-  FragmentList fl;
-  fl.append(DataView::literal(serialize_entries(entries)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(deserialize_entries(fl));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fl.size()));
-}
-BENCHMARK(BM_EntryDeserialization);
-
 void BM_EntryEncodeV2(benchmark::State& state) {
   const auto entries = strided_entries(256, 64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(encode_entries(entries, WireFormat::v2));
+    benchmark::DoNotOptimize(encode_entries(entries));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(entries.size() * IndexEntry::kSerializedSize));
@@ -213,7 +126,7 @@ BENCHMARK(BM_EntryEncodeV2);
 void BM_EntryDecodeV2(benchmark::State& state) {
   const auto entries = strided_entries(256, 64);
   FragmentList fl;
-  fl.append(DataView::literal(encode_entries(entries, WireFormat::v2)));
+  fl.append(DataView::literal(encode_entries(entries)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(decode_entries(fl));
   }
@@ -224,63 +137,33 @@ void BM_EntryDecodeV2(benchmark::State& state) {
 }
 BENCHMARK(BM_EntryDecodeV2);
 
-void register_build_benchmarks(bool want_btree, bool want_flat, bool want_pattern) {
-  auto args = [](benchmark::internal::Benchmark* b) {
-    b->Arg(10000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-  };
-  if (want_btree) {
-    args(benchmark::RegisterBenchmark("BM_GlobalBuildOracleBTree", BM_GlobalBuildOracleBTree));
-    args(benchmark::RegisterBenchmark("BM_GlobalBuildMergeBTree", BM_GlobalBuildMergeBTree));
-  }
-  if (want_flat) {
-    args(benchmark::RegisterBenchmark("BM_GlobalBuildMergeFlat", BM_GlobalBuildMergeFlat));
-  }
-  if (want_pattern) {
-    args(benchmark::RegisterBenchmark("BM_GlobalBuildMergePattern", BM_GlobalBuildMergePattern));
-  }
-}
-
-// Per-backend serialized footprint for the strided workload: what each
-// backend's to_entries() costs on the wire under v1 (fixed 40-byte records)
-// and v2 (pattern-compressed). Each (entry count, backend) row is an
-// independent build, so the rows are spread across the shard pool and
-// printed afterwards in the serial order.
-void print_size_report(bool want_btree, bool want_flat, bool want_pattern, std::size_t shards) {
-  struct Job {
-    int total;
-    const char* name;
-    IndexBackend backend;
-  };
-  std::vector<Job> jobs;
-  for (const int total : {10000, 100000, 1000000}) {
-    if (want_btree) jobs.push_back({total, "btree", IndexBackend::btree});
-    if (want_flat) jobs.push_back({total, "flat", IndexBackend::flat});
-    if (want_pattern) jobs.push_back({total, "pattern", IndexBackend::pattern});
-  }
-  std::vector<std::string> lines(jobs.size());
+// Serialized footprint of the built index for the strided workload: the
+// raw 40-byte-record volume of its mappings versus the pattern-compressed
+// encoding. Each entry count is an independent build, so the rows are
+// spread across the shard pool and printed afterwards in the serial order.
+void print_size_report(std::size_t shards) {
+  const std::vector<int> totals = {10000, 100000, 1000000};
+  std::vector<std::string> lines(totals.size());
   tio::sim::ShardPool pool(shards);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool.submit([&lines, &jobs, i] {
-      const Job& job = jobs[i];
-      const auto runs = strided_runs(kBuildWriters, job.total / kBuildWriters);
-      IndexBuilder builder(job.backend);
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    pool.submit([&lines, &totals, i] {
+      const auto runs = strided_runs(kBuildWriters, totals[i] / kBuildWriters);
+      IndexBuilder builder;
       for (const auto& r : runs) builder.add_run(r);
       const IndexPtr idx = builder.build();
-      const std::uint64_t v1 = idx->serialized_bytes(WireFormat::v1);
-      const std::uint64_t v2 = idx->serialized_bytes(WireFormat::v2);
+      const std::uint64_t raw = idx->mapping_count() * IndexEntry::kSerializedSize;
+      const std::uint64_t wire = idx->serialized_bytes();
       char buf[160];
-      std::snprintf(buf, sizeof(buf), "%-9d %-8s %14llu %14llu %8.1fx %14llu\n", job.total,
-                    job.name, static_cast<unsigned long long>(v1),
-                    static_cast<unsigned long long>(v2),
-                    static_cast<double>(v1) / static_cast<double>(v2),
+      std::snprintf(buf, sizeof(buf), "%-9d %14llu %14llu %8.1fx %14llu\n", totals[i],
+                    static_cast<unsigned long long>(raw), static_cast<unsigned long long>(wire),
+                    static_cast<double>(raw) / static_cast<double>(wire),
                     static_cast<unsigned long long>(idx->memory_bytes()));
       lines[i] = buf;
     });
   }
   pool.run_all();
-  std::printf("\n-- serialized index size per backend (strided workload) --\n");
-  std::printf("%-9s %-8s %14s %14s %9s %14s\n", "entries", "backend", "wire_v1_B", "wire_v2_B",
-              "ratio", "memory_B");
+  std::printf("\n-- serialized index size (strided workload) --\n");
+  std::printf("%-9s %14s %14s %9s %14s\n", "entries", "raw_B", "wire_B", "ratio", "memory_B");
   for (const std::string& line : lines) std::fputs(line.c_str(), stdout);
 }
 
@@ -288,30 +171,14 @@ void print_size_report(bool want_btree, bool want_flat, bool want_pattern, std::
 }  // namespace tio::plfs
 
 int main(int argc, char** argv) {
-  bool want_btree = true;
-  bool want_flat = true;
-  bool want_pattern = true;
   std::string trace_path;
   long long shards = 1;
   // Strip our flags before google-benchmark sees the command line.
   for (int i = 1; i < argc; ++i) {
-    constexpr const char* kFlag = "--index_backend=";
     constexpr const char* kTrace = "--trace=";
     constexpr const char* kShards = "--shards=";
     if (std::strncmp(argv[i], kShards, std::strlen(kShards)) == 0) {
       shards = std::atoll(argv[i] + std::strlen(kShards));
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    } else if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-      tio::plfs::IndexBackend backend;
-      if (!tio::plfs::parse_index_backend(argv[i] + std::strlen(kFlag), backend)) {
-        std::fprintf(stderr, "unknown --index_backend (want btree|flat|pattern): %s\n", argv[i]);
-        return 1;
-      }
-      want_btree = backend == tio::plfs::IndexBackend::btree;
-      want_flat = backend == tio::plfs::IndexBackend::flat;
-      want_pattern = backend == tio::plfs::IndexBackend::pattern;
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;
       --i;
@@ -348,7 +215,6 @@ int main(int argc, char** argv) {
   // simulated spans ran (usually none) — the flag exists for tooling
   // uniformity and always yields a valid, loadable document.
   if (!trace_path.empty()) tio::trace::Tracer::instance().set_enabled(true);
-  tio::plfs::register_build_benchmarks(want_btree, want_flat, want_pattern);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
@@ -361,8 +227,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace: %zu spans -> %s\n",
                  tio::trace::Tracer::instance().span_count(), trace_path.c_str());
   }
-  tio::plfs::print_size_report(want_btree, want_flat, want_pattern,
-                               static_cast<std::size_t>(shards));
+  tio::plfs::print_size_report(static_cast<std::size_t>(shards));
   const auto counters = tio::counter_snapshot("plfs.index");
   if (!counters.empty()) {
     std::printf("\n-- plfs.index counters --\n");

@@ -1,13 +1,13 @@
 // Microbenchmarks of the simulator core (google-benchmark): event loop
-// throughput, fair-share channel churn, extent-map writes, and the sharded
-// drivers (shard-pool scaling and cross-shard window overhead) — these
-// bound how large a simulated machine the benches can afford.
+// throughput, fair-share channel churn, extent-map writes, and shard-pool
+// scaling — these bound how large a simulated machine the benches can
+// afford.
 //
 // Convenience flags (translated to google-benchmark's own):
 //   --repeat=N     run every benchmark N times (--benchmark_repetitions)
 //   --json=FILE    also write the JSON report to FILE (--benchmark_out)
 //   --trace=FILE   write Chrome trace-event JSON of the simulated spans
-//   --shards=N     largest shard count the sharded benchmarks sweep to
+//   --shards=N     largest shard count the shard-pool benchmark sweeps to
 //                  (validated like the fig benches' --shards)
 // Results feed BENCH_sim.json; after the run the sim.engine.* counters are
 // printed so pool hit rates are visible next to the throughput numbers.
@@ -120,38 +120,6 @@ void BM_ShardPoolEngines(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kJobs * kEventsPerJob);
 }
 
-// Cross-shard ping-pong through the conservative window driver: two coupled
-// engines exchange messages at just above the lookahead, so every hop costs
-// one full window (serial delivery phase plus, beyond one shard, a barrier
-// round-trip). This prices the epoch overhead that bounds how tightly
-// coupled cross-shard models can afford to be.
-void BM_ShardedWindowPing(benchmark::State& state) {
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
-  constexpr int kHops = 1000;
-  for (auto _ : state) {
-    ShardedEngine::Options opts;
-    opts.shards = shards;
-    opts.lookahead = Duration::us(1);
-    ShardedEngine se(opts);
-    Engine a;
-    Engine b;
-    se.adopt(0, a);
-    se.adopt(shards > 1 ? 1 : 0, b);
-    struct Pinger {
-      ShardedEngine* se;
-      int left;
-      void send(Engine& from, Engine& to) {
-        if (left-- <= 0) return;
-        se->post(from, to, Duration::us(2), [this, &from, &to] { send(to, from); });
-      }
-    } ping{&se, kHops};
-    ping.send(a, b);
-    se.run();
-    benchmark::DoNotOptimize(se.windows_run());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kHops);
-}
-
 // Registered from main: sweeps shard counts 1..max (doubling), where max
 // comes from --shards.
 void register_sharded_benchmarks(std::size_t max_shards) {
@@ -163,11 +131,7 @@ void register_sharded_benchmarks(std::size_t max_shards) {
     counts.push_back(static_cast<std::int64_t>(max_shards));
   }
   auto* pool_bench = benchmark::RegisterBenchmark("BM_ShardPoolEngines", BM_ShardPoolEngines);
-  auto* ping_bench = benchmark::RegisterBenchmark("BM_ShardedWindowPing", BM_ShardedWindowPing);
-  for (const std::int64_t c : counts) {
-    pool_bench->Arg(c);
-    ping_bench->Arg(c);
-  }
+  for (const std::int64_t c : counts) pool_bench->Arg(c);
 }
 
 void BM_ExtentMapAppendCoalesce(benchmark::State& state) {

@@ -28,8 +28,8 @@
 namespace tio {
 
 // Upper bound on concurrent stat shards (thread-local shard ids). Shard ids
-// must be unique among concurrently running threads; sim::ShardPool and
-// sim::ShardedEngine assign dense ids 0..shards-1 under this bound.
+// must be unique among concurrently running threads; sim::ShardPool assigns
+// dense ids 0..shards-1 under this bound.
 inline constexpr unsigned kMaxStatShards = 64;
 
 // Sets this thread's stat shard id (throws std::invalid_argument when

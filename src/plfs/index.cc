@@ -5,7 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "plfs/mount.h"
 #include "plfs/pattern.h"
 
 namespace tio::plfs {
@@ -14,28 +13,6 @@ bool entry_timestamp_less(const IndexEntry& a, const IndexEntry& b) {
   if (a.timestamp_ns != b.timestamp_ns) return a.timestamp_ns < b.timestamp_ns;
   if (a.writer != b.writer) return a.writer < b.writer;
   return a.physical_offset < b.physical_offset;
-}
-
-void append_serialized(std::vector<std::byte>& out, const IndexEntry& entry) {
-  const std::size_t base = out.size();
-  out.resize(base + IndexEntry::kSerializedSize);
-  auto put = [&out](std::size_t at, const void* src, std::size_t n) {
-    std::memcpy(out.data() + at, src, n);
-  };
-  put(base + 0, &entry.logical_offset, 8);
-  put(base + 8, &entry.length, 8);
-  put(base + 16, &entry.physical_offset, 8);
-  put(base + 24, &entry.timestamp_ns, 8);
-  put(base + 32, &entry.writer, 4);
-  const std::uint32_t pad = 0;
-  put(base + 36, &pad, 4);
-}
-
-std::vector<std::byte> serialize_entries(const std::vector<IndexEntry>& entries) {
-  std::vector<std::byte> out;
-  out.reserve(entries.size() * IndexEntry::kSerializedSize);
-  for (const auto& e : entries) append_serialized(out, e);
-  return out;
 }
 
 Result<std::vector<IndexEntry>> deserialize_entries(const FragmentList& data) {
@@ -74,13 +51,6 @@ Result<std::vector<IndexEntry>> deserialize_entries(const FragmentList& data) {
   return out;
 }
 
-std::uint64_t IndexView::serialized_bytes(WireFormat wire) const {
-  if (wire == WireFormat::v1) return serialized_bytes();
-  if (mapping_count() == 0) return 0;
-  if (wire_v2_bytes_ == 0) wire_v2_bytes_ = encoded_size(to_entries(), WireFormat::v2);
-  return wire_v2_bytes_;
-}
-
 namespace {
 
 // Synthetic resolution-sequence timestamps (see the to_entries() contract
@@ -93,117 +63,9 @@ void stamp_resolution_sequence(std::vector<IndexEntry>& entries) {
 
 }  // namespace
 
-// --- BTreeIndex ---
-
-BTreeIndex BTreeIndex::build(std::vector<IndexEntry> entries, bool compress) {
-  std::sort(entries.begin(), entries.end(), entry_timestamp_less);
-  return from_sorted(entries, compress);
-}
-
-BTreeIndex BTreeIndex::from_sorted(const std::vector<IndexEntry>& sorted, bool compress) {
-  BTreeIndex idx;
-  for (const auto& e : sorted) idx.insert(e, compress);
-  return idx;
-}
-
-void BTreeIndex::insert(const IndexEntry& e, bool compress) {
-  if (e.length == 0) return;
-  const std::uint64_t start = e.logical_offset;
-  const std::uint64_t end = start + e.length;
-
-  // Trim or split whatever the new (later-timestamped) entry overlaps.
-  auto it = map_.upper_bound(start);
-  if (it != map_.begin()) {
-    auto prev = std::prev(it);
-    const std::uint64_t prev_end = prev->first + prev->second.length;
-    if (prev_end > start) {
-      Mapping old = prev->second;
-      prev->second.length = start - prev->first;
-      if (prev->second.length == 0) map_.erase(prev);
-      if (prev_end > end) {
-        Mapping tail = old;
-        tail.logical_offset = end;
-        tail.length = prev_end - end;
-        tail.physical_offset = old.physical_offset + (end - old.logical_offset);
-        map_.emplace(end, tail);
-      }
-    }
-  }
-  it = map_.lower_bound(start);
-  while (it != map_.end() && it->first < end) {
-    const std::uint64_t ext_end = it->first + it->second.length;
-    if (ext_end <= end) {
-      it = map_.erase(it);
-    } else {
-      Mapping tail = it->second;
-      tail.logical_offset = end;
-      tail.length = ext_end - end;
-      tail.physical_offset += end - it->first;
-      map_.erase(it);
-      map_.emplace(end, tail);
-      break;
-    }
-  }
-
-  Mapping m{start, e.length, e.writer, e.physical_offset};
-  // Compression: merge with a same-writer predecessor that is contiguous
-  // both logically and physically.
-  auto next = map_.lower_bound(start);
-  if (compress && next != map_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->second.writer == m.writer &&
-        prev->first + prev->second.length == start &&
-        prev->second.physical_offset + prev->second.length == m.physical_offset) {
-      prev->second.length += m.length;
-      return;
-    }
-  }
-  map_.emplace(start, m);
-}
-
-std::vector<IndexView::Mapping> BTreeIndex::lookup(std::uint64_t offset, std::uint64_t len) const {
-  std::vector<Mapping> out;
-  if (len == 0) return out;
-  const std::uint64_t end = offset + len;
-  auto it = map_.upper_bound(offset);
-  if (it != map_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.length > offset) it = prev;
-  }
-  for (; it != map_.end() && it->first < end; ++it) {
-    const std::uint64_t m_start = std::max(offset, it->first);
-    const std::uint64_t m_end = std::min(end, it->first + it->second.length);
-    Mapping m = it->second;
-    m.physical_offset += m_start - it->first;
-    m.logical_offset = m_start;
-    m.length = m_end - m_start;
-    out.push_back(m);
-  }
-  return out;
-}
-
-std::uint64_t BTreeIndex::logical_size() const {
-  if (map_.empty()) return 0;
-  const auto& last = *map_.rbegin();
-  return last.first + last.second.length;
-}
-
-std::vector<IndexEntry> BTreeIndex::to_entries() const {
-  std::vector<IndexEntry> out;
-  out.reserve(map_.size());
-  for (const auto& [off, m] : map_) {
-    out.push_back(IndexEntry{off, m.length, m.physical_offset, 0, m.writer});
-  }
-  stamp_resolution_sequence(out);
-  return out;
-}
-
-// --- offset-domain sweep (shared by FlatIndex and PatternIndex) ---
-
-std::vector<IndexView::Mapping> resolve_sorted_entries(const std::vector<IndexEntry>& sorted,
-                                                       bool compress) {
-  using Mapping = IndexView::Mapping;
-  std::vector<Mapping> mappings;
+FlatIndex FlatIndex::from_sorted(const std::vector<IndexEntry>& sorted, bool compress) {
+  FlatIndex idx;
+  std::vector<Mapping>& mappings = idx.mappings_;
   const std::size_t n = sorted.size();
   // Offset-domain sweep. Boundaries are every extent start and end; within
   // one boundary segment the winning entry is constant, and the winner is
@@ -220,7 +82,7 @@ std::vector<IndexView::Mapping> resolve_sorted_entries(const std::vector<IndexEn
     bounds.push_back(sorted[i].logical_offset);
     bounds.push_back(sorted[i].logical_offset + sorted[i].length);
   }
-  if (by_start.empty()) return mappings;
+  if (by_start.empty()) return idx;
   std::sort(bounds.begin(), bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
   std::sort(by_start.begin(), by_start.end(), [&sorted](std::uint32_t a, std::uint32_t b) {
@@ -274,12 +136,6 @@ std::vector<IndexView::Mapping> resolve_sorted_entries(const std::vector<IndexEn
     }
     mappings.resize(w + 1);
   }
-  return mappings;
-}
-
-FlatIndex FlatIndex::from_sorted(const std::vector<IndexEntry>& sorted, bool compress) {
-  FlatIndex idx;
-  idx.mappings_ = resolve_sorted_entries(sorted, compress);
   return idx;
 }
 
@@ -288,7 +144,7 @@ FlatIndex FlatIndex::build(std::vector<IndexEntry> entries, bool compress) {
   return from_sorted(entries, compress);
 }
 
-std::vector<IndexView::Mapping> FlatIndex::lookup(std::uint64_t offset, std::uint64_t len) const {
+std::vector<FlatIndex::Mapping> FlatIndex::lookup(std::uint64_t offset, std::uint64_t len) const {
   std::vector<Mapping> out;
   if (len == 0 || mappings_.empty()) return out;
   const std::uint64_t end = offset + len;
@@ -321,6 +177,12 @@ std::vector<IndexEntry> FlatIndex::to_entries() const {
   }
   stamp_resolution_sequence(out);
   return out;
+}
+
+std::uint64_t FlatIndex::serialized_bytes() const {
+  if (mappings_.empty()) return 0;
+  if (wire_bytes_ == 0) wire_bytes_ = encoded_size(to_entries());
+  return wire_bytes_;
 }
 
 }  // namespace tio::plfs

@@ -7,40 +7,22 @@
 // index — with overlaps resolved by timestamp (PLFS defers write resolution
 // from write time to read time; the paper's note 1).
 //
-// The queryable global index is split into an abstract read-side interface
-// (IndexView) and two implementations:
-//
-//   * BTreeIndex — the original eager interval map (std::map keyed by
-//     logical offset). Entries are inserted in timestamp order with
-//     splitting and compression. Kept as the correctness oracle and as the
-//     faithful "Original PLFS Design" cost model.
-//   * FlatIndex  — a sorted flat vector of non-overlapping mappings with
-//     binary-search lookup. Built by an offset-domain sweep over a
-//     timestamp-ordered entry run (see index_builder.h for the streaming
-//     k-way merge that produces such runs), which avoids per-entry
-//     node-based map mutations entirely.
-//   * PatternIndex (pattern.h) — the same resolved mapping set stored as
-//     arithmetic pattern runs plus a literal spill, answering lookups by
-//     arithmetic instead of by materialized mappings.
-//
-// All implementations perform entry compression: adjacent mappings from
-// the same writer that are contiguous both logically and physically
-// collapse into one, so well-behaved sequential/strided patterns have tiny
-// indices.
+// The queryable global index is FlatIndex: a sorted flat vector of
+// non-overlapping mappings with binary-search lookup, built by an
+// offset-domain sweep over a timestamp-ordered entry run (see
+// index_builder.h for the streaming k-way merge that produces such runs).
+// The build performs entry compression: adjacent mappings from the same
+// writer that are contiguous both logically and physically collapse into
+// one, so well-behaved sequential/strided patterns have tiny indices.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/dataview.h"
 #include "common/status.h"
 
 namespace tio::plfs {
-
-// On-wire encoding selector; defined in mount.h, used here only for the
-// wire-aware serialized-size query.
-enum class WireFormat : std::uint8_t;
 
 struct IndexEntry {
   std::uint64_t logical_offset = 0;
@@ -49,6 +31,8 @@ struct IndexEntry {
   std::int64_t timestamp_ns = 0;
   std::uint32_t writer = 0;  // rank/pid owning data.<writer> / index.<writer>
 
+  // Size of one record in the original fixed-record format. Still the
+  // definition of "raw" index volume for the compression-ratio counters.
   static constexpr std::uint64_t kSerializedSize = 40;
   friend bool operator==(const IndexEntry&, const IndexEntry&) = default;
 };
@@ -58,19 +42,19 @@ struct IndexEntry {
 // deterministic for simultaneous writers.
 bool entry_timestamp_less(const IndexEntry& a, const IndexEntry& b);
 
-// Fixed-record serialization of entry batches (the on-"disk" format of
-// index.<writer> logs and of the flattened global index file).
-std::vector<std::byte> serialize_entries(const std::vector<IndexEntry>& entries);
-void append_serialized(std::vector<std::byte>& out, const IndexEntry& entry);
-// Parses a whole buffer of records. A trailing partial record, a
-// zero-length record, or an extent whose offset+length overflows is an
-// error: index logs are the source of truth for the read path, so corrupt
-// or truncated logs must be rejected, not silently absorbed.
+// Parses a whole buffer of fixed 40-byte records — the format index logs
+// and flattened indices had before the pattern codec (pattern.h), kept so
+// old containers still open. A trailing partial record, a zero-length
+// record, or an extent whose offset+length overflows is an error: index
+// logs are the source of truth for the read path, so corrupt or truncated
+// logs must be rejected, not silently absorbed.
 Result<std::vector<IndexEntry>> deserialize_entries(const FragmentList& data);
 
-// Read-side interface of the aggregated global index. Implementations are
-// immutable once built; readers share them via shared_ptr.
-class IndexView {
+// The aggregated global index. Immutable once built; readers share it via
+// shared_ptr. Building is a sweep over offset-domain boundaries with a
+// lazy-deletion max-heap of live entries — everything is contiguous
+// vectors, no node allocations.
+class FlatIndex {
  public:
   struct Mapping {
     std::uint64_t logical_offset;
@@ -80,15 +64,21 @@ class IndexView {
     friend bool operator==(const Mapping&, const Mapping&) = default;
   };
 
-  virtual ~IndexView() = default;
+  // `sorted` must be in entry_timestamp_less order (later-wins last); use
+  // IndexBuilder to merge per-writer runs into that order cheaply.
+  // `compress` exists for the ablation bench and the tests; production
+  // builds leave it on.
+  static FlatIndex from_sorted(const std::vector<IndexEntry>& sorted, bool compress = true);
+  // Convenience for unordered pools: sorts, then delegates to from_sorted.
+  static FlatIndex build(std::vector<IndexEntry> entries, bool compress = true);
 
   // Mappings covering [offset, offset+len), clipped, in logical order.
   // Unwritten gaps are simply absent from the result (they read as zeros).
-  virtual std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const = 0;
+  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const;
 
   // One past the highest written logical byte.
-  virtual std::uint64_t logical_size() const = 0;
-  virtual std::size_t mapping_count() const = 0;
+  std::uint64_t logical_size() const;
+  std::size_t mapping_count() const { return mappings_.size(); }
 
   // Re-serializes the (compressed) index for broadcast/flatten costing and
   // for the flattened global index file.
@@ -103,77 +93,18 @@ class IndexView {
   // strictly increase, and the mappings are disjoint anyway), makes the
   // output a valid timestamp-sorted run for IndexBuilder, and turns the
   // field into an arithmetic sequence the pattern codec can compress.
-  virtual std::vector<IndexEntry> to_entries() const = 0;
+  std::vector<IndexEntry> to_entries() const;
 
-  // Fixed-record (wire v1) size; still the definition of "index volume" for
-  // the compression-ratio counters.
-  std::uint64_t serialized_bytes() const { return mapping_count() * IndexEntry::kSerializedSize; }
-  // Size under a specific wire format. v2 runs the pattern encoder once and
-  // caches the result (views are immutable after build).
-  std::uint64_t serialized_bytes(WireFormat wire) const;
+  // Encoded size of to_entries() (pattern.h). Runs the encoder once and
+  // caches the result (the index is immutable after build).
+  std::uint64_t serialized_bytes() const;
 
   // Approximate host-memory footprint, used by the IndexCache byte budget.
-  virtual std::uint64_t memory_bytes() const = 0;
-
- private:
-  mutable std::uint64_t wire_v2_bytes_ = 0;  // 0 = not yet computed
-};
-
-// Offset-domain sweep shared by FlatIndex and PatternIndex: resolves a
-// timestamp-ordered entry run (entry_timestamp_less order, later-wins last)
-// into the canonical non-overlapping mapping set, sorted by logical offset
-// and (when `compress`) maximally merged.
-std::vector<IndexView::Mapping> resolve_sorted_entries(const std::vector<IndexEntry>& sorted,
-                                                       bool compress);
-
-// The original map-based index: O(E log E) re-sort of the entry pool plus a
-// node-based map insert per entry. The correctness oracle.
-class BTreeIndex final : public IndexView {
- public:
-  // Builds from an unordered entry pool: sorts by timestamp (ties by writer)
-  // so that later writes win, then inserts with splitting + compression.
-  // `compress` exists for the ablation bench; production callers leave it on.
-  static BTreeIndex build(std::vector<IndexEntry> entries, bool compress = true);
-  // Same insertion pipeline minus the sort, for entries already in
-  // timestamp order (e.g. the output of IndexBuilder::merged_run).
-  static BTreeIndex from_sorted(const std::vector<IndexEntry>& sorted, bool compress = true);
-
-  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const override;
-  std::uint64_t logical_size() const override;
-  std::size_t mapping_count() const override { return map_.size(); }
-  std::vector<IndexEntry> to_entries() const override;
-  std::uint64_t memory_bytes() const override {
-    // Mapping payload plus typical red-black node overhead.
-    return map_.size() * (sizeof(std::pair<std::uint64_t, Mapping>) + 48);
-  }
-
- private:
-  void insert(const IndexEntry& e, bool compress);
-  // key = logical offset; entries non-overlapping.
-  std::map<std::uint64_t, Mapping> map_;
-};
-
-// Flat-vector index: non-overlapping mappings sorted by logical offset,
-// looked up by binary search. Building is a sweep over offset-domain
-// boundaries with a lazy-deletion max-heap of live entries — everything is
-// contiguous vectors, no node allocations, which is where the build speedup
-// over BTreeIndex comes from.
-class FlatIndex final : public IndexView {
- public:
-  // `sorted` must be in entry_timestamp_less order (later-wins last); use
-  // IndexBuilder to merge per-writer runs into that order cheaply.
-  static FlatIndex from_sorted(const std::vector<IndexEntry>& sorted, bool compress = true);
-  // Convenience for unordered pools: sorts, then delegates to from_sorted.
-  static FlatIndex build(std::vector<IndexEntry> entries, bool compress = true);
-
-  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const override;
-  std::uint64_t logical_size() const override;
-  std::size_t mapping_count() const override { return mappings_.size(); }
-  std::vector<IndexEntry> to_entries() const override;
-  std::uint64_t memory_bytes() const override { return mappings_.capacity() * sizeof(Mapping); }
+  std::uint64_t memory_bytes() const { return mappings_.capacity() * sizeof(Mapping); }
 
  private:
   std::vector<Mapping> mappings_;  // sorted by logical_offset, non-overlapping
+  mutable std::uint64_t wire_bytes_ = 0;  // 0 = not yet computed
 };
 
 }  // namespace tio::plfs

@@ -4,7 +4,7 @@
 // unbounded maps that were cleared wholesale on any open_write/unlink of
 // any file. This cache replaces both:
 //
-//   * entries are charged against a byte budget (IndexView::memory_bytes /
+//   * entries are charged against a byte budget (FlatIndex::memory_bytes /
 //     raw entry bytes) and evicted LRU when over budget;
 //   * invalidation is per container: open_write/unlink of one logical file
 //     bumps that container's generation and eagerly drops only its entries,

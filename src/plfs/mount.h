@@ -16,20 +16,6 @@ enum class ReadStrategy {
   parallel_read,  // group-leader aggregation at open (the default)
 };
 
-// In-memory representation of the aggregated global index (see index.h).
-enum class IndexBackend {
-  btree,    // original eager std::map interval index (correctness oracle)
-  flat,     // sorted flat vector built by run merge + offset sweep
-  pattern,  // arithmetic pattern runs + literal spill (see pattern.h)
-};
-
-// On-wire encoding of index entry batches: per-writer index.<writer> logs,
-// the flattened global index payload, and the collective exchange volumes.
-enum class WireFormat : std::uint8_t {
-  v1,  // fixed 40-byte records (the original format; always readable)
-  v2,  // pattern-compressed, varint/delta-encoded segments (pattern.h)
-};
-
 struct PlfsMount {
   // Physical roots the containers are spread over, e.g. {"/vol0/plfs",
   // "/vol1/plfs", ...}. Each root typically lives in a different metadata
@@ -83,17 +69,6 @@ struct PlfsMount {
   Duration index_cpu_per_entry = Duration::ns(1000);
 
   ReadStrategy default_strategy = ReadStrategy::parallel_read;
-
-  // Which IndexView implementation aggregation builds. Simulated costs are
-  // identical across backends (same entries processed); the backend changes
-  // host-side build/lookup complexity and memory only.
-  IndexBackend index_backend = IndexBackend::flat;
-
-  // Wire encoding for everything index-shaped that hits a backend file or a
-  // collective. v2 is self-describing (magic + version per segment), so
-  // readers auto-detect the format and v1 containers stay readable
-  // regardless of this setting; the knob only controls what gets written.
-  WireFormat index_wire = WireFormat::v2;
 
   // Byte budget for the per-Plfs shared index cache (parsed index logs and
   // built serial indices). 0 disables caching entirely.

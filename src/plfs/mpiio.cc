@@ -60,7 +60,7 @@ sim::Task<Result<IndexPtr>> aggregate_flatten(Plfs& plfs, mpi::Comm& comm,
     auto read = co_await plfs.read_global_index(ctx, logical);
     if (read.ok()) {
       index = std::move(read.value());
-      bytes = index->serialized_bytes(plfs.mount().index_wire);
+      bytes = index->serialized_bytes();
     } else {
       static Counter& index_fallback = counter("plfs.degrade.index_fallback");
       index_fallback.add(1);
@@ -102,7 +102,7 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
 
   // 2. Each rank reads its disjoint share of the index logs and k-way
   // merges them (each log is a timestamp-sorted run) into one sorted run.
-  IndexBuilder my_runs(plfs.mount().index_backend);
+  IndexBuilder my_runs;
   for (std::size_t i = comm.rank(); i < shared_logs->size(); i += n) {
     auto entries = co_await plfs.read_index_log(ctx, logical, (*shared_logs)[i].path);
     if (!entries.ok()) co_return entries.status();
@@ -124,21 +124,20 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
   const bool leader = group.rank() == 0;
   mpi::Comm leaders = co_await comm.split(leader ? 0 : 1, comm.rank());
 
-  // Runs travel pattern-compressed under wire v2: the transfer volume every
-  // collective below charges is the encoded size, not count * 40.
-  const WireFormat wire = plfs.mount().index_wire;
-  const std::uint64_t my_bytes = encoded_size(mine, wire);
+  // Runs travel pattern-compressed: the transfer volume every collective
+  // below charges is the encoded size, not count * 40.
+  const std::uint64_t my_bytes = encoded_size(mine);
   auto member_runs = co_await group.gather(0, std::move(mine), my_bytes);
 
   IndexPtr index;
   if (leader) {
     // Merge the group's member runs into one sorted run; sorted runs (not
     // raw pools) are what leaders exchange.
-    IndexBuilder group_builder(plfs.mount().index_backend);
+    IndexBuilder group_builder;
     for (auto& run : member_runs) group_builder.add_entries(std::move(run));
     auto group_run =
         std::make_shared<const std::vector<IndexEntry>>(group_builder.merged_run());
-    const std::uint64_t run_bytes = encoded_size(*group_run, wire);
+    const std::uint64_t run_bytes = encoded_size(*group_run);
     // Runs travel as shared structure: every leader logically holds the
     // full entry set (and is charged transfer + merge CPU for it), but the
     // simulator keeps one copy — 65,536-rank runs would otherwise
@@ -156,7 +155,7 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
     }
     exchange_span = trace::Span(comm.engine(), open_exchange_site(), ctx.rank);
     if (leaders.rank() == 0) {
-      IndexBuilder global_builder(plfs.mount().index_backend);
+      IndexBuilder global_builder;
       for (const auto& r : all_runs) global_builder.add_run(r);
       index = global_builder.build();
     }
@@ -167,18 +166,9 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
 
   // 4. Leaders broadcast the merged global index within their group.
   trace::Span bcast_span(comm.engine(), open_broadcast_site(), ctx.rank);
-  const std::uint64_t idx_bytes = leader ? index->serialized_bytes(wire) : 0;
-  try {
-    const std::uint64_t bytes = co_await group.bcast(0, idx_bytes, 8);
-    index = co_await group.bcast(0, std::move(index), bytes);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string(e.what()) + " [step4 n=" + std::to_string(n) +
-                             " gsize=" + std::to_string(gsize) + " grank=" +
-                             std::to_string(group.rank()) + " gsizeactual=" +
-                             std::to_string(group.size()) + " gctx=" +
-                             std::to_string(group.context()) + " lctx=" +
-                             std::to_string(leaders.context()) + "]");
-  }
+  const std::uint64_t idx_bytes = leader ? index->serialized_bytes() : 0;
+  const std::uint64_t bytes = co_await group.bcast(0, idx_bytes, 8);
+  index = co_await group.bcast(0, std::move(index), bytes);
   co_return index;
 }
 
@@ -229,13 +219,13 @@ sim::Task<Status> MpiFile::close_write(bool flatten) {
     const std::uint64_t max_entries = co_await comm_->allreduce(
         my_entries, 8, [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
     if (max_entries <= plfs_->mount().flatten_threshold) {
-      const std::uint64_t bytes = encoded_size(write_->entries(), plfs_->mount().index_wire);
+      const std::uint64_t bytes = encoded_size(write_->entries());
       auto pools = co_await comm_->gather(0, write_->entries(), bytes);
       gather_span.end();
       if (comm_->rank() == 0) {
         trace::Span write_span(comm_->engine(), kWriteSite, comm_->global_rank());
         // Each writer's entry pool is already a timestamp-sorted run.
-        IndexBuilder builder(plfs_->mount().index_backend);
+        IndexBuilder builder;
         for (auto& p : pools) builder.add_entries(std::move(p));
         co_await comm_->engine().sleep(plfs_->mount().index_cpu_per_entry *
                                        static_cast<std::int64_t>(builder.total_entries()));

@@ -48,7 +48,7 @@ class MpiFile {
   sim::Task<Status> close_read();
 
   std::uint64_t logical_size() const { return read_ ? read_->logical_size() : 0; }
-  const IndexView* index() const { return read_ ? &read_->index() : nullptr; }
+  const FlatIndex* index() const { return read_ ? &read_->index() : nullptr; }
   WriteHandle* write_handle() { return write_.get(); }
 
  private:

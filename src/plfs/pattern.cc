@@ -13,8 +13,6 @@ namespace tio::plfs {
 
 namespace {
 
-using Mapping = IndexView::Mapping;
-
 // State of one writer's growing run during detection.
 struct OpenRun {
   std::vector<std::uint32_t> pos;  // member stream positions, ascending
@@ -192,26 +190,19 @@ PatternScan detect_patterns(const std::vector<IndexEntry>& entries, std::size_t 
   return scan;
 }
 
-void append_encoded(std::vector<std::byte>& out, const std::vector<IndexEntry>& entries,
-                    WireFormat wire) {
+void append_encoded(std::vector<std::byte>& out, const std::vector<IndexEntry>& entries) {
   if (entries.empty()) return;
-  if (wire == WireFormat::v1) {
-    out.reserve(out.size() + entries.size() * IndexEntry::kSerializedSize);
-    for (const auto& e : entries) append_serialized(out, e);
-    return;
-  }
   append_v2_segment(out, entries, /*stats=*/true);
 }
 
-std::vector<std::byte> encode_entries(const std::vector<IndexEntry>& entries, WireFormat wire) {
+std::vector<std::byte> encode_entries(const std::vector<IndexEntry>& entries) {
   std::vector<std::byte> out;
-  append_encoded(out, entries, wire);
+  append_encoded(out, entries);
   return out;
 }
 
-std::uint64_t encoded_size(const std::vector<IndexEntry>& entries, WireFormat wire) {
+std::uint64_t encoded_size(const std::vector<IndexEntry>& entries) {
   if (entries.empty()) return 0;
-  if (wire == WireFormat::v1) return entries.size() * IndexEntry::kSerializedSize;
   std::vector<std::byte> tmp;
   append_v2_segment(tmp, entries, /*stats=*/false);
   return tmp.size();
@@ -227,12 +218,6 @@ bool starts_with_magic(const std::byte* data, std::size_t size) {
 }
 
 }  // namespace
-
-bool wire_is_v2(const FragmentList& data) {
-  if (data.size() < 4) return false;
-  const auto bytes = data.to_bytes();
-  return starts_with_magic(bytes.data(), bytes.size());
-}
 
 Result<std::vector<IndexEntry>> decode_entries_v2(const std::byte* data, std::size_t size) {
   const auto bad = [size](const std::string& what, std::uint64_t at) {
@@ -390,134 +375,6 @@ Result<std::vector<IndexEntry>> decode_entries(const FragmentList& data) {
   const auto bytes = data.to_bytes();
   if (!starts_with_magic(bytes.data(), bytes.size())) return deserialize_entries(data);
   return decode_entries_v2(bytes.data(), bytes.size());
-}
-
-bool parse_wire_format(std::string_view name, WireFormat& out) {
-  if (name == "v1") {
-    out = WireFormat::v1;
-    return true;
-  }
-  if (name == "v2") {
-    out = WireFormat::v2;
-    return true;
-  }
-  return false;
-}
-
-std::string wire_format_name(WireFormat wire) {
-  switch (wire) {
-    case WireFormat::v1: return "v1";
-    case WireFormat::v2: return "v2";
-  }
-  return "unknown";
-}
-
-// --- PatternIndex ---
-
-PatternIndex PatternIndex::from_sorted(const std::vector<IndexEntry>& sorted, bool compress) {
-  PatternIndex idx;
-  const std::vector<Mapping> mappings = resolve_sorted_entries(sorted, compress);
-  idx.mapping_count_ = mappings.size();
-  if (mappings.empty()) return idx;
-  idx.logical_size_ = mappings.back().logical_offset + mappings.back().length;
-
-  // Run the same detector the wire codec uses over the resolved mapping
-  // set (in logical order, so every run's stride is positive).
-  std::vector<IndexEntry> entries;
-  entries.reserve(mappings.size());
-  for (std::size_t i = 0; i < mappings.size(); ++i) {
-    const Mapping& m = mappings[i];
-    entries.push_back(IndexEntry{m.logical_offset, m.length, m.physical_offset,
-                                 static_cast<std::int64_t>(i), m.writer});
-  }
-  const PatternScan scan = detect_patterns(entries);
-  std::vector<std::uint32_t> literal_positions = scan.literals;
-  for (const auto& r : scan.runs) {
-    // Non-overlapping logically-sorted input guarantees stride >= record
-    // length; anything else would make arithmetic lookup self-overlapping,
-    // so demote it (defensively) to literals.
-    if (r.entry.stride < static_cast<std::int64_t>(r.entry.record_len)) {
-      for (std::uint32_t j = 0; j < r.entry.count; ++j) {
-        literal_positions.push_back(r.pos_start + j * r.pos_stride);
-      }
-      continue;
-    }
-    idx.runs_.push_back(r.entry);
-  }
-  std::sort(literal_positions.begin(), literal_positions.end());
-  idx.literals_.reserve(literal_positions.size());
-  for (const std::uint32_t pos : literal_positions) idx.literals_.push_back(mappings[pos]);
-  std::sort(idx.runs_.begin(), idx.runs_.end(), [](const PatternEntry& a, const PatternEntry& b) {
-    return a.logical_start < b.logical_start;
-  });
-  return idx;
-}
-
-PatternIndex PatternIndex::build(std::vector<IndexEntry> entries, bool compress) {
-  std::sort(entries.begin(), entries.end(), entry_timestamp_less);
-  return from_sorted(entries, compress);
-}
-
-std::vector<IndexView::Mapping> PatternIndex::lookup(std::uint64_t offset,
-                                                     std::uint64_t len) const {
-  std::vector<Mapping> out;
-  if (len == 0) return out;
-  const std::uint64_t end = offset + len;
-
-  auto it = std::partition_point(literals_.begin(), literals_.end(), [offset](const Mapping& m) {
-    return m.logical_offset + m.length <= offset;
-  });
-  for (; it != literals_.end() && it->logical_offset < end; ++it) {
-    const std::uint64_t m_start = std::max(offset, it->logical_offset);
-    const std::uint64_t m_end = std::min(end, it->logical_offset + it->length);
-    out.push_back(Mapping{m_start, m_end - m_start, it->writer,
-                          it->physical_offset + (m_start - it->logical_offset)});
-  }
-
-  for (const PatternEntry& p : runs_) {
-    if (p.logical_start >= end) break;  // runs_ sorted by logical_start
-    const auto stride = static_cast<std::uint64_t>(p.stride);
-    const std::uint64_t run_end =
-        p.logical_start + static_cast<std::uint64_t>(p.count - 1) * stride + p.record_len;
-    if (run_end <= offset) continue;
-    std::uint64_t j = offset > p.logical_start ? (offset - p.logical_start) / stride : 0;
-    if (j < p.count && p.logical_start + j * stride + p.record_len <= offset) ++j;
-    for (; j < p.count; ++j) {
-      const std::uint64_t rec = p.logical_start + j * stride;
-      if (rec >= end) break;
-      const std::uint64_t m_start = std::max(offset, rec);
-      const std::uint64_t m_end = std::min(end, rec + p.record_len);
-      out.push_back(Mapping{m_start, m_end - m_start, p.writer,
-                            p.physical_start + j * p.record_len + (m_start - rec)});
-    }
-  }
-
-  std::sort(out.begin(), out.end(), [](const Mapping& a, const Mapping& b) {
-    return a.logical_offset < b.logical_offset;
-  });
-  return out;
-}
-
-std::vector<IndexEntry> PatternIndex::to_entries() const {
-  std::vector<IndexEntry> out;
-  out.reserve(mapping_count_);
-  for (const PatternEntry& p : runs_) {
-    for (std::uint32_t j = 0; j < p.count; ++j) {
-      IndexEntry e = p.expand(j);
-      e.timestamp_ns = 0;
-      out.push_back(e);
-    }
-  }
-  for (const Mapping& m : literals_) {
-    out.push_back(IndexEntry{m.logical_offset, m.length, m.physical_offset, 0, m.writer});
-  }
-  std::sort(out.begin(), out.end(), [](const IndexEntry& a, const IndexEntry& b) {
-    return a.logical_offset < b.logical_offset;
-  });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].timestamp_ns = static_cast<std::int64_t>(i);
-  }
-  return out;
 }
 
 }  // namespace tio::plfs

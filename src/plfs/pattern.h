@@ -1,5 +1,5 @@
-// Pattern compression for the index pipeline (wire format v2) and the
-// PatternIndex backend.
+// Pattern compression for the index pipeline: the index encoder (wire
+// format v2) every index log, flattened index and collective exchange uses.
 //
 // Checkpoint workloads are structured: an N-1 strided writer emits
 // thousands of index entries that are one arithmetic progression in
@@ -46,8 +46,9 @@
 // bit-exactly — a decoded run is still a valid timestamp-sorted run.
 //
 // Readers auto-detect the format: a buffer starting with the v2 magic is
-// v2, anything else parses as v1 fixed 40-byte records. (A v1 log whose
-// first record's logical offset happens to equal the magic would
+// v2, anything else parses as the original fixed 40-byte records (v1),
+// which nothing writes any more but old containers still hold. (A v1 log
+// whose first record's logical offset happens to equal the magic would
 // misdetect; with a 2^-32 chance against real offsets we document rather
 // than defend.) Truncated, bit-flipped, version-confused, or
 // position-inconsistent buffers are rejected with Errc::io_error carrying
@@ -55,14 +56,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/dataview.h"
 #include "common/status.h"
 #include "plfs/index.h"
-#include "plfs/mount.h"
 
 namespace tio::plfs {
 
@@ -79,15 +77,6 @@ struct PatternEntry {
   std::uint32_t writer = 0;
   std::int64_t timestamp_base = 0;
   std::int64_t timestamp_delta = 0;
-
-  IndexEntry expand(std::uint32_t i) const {
-    return IndexEntry{logical_start + static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(stride),
-                      record_len,
-                      physical_start + static_cast<std::uint64_t>(i) * record_len,
-                      timestamp_base + static_cast<std::int64_t>(i) * timestamp_delta,
-                      writer};
-  }
-  friend bool operator==(const PatternEntry&, const PatternEntry&) = default;
 };
 
 // A detected run plus its claim on stream positions.
@@ -113,54 +102,18 @@ PatternScan detect_patterns(const std::vector<IndexEntry>& entries,
 inline constexpr std::uint32_t kWireMagic = 0x57584950;  // "PIXW"
 inline constexpr std::uint8_t kWireVersion = 2;
 
-// Encodes one batch as one segment (v2) or as raw 40-byte records (v1) and
-// appends it to `out`. v2 encodes bump the plfs.index.pattern.* counters.
-void append_encoded(std::vector<std::byte>& out, const std::vector<IndexEntry>& entries,
-                    WireFormat wire);
-std::vector<std::byte> encode_entries(const std::vector<IndexEntry>& entries, WireFormat wire);
+// Encodes one batch as one v2 segment and appends it to `out`; bumps the
+// plfs.index.pattern.* counters.
+void append_encoded(std::vector<std::byte>& out, const std::vector<IndexEntry>& entries);
+std::vector<std::byte> encode_entries(const std::vector<IndexEntry>& entries);
 // Size-only variant for collective costing; does not touch the counters.
-std::uint64_t encoded_size(const std::vector<IndexEntry>& entries, WireFormat wire);
+std::uint64_t encoded_size(const std::vector<IndexEntry>& entries);
 
-// True if the buffer leads with the v2 segment magic.
-bool wire_is_v2(const FragmentList& data);
 // Auto-detecting decoder: v2 segments or v1 fixed records, entry order
 // preserved bit-exactly either way.
 Result<std::vector<IndexEntry>> decode_entries(const FragmentList& data);
 // v2-only decode over a raw byte range (used by the trailer verifier,
 // which has already sliced the payload out of the flattened file).
 Result<std::vector<IndexEntry>> decode_entries_v2(const std::byte* data, std::size_t size);
-
-// "--index_wire" flag vocabulary: "v1" | "v2".
-bool parse_wire_format(std::string_view name, WireFormat& out);
-std::string wire_format_name(WireFormat wire);
-
-// IndexView backend that keeps the resolved mapping set as pattern runs
-// plus a literal spill and answers lookup() by arithmetic. Same canonical
-// mapping set as FlatIndex/BTreeIndex (it is built from the same
-// offset-domain sweep), so lookups and to_entries() are bit-identical to
-// the oracle — only the in-memory representation (and therefore the
-// IndexCache charge) shrinks.
-class PatternIndex final : public IndexView {
- public:
-  static PatternIndex from_sorted(const std::vector<IndexEntry>& sorted, bool compress = true);
-  static PatternIndex build(std::vector<IndexEntry> entries, bool compress = true);
-
-  std::vector<Mapping> lookup(std::uint64_t offset, std::uint64_t len) const override;
-  std::uint64_t logical_size() const override { return logical_size_; }
-  std::size_t mapping_count() const override { return mapping_count_; }
-  std::vector<IndexEntry> to_entries() const override;
-  std::uint64_t memory_bytes() const override {
-    return runs_.capacity() * sizeof(PatternEntry) + literals_.capacity() * sizeof(Mapping);
-  }
-
-  std::size_t run_count() const { return runs_.size(); }
-  std::size_t literal_count() const { return literals_.size(); }
-
- private:
-  std::vector<PatternEntry> runs_;  // sorted by logical_start; strides > 0
-  std::vector<Mapping> literals_;   // sorted by logical_offset
-  std::uint64_t logical_size_ = 0;
-  std::size_t mapping_count_ = 0;
-};
 
 }  // namespace tio::plfs

@@ -416,12 +416,11 @@ sim::Task<Status> WriteHandle::flush_index() {
   if (flushed_ == entries_.size()) co_return Status::Ok();
   static const trace::SpanSite kFlushSite("plfs.write", "plfs.write.index_flush");
   trace::Span flush_span(plfs_->engine(), kFlushSite, rank_);
-  // Each flush batch becomes one self-contained wire unit (a v2 segment or
-  // a run of v1 records), so the log stays append-only and readable after
-  // any prefix of flushes.
+  // Each flush batch becomes one self-contained v2 segment, so the log
+  // stays append-only and readable after any prefix of flushes.
   const std::vector<IndexEntry> batch(entries_.begin() + static_cast<std::ptrdiff_t>(flushed_),
                                       entries_.end());
-  std::vector<std::byte> buf = encode_entries(batch, plfs_->mount_.index_wire);
+  std::vector<std::byte> buf = encode_entries(batch);
   const std::uint64_t n = buf.size();
   static Counter& log_bytes_written = counter("plfs.index.log_bytes_written");
   log_bytes_written.add(n);
@@ -571,7 +570,7 @@ sim::Task<Result<IndexPtr>> Plfs::build_index_serial(pfs::IoCtx ctx, std::string
   static const trace::SpanSite kMergeSite("plfs.open", "plfs.open.merge");
   trace::Span read_span(engine(), kReadSite, ctx.rank);
   TIO_CO_ASSIGN_OR_RETURN(std::vector<IndexLogRef> logs, co_await list_index_logs(ctx, logical));
-  IndexBuilder builder(mount_.index_backend);
+  IndexBuilder builder;
   for (const auto& log : logs) {
     TIO_CO_ASSIGN_OR_RETURN(std::shared_ptr<const std::vector<IndexEntry>> entries,
                             co_await read_index_log(ctx, logical, log.path));
@@ -618,18 +617,18 @@ sim::Task<Result<IndexPtr>> Plfs::read_global_index(pfs::IoCtx ctx, const std::s
   co_await engine().sleep(mount_.index_cpu_per_entry *
                           static_cast<std::int64_t>(cached->size()));
   // The flattened file's records are already non-overlapping; one run.
-  IndexBuilder builder(mount_.index_backend);
+  IndexBuilder builder;
   builder.add_run(std::move(cached));
   co_return builder.build();
 }
 
 sim::Task<Status> Plfs::write_global_index(pfs::IoCtx ctx, const std::string& logical,
-                                           const IndexView& index) {
+                                           const FlatIndex& index) {
   ContainerLayout lay = layout(logical);
   cache_.invalidate(path_normalize(logical));  // cached global-index log is stale
   const std::string path = lay.global_index_path();
   TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await open_retried(ctx, path, OpenFlags::wr_trunc()));
-  auto bytes = serialize_entries_with_trailer(index.to_entries(), mount_.index_wire);
+  auto bytes = serialize_entries_with_trailer(index.to_entries());
   static Counter& global_bytes_written = counter("plfs.index.global_bytes_written");
   global_bytes_written.add(bytes.size());
   auto written = co_await write_fully(ctx, fd, 0, DataView::literal(std::move(bytes)),

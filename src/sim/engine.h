@@ -72,19 +72,15 @@ class Engine {
   // Processes a single event; returns false when the queue is empty.
   bool step();
 
-  // Sharded-execution hooks (sim/sharded.h) — the conservative-window
-  // driver interleaves engines one bounded window at a time.
-  //
   // Virtual time of the next pending event; INT64_MAX when idle.
   std::int64_t next_event_ns() const;
-  // Processes events with time strictly before `horizon_ns` (the exclusive
-  // window edge), then stops; returns the number of events run. Does not
-  // publish counters or rethrow process errors — the window driver does
-  // both once, at end of run.
+  // Processes events with time strictly before `horizon_ns` (exclusive),
+  // then stops; returns the number of events run. For driving a system
+  // that never drains (e.g. a Raft group's heartbeats) to a virtual
+  // horizon. Does not publish counters or rethrow process errors.
   std::uint64_t run_until(std::int64_t horizon_ns);
   // Flushes this engine's deltas into the process-global sim.engine.*
-  // counters (run() does this automatically; window drivers call it once
-  // at the end).
+  // counters (run() does this automatically).
   void publish_counters();
   // Rethrows (and clears) the first error a detached process recorded.
   void rethrow_pending_error();

@@ -1,51 +1,27 @@
 // Sharded deterministic execution across OS threads.
 //
-// Two drivers, one discipline:
-//
-//   * ShardPool — runs *independent* simulations (each its own Engine, the
-//     common bench/test shape: one Rig per data point) on N shard threads.
-//     Jobs are assigned round-robin by submission index (job j runs on
-//     shard j mod N), stat/trace accumulation is shard-local
-//     (common/stats.h, common/trace.h), and each job draws its engine
-//     trace pids from a pre-reserved block keyed by j — so every simulated
-//     result and exported artifact is a pure function of (seed, job list),
-//     identical at every shard count. shards=1 runs jobs inline on the
-//     calling thread with no pid scoping: exactly the legacy serial path,
-//     byte-identical to the pre-sharding code.
-//
-//   * ShardedEngine — runs *coupled* engines under conservative time
-//     windows. Engines are pinned to shards; cross-engine interaction goes
-//     through post(), which carries a delay of at least the lookahead L
-//     (in the cluster model, ClusterConfig::min_remote_latency() — no
-//     cross-node effect travels faster than the fastest link). The driver
-//     repeats: barrier; serially deliver queued messages and compute
-//     T = min over engines of next_event_ns(), horizon = T + L; barrier;
-//     every shard runs its engines through events with t < horizon.
-//     Safety: an event at t in [T, horizon) can only post effects landing
-//     at >= t + L >= T + L = horizon, i.e. never inside the current window
-//     of any other engine — so intra-window execution with no
-//     communication is equivalent to the global (time, seq) serial order.
-//     Determinism: messages are collected per *source engine* in send
-//     order and delivered at each boundary in (engine adopt index, send
-//     seq) order — a total order independent of shard placement and
-//     host-thread timing, so simulated results are identical for every
-//     shard count, including 1.
+// ShardPool runs *independent* simulations (each its own Engine, the
+// common bench/test shape: one Rig per data point) on N shard threads.
+// Jobs are assigned round-robin by submission index (job j runs on shard
+// j mod N), stat/trace accumulation is shard-local (common/stats.h,
+// common/trace.h), and each job draws its engine trace pids from a
+// pre-reserved block keyed by j — so every simulated result and exported
+// artifact is a pure function of (seed, job list), identical at every
+// shard count. shards=1 runs jobs inline on the calling thread with no pid
+// scoping: exactly the legacy serial path, byte-identical to the
+// pre-sharding code.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <vector>
 
 #include "common/function.h"
-#include "common/units.h"
 
 namespace tio::sim {
 
-class Engine;
-
-// Upper bound on shards for either driver (shard-local stats cells are
-// statically sized; see common/stats.h).
+// Upper bound on ShardPool shards (shard-local stats cells are statically
+// sized; see common/stats.h).
 inline constexpr std::size_t kMaxShards = 64;
 
 // Deterministic pool of independent simulation jobs over N shard threads.
@@ -73,76 +49,6 @@ class ShardPool {
  private:
   std::size_t shards_;
   std::vector<MoveFn<void()>> jobs_;
-};
-
-// Conservative-time-window driver for coupled engines.
-class ShardedEngine {
- public:
-  struct Options {
-    std::size_t shards = 1;
-    // Minimum virtual-time distance of any cross-engine effect; the window
-    // width. Must be > 0 (use ClusterConfig::min_remote_latency() when the
-    // engines model one cluster).
-    Duration lookahead = Duration::us(1);
-  };
-
-  explicit ShardedEngine(const Options& options);
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  std::size_t shards() const { return shards_; }
-  Duration lookahead() const { return lookahead_; }
-  std::uint64_t windows_run() const { return windows_; }
-  std::uint64_t messages_delivered() const { return messages_; }
-
-  // Pins `engine` to `shard`. Adopt order defines the engine's id in the
-  // cross-shard delivery order; adopt in a fixed order for reproducibility.
-  void adopt(std::size_t shard, Engine& engine);
-
-  // Queues `fn` to run on `dst` at src.now() + delay. Requires
-  // delay >= lookahead() (the conservative contract) and both engines
-  // adopted. Must be called from code running on `src` (or from the
-  // calling thread before run()). Messages are delivered at the next
-  // window boundary, ordered by (src adopt index, send order).
-  void post(Engine& src, Engine& dst, Duration delay, MoveFn<void()> fn);
-
-  // Runs all engines to global completion (no pending events, no queued
-  // messages). Returns total events processed. Publishes engine counters
-  // plus sim.engine.windows / sim.engine.cross_shard_events, then rethrows
-  // the first pending error (by shard, then engine adopt order).
-  std::uint64_t run();
-
- private:
-  struct Message {
-    Engine* dst;
-    std::int64_t deliver_ns;
-    MoveFn<void()> fn;
-  };
-  struct Slot {
-    Engine* engine;
-    std::size_t shard;
-    std::uint64_t events_at_start = 0;
-    // Send-ordered outbox; only the owning shard thread appends during a
-    // window, drained serially at the barrier.
-    std::vector<Message> outbox;
-  };
-
-  Slot& slot_of(const Engine& e);
-  // Serial phase at each window boundary: deliver every outbox message,
-  // then plan the next window (or set done_ when globally drained).
-  void deliver_and_plan();
-  void run_window(std::size_t shard);
-
-  std::size_t shards_;
-  Duration lookahead_;
-  std::vector<Slot> slots_;  // adopt order
-  std::vector<std::vector<std::size_t>> by_shard_;
-  std::int64_t horizon_ns_ = 0;
-  bool done_ = false;  // written in the serial phase, read after the barrier
-  bool running_ = false;
-  std::uint64_t windows_ = 0;
-  std::uint64_t messages_ = 0;
-  std::vector<std::exception_ptr> shard_errors_;
 };
 
 }  // namespace tio::sim

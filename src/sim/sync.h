@@ -10,7 +10,7 @@
 // gate, or channel allocates nothing — no vector/deque churn per wait.
 // Shard affinity: a primitive belongs to one engine, and its waiter lists
 // are unsynchronized — every await must happen on the host thread currently
-// running that engine (sim/sharded.h pins an engine to one shard). Debug
+// running that engine (a ShardPool job runs its engines on one shard). Debug
 // builds assert this at each suspension point.
 #pragma once
 

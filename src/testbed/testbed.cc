@@ -105,8 +105,6 @@ Rig::Rig(Options options)
   const std::size_t backends =
       options.plfs_backends > 0 ? options.plfs_backends : options.pfs.num_mds;
   mount_ = plfs_mount(backends, options.num_subdirs);
-  mount_.index_backend = options.index_backend;
-  mount_.index_wire = options.index_wire;
   mount_.retry = options.retry;
   mount_.mds_replicated = replicated;
   mount_.meta_batching = options.pfs.mds_batch > 0;

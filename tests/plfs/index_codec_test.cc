@@ -16,8 +16,8 @@
 #include "common/varint.h"
 #include "plfs/index.h"
 #include "plfs/index_builder.h"
-#include "plfs/mount.h"
 #include "plfs/pattern.h"
+#include "plfs/v1_writer.h"
 
 namespace tio::plfs {
 namespace {
@@ -185,7 +185,7 @@ std::vector<NamedWorkload> all_workloads() {
 
 TEST(WireV2, RoundTripsBitExactly) {
   for (const auto& [name, entries] : all_workloads()) {
-    const auto buf = encode_entries(entries, WireFormat::v2);
+    const auto buf = encode_entries(entries);
     const auto got = decode_entries(as_fragments(buf));
     ASSERT_TRUE(got.ok()) << name << ": " << got.status();
     EXPECT_EQ(*got, entries) << name;  // same entries, same order
@@ -197,8 +197,8 @@ TEST(WireV2, ConcatenatedSegmentsDecodeInOrder) {
   const auto a = strided_workload(4, 16, 4096);
   const auto b = irregular_workload(0xBEEF, 3, 100);
   std::vector<std::byte> buf;
-  append_encoded(buf, a, WireFormat::v2);
-  append_encoded(buf, b, WireFormat::v2);
+  append_encoded(buf, a);
+  append_encoded(buf, b);
   const auto got = decode_entries(as_fragments(buf));
   ASSERT_TRUE(got.ok()) << got.status();
   std::vector<IndexEntry> want = a;
@@ -207,8 +207,8 @@ TEST(WireV2, ConcatenatedSegmentsDecodeInOrder) {
 }
 
 TEST(WireV2, EmptyBatchEncodesToNothing) {
-  EXPECT_TRUE(encode_entries({}, WireFormat::v2).empty());
-  EXPECT_EQ(encoded_size({}, WireFormat::v2), 0u);
+  EXPECT_TRUE(encode_entries({}).empty());
+  EXPECT_EQ(encoded_size({}), 0u);
   const auto got = decode_entries(FragmentList{});
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->empty());
@@ -220,7 +220,7 @@ TEST(WireV2, IrregularTimestampsUseResidualsNotCorrectness) {
   auto entries = sequential_workload(512, 4096);
   Rng rng(0x7157);
   for (auto& e : entries) e.timestamp_ns += static_cast<std::int64_t>(rng.below(30)) - 15;
-  const auto buf = encode_entries(entries, WireFormat::v2);
+  const auto buf = encode_entries(entries);
   const auto got = decode_entries(as_fragments(buf));
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(*got, entries);
@@ -230,9 +230,8 @@ TEST(WireV2, IrregularTimestampsUseResidualsNotCorrectness) {
 
 TEST(WireV2, CompressesStridedWorkloadTenfold) {
   const auto entries = strided_workload(256, 64, 47 << 10);
-  const std::uint64_t v1 = encoded_size(entries, WireFormat::v1);
-  const std::uint64_t v2 = encoded_size(entries, WireFormat::v2);
-  EXPECT_EQ(v1, entries.size() * IndexEntry::kSerializedSize);
+  const std::uint64_t v1 = entries.size() * IndexEntry::kSerializedSize;
+  const std::uint64_t v2 = encoded_size(entries);
   EXPECT_GE(v1 / v2, 10u) << "v1=" << v1 << " v2=" << v2;
 }
 
@@ -240,7 +239,7 @@ TEST(WireV2, FuzzedPoolsRoundTripAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const auto entries = irregular_workload(seed * 0x9E3779B97F4A7C15ull, 1 + seed % 7,
                                             static_cast<int>(10 + seed * 13));
-    const auto buf = encode_entries(entries, WireFormat::v2);
+    const auto buf = encode_entries(entries);
     const auto got = decode_entries(as_fragments(buf));
     ASSERT_TRUE(got.ok()) << "seed " << seed << ": " << got.status();
     ASSERT_EQ(*got, entries) << "seed " << seed;
@@ -251,7 +250,7 @@ TEST(WireV2, FuzzedPoolsRoundTripAcrossSeeds) {
 
 TEST(WireV2, EveryTruncationIsRejected) {
   const auto entries = strided_workload(4, 8, 4096);
-  const auto buf = encode_entries(entries, WireFormat::v2);
+  const auto buf = encode_entries(entries);
   for (std::size_t len = 1; len < buf.size(); ++len) {
     auto prefix = buf;
     prefix.resize(len);
@@ -269,7 +268,7 @@ TEST(WireV2, EverySingleByteFlipIsRejected) {
   // entry point is used on purpose: a flipped magic byte would otherwise
   // just route the buffer to the v1 parser.)
   const auto entries = irregular_workload(0xF11E, 3, 60);
-  const auto buf = encode_entries(entries, WireFormat::v2);
+  const auto buf = encode_entries(entries);
   for (std::size_t i = 0; i < buf.size(); ++i) {
     for (const unsigned bit : {0u, 3u, 7u}) {
       auto bad = buf;
@@ -283,7 +282,7 @@ TEST(WireV2, EverySingleByteFlipIsRejected) {
 
 TEST(WireV2, VersionConfusionIsNamed) {
   const auto entries = sequential_workload(32, 4096);
-  auto buf = encode_entries(entries, WireFormat::v2);
+  auto buf = encode_entries(entries);
   buf[4] = std::byte{9};  // version byte follows the 4-byte magic
   const auto got = decode_entries(as_fragments(std::move(buf)));
   ASSERT_FALSE(got.ok());
@@ -294,7 +293,7 @@ TEST(WireV2, VersionConfusionIsNamed) {
 
 TEST(WireV2, GarbageAfterValidSegmentIsRejected) {
   const auto entries = sequential_workload(32, 4096);
-  auto buf = encode_entries(entries, WireFormat::v2);
+  auto buf = encode_entries(entries);
   const std::size_t tail = buf.size();
   buf.insert(buf.end(), {std::byte{0xDE}, std::byte{0xAD}, std::byte{0xBE}, std::byte{0xEF}});
   const auto got = decode_entries(as_fragments(std::move(buf)));
@@ -309,7 +308,7 @@ TEST(WireV2, GarbageAfterValidSegmentIsRejected) {
 
 TEST(WireCompat, V1BuffersStillDecodeThroughAutoDetect) {
   for (const auto& [name, entries] : all_workloads()) {
-    const auto buf = serialize_entries(entries);  // fixed 40-byte records
+    const auto buf = encode_v1(entries);  // fixed 40-byte records
     const auto got = decode_entries(as_fragments(buf));
     ASSERT_TRUE(got.ok()) << name << ": " << got.status();
     EXPECT_EQ(*got, entries) << name;
@@ -318,8 +317,8 @@ TEST(WireCompat, V1BuffersStillDecodeThroughAutoDetect) {
 
 TEST(WireCompat, TrailerAcceptsBothWireFormats) {
   const auto entries = strided_workload(8, 32, 8192);
-  const auto v1 = serialize_entries_with_trailer(entries, WireFormat::v1);
-  const auto v2 = serialize_entries_with_trailer(entries, WireFormat::v2);
+  const auto v1 = encode_v1_trailed(entries);
+  const auto v2 = serialize_entries_with_trailer(entries);
   EXPECT_LT(v2.size(), v1.size() / 4);
   for (const auto* bytes : {&v1, &v2}) {
     const auto got = deserialize_trailed_entries(as_fragments(*bytes));
@@ -328,27 +327,21 @@ TEST(WireCompat, TrailerAcceptsBothWireFormats) {
   }
 }
 
-// --- PatternIndex representation ------------------------------------------
+// --- pattern representation of a built index --------------------------------
 
 TEST(PatternIndexRep, StridedWorkloadCollapsesToRuns) {
-  const auto entries = strided_workload(16, 256, 47 << 10);
-  const PatternIndex idx = PatternIndex::build(entries);
-  const FlatIndex flat = FlatIndex::build(entries);
-  // Same canonical mapping set...
-  EXPECT_EQ(serialize_entries(idx.to_entries()), serialize_entries(flat.to_entries()));
-  // ...but stored as a handful of arithmetic runs, not per-mapping rows,
-  // which is what the IndexCache ends up charging.
-  EXPECT_LE(idx.run_count() + idx.literal_count(), idx.mapping_count() / 10);
-  EXPECT_LT(idx.memory_bytes(), flat.memory_bytes());
+  // The resolved mapping set of a strided N-1 file is still arithmetic per
+  // writer, so the flattened index encodes as a handful of runs.
+  const FlatIndex idx = FlatIndex::build(strided_workload(16, 256, 47 << 10));
+  const PatternScan scan = detect_patterns(idx.to_entries());
+  EXPECT_LE(scan.runs.size() + scan.literals.size(), idx.mapping_count() / 10);
 }
 
 TEST(PatternIndexRep, SerializedBytesMatchTheWireEncoder) {
-  const auto entries = strided_workload(16, 64, 8192);
-  const PatternIndex idx = PatternIndex::build(entries);
-  EXPECT_EQ(idx.serialized_bytes(WireFormat::v1),
-            idx.mapping_count() * IndexEntry::kSerializedSize);
-  EXPECT_EQ(idx.serialized_bytes(WireFormat::v2), encoded_size(idx.to_entries(), WireFormat::v2));
-  EXPECT_LT(idx.serialized_bytes(WireFormat::v2), idx.serialized_bytes(WireFormat::v1));
+  const FlatIndex idx = FlatIndex::build(strided_workload(16, 64, 8192));
+  EXPECT_EQ(idx.serialized_bytes(), encoded_size(idx.to_entries()));
+  EXPECT_LT(idx.serialized_bytes(), idx.mapping_count() * IndexEntry::kSerializedSize);
+  EXPECT_EQ(FlatIndex::build({}).serialized_bytes(), 0u);
 }
 
 }  // namespace

@@ -1,32 +1,39 @@
-// Differential tests: FlatIndex and PatternIndex vs BTreeIndex (the
-// correctness oracle).
+// Differential tests: FlatIndex vs BTreeIndex (the correctness oracle,
+// tests/plfs/btree_index.h).
 //
 // Unit level: identical randomized overlapping/striding write pools are fed
-// to every backend; lookup() results, logical_size(), and the compressed
-// mapping set itself must be identical. The pools respect the simulator's
-// invariant that each writer's timestamps increase with its physical
-// offsets (a writer's log is appended in time order) — under it all
-// backends produce the same canonical maximally-compressed mapping set, so
-// the comparison is exact, not just byte-equivalent.
+// to both; lookup() results, logical_size(), and the compressed mapping set
+// itself must be identical. The pools respect the simulator's invariant
+// that each writer's timestamps increase with its physical offsets (a
+// writer's log is appended in time order) — under it both produce the same
+// canonical maximally-compressed mapping set, so the comparison is exact,
+// not just byte-equivalent.
 //
-// Strategy level: a strided N-1 file is aggregated through all three
-// ReadStrategy values with each backend (with and without an injected
-// fault plan); every (strategy, backend) combination must expand to
-// byte-identical lookup results.
+// Strategy level: four write shapes are aggregated through all three
+// ReadStrategy values (with and without an injected fault plan); every
+// strategy must expand to exactly what an oracle built from the
+// container's raw index-log entries expands to. The same holds for a
+// container whose logs and flattened index were written in the original
+// fixed-record format (wire v1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "localfs/mem_fs.h"
 #include "pfs/faulty_fs.h"
 #include "pfs/sim_pfs.h"
+#include "plfs/btree_index.h"
 #include "plfs/index.h"
 #include "plfs/index_builder.h"
 #include "plfs/mpiio.h"
 #include "plfs/pattern.h"
+#include "plfs/v1_writer.h"
+#include "testutil.h"
 
 namespace tio::plfs {
 namespace {
@@ -75,83 +82,80 @@ Pool random_pool(std::uint64_t seed, int writers, int ops) {
 
 class IndexDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The built index and its pattern-encoded form (what the flattened index
+// file holds) both match the oracle.
 TEST_P(IndexDiff, FlatAndPatternMatchBTreeExactly) {
   const Pool pool = random_pool(GetParam(), /*writers=*/8, /*ops=*/500);
   const BTreeIndex oracle = BTreeIndex::build(pool.entries);
   const FlatIndex flat = FlatIndex::build(pool.entries);
-  const PatternIndex pattern = PatternIndex::build(pool.entries);
 
-  for (const IndexView* idx : {static_cast<const IndexView*>(&flat),
-                               static_cast<const IndexView*>(&pattern)}) {
-    EXPECT_EQ(idx->logical_size(), oracle.logical_size());
-    EXPECT_EQ(idx->mapping_count(), oracle.mapping_count());
-    // The canonical compressed mapping sets are identical, so serialization
-    // is byte-identical too.
-    EXPECT_EQ(serialize_entries(idx->to_entries()), serialize_entries(oracle.to_entries()));
-    // Full-range and random ranged lookups agree exactly.
-    EXPECT_EQ(idx->lookup(0, pool.domain), oracle.lookup(0, pool.domain));
-    Rng rng(GetParam() ^ 0xD1FF);
-    for (int probe = 0; probe < 200; ++probe) {
-      const std::uint64_t off = rng.below(pool.domain);
-      const std::uint64_t len = 1 + rng.below(128 << 10);
-      EXPECT_EQ(idx->lookup(off, len), oracle.lookup(off, len)) << "probe " << probe;
-    }
-    // Past-EOF and zero-length probes.
-    EXPECT_EQ(idx->lookup(pool.domain * 2, 100), oracle.lookup(pool.domain * 2, 100));
-    EXPECT_EQ(idx->lookup(5, 0), oracle.lookup(5, 0));
+  EXPECT_EQ(flat.logical_size(), oracle.logical_size());
+  EXPECT_EQ(flat.mapping_count(), oracle.mapping_count());
+  // The canonical compressed mapping sets are identical, resolution-sequence
+  // timestamps included, and survive the pattern codec bit for bit.
+  EXPECT_EQ(flat.to_entries(), oracle.to_entries());
+  FragmentList encoded;
+  encoded.append(DataView::literal(encode_entries(flat.to_entries())));
+  const auto decoded = decode_entries(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, oracle.to_entries());
+  EXPECT_EQ(FlatIndex::build(*decoded).lookup(0, pool.domain), oracle.lookup(0, pool.domain));
+  // Full-range and random ranged lookups agree exactly.
+  EXPECT_EQ(flat.lookup(0, pool.domain), oracle.lookup(0, pool.domain));
+  Rng rng(GetParam() ^ 0xD1FF);
+  for (int probe = 0; probe < 200; ++probe) {
+    const std::uint64_t off = rng.below(pool.domain);
+    const std::uint64_t len = 1 + rng.below(128 << 10);
+    EXPECT_EQ(flat.lookup(off, len), oracle.lookup(off, len)) << "probe " << probe;
   }
+  // Past-EOF and zero-length probes.
+  EXPECT_EQ(flat.lookup(pool.domain * 2, 100), oracle.lookup(pool.domain * 2, 100));
+  EXPECT_EQ(flat.lookup(5, 0), oracle.lookup(5, 0));
 }
 
 TEST_P(IndexDiff, UncompressedBackendsAgree) {
   const Pool pool = random_pool(GetParam() ^ 0xC0FFEE, 5, 300);
   const BTreeIndex oracle = BTreeIndex::build(pool.entries, /*compress=*/false);
   const FlatIndex flat = FlatIndex::build(pool.entries, /*compress=*/false);
-  const PatternIndex pattern = PatternIndex::build(pool.entries, /*compress=*/false);
   EXPECT_EQ(flat.logical_size(), oracle.logical_size());
   EXPECT_EQ(flat.lookup(0, pool.domain), oracle.lookup(0, pool.domain));
-  EXPECT_EQ(pattern.logical_size(), oracle.logical_size());
-  EXPECT_EQ(pattern.lookup(0, pool.domain), oracle.lookup(0, pool.domain));
 }
 
 TEST_P(IndexDiff, BuilderMergeMatchesPoolSort) {
   // Split the pool into per-writer runs (each timestamp-sorted, like real
-  // index logs); the k-way merge path must equal the sort-the-pool path.
+  // index logs); the k-way merge path must equal the sort-the-pool path,
+  // and the oracle fed the merged run must agree with both.
   const Pool pool = random_pool(GetParam() ^ 0x5EED, 6, 400);
   std::vector<std::vector<IndexEntry>> runs(6);
   for (const auto& e : pool.entries) runs[e.writer].push_back(e);
-  IndexBuilder flat_builder(IndexBackend::flat);
-  IndexBuilder btree_builder(IndexBackend::btree);
-  IndexBuilder pattern_builder(IndexBackend::pattern);
+  IndexBuilder builder;
   for (auto& r : runs) {
     std::sort(r.begin(), r.end(), entry_timestamp_less);
-    flat_builder.add_entries(r);
-    pattern_builder.add_entries(r);
-    btree_builder.add_entries(std::move(r));
+    builder.add_entries(std::move(r));
   }
-  const IndexPtr flat = flat_builder.build();
-  const IndexPtr btree = btree_builder.build();
-  const IndexPtr pattern = pattern_builder.build();
+  const IndexPtr merged = builder.build();
+  const BTreeIndex oracle = BTreeIndex::from_sorted(builder.merged_run());
   const FlatIndex direct = FlatIndex::build(pool.entries);
 
-  EXPECT_EQ(flat->lookup(0, pool.domain), direct.lookup(0, pool.domain));
-  EXPECT_EQ(btree->lookup(0, pool.domain), direct.lookup(0, pool.domain));
-  EXPECT_EQ(pattern->lookup(0, pool.domain), direct.lookup(0, pool.domain));
-  EXPECT_EQ(flat->logical_size(), direct.logical_size());
-  EXPECT_EQ(btree->logical_size(), direct.logical_size());
-  EXPECT_EQ(pattern->logical_size(), direct.logical_size());
-  EXPECT_EQ(serialize_entries(flat->to_entries()), serialize_entries(btree->to_entries()));
-  EXPECT_EQ(serialize_entries(pattern->to_entries()), serialize_entries(btree->to_entries()));
+  EXPECT_EQ(merged->lookup(0, pool.domain), direct.lookup(0, pool.domain));
+  EXPECT_EQ(oracle.lookup(0, pool.domain), direct.lookup(0, pool.domain));
+  EXPECT_EQ(merged->logical_size(), direct.logical_size());
+  EXPECT_EQ(oracle.logical_size(), direct.logical_size());
+  EXPECT_EQ(merged->to_entries(), oracle.to_entries());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDiff,
                          ::testing::Values(1, 7, 13, 99, 1234, 987654, 0xFEEDFACE));
 
-// --- strategy-level: every ReadStrategy x every backend, same results ---
+// --- strategy level: every ReadStrategy vs the raw-log oracle ---
+
+constexpr int kProcs = 9;
+constexpr std::uint64_t kDomain = 1 << 19;  // covers every shape's extent
 
 struct World {
-  explicit World(IndexBackend backend, const std::string& plan_spec = "none")
+  explicit World(const std::string& plan_spec = "none")
       : cluster(engine, cluster_config()), pfs(cluster, pfs_config()),
-        faulty(pfs, parse_plan(plan_spec)), plfs(faulty, mount_config(backend)) {
+        faulty(pfs, parse_plan(plan_spec)), plfs(faulty, mount_config()) {
     for (const auto& b : plfs.mount().backends) {
       if (!pfs.ns().mkdir_all(b).ok()) std::abort();
     }
@@ -173,14 +177,13 @@ struct World {
     c.num_osts = 8;
     return c;
   }
-  static PlfsMount mount_config(IndexBackend backend) {
+  static PlfsMount mount_config() {
     PlfsMount m;
     for (std::size_t i = 0; i < 4; ++i) {
       m.backends.push_back("/vol" + std::to_string(i) + "/plfs");
     }
     m.num_subdirs = 8;
     m.index_flush_every = 8;
-    m.index_backend = backend;
     return m;
   }
 
@@ -191,56 +194,10 @@ struct World {
   Plfs plfs;
 };
 
-TEST(IndexDiffStrategies, AllStrategiesAndBackendsExpandIdentically) {
-  constexpr int kProcs = 9;
-  constexpr std::uint64_t kRecord = 3000;
-  constexpr int kRounds = 4;
-  const std::uint64_t total = static_cast<std::uint64_t>(kProcs) * kRounds * kRecord;
-
-  std::vector<std::vector<IndexView::Mapping>> expansions;
-  std::vector<std::uint64_t> sizes;
-  for (const IndexBackend backend :
-       {IndexBackend::btree, IndexBackend::flat, IndexBackend::pattern}) {
-    World w(backend);
-    mpi::run_spmd(w.cluster, kProcs, [&w](mpi::Comm comm) -> sim::Task<void> {
-      auto file = co_await MpiFile::open_write(w.plfs, comm, "/diff");
-      EXPECT_TRUE(file.ok()) << file.status();
-      if (!file.ok()) co_return;
-      for (int r = 0; r < kRounds; ++r) {
-        const std::uint64_t off =
-            (static_cast<std::uint64_t>(r) * comm.size() + comm.rank()) * kRecord;
-        EXPECT_TRUE((co_await (*file)->write(off, DataView::pattern(7, off, kRecord))).ok());
-      }
-      EXPECT_TRUE((co_await (*file)->close_write(/*flatten=*/true)).ok());
-    });
-    for (const ReadStrategy strategy : {ReadStrategy::original, ReadStrategy::index_flatten,
-                                        ReadStrategy::parallel_read}) {
-      IndexPtr got;
-      mpi::run_spmd(w.cluster, kProcs,
-                    [&w, &got, strategy](mpi::Comm comm) -> sim::Task<void> {
-                      auto idx = co_await aggregate_index(w.plfs, comm, "/diff", strategy);
-                      EXPECT_TRUE(idx.ok()) << idx.status();
-                      if (idx.ok() && comm.rank() == 0) got = *idx;
-                    });
-      ASSERT_NE(got, nullptr);
-      expansions.push_back(got->lookup(0, total));
-      sizes.push_back(got->logical_size());
-    }
-  }
-  ASSERT_EQ(expansions.size(), 9u);
-  for (std::size_t i = 1; i < expansions.size(); ++i) {
-    EXPECT_EQ(expansions[i], expansions[0]) << "combination " << i;
-    EXPECT_EQ(sizes[i], sizes[0]) << "combination " << i;
-  }
-}
-
-// --- PatternIndex vs oracle: workload shapes x strategies x fault plans ---
-
-// Four write shapes spanning the detector's best and worst cases.
+// Four write shapes spanning the pattern detector's best and worst cases.
 enum class Shape { strided, sequential, overlapping, irregular };
 
 void write_shape(World& w, const std::string& logical, Shape shape) {
-  constexpr int kProcs = 9;
   constexpr int kRounds = 4;
   constexpr std::uint64_t kRecord = 3000;
   mpi::run_spmd(w.cluster, kProcs, [&](mpi::Comm comm) -> sim::Task<void> {
@@ -282,36 +239,100 @@ void write_shape(World& w, const std::string& logical, Shape shape) {
   });
 }
 
+struct RawLog {
+  std::string path;
+  std::vector<IndexEntry> entries;
+};
+
+// Every per-writer index log of `logical`, decoded.
+sim::Task<std::vector<RawLog>> raw_logs(Plfs& plfs, std::string logical) {
+  const pfs::IoCtx ctx{0, 0};
+  std::vector<RawLog> out;
+  auto logs = co_await plfs.list_index_logs(ctx, logical);
+  EXPECT_TRUE(logs.ok()) << logs.status();
+  if (!logs.ok()) co_return out;
+  for (const auto& log : *logs) {
+    auto entries = co_await plfs.read_index_log(ctx, logical, log.path);
+    EXPECT_TRUE(entries.ok()) << entries.status();
+    if (entries.ok()) out.push_back(RawLog{log.path, **entries});
+  }
+  co_return out;
+}
+
+BTreeIndex oracle_of(const std::vector<RawLog>& logs) {
+  std::vector<IndexEntry> all;
+  for (const auto& log : logs) all.insert(all.end(), log.entries.begin(), log.entries.end());
+  return BTreeIndex::build(std::move(all));
+}
+
+IndexPtr aggregate(World& w, const std::string& logical, ReadStrategy strategy) {
+  IndexPtr got;
+  mpi::run_spmd(w.cluster, kProcs, [&](mpi::Comm comm) -> sim::Task<void> {
+    auto idx = co_await aggregate_index(w.plfs, comm, logical, strategy);
+    EXPECT_TRUE(idx.ok()) << idx.status();
+    if (idx.ok() && comm.rank() == 0) got = *idx;
+  });
+  return got;
+}
+
+constexpr ReadStrategy kStrategies[] = {ReadStrategy::original, ReadStrategy::index_flatten,
+                                        ReadStrategy::parallel_read};
+
+// Every index byte these containers hold (per-writer logs, flattened index)
+// and every exchange volume is pattern-encoded.
 TEST(IndexDiffStrategies, PatternMatchesOracleAcrossShapesStrategiesAndFaults) {
-  constexpr int kProcs = 9;
-  constexpr std::uint64_t kDomain = 1 << 19;  // covers every shape's extent
   for (const char* plan : {"none", "transient1"}) {
     for (const Shape shape :
          {Shape::strided, Shape::sequential, Shape::overlapping, Shape::irregular}) {
-      std::vector<std::vector<IndexView::Mapping>> expansions;
-      for (const IndexBackend backend : {IndexBackend::btree, IndexBackend::pattern}) {
-        World w(backend, plan);
-        write_shape(w, "/shape", shape);
-        for (const ReadStrategy strategy : {ReadStrategy::original, ReadStrategy::index_flatten,
-                                            ReadStrategy::parallel_read}) {
-          IndexPtr got;
-          mpi::run_spmd(w.cluster, kProcs,
-                        [&w, &got, strategy](mpi::Comm comm) -> sim::Task<void> {
-                          auto idx = co_await aggregate_index(w.plfs, comm, "/shape", strategy);
-                          EXPECT_TRUE(idx.ok()) << idx.status();
-                          if (idx.ok() && comm.rank() == 0) got = *idx;
-                        });
-          ASSERT_NE(got, nullptr);
-          expansions.push_back(got->lookup(0, kDomain));
-        }
-      }
-      ASSERT_EQ(expansions.size(), 6u);
-      for (std::size_t i = 1; i < expansions.size(); ++i) {
-        EXPECT_EQ(expansions[i], expansions[0])
-            << "plan " << plan << " shape " << static_cast<int>(shape) << " combination " << i;
+      World w(plan);
+      write_shape(w, "/shape", shape);
+      std::vector<IndexPtr> got;
+      for (const ReadStrategy strategy : kStrategies) got.push_back(aggregate(w, "/shape", strategy));
+      const BTreeIndex oracle = oracle_of(test::run_task(w.engine, raw_logs(w.plfs, "/shape")));
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_NE(got[i], nullptr);
+        EXPECT_EQ(got[i]->lookup(0, kDomain), oracle.lookup(0, kDomain))
+            << "plan " << plan << " shape " << static_cast<int>(shape) << " strategy " << i;
+        EXPECT_EQ(got[i]->logical_size(), oracle.logical_size());
       }
     }
   }
+}
+
+// Replaces the contents of `path` through the raw backend.
+sim::Task<void> overwrite(pfs::FsClient& fs, std::string path, std::vector<std::byte> bytes) {
+  const pfs::IoCtx ctx{0, 0};
+  auto fd = co_await fs.open(ctx, path, pfs::OpenFlags::wr_trunc());
+  EXPECT_TRUE(fd.ok()) << fd.status();
+  if (!fd.ok()) co_return;
+  EXPECT_TRUE((co_await fs.write(ctx, *fd, 0, DataView::literal(std::move(bytes)))).ok());
+  EXPECT_TRUE((co_await fs.close(ctx, *fd)).ok());
+}
+
+TEST(WireCompat, V1ContainerOpensUnderEveryStrategy) {
+  // Fabricate a container as the v1 writer left it: write normally, then
+  // re-encode every index log and the flattened index as fixed records.
+  World w;
+  write_shape(w, "/v1", Shape::overlapping);
+  const std::vector<RawLog> logs = test::run_task(w.engine, raw_logs(w.plfs, "/v1"));
+  ASSERT_FALSE(logs.empty());
+  const BTreeIndex oracle = oracle_of(logs);
+  for (const RawLog& log : logs) {
+    test::run_task(w.engine, overwrite(w.plfs.backend_fs(), log.path, encode_v1(log.entries)));
+  }
+  test::run_task(w.engine, overwrite(w.plfs.backend_fs(), w.plfs.layout("/v1").global_index_path(),
+                                     encode_v1_trailed(oracle.to_entries())));
+  w.plfs.index_cache().invalidate("/v1");
+
+  const std::uint64_t fallbacks = counter("plfs.degrade.index_fallback").value();
+  for (const ReadStrategy strategy : kStrategies) {
+    const IndexPtr got = aggregate(w, "/v1", strategy);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->lookup(0, kDomain), oracle.lookup(0, kDomain))
+        << "strategy " << static_cast<int>(strategy);
+  }
+  // The v1 flattened index was used, not bypassed.
+  EXPECT_EQ(counter("plfs.degrade.index_fallback").value(), fallbacks);
 }
 
 // --- Serialization integrity: error context and the CRC trailer -----------
@@ -328,7 +349,7 @@ FragmentList as_fragments(std::vector<std::byte> bytes) {
 }
 
 TEST(IndexSerialization, TruncationErrorNamesTheByteOffset) {
-  auto bytes = serialize_entries(sample_entries());
+  auto bytes = encode_v1(sample_entries());
   ASSERT_EQ(bytes.size(), 3 * IndexEntry::kSerializedSize);
   bytes.resize(bytes.size() - 5);  // tear the last record
   const auto got = deserialize_entries(as_fragments(std::move(bytes)));
@@ -342,7 +363,7 @@ TEST(IndexSerialization, TruncationErrorNamesTheByteOffset) {
 TEST(IndexSerialization, TrailerRoundTrips) {
   const auto entries = sample_entries();
   auto bytes = serialize_entries_with_trailer(entries);
-  EXPECT_EQ(bytes.size(), entries.size() * IndexEntry::kSerializedSize + kIndexTrailerSize);
+  EXPECT_EQ(bytes.size(), encoded_size(entries) + kIndexTrailerSize);
   const auto got = deserialize_trailed_entries(as_fragments(std::move(bytes)));
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_EQ(got->size(), entries.size());
@@ -356,7 +377,7 @@ TEST(IndexSerialization, TrailerRoundTrips) {
 
 TEST(IndexSerialization, CrcCatchesFlippedRecordByte) {
   auto bytes = serialize_entries_with_trailer(sample_entries());
-  bytes[8] ^= std::byte{0xFF};  // inside the first record's length field
+  bytes[8] ^= std::byte{0xFF};  // inside the encoded records
   const auto got = deserialize_trailed_entries(as_fragments(std::move(bytes)));
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), Errc::io_error);

@@ -212,27 +212,6 @@ TEST_F(PlfsCoreTest, IndexLogFlushBatching) {
   }(plfs_, fs_));
 }
 
-TEST_F(PlfsCoreTest, IndexLogFlushBatchingV1Wire) {
-  // Same flush schedule under wire v1, where batch sizes are exact record
-  // multiples — pinning the legacy on-disk format.
-  mount_.index_wire = WireFormat::v1;
-  Plfs plfs(fs_, mount_);
-  test::run_task(engine_, [](Plfs& plfs, localfs::MemFs& fs) -> sim::Task<void> {
-    IoCtx ctx{0, 0};
-    const std::string log = plfs.layout("/f").index_log_path(0);
-    auto wh = co_await plfs.open_write(ctx, "/f", 0);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_TRUE((co_await (*wh)->write(i * 10, DataView::zeros(10))).ok());
-    }
-    auto st = co_await fs.stat(ctx, log);
-    EXPECT_EQ(st->size, 4 * IndexEntry::kSerializedSize);
-    EXPECT_TRUE((co_await (*wh)->write(40, DataView::zeros(10))).ok());
-    EXPECT_TRUE((co_await (*wh)->close()).ok());
-    st = co_await fs.stat(ctx, log);
-    EXPECT_EQ(st->size, 5 * IndexEntry::kSerializedSize);
-  }(plfs, fs_));
-}
-
 TEST_F(PlfsCoreTest, ReopenForWriteTruncatesLogs) {
   test::run_task(engine_, [](Plfs& plfs) -> sim::Task<void> {
     IoCtx ctx{0, 0};
