@@ -5,10 +5,9 @@
 // strided records and the noncontiguous field-access pattern). For every
 // row it reports virtual write/read time plus the iolib.cb.* message
 // census, so the claimed wins are visible directly:
-//   * node aggregation: the inter-node exchange drops from
-//     ranks x aggregators messages to nodes x aggregators (~cores_per_node
-//     fold), and each data byte crosses the fabric once instead of hopping
-//     up a gather tree;
+//   * node aggregation: the exchange's groups shrink from one per rank
+//     to one per node, so it carries nodes x aggregators messages instead
+//     of ranks x aggregators (~cores_per_node fold);
 //   * read-side sieving: on the noncontig pattern the aggregator's pfs op
 //     count collapses as holes are bridged (LANL 3 tiles the file, leaving
 //     no holes — sieving is correctly inert there).
@@ -49,6 +48,7 @@ int main(int argc, char** argv) {
   const std::size_t shards = bench::shards_or_die(*shards_flag);
   const int procs = static_cast<int>(*procs_flag);
   const std::uint64_t total = static_cast<std::uint64_t>(*total_mib) << 20;
+  const std::uint64_t buffer_bytes = bench::cb_buffer_bytes_or_die(*buffer_mib);
 
   const std::array<int, 2> cpn_sweep = {4, 16};
   const std::array<int, 2> agg_sweep = {4, 16};
@@ -69,10 +69,10 @@ int main(int argc, char** argv) {
 
   sim::ShardPool pool(shards);
   for (auto& row : rows) {
-    pool.submit([&row, procs, total, buffer_mib] {
+    pool.submit([&row, procs, total, buffer_bytes] {
       iolib::CbConfig cb;
       cb.aggregators = row.aggregators;
-      cb.buffer_bytes = static_cast<std::uint64_t>(*buffer_mib) << 20;
+      cb.buffer_bytes = buffer_bytes;
       cb.node_aggregation = row.node_agg;
       cb.sieve_threshold = row.sieve;
       JobSpec spec = row.kernel == std::string("lanl3")

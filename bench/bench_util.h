@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -300,20 +301,43 @@ inline CbFlags add_cb_flags(FlagSet& flags) {
   cb.aggregators = flags.add_i64("cb-aggregators", 0,
                                  "collective-buffering aggregator count (0 = one per node)");
   cb.buffer_mib = flags.add_i64("cb-buffer-mib", 4, "collective buffer size per access, MiB");
-  cb.node_agg = flags.add_bool("cb-node-agg", false,
-                               "coalesce requests at per-node leaders before the exchange");
+  cb.node_agg = flags.add_bool(
+      "cb-node-agg", false,
+      "exchange grouping: coalesce requests at per-node leaders (off = every rank sends)");
   cb.sieve_threshold = flags.add_f64(
       "cb-sieve-threshold", 0.0,
       "read-side data sieving: bridge holes while hole/useful <= threshold (0 = off)");
   return cb;
 }
 
+// Validates --cb-buffer-mib (1 MiB up to 1 TiB) and converts it to bytes;
+// exits with a usage message otherwise.
+inline std::uint64_t cb_buffer_bytes_or_die(std::int64_t mib) {
+  if (mib < 1 || mib > (std::int64_t{1} << 20)) {
+    std::fprintf(stderr, "--cb-buffer-mib must be in [1, 1048576] (got %lld)\n",
+                 static_cast<long long>(mib));
+    std::exit(1);
+  }
+  return static_cast<std::uint64_t>(mib) << 20;
+}
+
+// Builds the CbConfig the --cb-* flags describe; exits with a usage
+// message for values the collective layer rejects (iolib::cb_validate).
 inline iolib::CbConfig cb_config_of(const CbFlags& cb) {
+  if (*cb.aggregators < 0 || *cb.aggregators > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "--cb-aggregators must be in [0, 2147483647] (got %lld)\n",
+                 static_cast<long long>(*cb.aggregators));
+    std::exit(1);
+  }
   iolib::CbConfig config;
   config.aggregators = static_cast<int>(*cb.aggregators);
-  config.buffer_bytes = static_cast<std::uint64_t>(*cb.buffer_mib) << 20;
+  config.buffer_bytes = cb_buffer_bytes_or_die(*cb.buffer_mib);
   config.node_aggregation = *cb.node_agg;
   config.sieve_threshold = *cb.sieve_threshold;
+  if (const Status st = iolib::cb_validate(config); !st.ok()) {
+    std::fprintf(stderr, "invalid --cb-* flags: %s\n", st.to_string().c_str());
+    std::exit(1);
+  }
   return config;
 }
 

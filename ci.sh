@@ -38,8 +38,8 @@ ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFsTest|RetryPolicy|Re
 echo "==> metadata batch + lease-cache suites under ASan/UBSan"
 ctest --preset asan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs)\.'
 
-echo "==> collective-buffering suites under ASan/UBSan (pipeline, sieving, node plan)"
-ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators)\.'
+echo "==> collective-buffering suites under ASan/UBSan (exchange, census, config, sieving, grouping)"
+ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbCensus|CbConfig|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators)\.'
 
 echo "==> trace + stats + jsonfmt suites under ASan/UBSan"
 ctest --preset asan -j "$jobs" -R '^(TraceTest|Histograms|Series|Counters|Grouping|JsonDouble|JsonQuote)\.'
@@ -66,8 +66,8 @@ TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R '^(MetaBatch|MetaCa
 # The collective layer's sharded-counter writes (message census, sieve
 # stats) run on every shard thread; the differential suite under TSan pins
 # that those are race-free alongside the engine's own sharding.
-echo "==> collective-buffering differential suite under TSan"
-TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R '^(CbDifferential|CbSieve)\.'
+echo "==> collective-buffering differential + census suites under TSan"
+TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R '^(CbDifferential|CbCensus|CbSieve)\.'
 
 echo "==> fig7 under the stress fault plan must exit clean"
 ./build/bench/fig7_metadata_nn --procs 64 --max-files 2048 --fault_plan=stress >/dev/null
@@ -104,14 +104,18 @@ LC_ALL="$json_locale" ./build/bench/micro_index --trace="$out/micro_index_trace.
 LC_ALL="$json_locale" ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
   --cb-node-agg --cb-sieve-threshold=2 --noncontig \
   --json="$out/fig5_cb.json" --trace="$out/fig5_cb_trace.json" >/dev/null 2>&1
+LC_ALL="$json_locale" ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
+  --cb-sieve-threshold=2 --noncontig \
+  --json="$out/fig5_rank.json" --trace="$out/fig5_rank_trace.json" >/dev/null 2>&1
 LC_ALL="$json_locale" ./build/bench/ablation_cb_aggregation --procs 32 --total-mib 8 \
   --json="$out/ablation_cb.json" >/dev/null 2>&1
 LC_ALL="$json_locale" ./build/bench/ablation_topology --procs 64 --per-proc-mib 1 \
   --json="$out/ablation_topo.json" >/dev/null 2>&1
 for f in "$out"/fig4.json "$out"/fig7.json "$out"/fig7_raft.json "$out"/fig8.json \
-         "$out"/fig5_cb.json "$out"/ablation_cb.json "$out"/ablation_topo.json \
-         "$out"/fig4_trace.json "$out"/fig7_trace.json "$out"/fig7_raft_trace.json \
-         "$out"/fig8_trace.json "$out"/fig5_cb_trace.json \
+         "$out"/fig5_cb.json "$out"/fig5_rank.json "$out"/ablation_cb.json \
+         "$out"/ablation_topo.json "$out"/fig4_trace.json "$out"/fig7_trace.json \
+         "$out"/fig7_raft_trace.json "$out"/fig8_trace.json "$out"/fig5_cb_trace.json \
+         "$out"/fig5_rank_trace.json \
          "$out"/micro_sim_trace.json "$out"/micro_index_trace.json; do
   python3 -m json.tool "$f" >/dev/null || { echo "invalid JSON: $f"; exit 1; }
 done
@@ -119,18 +123,27 @@ done
 echo "==> fig4 trace: per-phase open breakdown must sum to the open window (1%)"
 python3 tools/check_trace.py "$out/fig4_trace.json"
 
-echo "==> fig5 trace: cb phase spans must tile every cb.write/cb.read window"
+echo "==> fig5 traces: cb phase spans must tile every cb.write/cb.read window (both groupings)"
 python3 tools/check_trace.py "$out/fig5_cb_trace.json"
+python3 tools/check_trace.py "$out/fig5_rank_trace.json"
 
-echo "==> fig5 stdout with the cb pipeline disabled must match the enabled-flags binary"
-# The three-phase pipeline must be invisible when off: default flags and
-# explicit --no-cb-node-agg --cb-sieve-threshold=0 take the legacy code
-# paths and must agree byte-for-byte (and across reruns).
+echo "==> fig5 smoke stdout must match the checked-in golden outputs (both groupings)"
+# One golden per exchange grouping: per rank (the default) and per node
+# with sieving on the noncontig kernel. A deliberate model change must
+# regenerate them by redirecting the same commands' stdout into the golden
+# files. The C locale keeps the tables' decimal points stable; --shards=4
+# must agree.
+LC_ALL=C ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
+  >"$out/fig5_golden_run.txt" 2>/dev/null
+cmp tests/golden/fig5_smoke_stdout.txt "$out/fig5_golden_run.txt"
+LC_ALL=C ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
+  --cb-node-agg --cb-sieve-threshold=2 --noncontig >"$out/fig5_cb_golden_run.txt" 2>/dev/null
+cmp tests/golden/fig5_cb_node_agg_stdout.txt "$out/fig5_cb_golden_run.txt"
+TIO_SHARDS_OVERSUBSCRIBE=1 LC_ALL=C ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
+  --shards=4 >"$out/fig5_golden_run_s4.txt" 2>/dev/null
+cmp tests/golden/fig5_smoke_stdout.txt "$out/fig5_golden_run_s4.txt"
 LC_ALL="$json_locale" ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
   >"$out/fig5_run1.txt" 2>/dev/null
-LC_ALL="$json_locale" ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
-  --no-cb-node-agg --cb-sieve-threshold=0 >"$out/fig5_run2.txt" 2>/dev/null
-cmp "$out/fig5_run1.txt" "$out/fig5_run2.txt"
 
 echo "==> fig4 stdout must be byte-identical across reruns"
 LC_ALL="$json_locale" ./build/bench/fig4_read_scaling --max-streams 32 --per-proc-mib 2 \

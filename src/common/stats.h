@@ -90,7 +90,8 @@ class Counter {
   // This shard's contribution only. Lets a job measure a before/after delta
   // of a global counter without seeing concurrent jobs on other shards
   // (exact as long as no two concurrent threads alias to one slot, i.e.
-  // shard ids of live threads are distinct mod kSlots).
+  // shard ids of live threads are distinct mod kSlots; sim::ShardPool caps
+  // its shard count at kSlots for this).
   std::uint64_t local_value() const {
     return cells_[slot()].v.load(std::memory_order_relaxed);
   }

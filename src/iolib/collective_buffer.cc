@@ -1,6 +1,7 @@
 #include "iolib/collective_buffer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <utility>
 
@@ -19,20 +20,18 @@ namespace {
 // collective-tag base. Successive collective-buffer operations are
 // separated by their trailing barrier, so tag reuse across operations can
 // never cross-match.
-constexpr int kCbTagBase = mpi::kCbReplyTags.base;       // aggregator -> requester (+ j)
-constexpr int kCbTagIntraW = mpi::kCbIntraTags.base;     // member -> node leader, write chunks
-constexpr int kCbTagIntraR = mpi::kCbIntraTags.base + 1; // member -> node leader, read pieces
+constexpr int kCbTagIntraW = mpi::kCbIntraTags.base;     // member -> leader, write chunks
+constexpr int kCbTagIntraR = mpi::kCbIntraTags.base + 1; // member -> leader, read pieces
 constexpr int kCbTagShipW = mpi::kCbShipWriteTags.base;  // leader -> aggregator, merged chunks (+ j)
 constexpr int kCbTagShipR = mpi::kCbShipReadTags.base;   // leader -> aggregator, merged ranges (+ j)
 constexpr int kCbTagAggReply = mpi::kCbAggReplyTags.base;  // aggregator -> leader, run data (+ j)
 constexpr int kCbTagFanout = mpi::kCbFanoutTags.base;    // leader -> member, piece slices
 
 // Observability (PR idiom: resolve the registry once, count relaxed).
-// fabric_msgs/local_msgs census every payload message this layer moves
-// (gather-tree hops are counted arithmetically on the gather root via
-// count_binomial_gather); bytes_shipped counts file data (+16-byte chunk
-// headers on the write path) whose source and consumer sit on different
-// nodes — the volume that must cross a NIC at least once.
+// fabric_msgs/local_msgs census every payload message this layer moves,
+// classified at the send site; bytes_shipped counts file data (+16-byte
+// chunk headers on the write path) whose source and consumer sit on
+// different nodes — the volume that must cross a NIC at least once.
 struct CbCounters {
   Counter& writes = counter("iolib.cb.writes");
   Counter& reads = counter("iolib.cb.reads");
@@ -117,12 +116,27 @@ std::vector<CbChunk> chunks_of(pfs::ExtentMap& map) {
   return out;
 }
 
-// The j this rank aggregates, or -1.
-int my_aggregator_slot(const mpi::Comm& comm, const std::vector<int>& aggs) {
-  for (std::size_t j = 0; j < aggs.size(); ++j) {
-    if (aggs[j] == comm.rank()) return static_cast<int>(j);
+// Who does what in one exchange. Pure placement arithmetic: every rank
+// computes the same roles locally.
+struct Roles {
+  int num_aggs = 0;
+  std::vector<int> aggs;  // aggregator slot j -> comm rank
+  NodePlan plan;          // request groups: per node or per rank
+  int leader = 0;         // the caller's group leader
+  int my_j = -1;          // the slot the caller aggregates, or -1
+};
+
+Roles roles_of(const mpi::Comm& comm, const CbConfig& config) {
+  Roles r;
+  r.num_aggs = cb_num_aggregators(config, comm);
+  r.aggs.resize(static_cast<std::size_t>(r.num_aggs));
+  for (int j = 0; j < r.num_aggs; ++j) {
+    r.aggs[static_cast<std::size_t>(j)] = cb_aggregator_rank(j, r.num_aggs, comm.size());
+    if (r.aggs[static_cast<std::size_t>(j)] == comm.rank()) r.my_j = j;
   }
-  return -1;
+  r.plan = NodePlan::build(comm, config.node_aggregation);
+  r.leader = r.plan.leader_of(r.plan.my_group);
+  return r;
 }
 
 // Classifies and counts one payload message from the caller to `dst`;
@@ -136,22 +150,9 @@ void note_msg(const mpi::Comm& comm, int dst, std::uint64_t data_bytes) {
   }
 }
 
-// Counts the binomial-gather traffic of one comm.gather toward `root`, and
-// the caller's data contribution when it lives off the root's node.
-void note_gather(const mpi::Comm& comm, int root, std::uint64_t my_data_bytes) {
-  if (comm.my_node() != comm.node_of_rank(root)) cbc().bytes_shipped.add(my_data_bytes);
-  if (comm.rank() == root) {
-    std::uint64_t intra = 0;
-    std::uint64_t inter = 0;
-    count_binomial_gather(comm, root, &intra, &inter);
-    cbc().local_msgs.add(intra);
-    cbc().fabric_msgs.add(inter);
-  }
-}
-
-// Aggregator staging common to both read modes: merge-sieve the requested
-// runs, read each group in buffer_bytes-capped operations, stage into
-// `staged` (short reads leave holes; ExtentMap zero-fills them on read).
+// Aggregator read staging: merge-sieve the requested runs, read each group
+// in buffer_bytes-capped operations, stage into `staged` (short reads
+// leave holes; ExtentMap zero-fills them on read).
 sim::Task<Status> stage_runs(const std::map<std::uint64_t, std::uint64_t>& runs,
                              const CbConfig& config, const ReadFn& read_at,
                              pfs::ExtentMap* staged) {
@@ -196,16 +197,13 @@ int cb_num_aggregators(const CbConfig& config, const mpi::Comm& comm) {
   return std::max(1, comm.size() / std::max(1, per_node));
 }
 
-std::vector<int> cb_aggregator_ranks(const CbConfig& config, const mpi::Comm& comm,
-                                     int num_aggregators) {
-  if (config.rack_aware_placement) {
-    return NodePlan::build(comm).rack_aware_aggregators(num_aggregators);
+Status cb_validate(const CbConfig& config) {
+  if (config.buffer_bytes == 0) return error(Errc::invalid, "cb: buffer_bytes must be > 0");
+  if (config.aggregators < 0) return error(Errc::invalid, "cb: aggregators must be >= 0");
+  if (!std::isfinite(config.sieve_threshold) || config.sieve_threshold < 0) {
+    return error(Errc::invalid, "cb: sieve_threshold must be finite and >= 0");
   }
-  std::vector<int> aggs(static_cast<std::size_t>(num_aggregators));
-  for (int j = 0; j < num_aggregators; ++j) {
-    aggs[static_cast<std::size_t>(j)] = cb_aggregator_rank(j, num_aggregators, comm.size());
-  }
-  return aggs;
+  return Status::Ok();
 }
 
 std::vector<CbRange> cb_sieve_groups(const std::vector<CbRange>& runs, double threshold,
@@ -249,6 +247,7 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
   static const trace::SpanSite kShuffle("iolib.cb.phase", "cb.write.shuffle");
   static const trace::SpanSite kPfs("iolib.cb.phase", "cb.write.pfs");
   static const trace::SpanSite kSync("iolib.cb.phase", "cb.write.sync");
+  TIO_CO_RETURN_IF_ERROR(cb_validate(config));
   sim::Engine& engine = comm.engine();
   const int grank = comm.global_rank();
   trace::Span window(engine, kWindow, grank);
@@ -269,8 +268,8 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
     co_await comm.barrier();
     co_return Status::Ok();
   }
-  const int num_aggs = cb_num_aggregators(config, comm);
-  const std::vector<int> aggs = cb_aggregator_ranks(config, comm, num_aggs);
+  const auto [num_aggs, aggs, plan, leader, my_j] = roles_of(comm, config);
+  const int me = comm.rank();
 
   // Split my chunks across aggregator domains.
   std::vector<std::vector<CbChunk>> outgoing(num_aggs);
@@ -283,94 +282,68 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
   }
 
   pfs::ExtentMap staged;
-  bool i_aggregate = false;
 
-  if (!config.node_aggregation) {
-    // Classic phase 1: ship records to their aggregators (one gather per
-    // aggregator).
+  // Phase 0: group members hand their per-aggregator chunk lists to the
+  // group leader over the latency-only intra-node transport; the leader
+  // coalesces them per aggregator domain (members merge in comm-rank
+  // order, preserving last-writer-wins for overlapping records under
+  // block placement). A per-rank group has no members: nothing moves.
+  {
     trace::Span gather(engine, kGather, grank);
-    for (int j = 0; j < num_aggs; ++j) {
-      const int root = aggs[static_cast<std::size_t>(j)];
+    if (me != leader) {
       std::uint64_t bytes = 0;
-      for (const auto& c : outgoing[j]) bytes += c.data.size() + 16;
-      note_gather(comm, root, bytes);
-      auto gathered = co_await comm.gather(root, std::move(outgoing[j]), bytes);
-      if (comm.rank() == root) {
-        i_aggregate = true;
-        for (auto& per_rank : gathered) {
-          for (auto& c : per_rank) staged.write(c.offset, std::move(c.data));
+      for (const auto& per_agg : outgoing) {
+        for (const auto& c : per_agg) bytes += c.data.size() + 16;
+      }
+      note_msg(comm, leader, bytes);
+      co_await comm.send(leader, kCbTagIntraW, std::move(outgoing), bytes);
+      outgoing.assign(num_aggs, {});
+    } else {
+      std::vector<pfs::ExtentMap> merged(num_aggs);
+      std::uint64_t chunks_in = 0;
+      for (int j = 0; j < num_aggs; ++j) {
+        for (auto& c : outgoing[j]) {
+          ++chunks_in;
+          merged[j].write(c.offset, std::move(c.data));
         }
       }
-    }
-  } else {
-    const NodePlan plan = NodePlan::build(comm);
-    const int me = comm.rank();
-    const int leader = plan.leader_of(plan.my_node);
-    const int my_j = my_aggregator_slot(comm, aggs);
-
-    // Phase 0: co-residents hand their per-aggregator chunk lists to the
-    // node leader over the latency-only intra-node transport; the leader
-    // coalesces them per aggregator domain (members merge in comm-rank
-    // order, preserving last-writer-wins for overlapping records under
-    // block placement).
-    {
-      trace::Span gather(engine, kGather, grank);
-      if (me != leader) {
-        std::uint64_t bytes = 0;
-        for (const auto& per_agg : outgoing) {
-          for (const auto& c : per_agg) bytes += c.data.size() + 16;
-        }
-        note_msg(comm, leader, bytes);
-        co_await comm.send(leader, kCbTagIntraW, std::move(outgoing), bytes);
-        outgoing.assign(num_aggs, {});
-      } else {
-        std::vector<pfs::ExtentMap> merged(num_aggs);
-        std::uint64_t chunks_in = 0;
+      const std::vector<int>& residents = plan.members[plan.my_group];
+      for (std::size_t i = 1; i < residents.size(); ++i) {
+        auto theirs = co_await comm.recv<std::vector<std::vector<CbChunk>>>(
+            residents[i], kCbTagIntraW);
         for (int j = 0; j < num_aggs; ++j) {
-          for (auto& c : outgoing[j]) {
+          for (auto& c : theirs[j]) {
             ++chunks_in;
             merged[j].write(c.offset, std::move(c.data));
           }
         }
-        const std::vector<int>& residents = plan.members[plan.my_node];
-        for (std::size_t i = 1; i < residents.size(); ++i) {
-          auto theirs = co_await comm.recv<std::vector<std::vector<CbChunk>>>(
-              residents[i], kCbTagIntraW);
-          for (int j = 0; j < num_aggs; ++j) {
-            for (auto& c : theirs[j]) {
-              ++chunks_in;
-              merged[j].write(c.offset, std::move(c.data));
-            }
-          }
-        }
-        cbc().node_reqs_in.add(chunks_in);
-        for (int j = 0; j < num_aggs; ++j) {
-          outgoing[j] = chunks_of(merged[j]);
-          cbc().node_reqs_out.add(outgoing[j].size());
-        }
+      }
+      cbc().node_reqs_in.add(chunks_in);
+      for (int j = 0; j < num_aggs; ++j) {
+        outgoing[j] = chunks_of(merged[j]);
+        cbc().node_reqs_out.add(outgoing[j].size());
       }
     }
+  }
 
-    // Phase 1: the inter-node exchange — exactly nodes x aggregators
-    // messages (leaders always send, so aggregators know what to expect).
-    {
-      trace::Span shuffle(engine, kShuffle, grank);
-      if (me == leader) {
-        for (int j = 0; j < num_aggs; ++j) {
-          const int dst = aggs[static_cast<std::size_t>(j)];
-          std::uint64_t bytes = 0;
-          for (const auto& c : outgoing[j]) bytes += c.data.size() + 16;
-          note_msg(comm, dst, bytes);
-          co_await comm.send(dst, kCbTagShipW + j, std::move(outgoing[j]), bytes);
-        }
+  // Phase 1: the exchange — exactly groups x aggregators messages
+  // (leaders always send, so aggregators know what to expect).
+  {
+    trace::Span shuffle(engine, kShuffle, grank);
+    if (me == leader) {
+      for (int j = 0; j < num_aggs; ++j) {
+        const int dst = aggs[static_cast<std::size_t>(j)];
+        std::uint64_t bytes = 0;
+        for (const auto& c : outgoing[j]) bytes += c.data.size() + 16;
+        note_msg(comm, dst, bytes);
+        co_await comm.send(dst, kCbTagShipW + j, std::move(outgoing[j]), bytes);
       }
-      if (my_j >= 0) {
-        i_aggregate = true;
-        for (int node = 0; node < plan.num_nodes(); ++node) {
-          auto part = co_await comm.recv<std::vector<CbChunk>>(plan.leader_of(node),
-                                                               kCbTagShipW + my_j);
-          for (auto& c : part) staged.write(c.offset, std::move(c.data));
-        }
+    }
+    if (my_j >= 0) {
+      for (int group = 0; group < plan.num_groups(); ++group) {
+        auto part = co_await comm.recv<std::vector<CbChunk>>(plan.leader_of(group),
+                                                             kCbTagShipW + my_j);
+        for (auto& c : part) staged.write(c.offset, std::move(c.data));
       }
     }
   }
@@ -379,7 +352,7 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
   // buffer_bytes per operation.
   {
     trace::Span pfs(engine, kPfs, grank);
-    if (i_aggregate) {
+    if (my_j >= 0) {
       for (const auto& [off, view] : staged.extents()) {
         cbc().write_runs.add();
         std::uint64_t pos = 0;
@@ -409,6 +382,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
   static const trace::SpanSite kPfs("iolib.cb.phase", "cb.read.pfs");
   static const trace::SpanSite kReply("iolib.cb.phase", "cb.read.reply");
   static const trace::SpanSite kSync("iolib.cb.phase", "cb.read.sync");
+  TIO_CO_RETURN_IF_ERROR(cb_validate(config));
   sim::Engine& engine = comm.engine();
   const int grank = comm.global_rank();
   trace::Span window(engine, kWindow, grank);
@@ -430,8 +404,8 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
     co_await comm.barrier();
     co_return Status::Ok();
   }
-  const int num_aggs = cb_num_aggregators(config, comm);
-  const std::vector<int> aggs = cb_aggregator_ranks(config, comm, num_aggs);
+  const auto [num_aggs, aggs, plan, leader, my_j] = roles_of(comm, config);
+  const int me = comm.rank();
 
   // A request piece as shipped to an aggregator.
   struct Piece {
@@ -447,84 +421,15 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
                        });
   }
 
-  if (!config.node_aggregation) {
-    // Which aggregators will reply to me, in j order.
-    std::vector<int> reply_from;
-    for (int j = 0; j < num_aggs; ++j) {
-      if (!outgoing[j].empty()) reply_from.push_back(j);
-    }
-
-    // Phase 1: gather request pieces per aggregator; aggregators read the
-    // merged (optionally sieved) runs once and slice replies per requester.
-    struct Reply {
-      std::vector<std::pair<Piece, FragmentList>> pieces;
-    };
-    for (int j = 0; j < num_aggs; ++j) {
-      const int root = aggs[static_cast<std::size_t>(j)];
-      const std::uint64_t bytes = outgoing[j].size() * 24;
-      note_gather(comm, root, 0);  // requests carry no file data
-      std::vector<std::vector<Piece>> gathered;
-      {
-        trace::Span gather(engine, kGather, grank);
-        gathered = co_await comm.gather(root, std::move(outgoing[j]), bytes);
-      }
-      if (comm.rank() != root) continue;
-
-      std::map<std::uint64_t, std::uint64_t> runs;  // start -> end (union)
-      for (const auto& per_rank : gathered) {
-        for (const auto& p : per_rank) merge_range(runs, p.offset, p.offset + p.len);
-      }
-      pfs::ExtentMap staged;
-      {
-        trace::Span pfs(engine, kPfs, grank);
-        TIO_CO_RETURN_IF_ERROR(co_await stage_runs(runs, config, read_at, &staged));
-      }
-      trace::Span reply_span(engine, kReply, grank);
-      for (int r = 0; r < comm.size(); ++r) {
-        if (gathered[r].empty()) continue;
-        Reply reply;
-        for (const auto& p : gathered[r]) {
-          reply.pieces.emplace_back(p, staged.read(p.offset, p.len));
-        }
-        std::uint64_t reply_bytes = 0;
-        for (const auto& [p, fl] : reply.pieces) reply_bytes += fl.size();
-        note_msg(comm, r, reply_bytes);
-        co_await comm.send(r, kCbTagBase + j, std::move(reply), reply_bytes);
-      }
-    }
-
-    // Phase 2: requesters collect replies and reassemble in request order.
-    std::vector<std::vector<std::pair<Piece, FragmentList>>> by_want(wants.size());
-    {
-      trace::Span reply_span(engine, kReply, grank);
-      for (const int j : reply_from) {
-        const int root = aggs[static_cast<std::size_t>(j)];
-        auto reply = co_await comm.recv<Reply>(root, kCbTagBase + j);
-        for (auto& [p, fl] : reply.pieces) {
-          by_want[p.want].emplace_back(p, std::move(fl));
-        }
-      }
-    }
-    for (std::uint32_t i = 0; i < wants.size(); ++i) {
-      auto& pieces = by_want[i];
-      std::sort(pieces.begin(), pieces.end(),
-                [](const auto& a, const auto& b) { return a.first.offset < b.first.offset; });
-      for (auto& [p, fl] : pieces) {
-        for (const auto& frag : fl.fragments()) (*out)[i].append(frag);
-        // Zero-pad pieces the aggregator could not fully satisfy.
-        if (fl.size() < p.len) (*out)[i].append(DataView::zeros(p.len - fl.size()));
-      }
-    }
-  } else {
-    const NodePlan plan = NodePlan::build(comm);
-    const int me = comm.rank();
-    const int leader = plan.leader_of(plan.my_node);
-    const int my_j = my_aggregator_slot(comm, aggs);
-    // Members keep their piece lists: the leader replies with slices in
-    // the same flattened (j-ascending, then list) order.
-    const std::vector<std::vector<Piece>> my_pieces = outgoing;
-    // Reassembles one rank's (piece, data) pairs into `out`, mirroring the
-    // legacy path exactly (offset sort per want, zero-pad short pieces).
+  // The exchange's buffers live in this block and are released before the
+  // trailing barrier; holding them through it raises the peak footprint.
+  {
+    // Members keep their piece lists: the leader replies with slices in the
+    // same flattened (j-ascending, then list) order.
+    const std::vector<std::vector<Piece>> my_pieces =
+        me != leader ? outgoing : std::vector<std::vector<Piece>>{};
+    // Reassembles one rank's (piece, data) pairs into `out`: offset sort per
+    // want, zero-pad pieces the aggregator could not fully satisfy.
     const auto assemble = [&wants, out](std::vector<std::pair<Piece, FragmentList>> pieces) {
       std::vector<std::vector<std::pair<Piece, FragmentList>>> by_want(wants.size());
       for (auto& pr : pieces) by_want[pr.first.want].push_back(std::move(pr));
@@ -540,10 +445,10 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
       }
     };
 
-    // Phase 0: co-residents hand piece lists to the node leader, which
+    // Phase 0: group members hand piece lists to the group leader, which
     // coalesces them into per-aggregator run lists.
     std::vector<std::vector<std::vector<Piece>>> member_pieces;  // leader only
-    std::vector<std::vector<CbRange>> node_runs(num_aggs);       // leader only
+    std::vector<std::vector<CbRange>> group_runs(num_aggs);      // leader only
     {
       trace::Span gather(engine, kGather, grank);
       if (me != leader) {
@@ -552,7 +457,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         note_msg(comm, leader, 0);
         co_await comm.send(leader, kCbTagIntraR, std::move(outgoing), pieces * 24);
       } else {
-        const std::vector<int>& residents = plan.members[plan.my_node];
+        const std::vector<int>& residents = plan.members[plan.my_group];
         member_pieces.resize(residents.size());
         member_pieces[0] = std::move(outgoing);
         for (std::size_t i = 1; i < residents.size(); ++i) {
@@ -568,32 +473,31 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
               merge_range(merged, p.offset, p.offset + p.len);
             }
           }
-          node_runs[j].reserve(merged.size());
-          for (const auto& [s, e] : merged) node_runs[j].push_back(CbRange{s, e - s});
-          cbc().node_reqs_out.add(node_runs[j].size());
+          group_runs[j].reserve(merged.size());
+          for (const auto& [s, e] : merged) group_runs[j].push_back(CbRange{s, e - s});
+          cbc().node_reqs_out.add(group_runs[j].size());
         }
         cbc().node_reqs_in.add(pieces_in);
       }
     }
 
-    // Phase 1: leaders ship merged run lists — exactly nodes x aggregators
+    // Phase 1: leaders ship merged run lists — exactly groups x aggregators
     // request messages; aggregators merge and stage the union.
-    std::vector<std::vector<CbRange>> agg_requests;  // aggregator only, per node
+    std::vector<std::vector<CbRange>> agg_requests;  // aggregator only, per group
     {
       trace::Span shuffle(engine, kShuffle, grank);
       if (me == leader) {
         for (int j = 0; j < num_aggs; ++j) {
           const int dst = aggs[static_cast<std::size_t>(j)];
           note_msg(comm, dst, 0);
-          co_await comm.send(dst, kCbTagShipR + j, node_runs[j],
-                             node_runs[j].size() * 24);
+          co_await comm.send(dst, kCbTagShipR + j, group_runs[j], group_runs[j].size() * 24);
         }
       }
       if (my_j >= 0) {
-        agg_requests.resize(plan.num_nodes());
-        for (int node = 0; node < plan.num_nodes(); ++node) {
-          agg_requests[node] = co_await comm.recv<std::vector<CbRange>>(
-              plan.leader_of(node), kCbTagShipR + my_j);
+        agg_requests.resize(plan.num_groups());
+        for (int group = 0; group < plan.num_groups(); ++group) {
+          agg_requests[group] = co_await comm.recv<std::vector<CbRange>>(
+              plan.leader_of(group), kCbTagShipR + my_j);
         }
       }
     }
@@ -601,8 +505,8 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
     pfs::ExtentMap staged;  // aggregator only
     if (my_j >= 0) {
       std::map<std::uint64_t, std::uint64_t> runs;
-      for (const auto& per_node : agg_requests) {
-        for (const auto& r : per_node) merge_range(runs, r.offset, r.offset + r.len);
+      for (const auto& per_group : agg_requests) {
+        for (const auto& r : per_group) merge_range(runs, r.offset, r.offset + r.len);
       }
       trace::Span pfs(engine, kPfs, grank);
       TIO_CO_RETURN_IF_ERROR(co_await stage_runs(runs, config, read_at, &staged));
@@ -613,36 +517,35 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
     {
       trace::Span reply_span(engine, kReply, grank);
       if (my_j >= 0) {
-        for (int node = 0; node < plan.num_nodes(); ++node) {
-          if (agg_requests[node].empty()) continue;
+        for (int group = 0; group < plan.num_groups(); ++group) {
+          if (agg_requests[group].empty()) continue;
           std::vector<FragmentList> reply;
-          reply.reserve(agg_requests[node].size());
+          reply.reserve(agg_requests[group].size());
           std::uint64_t reply_bytes = 0;
-          for (const auto& r : agg_requests[node]) {
+          for (const auto& r : agg_requests[group]) {
             reply.push_back(staged.read(r.offset, r.len));
             reply_bytes += reply.back().size();
           }
-          note_msg(comm, plan.leader_of(node), reply_bytes);
-          co_await comm.send(plan.leader_of(node), kCbTagAggReply + my_j,
-                             std::move(reply), reply_bytes);
+          note_msg(comm, plan.leader_of(group), reply_bytes);
+          co_await comm.send(plan.leader_of(group), kCbTagAggReply + my_j, std::move(reply),
+                             reply_bytes);
         }
       }
       if (me == leader) {
         pfs::ExtentMap restaged;
         for (int j = 0; j < num_aggs; ++j) {
-          if (node_runs[j].empty()) continue;
+          if (group_runs[j].empty()) continue;
           const int root = aggs[static_cast<std::size_t>(j)];
-          auto reply =
-              co_await comm.recv<std::vector<FragmentList>>(root, kCbTagAggReply + j);
-          for (std::size_t i = 0; i < node_runs[j].size(); ++i) {
-            std::uint64_t at = node_runs[j][i].offset;
+          auto reply = co_await comm.recv<std::vector<FragmentList>>(root, kCbTagAggReply + j);
+          for (std::size_t i = 0; i < group_runs[j].size(); ++i) {
+            std::uint64_t at = group_runs[j][i].offset;
             for (const auto& frag : reply[i].fragments()) {
               restaged.write(at, frag);
               at += frag.size();
             }
           }
         }
-        const std::vector<int>& residents = plan.members[plan.my_node];
+        const std::vector<int>& residents = plan.members[plan.my_group];
         for (std::size_t i = 1; i < residents.size(); ++i) {
           std::vector<FragmentList> slices;
           std::uint64_t bytes = 0;

@@ -1,4 +1,4 @@
-// Collective buffering: a three-phase pipeline over ROMIO-style two-phase.
+// Collective buffering: ROMIO-style two-phase I/O over request groups.
 //
 // The paper's LANL 3 kernel writes 1 KiB records; issued directly, those
 // would drown any file system. Collective buffering (Thakur et al.,
@@ -7,14 +7,14 @@
 // aggregators over the (fast, otherwise idle) interconnect, and has the
 // aggregators issue large contiguous file accesses.
 //
-// On top of the classic two phases this layer adds:
-//   * Intra-node request aggregation (Kang et al., node_agg.h): with
-//     `node_aggregation` on, ranks sharing a node first coalesce their
-//     chunk/range lists at a per-node leader over the (latency-only)
-//     intra-node transport, and only leaders talk to aggregators — the
-//     inter-node exchange carries `nodes x aggregators` messages instead
-//     of `ranks x aggregators`, and each data byte crosses the fabric
-//     once instead of hopping up a gather tree.
+// The exchange runs over request groups (node_agg.h):
+//   * Grouping: with `node_aggregation` on, ranks sharing a node first
+//     coalesce their chunk/range lists at a per-node leader over the
+//     (latency-only) intra-node transport (Kang et al.), so the exchange
+//     carries `nodes x aggregators` messages. Off, every rank is its own
+//     group and leader: the exchange is classic two-phase, each rank
+//     sending its pieces straight to every aggregator (`ranks x
+//     aggregators` point-to-point messages, as in ROMIO).
 //   * A data-sieving read path (Thakur et al.): when the holes between
 //     merged request runs are small relative to the useful bytes
 //     (`sieve_threshold`), the aggregator reads one covering extent and
@@ -23,13 +23,13 @@
 //     would require read-modify-write of the hole bytes, which is unsafe
 //     when another writer may own them concurrently.
 //
-// Writes: records are gathered to aggregators, coalesced in an extent map,
-// and written in runs capped at `buffer_bytes`. Reads: requests are
-// gathered, aggregators read merged (optionally sieved) ranges once, and
-// slices are returned to the requesters. With `node_aggregation` off and
-// `sieve_threshold` zero the wire pattern and virtual timings are
-// bit-identical to the plain two-phase layer (pinned by the differential
-// suite in tests/iolib/collective_test.cc).
+// Writes: group leaders ship records to the aggregators, which coalesce
+// them in an extent map and write runs capped at `buffer_bytes`. Reads:
+// leaders ship merged request runs, aggregators read the union (optionally
+// sieved) once and reply per group, and leaders fan slices out to their
+// members. Every grouping and threshold returns the bytes plain per-rank
+// I/O would (pinned by the differential suite in
+// tests/iolib/collective_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -46,22 +46,21 @@ struct CbConfig {
   int aggregators = 0;
   // Largest contiguous access an aggregator issues per file operation.
   std::uint64_t buffer_bytes = 4u << 20;
-  // Coalesce co-resident ranks' requests at a per-node leader before the
-  // inter-node exchange. Off by default: the default wire pattern matches
-  // classic two-phase bit-for-bit.
+  // Request grouping for the exchange: coalesce co-resident ranks'
+  // requests at a per-node leader (on), or let every rank send its own
+  // (off, classic two-phase).
   bool node_aggregation = false;
   // Read-side data sieving: an aggregator bridges a hole between two
   // request runs when the group's accumulated hole bytes stay within
   // sieve_threshold x its useful bytes. 0 disables sieving (pure list
   // I/O over the merged runs).
   double sieve_threshold = 0.0;
-  // Place aggregators rack-aware (NodePlan::rack_aware_aggregators) instead
-  // of the classic even stride. Off by default: the default placement (and
-  // hence wire pattern) matches the pre-topology layer bit-for-bit. Only
-  // changes behaviour under rack geometries where the stride and the rack
-  // boundaries misalign.
-  bool rack_aware_placement = false;
 };
+
+// Errc::invalid unless buffer_bytes > 0, aggregators >= 0 and
+// sieve_threshold is finite and >= 0. cb_write/cb_read check it before
+// any communication; every rank holds the same config, so all fail alike.
+Status cb_validate(const CbConfig& config);
 
 struct CbChunk {
   std::uint64_t offset = 0;
@@ -75,12 +74,14 @@ struct CbRange {
 };
 
 // Collective: all ranks call with their (possibly empty) chunk lists.
-// `write_at` is only invoked on aggregator ranks.
+// `write_at` is only invoked on aggregator ranks. Returns cb_validate's
+// error, without communicating, for an invalid config.
 sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<CbChunk> mine,
                            const WriteFn& write_at);
 
 // Collective: satisfies each rank's `wants` (results returned in request
 // order through `out`). `read_at` is only invoked on aggregator ranks.
+// Returns cb_validate's error, without communicating, for an invalid config.
 sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<CbRange> wants,
                           const ReadFn& read_at, std::vector<FragmentList>* out);
 
@@ -88,11 +89,6 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
 // which lands them on distinct nodes under block placement).
 int cb_aggregator_rank(int j, int num_aggregators, int comm_size);
 int cb_num_aggregators(const CbConfig& config, const mpi::Comm& comm);
-// The full slot -> comm-rank placement: the classic stride above, or the
-// rack-aware layout when config.rack_aware_placement is set. Every rank
-// computes the same vector locally (placement is shared knowledge).
-std::vector<int> cb_aggregator_ranks(const CbConfig& config, const mpi::Comm& comm,
-                                     int num_aggregators);
 
 // Sieve statistics of one grouping pass.
 struct CbSieveStats {

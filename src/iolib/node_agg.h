@@ -1,65 +1,44 @@
-// Intra-node request aggregation for the collective-buffering layer.
+// Request grouping for the collective-buffering exchange.
 //
 // Kang et al. ("Improving MPI Collective I/O Performance With Intra-node
 // Request Aggregation") observe that classic two-phase I/O ships every
 // process's request list across the fabric even though most co-resident
 // processes could have combined them for free: intra-node transport is
-// orders of magnitude cheaper than a NIC crossing. The fix is a phase
-// *before* the inter-node exchange — each node elects a leader that
+// orders of magnitude cheaper than a NIC crossing. Their fix is a grouping
+// step in front of the ordinary exchange — each node elects a leader that
 // coalesces its co-residents' requests, so the fabric then carries
 // `nodes x aggregators` messages instead of `ranks x aggregators`.
 //
-// This header holds the placement bookkeeping that phase needs: a NodePlan
-// (who lives where, who leads each node) computed purely from the
-// communicator's placement knowledge (mpi::Comm::node_of_rank — no
-// communication), plus the message-census helper the observability
-// counters use to classify a binomial gather's traffic without re-running
-// it.
+// The collective layer runs one exchange over a NodePlan: the grouping is
+// either by physical node (the Kang et al. step) or per rank, where every
+// rank leads a group of one and the exchange degenerates to classic
+// two-phase's direct point-to-point sends (ROMIO). The plan is computed
+// purely from the communicator's placement knowledge
+// (mpi::Comm::node_of_rank) — no communication.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "mpisim/comm.h"
 
 namespace tio::iolib {
 
-// Node-locality view of a communicator. Node ids are dense indices over
-// the distinct physical nodes the comm's ranks occupy, in order of first
-// appearance by comm rank (block placement makes that ascending physical
-// order). The leader of a node is its lowest comm rank.
+// Grouping view of a communicator. Group ids are dense indices, in order
+// of first appearance by comm rank (with node grouping under block
+// placement that is ascending physical node order; per rank, group id ==
+// comm rank). The leader of a group is its lowest comm rank.
 struct NodePlan {
-  std::vector<int> node_of;                // comm rank -> dense node id
-  std::vector<std::vector<int>> members;   // node id -> comm ranks, ascending
-  std::vector<int> rack_of;                // dense node id -> physical rack
-  int my_node = 0;                         // dense node id of the caller
-  int my_rack = 0;                         // physical rack of the caller
+  std::vector<int> group_of;               // comm rank -> dense group id
+  std::vector<std::vector<int>> members;   // group id -> comm ranks, ascending
+  int my_group = 0;                        // dense group id of the caller
 
-  static NodePlan build(const mpi::Comm& comm);
+  // Groups ranks by physical node when `by_node`, else one group per rank.
+  static NodePlan build(const mpi::Comm& comm, bool by_node);
 
-  int num_nodes() const { return static_cast<int>(members.size()); }
-  int leader_of(int node) const { return members[node][0]; }
-  int leader_of_rank(int rank) const { return leader_of(node_of[rank]); }
+  int num_groups() const { return static_cast<int>(members.size()); }
+  int leader_of(int group) const { return members[group][0]; }
+  int leader_of_rank(int rank) const { return leader_of(group_of[rank]); }
   bool is_leader(int rank) const { return leader_of_rank(rank) == rank; }
-
-  // Rack-locality-aware aggregator placement: `num_aggs` distinct comm
-  // ranks spread as evenly as possible across the racks the comm touches
-  // (round-robin over racks in first-appearance order), and within a rack
-  // over its nodes (leaders first, then seconds, ...). Keeps aggregator
-  // fan-in balanced per ToR uplink, so an oversubscribed uplink is not hit
-  // with the whole exchange at once the way classic stride placement
-  // (cb_aggregator_rank) can when its stride aligns with rack boundaries.
-  // Deterministic; requires 1 <= num_aggs <= comm size.
-  std::vector<int> rack_aware_aggregators(int num_aggs) const;
 };
-
-// Message census of a binomial gather rooted at `root` over `comm`: every
-// non-root rank sends exactly once (to its virtual-tree parent), so the
-// traffic is a pure function of (size, root, placement). Adds the
-// intra-/inter-node split to `intra`/`inter`. The collective layer calls
-// this on the gather's root only, once per gather, so each message is
-// counted exactly once.
-void count_binomial_gather(const mpi::Comm& comm, int root, std::uint64_t* intra,
-                           std::uint64_t* inter);
 
 }  // namespace tio::iolib

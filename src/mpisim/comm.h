@@ -55,7 +55,6 @@ class Comm {
     check_rank(r);
     return rt_->rack_of(group_->members[r]);
   }
-  std::size_t my_rack() const { return rt_->rack_of(global_rank()); }
   Runtime& runtime() const { return *rt_; }
   sim::Engine& engine() const { return rt_->engine(); }
   // Mailbox context id (unique per communicator); diagnostics only.

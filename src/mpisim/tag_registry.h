@@ -27,13 +27,12 @@ struct TagBlock {
 // (Comm::kCollectiveTagBase aliases it; Comm::send rejects such tags).
 inline constexpr int kCollectiveTagLimit = 1 << 20;
 
-// Collective buffering (src/iolib/collective_buffer.cc). The reply block
-// keeps its historical base of 1000; the node-aggregation phases keep the
-// widely spaced blocks they shipped with so trace tooling and tests keyed
-// to the raw tag values stay valid. Per-aggregator (+j) tags index into
-// the block, so each block is sized for the widest realistic fan-out.
-inline constexpr TagBlock kCbReplyTags{1000, 65536};     // aggregator -> requester (+ j)
-inline constexpr TagBlock kCbIntraTags{300000, 2};       // member -> node leader (W, R)
+// Collective buffering (src/iolib/collective_buffer.cc). The exchange
+// phases keep the widely spaced blocks they shipped with so trace tooling
+// and tests keyed to the raw tag values stay valid. Per-aggregator (+j)
+// tags index into the block, so each block is sized for the widest
+// realistic fan-out.
+inline constexpr TagBlock kCbIntraTags{300000, 2};       // member -> group leader (W, R)
 inline constexpr TagBlock kCbShipWriteTags{400000, 65536};  // leader -> aggregator (+ j)
 inline constexpr TagBlock kCbShipReadTags{500000, 65536};   // leader -> aggregator (+ j)
 inline constexpr TagBlock kCbAggReplyTags{600000, 65536};   // aggregator -> leader (+ j)
@@ -44,8 +43,8 @@ inline constexpr TagBlock kCbFanoutTags{700000, 1};      // leader -> member sli
 inline constexpr TagBlock kRaftRpcTags{800000, 16};
 
 inline constexpr TagBlock kAllTagBlocks[] = {
-    kCbReplyTags,     kCbIntraTags,    kCbShipWriteTags, kCbShipReadTags,
-    kCbAggReplyTags,  kCbFanoutTags,   kRaftRpcTags,
+    kCbIntraTags,    kCbShipWriteTags, kCbShipReadTags,
+    kCbAggReplyTags, kCbFanoutTags,    kRaftRpcTags,
 };
 
 constexpr bool tag_blocks_disjoint() {

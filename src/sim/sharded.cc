@@ -11,6 +11,10 @@
 
 namespace tio::sim {
 
+static_assert(kMaxShards == Counter::kSlots,
+              "each live shard needs its own Counter cell for local_value()");
+static_assert(kMaxShards <= kMaxStatShards, "shard ids must be valid stat shards");
+
 ShardPool::ShardPool(std::size_t shards) : shards_(shards) {
   if (shards < 1 || shards > kMaxShards) {
     throw std::invalid_argument("ShardPool: shards must be in [1, kMaxShards]");

@@ -20,9 +20,10 @@
 
 namespace tio::sim {
 
-// Upper bound on ShardPool shards (shard-local stats cells are statically
-// sized; see common/stats.h).
-inline constexpr std::size_t kMaxShards = 64;
+// Upper bound on ShardPool shards: one Counter cell per live shard
+// (common/stats.h), so a job's Counter::local_value() deltas never alias
+// another shard's counts. sharded.cc asserts it equals Counter::kSlots.
+inline constexpr std::size_t kMaxShards = 16;
 
 // Deterministic pool of independent simulation jobs over N shard threads.
 class ShardPool {

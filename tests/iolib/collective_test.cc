@@ -4,9 +4,12 @@
 // Plus unit tests pinning the sieve heuristic at its threshold boundaries.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "iolib/collective_buffer.h"
 #include "iolib/node_agg.h"
 #include "net/cluster.h"
@@ -198,14 +201,173 @@ TEST(CbNodePlan, GroupsRanksByNodeWithLowestRankLeading) {
   sim::Engine engine;
   net::Cluster cluster(engine, tiny_cluster());
   mpi::run_spmd(cluster, 16, [](mpi::Comm comm) -> sim::Task<void> {
-    const NodePlan plan = NodePlan::build(comm);
-    EXPECT_EQ(plan.num_nodes(), 4);
-    EXPECT_EQ(plan.my_node, comm.rank() / 4);
-    EXPECT_EQ(plan.leader_of(plan.my_node), (comm.rank() / 4) * 4);
+    const NodePlan plan = NodePlan::build(comm, /*by_node=*/true);
+    EXPECT_EQ(plan.num_groups(), 4);
+    EXPECT_EQ(plan.my_group, comm.rank() / 4);
+    EXPECT_EQ(plan.leader_of(plan.my_group), (comm.rank() / 4) * 4);
     EXPECT_EQ(plan.is_leader(comm.rank()), comm.rank() % 4 == 0);
-    EXPECT_EQ(plan.members[plan.my_node].size(), 4u);
+    EXPECT_EQ(plan.members[plan.my_group].size(), 4u);
     co_return;
   });
+}
+
+TEST(CbNodePlan, PerRankGroupingMakesEveryRankItsOwnLeader) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  mpi::run_spmd(cluster, 16, [](mpi::Comm comm) -> sim::Task<void> {
+    const NodePlan plan = NodePlan::build(comm, /*by_node=*/false);
+    EXPECT_EQ(plan.num_groups(), 16);
+    EXPECT_EQ(plan.my_group, comm.rank());
+    EXPECT_TRUE(plan.is_leader(comm.rank()));
+    EXPECT_EQ(plan.members[plan.my_group], std::vector<int>{comm.rank()});
+    co_return;
+  });
+}
+
+// --- config validation ---
+
+// Each invalid config fails with Errc::invalid on every rank before any
+// message moves or any virtual time passes (buffer_bytes == 0 used to
+// spin forever in the staging loops).
+TEST(CbConfig, InvalidValuesFailBeforeAnyCommunication) {
+  EXPECT_TRUE(cb_validate(CbConfig{}).ok());
+  struct Case {
+    std::string name;
+    CbConfig cb;
+  };
+  const Case bad[] = {
+      {"buffer_bytes=0", CbConfig{.buffer_bytes = 0}},
+      {"aggregators=-5", CbConfig{.aggregators = -5}},
+      {"sieve=-1", CbConfig{.sieve_threshold = -1.0}},
+      {"sieve=nan", CbConfig{.sieve_threshold = std::nan("")}},
+      {"sieve=inf", CbConfig{.sieve_threshold = HUGE_VAL}},
+  };
+  for (const Case& c : bad) {
+    const std::string& name = c.name;
+    const CbConfig& cb = c.cb;
+    EXPECT_EQ(cb_validate(cb).code(), Errc::invalid) << name;
+    sim::Engine engine;
+    net::Cluster cluster(engine, tiny_cluster());
+    Counter& fabric = counter("iolib.cb.fabric_msgs");
+    Counter& local = counter("iolib.cb.local_msgs");
+    const std::uint64_t msgs_before = fabric.value() + local.value();
+    int io_calls = 0;
+    mpi::run_spmd(cluster, 16, [&](mpi::Comm comm) -> sim::Task<void> {
+      const WriteFn write_at = [&io_calls](std::uint64_t, DataView) -> sim::Task<Status> {
+        ++io_calls;
+        co_return Status::Ok();
+      };
+      const ReadFn read_at = [&io_calls](std::uint64_t,
+                                         std::uint64_t) -> sim::Task<Result<FragmentList>> {
+        ++io_calls;
+        co_return FragmentList{};
+      };
+      const std::uint64_t off = static_cast<std::uint64_t>(comm.rank()) * 1024;
+      std::vector<CbChunk> mine(1, CbChunk{off, DataView::pattern(1, off, 1024)});
+      const Status w = co_await cb_write(comm, cb, std::move(mine), write_at);
+      EXPECT_EQ(w.code(), Errc::invalid) << name << " rank " << comm.rank();
+      std::vector<CbRange> wants(1, CbRange{off, 1024});
+      std::vector<FragmentList> got;
+      const Status r = co_await cb_read(comm, cb, std::move(wants), read_at, &got);
+      EXPECT_EQ(r.code(), Errc::invalid) << name << " rank " << comm.rank();
+    });
+    EXPECT_EQ(engine.now(), TimePoint{}) << name;
+    EXPECT_EQ(fabric.value() + local.value(), msgs_before) << name;
+    EXPECT_EQ(io_calls, 0) << name;
+  }
+}
+
+// --- message census in closed form ---
+
+// On tiny_cluster (4 nodes x 4 cores, block placement: node = rank / 4),
+// the exchange sends one phase-1 message per (group leader, aggregator)
+// pair; reads answer each pair once more in phase 2. Phase 0 and the read
+// fan-out cost one intra-node hop per non-leader member.
+struct Census {
+  std::uint64_t fabric = 0;
+  std::uint64_t local = 0;
+};
+
+Census expected_census(bool by_node, int aggregators, bool read) {
+  const int n = 16;
+  const auto node = [](int rank) { return rank / 4; };
+  std::vector<int> leaders;
+  for (int r = 0; r < n; ++r) {
+    if (!by_node || r % 4 == 0) leaders.push_back(r);
+  }
+  const std::uint64_t member_hops = static_cast<std::uint64_t>(n) - leaders.size();
+  Census pairs;
+  for (const int l : leaders) {
+    for (int j = 0; j < aggregators; ++j) {
+      const int agg = cb_aggregator_rank(j, aggregators, n);
+      ++(node(l) == node(agg) ? pairs.local : pairs.fabric);
+    }
+  }
+  const std::uint64_t legs = read ? 2 : 1;  // request + reply, or ship only
+  return Census{legs * pairs.fabric, legs * (pairs.local + member_hops)};
+}
+
+TEST(CbCensus, MessagesMatchTheClosedFormForEveryGrouping) {
+  const int n = 16;
+  std::uint64_t total = 0;
+  for (int r = 0; r < n; ++r) {
+    for (const auto& [off, len] : strided_shape(r, n)) total = std::max(total, off + len);
+  }
+  Counter& fabric = counter("iolib.cb.fabric_msgs");
+  Counter& local = counter("iolib.cb.local_msgs");
+  for (const int aggs : {1, 3}) {
+    for (const bool node_agg : {false, true}) {
+      CbConfig cb;
+      cb.aggregators = aggs;
+      cb.node_aggregation = node_agg;
+      sim::Engine engine;
+      net::Cluster cluster(engine, tiny_cluster());
+      pfs::ExtentMap file;
+
+      Census before{fabric.value(), local.value()};
+      mpi::run_spmd(cluster, n, [&](mpi::Comm comm) -> sim::Task<void> {
+        std::vector<CbChunk> mine;
+        for (const auto& [off, len] : strided_shape(comm.rank(), n)) {
+          mine.push_back(CbChunk{off, DataView::pattern(3, off, len)});
+        }
+        const WriteFn write_at = [&file](std::uint64_t off, DataView data) -> sim::Task<Status> {
+          file.write(off, std::move(data));
+          co_return Status::Ok();
+        };
+        EXPECT_TRUE((co_await cb_write(comm, cb, std::move(mine), write_at)).ok());
+      });
+      const Census write{fabric.value() - before.fabric, local.value() - before.local};
+      const Census want_write = expected_census(node_agg, aggs, /*read=*/false);
+      // Phase 1 is exactly groups x aggregators messages; phase 0 adds one
+      // hop per non-leader (the node grouping is cores_per_node-fold leaner).
+      const std::uint64_t groups = node_agg ? 4 : n;
+      EXPECT_EQ(write.fabric + write.local, groups * aggs + (n - groups));
+      const auto tag = [&](const char* op) {
+        return std::string(op) + " aggs=" + std::to_string(aggs) +
+               " node_agg=" + std::to_string(node_agg);
+      };
+      EXPECT_EQ(write.fabric, want_write.fabric) << tag("write");
+      EXPECT_EQ(write.local, want_write.local) << tag("write");
+
+      before = Census{fabric.value(), local.value()};
+      mpi::run_spmd(cluster, n, [&](mpi::Comm comm) -> sim::Task<void> {
+        std::vector<CbRange> wants;
+        for (const auto& [off, len] : strided_shape(comm.rank(), n)) {
+          wants.push_back(CbRange{off, len});
+        }
+        const ReadFn read_at = [&file, total](std::uint64_t off, std::uint64_t len)
+            -> sim::Task<Result<FragmentList>> {
+          co_return file.read(off, std::min(len, total - off));
+        };
+        std::vector<FragmentList> got;
+        EXPECT_TRUE((co_await cb_read(comm, cb, wants, read_at, &got)).ok());
+      });
+      const Census read{fabric.value() - before.fabric, local.value() - before.local};
+      const Census want_read = expected_census(node_agg, aggs, /*read=*/true);
+      EXPECT_EQ(read.fabric, want_read.fabric) << tag("read");
+      EXPECT_EQ(read.local, want_read.local) << tag("read");
+    }
+  }
 }
 
 // --- sieve heuristic unit tests (threshold boundaries) ---

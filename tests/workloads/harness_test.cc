@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plfs/container.h"
 #include "workloads/kernels.h"
 #include "workloads/metadata.h"
 
@@ -150,9 +151,18 @@ TEST(Kernels, Lanl3UsesCollectiveBufferingAndVerifies) {
   const JobResult result = run_job(rig, 8, spec);
   EXPECT_EQ(result.write.bytes, 1_MiB);
   EXPECT_GT(result.read.io_s, 0);
-  // With cb, only aggregators wrote: the shared PLFS container must have at
-  // most #aggregator data logs rather than 8.
-  // (8 ranks on 8-node rig: block placement puts 16 per node -> 1 agg.)
+  // With cb, only aggregators wrote: every rank opened a data log in the
+  // shared PLFS container, but only the aggregators' logs hold bytes. The
+  // default is one aggregator per cores_per_node ranks: 8 / 2 = 4.
+  const plfs::ContainerLayout layout(rig.mount(), "/lanl3");
+  int written_logs = 0;
+  for (int rank = 0; rank < 8; ++rank) {
+    const auto entry = rig.pfs().ns().lookup(layout.data_log_path(rank));
+    ASSERT_TRUE(entry.ok()) << "rank " << rank;
+    const pfs::ExtentMap* data = rig.pfs().object_extents(entry->oid);
+    if (data != nullptr && data->extent_count() > 0) ++written_logs;
+  }
+  EXPECT_EQ(written_logs, 8 / static_cast<int>(small_rig().cluster.cores_per_node));
 }
 
 TEST(Kernels, Lanl3OnDirectTargetAlsoVerifies) {
