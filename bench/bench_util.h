@@ -68,14 +68,32 @@ inline std::string* add_fault_plan_flag(FlagSet& flags) {
                           "fault plan: none|transient1|stress|failover|partition|key=value,...");
 }
 
-// Flag-value -> FaultPlan; exits with a usage message on bad input.
-inline pfs::FaultPlan fault_plan_or_die(const std::string& spec) {
+// Flag-value -> FaultPlan; exits with a usage message on bad input. Server
+// outages and partitions must name a group the bench's largest rig has
+// (`max_groups`) and a replica below the default replica count, since
+// testbed::Rig rejects any other target.
+inline pfs::FaultPlan fault_plan_or_die(const std::string& spec, std::size_t max_groups) {
   auto plan = pfs::FaultPlan::parse(spec);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "bad --fault_plan: %s\n", plan.status().message().c_str());
+  const Status st = plan.ok() ? plan->check_targets(max_groups, pfs::PfsConfig{}.mds_replicas)
+                              : plan.status();
+  if (!st.ok()) {
+    std::fprintf(stderr, "bad --fault_plan: %s\n", st.message().c_str());
     std::exit(1);
   }
   return std::move(plan.value());
+}
+
+// The plan as one row of a federation-size sweep sees it: server outages
+// and partitions aimed at groups the row's rig lacks are dropped (that
+// namespace does not exist in the row, in either replication mode).
+inline pfs::FaultPlan fault_plan_for(const pfs::FaultPlan& plan, std::size_t groups) {
+  pfs::FaultPlan row = plan;
+  const auto missing = [groups](const auto& f) {
+    return static_cast<std::size_t>(f.mds) >= groups;
+  };
+  std::erase_if(row.server_outages, missing);
+  std::erase_if(row.partitions, missing);
+  return row;
 }
 
 // Shared --mds_replication flag: how the simulated metadata service
@@ -94,9 +112,8 @@ inline pfs::MdsReplication mds_replication_or_die(const std::string& name) {
 }
 
 // Shared metadata-path tuning flags: client-side mutation batching, the
-// leased client metadata cache, and the Raft client timeouts (defaults match
-// the historical hard-coded values, so omitting every flag is byte-identical
-// to the pre-flag binaries).
+// leased client metadata cache, and the Raft client timeouts. Defaults:
+// batching and the cache off, Raft request/commit timeouts 40/400 ms.
 struct MdsTuningFlags {
   std::int64_t* mds_batch;
   std::int64_t* mds_batch_linger_us;

@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   bench::start_trace(*trace_path);
   const std::uint64_t per_proc = static_cast<std::uint64_t>(*per_proc_mib) << 20;
   const std::uint64_t record = static_cast<std::uint64_t>(*record_kib) << 10;
-  const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec);
+  const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec, /*max_groups=*/1);
   TopoOpts topo;
   {
     net::ClusterConfig cluster = testbed::lanl_cluster();

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   bench::start_trace(*trace_path);
-  const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec);
+  const std::vector<std::size_t> mds_counts = {1, 3, 6, 9};
+  const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec, mds_counts.back());
   const pfs::MdsReplication replication = bench::mds_replication_or_die(*replication_spec);
   const std::size_t shards = bench::shards_or_die(*shards_flag);
   // TIO_FIG7_MAX_FILES shrinks the storm for slow CI boxes (mirrors
@@ -44,7 +45,6 @@ int main(int argc, char** argv) {
   }
   std::int64_t bottom_files = std::min<std::int64_t>(*min_files, top_files);
   if (bottom_files < 1) bottom_files = 1;
-  const std::vector<std::size_t> mds_counts = {1, 3, 6, 9};
   const auto file_counts =
       bench::sweep(static_cast<int>(bottom_files), static_cast<int>(top_files));
 
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     spec.files_per_proc = std::max(1, files / nprocs);
     spec.use_plfs = use_plfs;
     testbed::Rig::Options o = bench::lanl_rig(mds);
-    o.fault_plan = plan;
+    o.fault_plan = bench::fault_plan_for(plan, mds);
     o.pfs.mds_replication = replication;
     bench::apply_mds_tuning(tuning, o.pfs);
     testbed::Rig rig(o);

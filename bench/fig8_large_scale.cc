@@ -31,7 +31,9 @@ int main(int argc, char** argv) {
   bench::start_trace(*trace_path);
   const std::uint64_t per_proc = static_cast<std::uint64_t>(*per_proc_mib) << 20;
   const std::uint64_t record = 256_KiB;
-  const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec);
+  // Server-targeted faults may name any group of the largest federation
+  // (fig8b PLFS-20); each rig keeps the ones its groups cover.
+  const pfs::FaultPlan plan = bench::fault_plan_or_die(*plan_spec, /*max_groups=*/20);
   // Validate against the Cielo geometry, then thread the resolved preset
   // into every rig below.
   net::ClusterConfig topo_cluster = testbed::cielo();
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
   // --- 8a: read bandwidth ---
   const auto read_bw = [&, per_proc, record](int n, Access access, bool strided) {
     testbed::Rig::Options opts = bench::cielo_rig(10);
-    opts.fault_plan = plan;
+    opts.fault_plan = bench::fault_plan_for(plan, 10);
     apply_topo(opts);
     testbed::Rig rig(std::move(opts));
     JobSpec spec;
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
   // --- 8b/8c: open storms across MDS counts ---
   const auto storm_open = [&](int n, std::size_t mds, bool shared) {
     testbed::Rig::Options opts = bench::cielo_rig(mds);
-    opts.fault_plan = plan;
+    opts.fault_plan = bench::fault_plan_for(plan, mds);
     apply_topo(opts);
     testbed::Rig rig(std::move(opts));
     MetaSpec spec;
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
   // --- 8d: PLFS-10 vs direct ---
   const auto direct_open = [&](int n, bool use_plfs) {
     testbed::Rig::Options opts = bench::cielo_rig(10);
-    opts.fault_plan = plan;
+    opts.fault_plan = bench::fault_plan_for(plan, 10);
     apply_topo(opts);
     testbed::Rig rig(std::move(opts));
     MetaSpec spec;

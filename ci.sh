@@ -33,10 +33,10 @@ ctest --preset asan -j "$jobs" -R \
   -E 'DeepAwaitChains'
 
 echo "==> chaos + raft suites under ASan/UBSan (fault injection, retry, failover)"
-ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFsTest|RetryPolicy|RetryBudget|Timeout|Status|RaftTest)\.'
+ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFs|FaultyFsTest|Rig|RetryPolicy|RetryBudget|Timeout|Status|RaftTest)\.'
 
-echo "==> metadata batch + lease-cache suites under ASan/UBSan"
-ctest --preset asan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs)\.'
+echo "==> metadata batch + lease-cache + SimPfs mutation suites under ASan/UBSan"
+ctest --preset asan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs|SimPfsTest)\.'
 
 echo "==> collective-buffering suites under ASan/UBSan (exchange, census, config, sieving, grouping)"
 ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbCensus|CbConfig|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators)\.'
@@ -200,14 +200,23 @@ assert rack < slow, f"rack groups did not recover: {rack:.3f}s vs {slow:.3f}s"
 assert xb_sqrt >= 1.5 * xb_rack, f"cross-rack reduction below 1.5x: {xb_sqrt}/{xb_rack}"
 PY
 
-echo "==> fig7 --mds_replication=none stdout must match the default byte-for-byte"
-# The raft layer must be invisible when off: the default and the explicit
-# none flag take the legacy unreplicated MDS path and must agree exactly.
-LC_ALL="$json_locale" ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 \
-  >"$out/fig7_run_default.txt" 2>/dev/null
-LC_ALL="$json_locale" ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 \
-  --mds_replication=none >"$out/fig7_run_none.txt" 2>/dev/null
-cmp "$out/fig7_run_default.txt" "$out/fig7_run_none.txt"
+echo "==> fig7 smoke stdout must match the checked-in golden outputs"
+# Every namespace mutation takes one route (SimPfs::mutate). Two goldens
+# pin the paths that must not move: the unreplicated unbatched default,
+# and raft with batching + leases. A third pins the unbatched raft
+# failover sweep (one append schedule). A deliberate model change must
+# regenerate them by redirecting the same commands' stdout into the golden
+# files; the C locale keeps the tables' decimal points stable.
+LC_ALL=C ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 \
+  >"$out/fig7_golden_run.txt" 2>/dev/null
+cmp tests/golden/fig7_smoke_stdout.txt "$out/fig7_golden_run.txt"
+LC_ALL=C ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 --mds_replication=raft \
+  --mds_batch=64 --mds_batch_linger_us=1000 --meta_lease_ms=50 \
+  >"$out/fig7_raft_batched_golden_run.txt" 2>/dev/null
+cmp tests/golden/fig7_raft_batched_stdout.txt "$out/fig7_raft_batched_golden_run.txt"
+LC_ALL=C ./build/bench/fig7_metadata_nn --procs 64 --max-files 2048 --fault_plan=failover \
+  --mds_replication=raft >"$out/fig7_failover_raft_golden_run.txt" 2>/dev/null
+cmp tests/golden/fig7_failover_raft_stdout.txt "$out/fig7_failover_raft_golden_run.txt"
 
 echo "==> fig7 raft + failover plan stdout must be byte-identical across reruns"
 # Leader crashes, elections, and redirects are all simulated events: a
@@ -217,14 +226,6 @@ LC_ALL="$json_locale" ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 
 LC_ALL="$json_locale" ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 \
   --fault_plan=failover --mds_replication=raft >"$out/fig7_raft_run2.txt" 2>/dev/null
 cmp "$out/fig7_raft_run1.txt" "$out/fig7_raft_run2.txt"
-
-echo "==> fig7 --mds_batch=0 stdout must match the default byte-for-byte"
-# Batching and the lease cache must be invisible when off: explicit zeros
-# take the legacy per-op mutation path and must agree with the default
-# binary exactly.
-LC_ALL="$json_locale" ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 \
-  --mds_batch=0 --meta_lease_ms=0 >"$out/fig7_run_b0.txt" 2>/dev/null
-cmp "$out/fig7_run_default.txt" "$out/fig7_run_b0.txt"
 
 echo "==> fig7 batch=64 must amortize >=10x MDS mutation round trips per create"
 # The perf pin for the batcher: the same storm, batched at 64 with a 1 ms

@@ -142,14 +142,6 @@ sim::Task<Status> LocalFs::unlink(pfs::IoCtx ctx, std::string path) {
   co_return Status::Ok();
 }
 
-sim::Task<Status> LocalFs::rename(pfs::IoCtx ctx, std::string from, std::string to) {
-  (void)ctx;
-  const std::string h_from = host_path(from);
-  const std::string h_to = host_path(to);
-  if (::rename(h_from.c_str(), h_to.c_str()) != 0) co_return errno_status("rename", h_from);
-  co_return Status::Ok();
-}
-
 sim::Task<Result<pfs::StatInfo>> LocalFs::stat(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
   const std::string host = host_path(path);

@@ -96,11 +96,6 @@ sim::Task<Status> MemFs::unlink(pfs::IoCtx ctx, std::string path) {
   co_return Status::Ok();
 }
 
-sim::Task<Status> MemFs::rename(pfs::IoCtx ctx, std::string from, std::string to) {
-  (void)ctx;
-  co_return ns_.rename(path_normalize(from), path_normalize(to));
-}
-
 sim::Task<Result<pfs::StatInfo>> MemFs::stat(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
   auto entry = ns_.lookup(path_normalize(path));

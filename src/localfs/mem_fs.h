@@ -30,7 +30,6 @@ class MemFs : public pfs::FsClient {
   sim::Task<Status> mkdir(pfs::IoCtx ctx, std::string path) override;
   sim::Task<Status> rmdir(pfs::IoCtx ctx, std::string path) override;
   sim::Task<Status> unlink(pfs::IoCtx ctx, std::string path) override;
-  sim::Task<Status> rename(pfs::IoCtx ctx, std::string from, std::string to) override;
   sim::Task<Result<pfs::StatInfo>> stat(pfs::IoCtx ctx, std::string path) override;
   sim::Task<Result<std::vector<pfs::DirEntry>>> readdir(pfs::IoCtx ctx,
                                                         std::string path) override;

@@ -82,13 +82,13 @@ struct PfsConfig {
   Duration rpc_overhead = Duration::us(15);
 
   // --- Batched metadata mutations (client-library aggregation) ---
-  // Clients coalesce create/mkdir/unlink mutations bound for the same
-  // metadata group into one batch RPC: at most mds_batch entries per batch
-  // (0 disables batching entirely — the per-op legacy path), flushed early
-  // after mds_batch_linger once the first entry is waiting. Replicated
-  // groups apply a batch as ONE Raft command (one replication round
-  // amortized over the entries); unreplicated servers amortize the client
-  // round trip the same way.
+  // Clients coalesce create/mkdir/rmdir/unlink mutations bound for the
+  // same metadata group into one batch RPC: at most mds_batch entries per
+  // batch (0 = every mutation travels alone), flushed early after
+  // mds_batch_linger once the first entry is waiting. Replicated groups
+  // apply a batch as ONE Raft command (one replication round amortized
+  // over the entries); unreplicated servers amortize the client round trip
+  // the same way.
   std::size_t mds_batch = 0;
   Duration mds_batch_linger = Duration::us(50);
 

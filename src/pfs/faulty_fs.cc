@@ -19,6 +19,12 @@ bool is_global_index_path(std::string_view path) {
   return path.ends_with("/global.index");
 }
 
+bool prefix_covers(std::string_view prefix, std::string_view path) {
+  if (!path.starts_with(prefix)) return false;
+  return prefix.empty() || prefix.back() == '/' || path.size() == prefix.size() ||
+         path[prefix.size()] == '/';
+}
+
 // inject() runs on every simulated backend op; resolve its counters once
 // instead of paying the registry mutex + map lookup per op.
 struct FaultCounters {
@@ -71,10 +77,32 @@ FaultPlan FaultPlan::lowered_for_unreplicated() const {
   return lowered;
 }
 
+Status FaultPlan::check_targets(std::size_t groups, std::size_t replicas) const {
+  const auto bad_group = [groups](int g) { return static_cast<std::size_t>(g) >= groups; };
+  for (const auto& so : server_outages) {
+    if (bad_group(so.mds)) {
+      return error(Errc::invalid, str_printf("server_outage group %d out of range (%zu groups)",
+                                             so.mds, groups));
+    }
+    if (so.replica >= 0 && static_cast<std::size_t>(so.replica) >= replicas) {
+      return error(Errc::invalid,
+                   str_printf("server_outage replica %d out of range (%zu replicas)",
+                              so.replica, replicas));
+    }
+  }
+  for (const auto& pw : partitions) {
+    if (bad_group(pw.mds)) {
+      return error(Errc::invalid,
+                   str_printf("partition group %d out of range (%zu groups)", pw.mds, groups));
+    }
+  }
+  return Status::Ok();
+}
+
 bool FaultyFs::in_outage(const std::string& path) const {
   const TimePoint now = base_.engine().now();
   for (const auto& w : plan_.outages) {
-    if (now >= w.begin && now < w.end && path.starts_with(w.path_prefix)) return true;
+    if (now >= w.begin && now < w.end && prefix_covers(w.path_prefix, path)) return true;
   }
   return false;
 }
@@ -190,15 +218,6 @@ sim::Task<Status> FaultyFs::rmdir(IoCtx ctx, std::string path) {
 sim::Task<Status> FaultyFs::unlink(IoCtx ctx, std::string path) {
   TIO_CO_RETURN_IF_ERROR(co_await inject(OpClass::meta, path));
   co_return co_await base_.unlink(ctx, std::move(path));
-}
-
-sim::Task<Status> FaultyFs::rename(IoCtx ctx, std::string from, std::string to) {
-  TIO_CO_RETURN_IF_ERROR(co_await inject(OpClass::meta, from));
-  if (in_outage(to)) {
-    fault_counters().outage_hits.add(1);
-    co_return error(Errc::busy, "injected: MDS outage on " + to);
-  }
-  co_return co_await base_.rename(ctx, std::move(from), std::move(to));
 }
 
 sim::Task<Result<StatInfo>> FaultyFs::stat(IoCtx ctx, std::string path) {

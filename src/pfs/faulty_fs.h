@@ -35,7 +35,7 @@
 namespace tio::pfs {
 
 // Operation classes a FaultSpec can target. `meta` covers the pure
-// metadata ops (mkdir/rmdir/unlink/rename/stat/readdir).
+// metadata ops (mkdir/rmdir/unlink/stat/readdir).
 enum class OpClass : std::size_t { open = 0, close, read, write, meta };
 inline constexpr std::size_t kNumOpClasses = 5;
 std::string_view op_class_name(OpClass c);
@@ -51,8 +51,10 @@ struct FaultSpec {
 };
 
 // A window of virtual time during which every op under `path_prefix` fails
-// with EBUSY (a stalled metadata server / unreachable realm). An empty
-// prefix matches every path.
+// with EBUSY (a stalled metadata server / unreachable realm). The prefix
+// covers whole path components: "/vol1" matches "/vol1" and "/vol1/..." but
+// not "/vol10". An empty prefix, or one ending in '/', matches every path
+// that starts with it.
 struct OutageWindow {
   std::string path_prefix;
   TimePoint begin;
@@ -125,6 +127,13 @@ struct FaultPlan {
   // "/volG" (the single server *is* the namespace), so the same plan spec
   // drives both --mds_replication modes.
   FaultPlan lowered_for_unreplicated() const;
+
+  // invalid_argument unless every server outage / partition names a group
+  // below `groups` and every explicit replica index is below `replicas`.
+  // testbed::Rig checks this in both replication modes, so one plan can
+  // never wrap onto another group in one mode and miss every volume in the
+  // other.
+  Status check_targets(std::size_t groups, std::size_t replicas) const;
 };
 
 class FaultyFs : public FsClient {
@@ -141,7 +150,6 @@ class FaultyFs : public FsClient {
   sim::Task<Status> mkdir(IoCtx ctx, std::string path) override;
   sim::Task<Status> rmdir(IoCtx ctx, std::string path) override;
   sim::Task<Status> unlink(IoCtx ctx, std::string path) override;
-  sim::Task<Status> rename(IoCtx ctx, std::string from, std::string to) override;
   sim::Task<Result<StatInfo>> stat(IoCtx ctx, std::string path) override;
   sim::Task<Result<std::vector<DirEntry>>> readdir(IoCtx ctx, std::string path) override;
   sim::Engine& engine() override { return base_.engine(); }

@@ -34,7 +34,6 @@ class FsClient {
   virtual sim::Task<Status> mkdir(IoCtx ctx, std::string path) = 0;
   virtual sim::Task<Status> rmdir(IoCtx ctx, std::string path) = 0;
   virtual sim::Task<Status> unlink(IoCtx ctx, std::string path) = 0;
-  virtual sim::Task<Status> rename(IoCtx ctx, std::string from, std::string to) = 0;
   virtual sim::Task<Result<StatInfo>> stat(IoCtx ctx, std::string path) = 0;
   virtual sim::Task<Result<std::vector<DirEntry>>> readdir(IoCtx ctx, std::string path) = 0;
 

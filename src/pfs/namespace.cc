@@ -125,29 +125,4 @@ std::uint64_t Namespace::dir_entry_count(std::string_view path) const {
 
 bool Namespace::exists(std::string_view path) const { return find(path) != nullptr; }
 
-Status Namespace::rename(std::string_view from, std::string_view to) {
-  std::string_view from_leaf;
-  TIO_ASSIGN_OR_RETURN(Node * from_parent, parent_of(from, &from_leaf));
-  const auto it = from_parent->children.find(from_leaf);
-  if (it == from_parent->children.end()) return error(Errc::not_found, std::string(from));
-  std::string_view to_leaf;
-  TIO_ASSIGN_OR_RETURN(Node * to_parent, parent_of(to, &to_leaf));
-  const auto to_it = to_parent->children.find(to_leaf);
-  if (to_it != to_parent->children.end()) {
-    // POSIX allows replacing an empty dir with a dir, a file with a file.
-    if (to_it->second->is_dir != it->second->is_dir) {
-      return error(to_it->second->is_dir ? Errc::is_a_directory : Errc::not_a_directory,
-                   std::string(to));
-    }
-    if (to_it->second->is_dir && !to_it->second->children.empty()) {
-      return error(Errc::not_empty, std::string(to));
-    }
-    to_parent->children.erase(to_it);
-  }
-  auto node = std::move(it->second);
-  from_parent->children.erase(it);
-  to_parent->children.emplace(std::string(to_leaf), std::move(node));
-  return Status::Ok();
-}
-
 }  // namespace tio::pfs

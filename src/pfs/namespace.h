@@ -45,7 +45,6 @@ class Namespace {
   // directory-degradation cost model without paying readdir.
   std::uint64_t dir_entry_count(std::string_view path) const;
   bool exists(std::string_view path) const;
-  Status rename(std::string_view from, std::string_view to);
 
   std::uint64_t next_object_id() const { return next_oid_; }
 

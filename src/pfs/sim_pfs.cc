@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <any>
+#include <stdexcept>
 #include <utility>
 
 #include "common/stats.h"
@@ -20,7 +21,7 @@ struct BatchCounters {
   Counter& flush_linger = counter("pfs.batch.flush_linger");
   Counter& failures = counter("pfs.batch.failures");
   // Client->MDS round trips that carry mutations: the denominator of the
-  // batching win (one per legacy dir_mutation/create RPC and raft submit,
+  // batching win (one per unbatched dir_mutation/create RPC and raft submit,
   // one per flushed batch regardless of its size).
   Counter& mutation_round_trips = counter("pfs.meta.mutation_round_trips");
 };
@@ -54,33 +55,29 @@ std::string_view mds_replication_name(MdsReplication m) {
 struct SimPfs::MetaSm : raft::StateMachine {
   explicit MetaSm(SimPfs& fs) : fs(fs) {}
 
+  // Every log entry is a MetaBatch (an unbatched mutation is a batch of
+  // one): one committed entry, N mutations. Entries apply in submission
+  // order; each one is individually idempotent, so re-applying a
+  // duplicated batch is harmless.
   std::any apply(raft::Index, const std::any& cmd) override {
     if (!cmd.has_value()) return {};  // leader no-op barrier entry
-    if (const auto* batch = std::any_cast<MetaBatch>(&cmd)) {
-      // One committed entry, N mutations: the amortization the batch path
-      // buys. Entries apply in submission order; each one is individually
-      // idempotent, so re-applying a duplicated batch is harmless.
-      applied_ops += batch->cmds.size();
-      MetaBatchApply out;
-      out.results.reserve(batch->cmds.size());
-      for (const MetaCommand& mc : batch->cmds) out.results.push_back(fs.apply_meta(mc));
-      return out;
-    }
-    const auto& mc = std::any_cast<const MetaCommand&>(cmd);
-    ++applied_ops;
-    return fs.apply_meta(mc);
+    const auto& batch = std::any_cast<const MetaBatch&>(cmd);
+    applied_ops += batch.cmds.size();
+    MetaBatchApply out;
+    out.results.reserve(batch.cmds.size());
+    for (const MetaCommand& mc : batch.cmds) out.results.push_back(fs.apply_meta(mc));
+    return out;
   }
 
+  // The replication round is amortized; the per-entry MDS service time is
+  // not — every insert still pays the directory-degraded cost.
   Duration apply_service(const std::any& cmd) const override {
-    if (!cmd.has_value()) return Duration::zero();
-    if (const auto* batch = std::any_cast<MetaBatch>(&cmd)) {
-      // The replication round is amortized; the per-entry MDS service time
-      // is not — every insert still pays the directory-degraded cost.
-      Duration d = Duration::zero();
-      for (const MetaCommand& mc : batch->cmds) d += fs.meta_service(mc);
-      return d;
+    Duration d = Duration::zero();
+    if (!cmd.has_value()) return d;
+    for (const MetaCommand& mc : std::any_cast<const MetaBatch&>(cmd).cmds) {
+      d += fs.meta_service(mc);
     }
-    return fs.meta_service(std::any_cast<const MetaCommand&>(cmd));
+    return d;
   }
 
   std::uint64_t snapshot_bytes() const override { return 4096 + 128 * applied_ops; }
@@ -121,43 +118,26 @@ MetaApply SimPfs::apply_meta(const MetaCommand& mc) {
       objects_.erase(removed.value());
       break;
     }
-    case MetaCommand::Kind::rename:
-      out.status = ns_.rename(mc.path, mc.path2);
-      break;
   }
-  // Invalidation-on-mutation: cached leases for the touched paths drop on
+  // Invalidation-on-mutation: cached leases for the touched path drop on
   // every node before the mutator is acked.
-  if (meta_cache_) {
-    meta_cache_->invalidate(mc.path);
-    if (mc.kind == MetaCommand::Kind::rename) meta_cache_->invalidate(mc.path2);
-  }
+  if (meta_cache_) meta_cache_->invalidate(mc.path);
   return out;
 }
 
+Duration SimPfs::dir_insert_service(std::string_view dir) const {
+  const std::uint64_t entries = ns_.dir_entry_count(dir);
+  const double degrade =
+      1.0 + static_cast<double>(entries) / static_cast<double>(config_.dir_degrade_entries);
+  return Duration::seconds(config_.dir_insert_time.to_seconds() * degrade);
+}
+
 Duration SimPfs::meta_service(const MetaCommand& mc) const {
-  // Same serialized-insert degradation as the unreplicated dir_mutation
-  // path: the log already serializes mutations, but each one still costs
+  // Same serialized-insert degradation as dir_mutation: the log (or the
+  // batch) already serializes mutations, but each one still costs
   // directory-size-dependent MDS service time.
-  const auto dir_cost = [&](const std::string& p) {
-    const std::string parent(path_dirname(p));
-    const std::uint64_t entries = ns_.dir_entry_count(parent);
-    const double degrade = 1.0 + static_cast<double>(entries) /
-                                     static_cast<double>(config_.dir_degrade_entries);
-    return Duration::seconds(config_.dir_insert_time.to_seconds() * degrade);
-  };
-  switch (mc.kind) {
-    case MetaCommand::Kind::create:
-      return dir_cost(mc.path) + config_.mds_create_time;
-    case MetaCommand::Kind::rename: {
-      Duration d = dir_cost(mc.path);
-      if (path_dirname(mc.path) != path_dirname(mc.path2)) {
-        d = d + dir_cost(mc.path2);
-      }
-      return d;
-    }
-    default:
-      return dir_cost(mc.path);
-  }
+  const Duration insert = dir_insert_service(path_dirname(mc.path));
+  return mc.kind == MetaCommand::Kind::create ? insert + config_.mds_create_time : insert;
 }
 
 SimPfs::SimPfs(net::Cluster& cluster, PfsConfig config)
@@ -188,10 +168,6 @@ SimPfs::SimPfs(net::Cluster& cluster, PfsConfig config)
     rc.redirect_backoff = config_.raft_redirect_backoff;
     rc.compact_threshold = config_.raft_compact_threshold;
     rc.compact_keep = config_.raft_compact_keep;
-    // Append pipelining rides with batching: both exist to stop a create
-    // storm from flooding the group with duplicate log-suffix bytes. Off
-    // when batching is off so the legacy event schedule is untouched.
-    rc.pipeline_appends = config_.mds_batch > 0;
     for (std::size_t g = 0; g < config_.num_mds; ++g) {
       std::vector<std::size_t> placement;
       if (g < config_.raft_placement.size() &&
@@ -215,21 +191,22 @@ SimPfs::~SimPfs() = default;
 
 void SimPfs::schedule_server_faults(const FaultPlan& plan) {
   if (!replicated()) return;
-  const auto clamp_group = [this](int mds) {
-    return static_cast<std::size_t>(mds) % raft_groups_.size();
-  };
+  if (const Status st = plan.check_targets(raft_groups_.size(), raft_group(0).replicas());
+      !st.ok()) {
+    throw std::invalid_argument(st.message());
+  }
   // Every fault event conservatively revokes the group's client leases:
   // epoch bumps are cheap, and a cache that re-validates after a failover
   // can never serve a stale entry across it.
   for (const ServerOutage& so : plan.server_outages) {
-    const std::size_t gi = clamp_group(so.mds);
+    const auto gi = static_cast<std::size_t>(so.mds);
     raft::Group& g = raft_group(gi);
     // The victim is resolved when the window opens (replica == -1 means
     // "whoever leads then"); the shared slot carries it to the restart.
     auto victim = std::make_shared<std::size_t>(0);
     engine().at(so.begin, [this, gi, &g, victim, want = so.replica] {
       const int leader = g.leader_or_negative();
-      *victim = want >= 0 ? static_cast<std::size_t>(want) % g.replicas()
+      *victim = want >= 0 ? static_cast<std::size_t>(want)
                           : static_cast<std::size_t>(leader >= 0 ? leader : 0);
       g.crash(*victim);
       revoke_leases(gi);
@@ -240,7 +217,7 @@ void SimPfs::schedule_server_faults(const FaultPlan& plan) {
     });
   }
   for (const PartitionWindow& pw : plan.partitions) {
-    const std::size_t gi = clamp_group(pw.mds);
+    const auto gi = static_cast<std::size_t>(pw.mds);
     raft::Group& g = raft_group(gi);
     auto victim = std::make_shared<std::size_t>(0);
     engine().at(pw.begin, [this, gi, &g, victim] {
@@ -315,28 +292,50 @@ sim::Task<void> SimPfs::dir_mutation(IoCtx ctx, std::string dir_path) {
   bc().mutation_round_trips.add();
   sim::Mutex& mu = dir_mutex(dir_path);
   co_await mu.lock();
-  const std::uint64_t entries = ns_.dir_entry_count(dir_path);
-  const double degrade =
-      1.0 + static_cast<double>(entries) / static_cast<double>(config_.dir_degrade_entries);
-  const auto service = Duration::seconds(config_.dir_insert_time.to_seconds() * degrade);
-  const Status st = co_await mds_op(ctx, dir_path, service);
+  const Status st = co_await mds_op(ctx, dir_path, dir_insert_service(dir_path));
   (void)st;  // unreplicated mds_op cannot fail
   mu.unlock();
 }
 
-sim::Task<Result<MetaApply>> SimPfs::raft_submit(IoCtx ctx, std::string_view group_path,
-                                                 MetaCommand cmd) {
-  ++stats_.metadata_ops;
-  bc().mutation_round_trips.add();
-  const std::uint64_t bytes = 48 + cmd.path.size() + cmd.path2.size();
-  raft::Group& group = *raft_groups_[mds_of_path(group_path)];
+sim::Task<Result<MetaBatchApply>> SimPfs::raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch) {
+  std::uint64_t bytes = 32;
+  for (const MetaCommand& mc : batch.cmds) bytes += 48 + mc.path.size();
   TIO_CO_ASSIGN_OR_RETURN(std::shared_ptr<const std::any> result,
-                          co_await group.submit(ctx.node, ctx.rank,
-                                                std::any(std::move(cmd)), bytes));
+                          co_await raft_groups_[g]->submit(ctx.node, ctx.rank,
+                                                           std::any(std::move(batch)), bytes));
   if (!result || !result->has_value()) {
-    co_return error(Errc::io_error, "raft: malformed apply result");
+    co_return error(Errc::io_error, "raft: malformed batch apply result");
   }
-  co_return std::any_cast<MetaApply>(*result);
+  co_return std::any_cast<const MetaBatchApply&>(*result);
+}
+
+sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
+  const std::string parent(path_dirname(cmd.path));
+  if (config_.mds_batch > 0) co_return co_await batch_submit(ctx, parent, std::move(cmd));
+  if (replicated()) {
+    // The mutation is acked only after the group leader committed and
+    // applied it: the caller's existence checks are advisory, the apply
+    // inside the log is authoritative.
+    ++stats_.metadata_ops;
+    bc().mutation_round_trips.add();
+    MetaBatch one;
+    one.cmds.push_back(std::move(cmd));
+    TIO_CO_ASSIGN_OR_RETURN(MetaBatchApply applied,
+                            co_await raft_apply(ctx, mds_of_path(parent), std::move(one)));
+    if (applied.results.size() != 1) {
+      co_return error(Errc::io_error, "raft: malformed apply result");
+    }
+    co_return applied.results.front();
+  }
+  // Unreplicated: the serialized, directory-degraded insert at the parent's
+  // MDS; a create then pays its own object-creation round trip.
+  co_await dir_mutation(ctx, parent);
+  if (cmd.kind == MetaCommand::Kind::create) {
+    bc().mutation_round_trips.add();
+    const Status st = co_await mds_op(ctx, parent, config_.mds_create_time);
+    (void)st;  // unreplicated mds_op cannot fail
+  }
+  co_return apply_meta(cmd);
 }
 
 // ------------------------------------------------- batched mutation client
@@ -392,20 +391,12 @@ sim::Task<void> SimPfs::run_batch(std::size_t g, std::shared_ptr<PendingBatch> p
   if (replicated()) {
     // One Raft command carries the whole batch: one replication round, one
     // commit-wait, N applied mutations with per-entry outcomes.
-    std::uint64_t bytes = 32;
-    for (const MetaCommand& mc : pending->batch.cmds) {
-      bytes += 48 + mc.path.size() + mc.path2.size();
-    }
-    auto result = co_await raft_groups_[g]->submit(pending->ctx.node, pending->ctx.rank,
-                                                   std::any(std::move(pending->batch)), bytes);
-    if (!result.ok()) {
+    auto applied = co_await raft_apply(pending->ctx, g, std::move(pending->batch));
+    if (!applied.ok()) {
       bc().failures.add();
-      pending->fail = result.status();
-    } else if (!*result || !(*result)->has_value()) {
-      bc().failures.add();
-      pending->fail = error(Errc::io_error, "raft: malformed batch apply result");
+      pending->fail = applied.status();
     } else {
-      pending->results = std::any_cast<const MetaBatchApply&>(**result).results;
+      pending->results = std::move(applied->results);
       pending->done = true;
     }
   } else {
@@ -486,43 +477,10 @@ sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags fl
       TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
       co_return error(Errc::not_found, "parent: " + parent);
     }
-    if (config_.mds_batch > 0) {
-      // Batched create: coalesced with other mutations bound for this
-      // group, applied as one idempotent batch command, acked with this
-      // entry's own outcome.
-      MetaCommand cmd;
-      cmd.kind = MetaCommand::Kind::create;
-      cmd.path = path;
-      cmd.excl = flags.excl;
-      TIO_CO_ASSIGN_OR_RETURN(MetaApply applied,
-                              co_await batch_submit(ctx, parent, std::move(cmd)));
-      TIO_CO_RETURN_IF_ERROR(applied.status);
-      oid = applied.oid;
-    } else if (replicated()) {
-      // The create is acked only after the group leader committed and
-      // applied it — the existence checks above are advisory, the apply
-      // inside the log is authoritative.
-      MetaCommand cmd;
-      cmd.kind = MetaCommand::Kind::create;
-      cmd.path = path;
-      cmd.excl = flags.excl;
-      TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-      TIO_CO_RETURN_IF_ERROR(applied.status);
-      oid = applied.oid;
-    } else {
-      co_await dir_mutation(ctx, parent);
-      bc().mutation_round_trips.add();
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_create_time));
-      auto created = ns_.create_file(path, flags.excl);
-      if (!created.ok()) co_return created.status();
-      oid = created->oid;
-      if (created->created) {
-        ++stats_.creates;
-        Object& o = object(oid);
-        o.mtime = engine().now();
-      }
-      if (meta_cache_) meta_cache_->invalidate(path);
-    }
+    MetaCommand cmd{MetaCommand::Kind::create, path, flags.excl};
+    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+    TIO_CO_RETURN_IF_ERROR(applied.status);
+    oid = applied.oid;
   }
 
   const FileId id = next_file_id_++;
@@ -696,9 +654,8 @@ sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64
   co_return o.data.read(offset, len);
 }
 
-// Routes one mutation kind: replicated deployments go through the group's
-// log (the apply result carries the namespace's answer), unreplicated ones
-// run the serialized dir_mutation and mutate ns_ directly.
+// create (in open), mkdir, rmdir and unlink each build one MetaCommand and
+// route it through mutate(); apply_meta is what changes the namespace.
 sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
   path = path_normalize(path);
   const std::string parent(path_dirname(path));
@@ -706,92 +663,21 @@ sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
     TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
     co_return error(Errc::not_found, "parent: " + parent);
   }
-  if (config_.mds_batch > 0) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::mkdir;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await batch_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  if (replicated()) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::mkdir;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, parent);
-  if (meta_cache_) meta_cache_->invalidate(path);
-  co_return ns_.mkdir(path);
+  MetaCommand cmd{MetaCommand::Kind::mkdir, std::move(path)};
+  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+  co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::rmdir(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
-  const std::string parent(path_dirname(path));
-  if (replicated()) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::rmdir;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, parent);
-  if (meta_cache_) meta_cache_->invalidate(path);
-  co_return ns_.rmdir(path);
+  MetaCommand cmd{MetaCommand::Kind::rmdir, path_normalize(path)};
+  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+  co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::unlink(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
-  const std::string parent(path_dirname(path));
-  if (config_.mds_batch > 0) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::unlink;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await batch_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  if (replicated()) {
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::unlink;
-    cmd.path = path;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await raft_submit(ctx, parent, std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, parent);
-  if (meta_cache_) meta_cache_->invalidate(path);
-  auto removed = ns_.unlink(path);
-  if (!removed.ok()) co_return removed.status();
-  objects_.erase(removed.value());
-  co_return Status::Ok();
-}
-
-sim::Task<Status> SimPfs::rename(IoCtx ctx, std::string from, std::string to) {
-  from = path_normalize(from);
-  to = path_normalize(to);
-  if (replicated()) {
-    // Cross-group renames would need a two-group transaction; the realm
-    // model (one volume = one namespace) never produces them, so reject
-    // rather than silently half-apply.
-    if (mds_of_path(from) != mds_of_path(to)) {
-      co_return error(Errc::invalid, "rename across metadata groups: " + from + " -> " + to);
-    }
-    MetaCommand cmd;
-    cmd.kind = MetaCommand::Kind::rename;
-    cmd.path = from;
-    cmd.path2 = to;
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied,
-                            co_await raft_submit(ctx, std::string_view(from), std::move(cmd)));
-    co_return applied.status;
-  }
-  co_await dir_mutation(ctx, std::string(path_dirname(from)));
-  if (path_dirname(from) != path_dirname(to)) {
-    co_await dir_mutation(ctx, std::string(path_dirname(to)));
-  }
-  if (meta_cache_) {
-    meta_cache_->invalidate(from);
-    meta_cache_->invalidate(to);
-  }
-  co_return ns_.rename(from, to);
+  MetaCommand cmd{MetaCommand::Kind::unlink, path_normalize(path)};
+  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
+  co_return applied.status;
 }
 
 sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {

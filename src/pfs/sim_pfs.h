@@ -37,13 +37,13 @@ namespace tio::pfs {
 
 struct FaultPlan;
 
-// The replicated metadata command vocabulary: what a Raft group's log
-// entries carry, applied to the namespace at commit.
+// One namespace mutation: what every create/mkdir/rmdir/unlink becomes
+// before it travels (alone, in a batch, or in a Raft log entry) and what
+// apply_meta applies to the namespace.
 struct MetaCommand {
-  enum class Kind { create, mkdir, rmdir, unlink, rename };
+  enum class Kind { create, mkdir, rmdir, unlink };
   Kind kind = Kind::create;
   std::string path;
-  std::string path2;  // rename destination
   bool excl = false;
 };
 
@@ -54,13 +54,14 @@ struct MetaApply {
   bool created = false;
 };
 
-// A batch of mutations bound for one metadata group, coalesced client-side
-// and applied as ONE log entry (replicated) or one amortized round trip
-// (unreplicated). Idempotent as a unit for the same reason the single
-// commands are: every entry's apply tolerates re-execution (create returns
-// the existing object, mkdir/unlink report exists/not_found), and the Raft
-// layer's group-wide applied index already guarantees exactly-once apply
-// per committed index.
+// A batch of mutations bound for one metadata group, applied as ONE log
+// entry (replicated) or one amortized round trip (unreplicated, batched).
+// Every Raft log entry is a MetaBatch: an unbatched replicated mutation is
+// a batch of one. Idempotent as a unit because every entry's apply
+// tolerates re-execution (create returns the existing object,
+// mkdir/rmdir/unlink report exists/not_found), and the Raft layer's
+// group-wide applied index already guarantees exactly-once apply per
+// committed index.
 struct MetaBatch {
   std::vector<MetaCommand> cmds;
 };
@@ -84,7 +85,6 @@ class SimPfs : public FsClient {
   sim::Task<Status> mkdir(IoCtx ctx, std::string path) override;
   sim::Task<Status> rmdir(IoCtx ctx, std::string path) override;
   sim::Task<Status> unlink(IoCtx ctx, std::string path) override;
-  sim::Task<Status> rename(IoCtx ctx, std::string from, std::string to) override;
   sim::Task<Result<StatInfo>> stat(IoCtx ctx, std::string path) override;
   sim::Task<Result<std::vector<DirEntry>>> readdir(IoCtx ctx, std::string path) override;
   sim::Engine& engine() override { return cluster_.engine(); }
@@ -107,8 +107,10 @@ class SimPfs : public FsClient {
   // Schedules the plan's server outages / partitions onto the replica
   // groups (crash at window start — resolving replica "leader" then —
   // restart at window end). Every fault event also revokes the group's
-  // client leases (epoch bump). No-op when unreplicated; the testbed
-  // lowers such plans to path-prefix outages instead.
+  // client leases (epoch bump). Throws std::invalid_argument for a target
+  // outside the groups (FaultPlan::check_targets). No-op when
+  // unreplicated; the testbed lowers such plans to path-prefix outages
+  // instead.
   void schedule_server_faults(const FaultPlan& plan);
 
   // --- leased client metadata cache (meta_lease > 0) ---
@@ -165,16 +167,25 @@ class SimPfs : public FsClient {
   Object& object(ObjectId oid);
   Result<OpenFile*> handle(FileId file);
   sim::Mutex& dir_mutex(const std::string& dir);
-  // Applies one mutation to the namespace (shared by the replicated state
-  // machine, the batch path, and nothing else — legacy unreplicated paths
-  // keep their historical inline form). Invalidate-on-mutation for the
-  // client metadata cache happens here.
+  // The one transport decision for a namespace mutation: mds_batch > 0
+  // enqueues it into its group's forming batch; otherwise a replicated
+  // deployment submits it as one Raft entry (a batch of one); otherwise it
+  // pays the unreplicated cost sequence (dir_mutation on the parent, plus
+  // an mds_create_time round trip for a create) and applies in place.
+  sim::Task<Result<MetaApply>> mutate(IoCtx ctx, MetaCommand cmd);
+  // Applies one mutation to the namespace: the only code that creates,
+  // makes, removes or unlinks entries in ns_, whichever transport carried
+  // the command. Invalidate-on-mutation for the client metadata cache
+  // happens here.
   MetaApply apply_meta(const MetaCommand& cmd);
-  // MDS service time of one mutation (directory-degraded insert cost).
+  // Directory-degraded insert service time at the MDS serving `dir`.
+  Duration dir_insert_service(std::string_view dir) const;
+  // MDS service time of one mutation (degraded insert, plus the object
+  // creation time for a create).
   Duration meta_service(const MetaCommand& cmd) const;
   // Enqueues `cmd` into the forming batch of its metadata group and waits
-  // for the flushed batch's per-entry outcome. Only called when
-  // config_.mds_batch > 0.
+  // for the flushed batch's per-entry outcome (mutate, when
+  // config_.mds_batch > 0).
   sim::Task<Result<MetaApply>> batch_submit(IoCtx ctx, std::string_view group_path,
                                             MetaCommand cmd);
   void flush_batch(std::size_t g);
@@ -186,14 +197,13 @@ class SimPfs : public FsClient {
   // never fails; replicated it is a leader read and can surface
   // Errc::busy when the group has no reachable leader.
   sim::Task<Status> mds_op(IoCtx ctx, std::string_view dir_path, Duration service);
-  // Namespace mutation under the directory's serialized insert lock, with
-  // size-dependent degradation (unreplicated path only — replicated
-  // mutations serialize through the group's log instead).
+  // Namespace mutation cost under the directory's serialized insert lock,
+  // with size-dependent degradation (unreplicated, unbatched only —
+  // replicated mutations serialize through the group's log instead).
   sim::Task<void> dir_mutation(IoCtx ctx, std::string dir_path);
-  // Replicated mutation: routes `cmd` through the namespace's Raft group
-  // and returns the applied outcome.
-  sim::Task<Result<MetaApply>> raft_submit(IoCtx ctx, std::string_view group_path,
-                                           MetaCommand cmd);
+  // Submits `batch` to group g's Raft log as one entry and returns the
+  // per-entry outcomes once the leader has committed and applied it.
+  sim::Task<Result<MetaBatchApply>> raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch);
   sim::Task<void> acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_t offset,
                                       std::uint64_t len);
   // Physical transfer of [offset, offset+len) of `oid`: storage network +

@@ -38,12 +38,12 @@ struct PlfsMount {
   bool mds_replicated = false;
 
   // The backing metadata service batches mutations client-side
-  // (pfs::PfsConfig::mds_batch > 0). The middleware then issues the
-  // independent legs of its create path (data/index log creates, the
-  // close-time dropping create + openhost unlink) concurrently instead of
-  // sequentially, so they land in the same batch RPC rather than each
-  // paying a full round trip. Off by default: the sequential legacy order
-  // is part of the byte-identity contract for unbatched runs.
+  // (pfs::PfsConfig::mds_batch > 0). Each create sequence (container
+  // skeleton, open_write's log creates + openhost record, close's size
+  // dropping + openhost unlink) is written once as independent legs; with
+  // batching they all start at once so they land in the same batch RPC,
+  // without it they run in order and stop at the first failure, since each
+  // would pay its own round trip anyway.
   bool meta_batching = false;
 
   // Index-log write batching (entries buffered per writer before an append

@@ -1,6 +1,8 @@
 #include "plfs/plfs.h"
 
 #include <algorithm>
+#include <array>
+#include <concepts>
 #include <limits>
 #include <optional>
 
@@ -66,6 +68,33 @@ template <typename T>
 struct task_value<sim::Task<T>> {
   using type = T;
 };
+
+sim::Task<void> finish_leg(sim::Task<Status> leg, Status& out, sim::WaitGroup& wg) {
+  out = co_await std::move(leg);
+  wg.done();
+}
+
+// Runs the independent metadata legs of one create sequence and returns
+// the first failed leg's status in leg order. Without `concurrent` the legs
+// run one after another and stop at the first failure; with it every leg
+// starts at once, so their mutations land in the same batch RPC.
+template <std::same_as<sim::Task<Status>>... Legs>
+sim::Task<Status> run_legs(sim::Engine& engine, bool concurrent, Legs... legs) {
+  std::array<sim::Task<Status>, sizeof...(Legs)> tasks{std::move(legs)...};
+  if (!concurrent) {
+    for (sim::Task<Status>& leg : tasks) TIO_CO_RETURN_IF_ERROR(co_await std::move(leg));
+    co_return Status::Ok();
+  }
+  std::array<Status, sizeof...(Legs)> out;
+  sim::WaitGroup wg(engine);
+  wg.add(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    engine.spawn(finish_leg(std::move(tasks[i]), out[i], wg));
+  }
+  co_await wg.wait();
+  for (const Status& st : out) TIO_CO_RETURN_IF_ERROR(st);
+  co_return Status::Ok();
+}
 
 }  // namespace
 
@@ -210,6 +239,27 @@ sim::Task<Result<std::vector<pfs::DirEntry>>> Plfs::readdir_retried(pfs::IoCtx c
                                 [&] { return fs_.readdir(ctx, path); });
 }
 
+sim::Task<Status> Plfs::touch(pfs::IoCtx ctx, std::string path, OpenFlags flags) {
+  auto fd = co_await open_retried(ctx, std::move(path), flags);
+  if (fd.ok()) co_return co_await close_retried(ctx, *fd);
+  if (flags.excl && fd.status().code() == Errc::exists) co_return Status::Ok();
+  co_return fd.status();
+}
+
+sim::Task<Status> Plfs::open_log(pfs::IoCtx ctx, std::string path, pfs::FileId& fd) {
+  TIO_CO_ASSIGN_OR_RETURN(fd, co_await open_retried(ctx, std::move(path), OpenFlags::wr_trunc()));
+  co_return Status::Ok();
+}
+
+sim::Task<Status> Plfs::unlink_record(pfs::IoCtx ctx, std::string path) {
+  const Status st = co_await unlink_retried(ctx, std::move(path));
+  // Replicated submits are at-least-once: a lost ack makes the retry
+  // re-apply the unlink and see not_found. The record is per-rank, so
+  // already-gone is success.
+  if (!st.ok() && st.code() != Errc::not_found) co_return st;
+  co_return Status::Ok();
+}
+
 sim::Task<Status> Plfs::ensure_dir(pfs::IoCtx ctx, std::string dir) {
   auto st = co_await stat_retried(ctx, dir);
   if (st.ok()) {
@@ -234,46 +284,13 @@ sim::Task<Status> Plfs::ensure_container_skeleton(pfs::IoCtx ctx, const Containe
     }
   }
   TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, layout.canonical_container()));
-  if (mount_.meta_batching) {
-    // The access marker and the meta/ and openhosts/ subdirectories are
-    // independent once the container exists: issue all three concurrently so
-    // the client-side batcher coalesces their mutations into one RPC.
-    Status access_st, meta_st, hosts_st;
-    sim::WaitGroup wg(engine());
-    auto marker = [](Plfs& p, pfs::IoCtx c, const ContainerLayout& lay, Status& out,
-                     sim::WaitGroup& group) -> sim::Task<void> {
-      auto fd = co_await p.open_retried(c, lay.access_path(), OpenFlags::wr_create_excl());
-      if (fd.ok()) {
-        out = co_await p.close_retried(c, *fd);
-      } else if (fd.status().code() != Errc::exists) {
-        out = fd.status();
-      }
-      group.done();
-    };
-    auto subdir = [](Plfs& p, pfs::IoCtx c, std::string dir, Status& out,
-                     sim::WaitGroup& group) -> sim::Task<void> {
-      out = co_await p.ensure_dir(c, std::move(dir));
-      group.done();
-    };
-    wg.add(3);
-    engine().spawn(marker(*this, ctx, layout, access_st, wg));
-    engine().spawn(subdir(*this, ctx, layout.meta_dir(), meta_st, wg));
-    engine().spawn(subdir(*this, ctx, layout.openhosts_dir(), hosts_st, wg));
-    co_await wg.wait();
-    TIO_CO_RETURN_IF_ERROR(access_st);
-    TIO_CO_RETURN_IF_ERROR(meta_st);
-    co_return hosts_st;
-  }
-  // The access marker: created once, tolerated when racing.
-  auto access = co_await open_retried(ctx, layout.access_path(), OpenFlags::wr_create_excl());
-  if (access.ok()) {
-    TIO_CO_RETURN_IF_ERROR(co_await close_retried(ctx, *access));
-  } else if (access.status().code() != Errc::exists) {
-    co_return access.status();
-  }
-  TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, layout.meta_dir()));
-  TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, layout.openhosts_dir()));
-  co_return Status::Ok();
+  // The access marker (created once, tolerated when racing) and the meta/
+  // and openhosts/ subdirectories are independent once the container
+  // exists.
+  co_return co_await run_legs(engine(), mount_.meta_batching,
+                              touch(ctx, layout.access_path(), OpenFlags::wr_create_excl()),
+                              ensure_dir(ctx, layout.meta_dir()),
+                              ensure_dir(ctx, layout.openhosts_dir()));
 }
 
 sim::Task<Status> Plfs::ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& lay,
@@ -332,61 +349,17 @@ sim::Task<Result<std::unique_ptr<WriteHandle>>> Plfs::open_write(pfs::IoCtx ctx,
   if (placed != home) {
     static Counter& mds_failover = counter("plfs.degrade.mds_failover");
     mds_failover.add(1);
-    auto marker = co_await open_retried(ctx, lay.stale_marker_path(k), OpenFlags::wr_create());
-    if (!marker.ok()) co_return marker.status();
-    TIO_CO_RETURN_IF_ERROR(co_await close_retried(ctx, *marker));
+    TIO_CO_RETURN_IF_ERROR(co_await touch(ctx, lay.stale_marker_path(k), OpenFlags::wr_create()));
   }
 
+  // Data log, index log, and this writer's openhosts/ record are
+  // independent creates.
   pfs::FileId data_fd{};
   pfs::FileId index_fd{};
-  if (mount_.meta_batching) {
-    // Data log, index log, and the openhosts/ record are independent
-    // creates: issue them concurrently so they land in one batch RPC.
-    Status data_st, index_st, host_st;
-    sim::WaitGroup wg(engine());
-    auto create_log = [](Plfs& p, pfs::IoCtx c, std::string path, pfs::FileId& fd, Status& out,
-                         sim::WaitGroup& group) -> sim::Task<void> {
-      auto r = co_await p.open_retried(c, std::move(path), OpenFlags::wr_trunc());
-      if (r.ok()) {
-        fd = *r;
-      } else {
-        out = r.status();
-      }
-      group.done();
-    };
-    auto host_record = [](Plfs& p, pfs::IoCtx c, std::string path, Status& out,
-                          sim::WaitGroup& group) -> sim::Task<void> {
-      auto r = co_await p.open_retried(c, std::move(path), OpenFlags::wr_create());
-      if (r.ok()) {
-        out = co_await p.close_retried(c, *r);
-      } else {
-        out = r.status();
-      }
-      group.done();
-    };
-    wg.add(3);
-    engine().spawn(
-        create_log(*this, ctx, lay.data_log_path_on(rank, placed), data_fd, data_st, wg));
-    engine().spawn(
-        create_log(*this, ctx, lay.index_log_path_on(rank, placed), index_fd, index_st, wg));
-    engine().spawn(host_record(*this, ctx, lay.openhost_record_path(rank), host_st, wg));
-    co_await wg.wait();
-    TIO_CO_RETURN_IF_ERROR(data_st);
-    TIO_CO_RETURN_IF_ERROR(index_st);
-    TIO_CO_RETURN_IF_ERROR(host_st);
-  } else {
-    TIO_CO_ASSIGN_OR_RETURN(
-        data_fd,
-        co_await open_retried(ctx, lay.data_log_path_on(rank, placed), OpenFlags::wr_trunc()));
-    TIO_CO_ASSIGN_OR_RETURN(
-        index_fd,
-        co_await open_retried(ctx, lay.index_log_path_on(rank, placed), OpenFlags::wr_trunc()));
-
-    // Record this writer in openhosts/.
-    auto host = co_await open_retried(ctx, lay.openhost_record_path(rank), OpenFlags::wr_create());
-    if (!host.ok()) co_return host.status();
-    TIO_CO_RETURN_IF_ERROR(co_await close_retried(ctx, *host));
-  }
+  TIO_CO_RETURN_IF_ERROR(co_await run_legs(
+      engine(), mount_.meta_batching, open_log(ctx, lay.data_log_path_on(rank, placed), data_fd),
+      open_log(ctx, lay.index_log_path_on(rank, placed), index_fd),
+      touch(ctx, lay.openhost_record_path(rank), OpenFlags::wr_create())));
 
   co_return std::unique_ptr<WriteHandle>(
       new WriteHandle(*this, ctx, std::move(lay), rank, data_fd, index_fd));
@@ -439,50 +412,13 @@ sim::Task<Status> WriteHandle::close() {
   TIO_CO_RETURN_IF_ERROR(co_await flush_index());
   TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, data_fd_));
   TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, index_fd_));
-  // Size dropping: the logical high water is encoded in the name, so stat
-  // never needs index aggregation.
-  if (plfs_->mount_.meta_batching) {
-    // The dropping create and the openhost unlink are independent
-    // mutations: issue them concurrently so they share one batch RPC.
-    Status drop_st, host_st;
-    sim::WaitGroup wg(plfs_->engine());
-    auto dropping = [](Plfs& p, pfs::IoCtx c, std::string path, Status& out,
-                       sim::WaitGroup& group) -> sim::Task<void> {
-      auto r = co_await p.open_retried(c, std::move(path), OpenFlags::wr_create());
-      if (r.ok()) {
-        out = co_await p.close_retried(c, *r);
-      } else {
-        out = r.status();
-      }
-      group.done();
-    };
-    auto unlink_host = [](Plfs& p, pfs::IoCtx c, std::string path, Status& out,
-                          sim::WaitGroup& group) -> sim::Task<void> {
-      const Status st = co_await p.unlink_retried(c, std::move(path));
-      // Replicated submits are at-least-once: a lost ack makes the retry
-      // re-apply the unlink and see not_found. The record is per-rank, so
-      // already-gone is success.
-      if (!st.ok() && st.code() != Errc::not_found) out = st;
-      group.done();
-    };
-    wg.add(2);
-    plfs_->engine().spawn(
-        dropping(*plfs_, ctx_, layout_.meta_dropping_path(rank_, high_water_), drop_st, wg));
-    plfs_->engine().spawn(
-        unlink_host(*plfs_, ctx_, layout_.openhost_record_path(rank_), host_st, wg));
-    co_await wg.wait();
-    TIO_CO_RETURN_IF_ERROR(drop_st);
-    TIO_CO_RETURN_IF_ERROR(host_st);
-  } else {
-    auto drop = co_await plfs_->open_retried(ctx_, layout_.meta_dropping_path(rank_, high_water_),
-                                             OpenFlags::wr_create());
-    if (!drop.ok()) co_return drop.status();
-    TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, *drop));
-    const Status host_gone =
-        co_await plfs_->unlink_retried(ctx_, layout_.openhost_record_path(rank_));
-    // See the batched branch: tolerate a lost-ack retry's not_found.
-    if (!host_gone.ok() && host_gone.code() != Errc::not_found) co_return host_gone;
-  }
+  // Size dropping (the logical high water is encoded in the name, so stat
+  // never needs index aggregation) and the openhost unlink are independent
+  // mutations.
+  TIO_CO_RETURN_IF_ERROR(co_await run_legs(
+      plfs_->engine(), plfs_->mount_.meta_batching,
+      plfs_->touch(ctx_, layout_.meta_dropping_path(rank_, high_water_), OpenFlags::wr_create()),
+      plfs_->unlink_record(ctx_, layout_.openhost_record_path(rank_))));
   closed_ = true;
   co_return Status::Ok();
 }

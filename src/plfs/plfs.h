@@ -99,6 +99,14 @@ class Plfs {
   friend class ReadHandle;
 
   sim::Task<Status> ensure_container_skeleton(pfs::IoCtx ctx, const ContainerLayout& layout);
+  // Legs of the create sequence. touch creates `path` and closes it at once
+  // (markers, openhost records, size droppings); an exclusive create that
+  // finds the file already there succeeds. open_log opens a log for
+  // truncating writes into `fd`. unlink_record removes a per-rank record,
+  // treating already-gone as success.
+  sim::Task<Status> touch(pfs::IoCtx ctx, std::string path, pfs::OpenFlags flags);
+  sim::Task<Status> open_log(pfs::IoCtx ctx, std::string path, pfs::FileId& fd);
+  sim::Task<Status> unlink_record(pfs::IoCtx ctx, std::string path);
   // Creates the shadow chain + subdir.k on an explicit backend (the
   // federation-ring walk of open_write probes these in order).
   sim::Task<Status> ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& lay, std::size_t k,

@@ -142,9 +142,8 @@ struct Group::Node {
 
   // Leader state.
   std::vector<Index> next, match;
-  // Append pipelining (config.pipeline_appends): one outstanding
-  // AppendEntries per peer; coalesced follow-ups ride the reply.
-  std::vector<char> append_inflight, append_pending;
+  // One outstanding AppendEntries per peer; follow-ups ride the reply.
+  std::vector<char> append_inflight;
   std::vector<bool> granted;
   std::size_t votes = 0;
   std::map<Index, std::shared_ptr<ReplyState>> waiters;
@@ -299,9 +298,7 @@ void Group::dispatch(std::size_t me, std::size_t from, int tag, std::any msg) {
         break;
       }
       if (n.role != Node::Role::leader || ar.term != n.term) break;
-      if (config_.pipeline_appends && from < n.append_inflight.size()) {
-        n.append_inflight[from] = 0;
-      }
+      n.append_inflight[from] = 0;
       if (ar.success) {
         if (ar.match > n.match[from]) n.match[from] = ar.match;
         n.next[from] = n.match[from] + 1;
@@ -412,7 +409,6 @@ void Group::become_leader(std::size_t r) {
   n.next.assign(config_.replicas, n.log.last_index() + 1);
   n.match.assign(config_.replicas, 0);
   n.append_inflight.assign(config_.replicas, 0);
-  n.append_pending.assign(config_.replicas, 0);
   // No-op barrier entry: lets entries from previous terms commit promptly
   // without waiting for client traffic (Raft §5.4.2).
   append_leader_entry(r, std::any(), 16);
@@ -455,18 +451,14 @@ void Group::broadcast_appends(std::size_t r, bool force) {
 
 void Group::send_append(std::size_t leader, std::size_t peer, bool force) {
   Node& n = *nodes_[leader];
-  if (config_.pipeline_appends && peer < n.append_inflight.size()) {
-    // One append in flight per peer: follow-ups coalesce into a single
-    // pending bit served by the reply. Heartbeats force through so a lost
-    // reply can only stall a peer for one heartbeat interval.
-    if (!force && n.append_inflight[peer]) {
-      n.append_pending[peer] = 1;
-      rc().appends_suppressed.add();
-      return;
-    }
-    n.append_inflight[peer] = 1;
-    n.append_pending[peer] = 0;
+  // One append in flight per peer: the reply re-checks next <= last_index
+  // and sends the follow-up. Heartbeats force through so a lost reply can
+  // only stall a peer for one heartbeat interval.
+  if (!force && n.append_inflight[peer]) {
+    rc().appends_suppressed.add();
+    return;
   }
+  n.append_inflight[peer] = 1;
   if (n.next[peer] <= n.log.snapshot_index()) {
     rc().snapshots_sent.add();
     send(leader, peer, kTagInstallSnapshot,
@@ -706,7 +698,8 @@ sim::Task<Result<std::shared_ptr<const std::any>>> Group::submit(std::size_t cli
       continue;
     }
 
-    // Leader: append, replicate eagerly, ack after commit + apply.
+    // Leader: append, replicate (pipelined per peer), ack after commit +
+    // apply.
     const Index idx = append_leader_entry(target, cmd, bytes);
     auto state = std::make_shared<ReplyState>(engine_);
     t.waiters.emplace(idx, state);

@@ -19,6 +19,14 @@
 // retained, and the next operation unparks it. Stale timer events drain
 // as generation-checked no-ops.
 //
+// Append schedule: the leader keeps at most one AppendEntries RPC in
+// flight per peer. Submits that arrive meanwhile only append to the
+// leader's log; the reply sends the follow-up carrying everything still
+// unreplicated, and every heartbeat forces a send so a lost reply stalls
+// a peer for at most one heartbeat interval. Under a create storm this
+// keeps the replicated bytes O(n) instead of re-sending the whole log
+// suffix on every submit.
+//
 // Exactly-once application: all replicas of a group share ONE authoritative
 // state machine (the pfs::Namespace lives outside the group). A group-wide
 // applied index guarantees each committed entry mutates it exactly once,
@@ -63,13 +71,6 @@ struct RaftConfig {
   int max_attempts = 24;                         // per submit/serve_read
   std::size_t compact_threshold = 1024;          // log entries before compaction
   std::size_t compact_keep = 128;                // tail kept for lagging followers
-  // Append pipelining: while an AppendEntries RPC to a peer is in flight,
-  // further submits mark the peer pending instead of re-sending the whole
-  // log suffix; the reply (or the next heartbeat, which always forces a
-  // send) triggers the follow-up. Under a create storm this turns O(n^2)
-  // duplicate entry bytes into O(n) without changing commit semantics.
-  // Off by default: the legacy eager schedule stays byte-identical.
-  bool pipeline_appends = false;
 };
 
 // The replicated state machine. apply() is invoked exactly once per

@@ -1,5 +1,6 @@
 #include "testbed/testbed.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tio::testbed {
@@ -97,6 +98,11 @@ Rig::Rig(Options options)
     : engine_(options.seed),
       cluster_(std::make_unique<net::Cluster>(engine_, options.cluster)) {
   const bool replicated = options.pfs.mds_replication == pfs::MdsReplication::raft;
+  if (const Status st = options.fault_plan.check_targets(
+          options.pfs.num_mds, std::max<std::size_t>(1, options.pfs.mds_replicas));
+      !st.ok()) {
+    throw std::invalid_argument("fault plan: " + st.message());
+  }
   if (replicated && options.pfs.raft_placement.empty()) {
     options.pfs.raft_placement =
         spread_replicas(options.pfs.num_mds, options.pfs.mds_replicas, options.cluster.nodes);

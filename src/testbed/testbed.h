@@ -46,7 +46,10 @@ class Rig {
     std::size_t num_subdirs = 32;
     std::uint64_t seed = 0x7e57bed;
     // Deterministic fault injection between PLFS and the simulated PFS
-    // (see pfs/faulty_fs.h). Disabled (all-zero plan) by default.
+    // (see pfs/faulty_fs.h). Disabled (all-zero plan) by default. A server
+    // outage or partition naming a group >= pfs.num_mds, or a replica >=
+    // pfs.mds_replicas, makes construction throw std::invalid_argument in
+    // either replication mode.
     pfs::FaultPlan fault_plan = {};
     // Retry/timeout policy handed to the PLFS mount.
     RetryPolicy retry = {};

@@ -96,16 +96,6 @@ TEST_F(LocalFsTest, ReaddirStatsAndUnlink) {
   }(*fs_, ctx_));
 }
 
-TEST_F(LocalFsTest, RenameOnDisk) {
-  test::run_task(engine_, [](LocalFs& fs, IoCtx ctx) -> sim::Task<void> {
-    auto fd = co_await fs.open(ctx, "/x", OpenFlags::wr_create());
-    EXPECT_TRUE((co_await fs.close(ctx, *fd)).ok());
-    EXPECT_TRUE((co_await fs.rename(ctx, "/x", "/y")).ok());
-  }(*fs_, ctx_));
-  EXPECT_FALSE(std::filesystem::exists(root_ / "x"));
-  EXPECT_TRUE(std::filesystem::exists(root_ / "y"));
-}
-
 TEST_F(LocalFsTest, SparseWriteReadsBackZeros) {
   test::run_task(engine_, [](LocalFs& fs, IoCtx ctx) -> sim::Task<void> {
     auto fd = co_await fs.open(ctx, "/f", OpenFlags{.read = true, .write = true, .create = true});

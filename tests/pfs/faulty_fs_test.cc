@@ -320,6 +320,41 @@ TEST_F(FaultyFsTest, OutageWindowFailsMatchingPrefixOnly) {
   }(fs, ctx_, engine_));
 }
 
+// Outage prefixes name whole path components: "/vol1" takes down /vol1 and
+// everything below it but not /vol10 (fig8b's 20-volume federation has
+// both), while a prefix ending in '/' matches plain string prefixes.
+TEST(FaultyFs, OutagePrefixMatchesWholeComponents) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, test_cluster());
+  SimPfs base(cluster, test_pfs());
+  auto plan = FaultPlan::parse("outage=/vol1@0-1000,outage=/tmp/@0-1000");
+  ASSERT_TRUE(plan.ok());
+  for (const char* dir : {"/vol1", "/vol10", "/vol1x", "/tmp", "/tmpx"}) {
+    ASSERT_TRUE(base.ns().mkdir(dir).ok()) << dir;
+  }
+  FaultyFs fs(base, std::move(plan.value()));
+  test::run_task(engine, [](FaultyFs& fs) -> sim::Task<void> {
+    const IoCtx ctx{0, 0};
+    for (const char* down : {"/vol1", "/vol1/a", "/tmp/a"}) {
+      EXPECT_EQ((co_await fs.stat(ctx, down)).status().code(), Errc::busy) << down;
+    }
+    for (const char* up : {"/vol10", "/vol1x", "/tmp", "/tmpx"}) {
+      EXPECT_TRUE((co_await fs.stat(ctx, up)).ok()) << up;
+    }
+    EXPECT_TRUE((co_await fs.mkdir(ctx, "/vol10/a")).ok());
+  }(fs));
+
+  // A lowered server outage of group 1 is the same "/vol1" prefix.
+  auto lowered = FaultPlan::parse("server_outage=1:leader@0-1000");
+  ASSERT_TRUE(lowered.ok());
+  FaultyFs fs1(base, lowered->lowered_for_unreplicated());
+  test::run_task(engine, [](FaultyFs& fs) -> sim::Task<void> {
+    const IoCtx ctx{0, 0};
+    EXPECT_EQ((co_await fs.stat(ctx, "/vol1")).status().code(), Errc::busy);
+    EXPECT_TRUE((co_await fs.stat(ctx, "/vol10/a")).ok());
+  }(fs1));
+}
+
 TEST_F(FaultyFsTest, CrashOnCloseTearsIndexTailOnce) {
   FaultyFs fs = make("crash_close_index=1");
   const std::uint64_t before = counter("plfs.fault.crash_close").value();

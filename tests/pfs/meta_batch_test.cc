@@ -1,4 +1,4 @@
-// Batched create/mkdir/unlink RPCs: namespace equivalence with the per-op
+// Batched create/mkdir/rmdir/unlink RPCs: namespace equivalence with the per-op
 // path (both replication modes), per-entry statuses inside one batch,
 // linger flushes, and the round-trip amortization the batching exists for.
 #include <gtest/gtest.h>
@@ -151,11 +151,13 @@ TEST(MetaBatch, PerEntryStatusInOneBatch) {
 }
 
 TEST(MetaBatch, BatchedMkdirAndUnlinkMatchLegacy) {
+  Counter& batched_ops = counter("pfs.batch.ops");
   for (const bool replicated : {false, true}) {
     SCOPED_TRACE(replicated ? "raft" : "unreplicated");
     for (const std::size_t batch : {std::size_t{0}, std::size_t{8}}) {
       SCOPED_TRACE(batch == 0 ? "legacy" : "batched");
       World w(batch, replicated);
+      const std::uint64_t ops_before = batched_ops.value();
       test::run_task(w.engine, [](SimPfs& fs) -> sim::Task<void> {
         const IoCtx ctx{0, 0};
         EXPECT_TRUE((co_await fs.mkdir(ctx, "/home")).ok());
@@ -167,9 +169,17 @@ TEST(MetaBatch, BatchedMkdirAndUnlinkMatchLegacy) {
         EXPECT_TRUE((co_await fs.unlink(ctx, "/home/sub/f")).ok());
         EXPECT_EQ((co_await fs.unlink(ctx, "/home/sub/f")).code(), Errc::not_found);
         EXPECT_EQ((co_await fs.mkdir(ctx, "/home")).code(), Errc::exists);
+        EXPECT_TRUE((co_await fs.mkdir(ctx, "/home/tomb")).ok());
+        EXPECT_EQ((co_await fs.rmdir(ctx, "/home")).code(), Errc::not_empty);
+        EXPECT_TRUE((co_await fs.rmdir(ctx, "/home/tomb")).ok());
+        EXPECT_EQ((co_await fs.rmdir(ctx, "/home/tomb")).code(), Errc::not_found);
       }(w.fs));
       EXPECT_TRUE(w.fs.ns().lookup("/home/sub").ok());
       EXPECT_FALSE(w.fs.ns().lookup("/home/sub/f").ok());
+      EXPECT_FALSE(w.fs.ns().lookup("/home/tomb").ok());
+      // Every mutation (rmdir included) travels in a batch iff batching is
+      // on: 4 mkdirs, 1 create, 2 unlinks, 3 rmdirs.
+      EXPECT_EQ(batched_ops.value() - ops_before, batch == 0 ? 0u : 10u);
     }
   }
 }

@@ -145,43 +145,6 @@ TEST(Namespace, DirEntryCount) {
   EXPECT_EQ(ns.dir_entry_count("/missing"), 0u);
 }
 
-TEST(Namespace, RenameFile) {
-  Namespace ns;
-  ASSERT_TRUE(ns.mkdir("/a").ok());
-  ASSERT_TRUE(ns.mkdir("/b").ok());
-  auto created = ns.create_file("/a/f", true);
-  ASSERT_TRUE(ns.rename("/a/f", "/b/g").ok());
-  EXPECT_FALSE(ns.exists("/a/f"));
-  auto e = ns.lookup("/b/g");
-  ASSERT_TRUE(e.ok());
-  EXPECT_EQ(e->oid, created->oid);
-}
-
-TEST(Namespace, RenameReplacesExistingFile) {
-  Namespace ns;
-  ASSERT_TRUE(ns.create_file("/f1", true).ok());
-  auto f2 = ns.create_file("/f2", true);
-  ASSERT_TRUE(ns.rename("/f2", "/f1").ok());
-  EXPECT_EQ(ns.lookup("/f1")->oid, f2->oid);
-  EXPECT_FALSE(ns.exists("/f2"));
-}
-
-TEST(Namespace, RenameDirOverNonEmptyDirFails) {
-  Namespace ns;
-  ASSERT_TRUE(ns.mkdir("/a").ok());
-  ASSERT_TRUE(ns.mkdir("/b").ok());
-  ASSERT_TRUE(ns.create_file("/b/x", true).ok());
-  EXPECT_EQ(ns.rename("/a", "/b").code(), Errc::not_empty);
-}
-
-TEST(Namespace, RenameTypeMismatchFails) {
-  Namespace ns;
-  ASSERT_TRUE(ns.mkdir("/d").ok());
-  ASSERT_TRUE(ns.create_file("/f", true).ok());
-  EXPECT_EQ(ns.rename("/f", "/d").code(), Errc::is_a_directory);
-  EXPECT_EQ(ns.rename("/d", "/f").code(), Errc::not_a_directory);
-}
-
 TEST(Namespace, DeepTreeStress) {
   Namespace ns;
   std::string path;

@@ -174,20 +174,28 @@ TEST_F(SimPfsTest, MkdirReaddirUnlinkFlow) {
   }(fs_, ctx_));
 }
 
-TEST_F(SimPfsTest, RenameMovesContent) {
-  test::run_task(engine_, [](SimPfs& fs, IoCtx ctx) -> sim::Task<void> {
-    auto fd = co_await fs.open(ctx, "/f", OpenFlags::wr_create());
-    EXPECT_TRUE((co_await fs.write(ctx, *fd, 0, DataView::pattern(3, 0, 64))).ok());
-    EXPECT_TRUE((co_await fs.close(ctx, *fd)).ok());
-    EXPECT_TRUE((co_await fs.rename(ctx, "/f", "/g")).ok());
-    auto rfd = co_await fs.open(ctx, "/g", OpenFlags::ro());
-    EXPECT_TRUE(rfd.ok());
-    auto fl = co_await fs.read(ctx, *rfd, 0, 64);
-    EXPECT_TRUE(fl->content_equals(DataView::pattern(3, 0, 64)));
-  }(fs_, ctx_));
-}
-
 // --- model-behaviour tests ---
+
+// The unreplicated, unbatched create instant in closed form: the
+// serialized insert round trip into a directory holding a quarter of
+// dir_degrade_entries (so the insert costs 1.25x), then the
+// object-creation round trip.
+TEST_F(SimPfsTest, UnbatchedCreateIsTwoRoundTripsPlusDegradedInsertPlusCreate) {
+  const PfsConfig& c = fs_.config();
+  const std::uint64_t entries = c.dir_degrade_entries / 4;
+  ASSERT_TRUE(fs_.ns().mkdir("/d").ok());
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    ASSERT_TRUE(fs_.ns().create_file("/d/x" + std::to_string(i), true).ok());
+  }
+  test::run_task(engine_, [](SimPfs& fs, IoCtx ctx) -> sim::Task<void> {
+    EXPECT_TRUE((co_await fs.open(ctx, "/d/f", OpenFlags::wr_create())).ok());
+  }(fs_, ctx_));
+  const Duration round_trip = c.rpc_overhead + cluster_.storage_latency();
+  const Duration insert = Duration::seconds(c.dir_insert_time.to_seconds() * 1.25);
+  EXPECT_EQ(engine_.now().to_ns(), (round_trip * 2 + insert + c.mds_create_time).to_ns());
+  EXPECT_EQ(fs_.stats().metadata_ops, 2u);
+  EXPECT_EQ(fs_.stats().creates, 1u);
+}
 
 TEST_F(SimPfsTest, SharedFileInterleavedWritersPayLockTransfers) {
   test::run_task(engine_, [](SimPfs& fs) -> sim::Task<void> {

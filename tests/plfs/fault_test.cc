@@ -492,8 +492,7 @@ TEST(Chaos, LeaseExpiryAcrossPartitionForcesRevalidation) {
   }
 }
 
-// mkdir + creates + same-directory rename + unlink + rmdir, all through
-// the fault-injecting layer.
+// mkdir + creates + unlink + rmdir, all through the fault-injecting layer.
 sim::Task<void> meta_mutation_storm(ChaosWorld& w) {
   const pfs::IoCtx ctx{2, 0};
   auto& fs = w.faulty;
@@ -510,10 +509,6 @@ sim::Task<void> meta_mutation_storm(ChaosWorld& w) {
     });
     EXPECT_TRUE(st.ok()) << path << ": " << st;
   }
-  // Same-directory rename: one metadata group, one command either mode.
-  st = co_await eventually(
-      w.engine, [&] { return fs.rename(ctx, "/vol0/meta/f0", "/vol0/meta/g0"); });
-  EXPECT_TRUE(st.ok()) << st;
   st = co_await eventually(w.engine, [&] { return fs.unlink(ctx, "/vol0/meta/f1"); });
   EXPECT_TRUE(st.ok()) << st;
   st = co_await eventually(w.engine, [&] { return fs.mkdir(ctx, "/vol0/meta/tomb"); });
@@ -535,7 +530,7 @@ sim::Task<void> expect_state(ChaosWorld& w, std::string path, bool want_exists) 
   }
 }
 
-// unlink/rmdir/rename land the same final namespace whether the metadata
+// unlink/rmdir land the same final namespace whether the metadata
 // service is a single server or a raft group, transient faults and all.
 TEST(Chaos, MetaMutationsSurviveTransientFaultsInBothModes) {
   for (const bool replicated : {false, true}) {
@@ -544,8 +539,7 @@ TEST(Chaos, MetaMutationsSurviveTransientFaultsInBothModes) {
     const std::uint64_t injected_before =
         counter("plfs.fault.busy").value() + counter("plfs.fault.io_error").value();
     test::run_task(w.engine, meta_mutation_storm(w));
-    test::run_task(w.engine, expect_state(w, "/vol0/meta/g0", true));
-    test::run_task(w.engine, expect_state(w, "/vol0/meta/f0", false));
+    test::run_task(w.engine, expect_state(w, "/vol0/meta/f0", true));
     test::run_task(w.engine, expect_state(w, "/vol0/meta/f1", false));
     test::run_task(w.engine, expect_state(w, "/vol0/meta/f2", true));
     test::run_task(w.engine, expect_state(w, "/vol0/meta/tomb", false));
@@ -553,25 +547,6 @@ TEST(Chaos, MetaMutationsSurviveTransientFaultsInBothModes) {
     EXPECT_GT(counter("plfs.fault.busy").value() + counter("plfs.fault.io_error").value(),
               injected_before);
   }
-}
-
-// Renames that stay in one metadata group are a single replicated command;
-// across groups there is no cross-log transaction, so the service must
-// reject rather than half-apply.
-TEST(Chaos, RaftRejectsCrossGroupRename) {
-  ChaosWorld w("none", /*replicated=*/true);
-  test::run_task(w.engine, [](ChaosWorld& w) -> sim::Task<void> {
-    const pfs::IoCtx ctx{1, 0};
-    EXPECT_TRUE((co_await w.faulty.mkdir(ctx, "/vol0/dir")).ok());
-    auto fd = co_await w.faulty.open(ctx, "/vol0/dir/file", pfs::OpenFlags::wr_create_excl());
-    EXPECT_TRUE(fd.ok()) << fd.status();
-    if (!fd.ok()) co_return;
-    EXPECT_TRUE((co_await w.faulty.close(ctx, *fd)).ok());
-    EXPECT_TRUE((co_await w.faulty.rename(ctx, "/vol0/dir/file", "/vol0/dir/moved")).ok());
-    const Status st = co_await w.faulty.rename(ctx, "/vol0/dir/moved", "/vol1/elsewhere");
-    EXPECT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), Errc::invalid);
-  }(w));
 }
 
 }  // namespace

@@ -231,6 +231,67 @@ TEST(RaftTest, NoQuorumSurfacesBusyWithinAttemptBound) {
   }(w));
 }
 
+// One instant, 256 submits: the leader keeps one AppendEntries in flight
+// per peer, so the burst rides a handful of RPCs instead of one per submit
+// per peer. Per peer, an unforced send needs an idle slot, which only the
+// first submit or a reply frees; a reply only sends again while entries
+// are still unreplicated, and every heartbeat forces one send (whose reply
+// may chain one more). That bounds the appends at peers * (2 + 2 * beats).
+TEST(RaftTest, PipelinedBurstKeepsOneAppendInFlightPerPeer) {
+  constexpr int kBurst = 256;
+  World w;
+  test::run_task(w.engine, w.expect_submit(0));  // elect a leader first
+  Counter& appends = counter("raft.append_rpcs");
+  Counter& beats = counter("raft.heartbeats");
+  Counter& suppressed = counter("raft.appends_suppressed");
+  const std::uint64_t appends_before = appends.value();
+  const std::uint64_t beats_before = beats.value();
+  const std::uint64_t suppressed_before = suppressed.value();
+  for (int v = 1; v <= kBurst; ++v) w.engine.spawn(w.expect_submit(v));
+  w.engine.run();
+  EXPECT_EQ(w.sm.applied.size(), static_cast<std::size_t>(kBurst) + 1);
+  const std::uint64_t peers = w.group.replicas() - 1;
+  const std::uint64_t sent = appends.value() - appends_before;
+  const std::uint64_t heartbeats = beats.value() - beats_before;
+  EXPECT_LE(sent, peers * (2 + 2 * heartbeats)) << "heartbeats=" << heartbeats;
+  EXPECT_LT(sent, peers * kBurst / 8);
+  EXPECT_GT(suppressed.value() - suppressed_before, 0u);
+}
+
+// An append whose reply never comes leaves the peer's in-flight slot taken;
+// only the next heartbeat's forced send frees it. So a follower that misses
+// an append (here: partitioned while it travels, healed before its
+// election timer fires) is caught up within one heartbeat plus one round
+// trip of the heal.
+TEST(RaftTest, LostAppendReplyStallsAPeerAtMostOneHeartbeat) {
+  const RaftConfig config = fast_config();
+  World w(42, config);
+  test::run_task(w.engine, w.expect_submit(1));
+  w.group.keep_alive(true);
+  const auto leader = static_cast<std::size_t>(w.group.leader_or_negative());
+  const std::size_t follower = leader == 0 ? 1 : 0;
+  // The submit reaches the leader one rpc_overhead plus a fabric hop after
+  // it starts; its append then travels another rpc_overhead, so a
+  // partition 5 us after the first hop lands catches the append in flight.
+  const std::int64_t t0 = w.engine.now().to_ns();
+  const Duration hop = config.rpc_overhead + Duration::us(5);
+  const std::int64_t cut = t0 + (config.rpc_overhead + hop).to_ns();
+  const std::int64_t heal = cut + Duration::ms(2).to_ns();
+  w.engine.at(TimePoint::from_ns(cut), [&w, follower] { w.group.set_partitioned(follower, true); });
+  w.engine.at(TimePoint::from_ns(heal),
+              [&w, follower] { w.group.set_partitioned(follower, false); });
+  w.engine.spawn(w.expect_submit(2));
+  w.engine.run_until(heal);
+  ASSERT_EQ(w.group.leader_or_negative(), static_cast<int>(leader));
+  EXPECT_LT(w.group.last_index_of(follower), w.group.last_index_of(leader))
+      << "the append was not lost";
+  const Duration round_trip = (config.rpc_overhead + Duration::us(20)) * 2;
+  w.engine.run_until(heal + (config.heartbeat + round_trip).to_ns() + 1);
+  EXPECT_EQ(w.group.last_index_of(follower), w.group.last_index_of(leader));
+  w.group.keep_alive(false);
+  w.engine.run();
+}
+
 // The acceptance property underneath the chaos suite: a (seed, scenario)
 // pair is a pure function — virtual completion time and apply order are
 // bit-identical across runs.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace tio::testbed {
 namespace {
 
@@ -60,6 +62,28 @@ TEST(Rig, VolumesLandOnDistinctMds) {
 TEST(Rig, ExplicitBackendCountOverridesDefault) {
   Rig rig({.cluster = lanl_cluster(), .pfs = lanl_pfs(4), .plfs_backends = 2});
   EXPECT_EQ(rig.mount().backends.size(), 2u);
+}
+
+// A server outage or partition must name a group and replica the rig has,
+// in both replication modes: no silent wrap onto another group when
+// replicated, no lowered "/volG" outage that matches no backend when not.
+TEST(Rig, OutOfRangeFaultTargetsThrowInBothModes) {
+  for (const auto replication : {pfs::MdsReplication::none, pfs::MdsReplication::raft}) {
+    SCOPED_TRACE(std::string(pfs::mds_replication_name(replication)));
+    const auto options = [replication](const char* spec) {
+      Rig::Options o;
+      o.cluster = lanl_cluster();
+      o.pfs = lanl_pfs(3);
+      o.pfs.mds_replication = replication;
+      o.fault_plan = pfs::FaultPlan::parse(spec).value();
+      return o;
+    };
+    for (const char* spec : {"server_outage=3:leader@1-2", "server_outage=0:3@1-2",
+                             "partition=3@1-2"}) {
+      EXPECT_THROW(Rig rig(options(spec)), std::invalid_argument) << spec;
+    }
+    EXPECT_NO_THROW(Rig rig(options("server_outage=2:2@1-2,partition=2@1-2")));
+  }
 }
 
 }  // namespace
