@@ -8,6 +8,11 @@ cd "$(dirname "$0")"
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
+# GCC 12 miscompiles co_await used as a conditional-operator operand
+# (DESIGN.md section 5k); reject it at the source before building.
+echo "==> source check: no co_await as a ternary operand"
+python3 tools/check_coawait_ternary.py src bench tests perfbench examples
+
 echo "==> configure + build (default preset)"
 cmake --preset default
 cmake --build --preset default -j "$jobs"
@@ -22,6 +27,11 @@ cmake --build --preset asan -j "$jobs"
 echo "==> index differential + cache + wire-codec tests under ASan/UBSan"
 ctest --preset asan -j "$jobs" -R \
   'IndexDiff|IndexCache|IndexProperty|Varint|WireV2|WireCompat'
+
+# A rank whose Parallel Index Read fails must not strand the others in a
+# collective: every rank returns, so no suspended frame leaks.
+echo "==> Parallel Index Read failure path under ASan/UBSan (no stranded ranks)"
+ctest --preset asan -j "$jobs" -R '^EndToEnd\.MissingIndexLogSurfacesCleanly$'
 
 # DeepAwaitChains is excluded: gcc does not tail-call the coroutine
 # symmetric transfer at -O0, so the 100k-deep chain overflows the stack in

@@ -116,8 +116,8 @@ std::vector<CbChunk> chunks_of(pfs::ExtentMap& map) {
   return out;
 }
 
-// Who does what in one exchange. Pure placement arithmetic: every rank
-// computes the same roles locally.
+// Who does what in one exchange. Pure placement arithmetic: the group
+// layout is shared by the comm's ranks, the rest is O(aggregators) per rank.
 struct Roles {
   int num_aggs = 0;
   std::vector<int> aggs;  // aggregator slot j -> comm rank
@@ -134,7 +134,7 @@ Roles roles_of(const mpi::Comm& comm, const CbConfig& config) {
     r.aggs[static_cast<std::size_t>(j)] = cb_aggregator_rank(j, r.num_aggs, comm.size());
     if (r.aggs[static_cast<std::size_t>(j)] == comm.rank()) r.my_j = j;
   }
-  r.plan = NodePlan::build(comm, config.node_aggregation);
+  r.plan = NodePlan::of(comm, config.node_aggregation);
   r.leader = r.plan.leader_of(r.plan.my_group);
   return r;
 }
@@ -307,7 +307,7 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
           merged[j].write(c.offset, std::move(c.data));
         }
       }
-      const std::vector<int>& residents = plan.members[plan.my_group];
+      const std::vector<int>& residents = plan.members(plan.my_group);
       for (std::size_t i = 1; i < residents.size(); ++i) {
         auto theirs = co_await comm.recv<std::vector<std::vector<CbChunk>>>(
             residents[i], kCbTagIntraW);
@@ -457,7 +457,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         note_msg(comm, leader, 0);
         co_await comm.send(leader, kCbTagIntraR, std::move(outgoing), pieces * 24);
       } else {
-        const std::vector<int>& residents = plan.members[plan.my_group];
+        const std::vector<int>& residents = plan.members(plan.my_group);
         member_pieces.resize(residents.size());
         member_pieces[0] = std::move(outgoing);
         for (std::size_t i = 1; i < residents.size(); ++i) {
@@ -545,7 +545,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
             }
           }
         }
-        const std::vector<int>& residents = plan.members[plan.my_group];
+        const std::vector<int>& residents = plan.members(plan.my_group);
         for (std::size_t i = 1; i < residents.size(); ++i) {
           std::vector<FragmentList> slices;
           std::uint64_t bytes = 0;

@@ -12,6 +12,7 @@
 
 #include <any>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -32,6 +33,14 @@ T checked_any_cast(std::any payload, const char* where) {
   return std::any_cast<T>(std::move(payload));
 }
 }  // namespace detail
+
+// A partition of a communicator's ranks into groups. Group ids are dense,
+// in order of first appearance by comm rank; each group's members are
+// ascending comm ranks, so members[g][0] is its lowest rank.
+struct RankGroups {
+  std::vector<int> group_of;              // comm rank -> group id
+  std::vector<std::vector<int>> members;  // group id -> comm ranks
+};
 
 class Comm {
  public:
@@ -55,6 +64,10 @@ class Comm {
     check_rank(r);
     return rt_->rack_of(group_->members[r]);
   }
+  // This comm's ranks grouped by node when `by_node`, else one group per
+  // rank. Pure placement knowledge, no communication. Built once per
+  // communicator by the first rank that asks and shared by all of them.
+  std::shared_ptr<const RankGroups> rank_groups(bool by_node) const;
   Runtime& runtime() const { return *rt_; }
   sim::Engine& engine() const { return rt_->engine(); }
   // Mailbox context id (unique per communicator); diagnostics only.
@@ -90,13 +103,37 @@ class Comm {
   sim::Task<T> allreduce(T mine, std::uint64_t bytes, Op op);
 
   // Collective: partitions ranks by `color`; ordering within a group is by
-  // (key, rank). Returns this rank's sub-communicator.
+  // (key, rank). Returns this rank's sub-communicator. All ranks of one
+  // color share one group (members list and caches).
   sim::Task<Comm> split(int color, int key);
 
  private:
+  friend struct CommTestPeer;  // tests inspect group sharing and memos
+
+  struct Group;
+  struct SplitEntry {
+    int color;
+    int key;
+  };
+  // One split's partition of the parent: the first rank out of the
+  // exchange computes it, each rank adopts its slot, and the last one to
+  // adopt erases it from the parent's memo.
+  struct SplitResult {
+    std::vector<std::shared_ptr<const Group>> groups;  // one per color
+    std::vector<std::pair<int, int>> place;  // parent rank -> (group, index)
+    int pending = 0;                         // ranks yet to adopt
+  };
+  // A process group, shared by every rank's handle. Communicator-wide
+  // structures hang off it so they are built once per communicator, not
+  // once per rank: each of those builds spans the whole group, so per-rank
+  // builds cost O(size^2). All ranks of a runtime run on one engine
+  // thread, so the mutable caches need no lock.
   struct Group {
-    std::uint64_t context;
+    std::uint64_t context = 0;
     std::vector<int> members;  // global ranks, comm order
+    mutable std::map<std::uint32_t, SplitResult> splits;  // in flight, by op counter
+    mutable std::shared_ptr<const RankGroups> node_groups;
+    mutable std::shared_ptr<const RankGroups> single_groups;
   };
   Comm(Runtime& rt, std::shared_ptr<const Group> group, int my_index)
       : rt_(&rt), group_(std::move(group)), my_index_(my_index) {}
@@ -105,6 +142,8 @@ class Comm {
   sim::Task<void> send_any(int dest, int tag, std::any payload, std::uint64_t bytes);
   sim::Task<std::any> recv_any(int src, int tag);
   int next_op_tag() { return kCollectiveTagBase + 32 * static_cast<int>(op_counter_++); }
+  // Forms every color's group of the split at op counter `op`.
+  SplitResult partition(const std::vector<SplitEntry>& entries, std::uint32_t op) const;
   void check_rank(int r) const {
     if (r < 0 || r >= size()) throw std::out_of_range("Comm: bad rank");
   }

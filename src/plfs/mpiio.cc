@@ -43,6 +43,20 @@ std::size_t group_size_for(const PlfsMount& mount, int nprocs) {
 // every rank must degrade to Parallel Index Read instead.
 constexpr std::uint64_t kFlattenUnusable = ~std::uint64_t{0};
 
+// Sentinel broadcast by rank 0 when it cannot list the index logs: every
+// rank fails the Parallel Index Read together.
+constexpr std::uint64_t kListUnusable = ~std::uint64_t{0};
+
+// What a rank returns when the Parallel Index Read failed on another rank.
+Status peer_failed() { return error(Errc::io_error, "parallel index read failed on a peer rank"); }
+
+// One rank's merged run as gathered by its group leader. `failed` marks a
+// rank whose index read failed; its run is empty.
+struct MemberRun {
+  std::vector<IndexEntry> entries;
+  bool failed = false;
+};
+
 sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
                                                const std::string& logical);
 
@@ -90,25 +104,44 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
   // phase breakdown: it is the metadata half of reading the index.
   trace::Span read_span(comm.engine(), open_read_site(), ctx.rank);
   std::vector<Plfs::IndexLogRef> logs;
+  Status my_status = Status::Ok();
   if (comm.rank() == 0) {
     auto listed = co_await plfs.list_index_logs(ctx, logical);
-    if (!listed.ok()) co_return listed.status();
-    logs = std::move(listed.value());
+    if (listed.ok()) {
+      logs = std::move(listed.value());
+    } else {
+      my_status = listed.status();
+    }
   }
-  const std::uint64_t list_bytes =
-      co_await comm.bcast(0, static_cast<std::uint64_t>(64 * logs.size()), 8);
+  const std::uint64_t my_list_bytes =
+      my_status.ok() ? static_cast<std::uint64_t>(64 * logs.size()) : kListUnusable;
+  const std::uint64_t list_bytes = co_await comm.bcast(0, my_list_bytes, 8);
+  if (list_bytes == kListUnusable) {
+    if (!my_status.ok()) co_return my_status;
+    co_return peer_failed();
+  }
   auto shared_logs = co_await comm.bcast(
       0, std::make_shared<const std::vector<Plfs::IndexLogRef>>(std::move(logs)), list_bytes);
 
   // 2. Each rank reads its disjoint share of the index logs and k-way
   // merges them (each log is a timestamp-sorted run) into one sorted run.
+  // A rank whose read fails stops reading but stays in every collective
+  // below with an empty, failed run, so no other rank waits forever.
   IndexBuilder my_runs;
   for (std::size_t i = comm.rank(); i < shared_logs->size(); i += n) {
     auto entries = co_await plfs.read_index_log(ctx, logical, (*shared_logs)[i].path);
-    if (!entries.ok()) co_return entries.status();
+    if (!entries.ok()) {
+      my_status = entries.status();
+      break;
+    }
     my_runs.add_run(std::move(entries.value()));
   }
-  std::vector<IndexEntry> mine = my_runs.merged_run();
+  MemberRun mine;
+  if (my_status.ok()) {
+    mine.entries = my_runs.merged_run();
+  } else {
+    mine.failed = true;
+  }
   read_span.end();
 
   // 3. Two-level aggregation: members -> group leader, leaders <-> leaders.
@@ -126,25 +159,39 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
 
   // Runs travel pattern-compressed: the transfer volume every collective
   // below charges is the encoded size, not count * 40.
-  const std::uint64_t my_bytes = encoded_size(mine);
+  const std::uint64_t my_bytes = encoded_size(mine.entries);
   auto member_runs = co_await group.gather(0, std::move(mine), my_bytes);
 
   IndexPtr index;
   if (leader) {
     // Merge the group's member runs into one sorted run; sorted runs (not
-    // raw pools) are what leaders exchange.
+    // raw pools) are what leaders exchange. A group with a failed member
+    // contributes a null run, which fails the whole aggregation.
     IndexBuilder group_builder;
-    for (auto& run : member_runs) group_builder.add_entries(std::move(run));
-    auto group_run =
-        std::make_shared<const std::vector<IndexEntry>>(group_builder.merged_run());
-    const std::uint64_t run_bytes = encoded_size(*group_run);
+    bool group_failed = false;
+    for (auto& run : member_runs) {
+      group_failed = group_failed || run.failed;
+      group_builder.add_entries(std::move(run.entries));
+    }
+    std::shared_ptr<const std::vector<IndexEntry>> group_run;
+    if (!group_failed) {
+      group_run = std::make_shared<const std::vector<IndexEntry>>(group_builder.merged_run());
+    }
+    const std::uint64_t run_bytes = group_run != nullptr ? encoded_size(*group_run) : 0;
     // Runs travel as shared structure: every leader logically holds the
     // full entry set (and is charged transfer + merge CPU for it), but the
     // simulator keeps one copy — 65,536-rank runs would otherwise
     // materialize hundreds of copies of a million-entry run.
     auto all_runs = co_await leaders.allgather(std::move(group_run), run_bytes);
     std::size_t total = 0;
-    for (const auto& r : all_runs) total += r->size();
+    bool any_failed = false;
+    for (const auto& r : all_runs) {
+      if (r == nullptr) {
+        any_failed = true;
+      } else {
+        total += r->size();
+      }
+    }
     // The merge CPU sits between two exchange collectives: close the
     // exchange span across it so the phases stay disjoint.
     exchange_span.end();
@@ -154,7 +201,7 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
                                    static_cast<std::int64_t>(total));
     }
     exchange_span = trace::Span(comm.engine(), open_exchange_site(), ctx.rank);
-    if (leaders.rank() == 0) {
+    if (leaders.rank() == 0 && !any_failed) {
       IndexBuilder global_builder;
       for (const auto& r : all_runs) global_builder.add_run(r);
       index = global_builder.build();
@@ -166,9 +213,11 @@ sim::Task<Result<IndexPtr>> aggregate_parallel(Plfs& plfs, mpi::Comm& comm,
 
   // 4. Leaders broadcast the merged global index within their group.
   trace::Span bcast_span(comm.engine(), open_broadcast_site(), ctx.rank);
-  const std::uint64_t idx_bytes = leader ? index->serialized_bytes() : 0;
+  const std::uint64_t idx_bytes = index != nullptr ? index->serialized_bytes() : 0;
   const std::uint64_t bytes = co_await group.bcast(0, idx_bytes, 8);
   index = co_await group.bcast(0, std::move(index), bytes);
+  if (!my_status.ok()) co_return my_status;
+  if (index == nullptr) co_return peer_failed();
   co_return index;
 }
 

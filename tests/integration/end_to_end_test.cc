@@ -72,17 +72,19 @@ TEST(EndToEnd, MissingIndexLogSurfacesCleanly) {
     EXPECT_TRUE((co_await rig.pfs().close(ctx, *fd)).ok());
     (void)comm;
   });
-  mpi::run_spmd(rig.cluster(), 8, [&rig](mpi::Comm comm) -> sim::Task<void> {
+  // Every rank must come back from the collective open with the error: the
+  // rank that read the truncated log and every rank that waited on it.
+  int failed = 0;
+  mpi::run_spmd(rig.cluster(), 8, [&rig, &failed](mpi::Comm comm) -> sim::Task<void> {
     auto f = co_await plfs::MpiFile::open_read(rig.plfs(), comm, "/victim",
                                                plfs::ReadStrategy::parallel_read);
-    // The rank that read the truncated log propagates the error; depending
-    // on assignment the others may succeed or fail, but nobody crashes.
+    EXPECT_FALSE(f.ok()) << "rank " << comm.rank();
     if (!f.ok()) {
-      EXPECT_EQ(f.status().code(), Errc::io_error);
-    } else {
-      (void)co_await (*f)->close_read();
+      EXPECT_EQ(f.status().code(), Errc::io_error) << "rank " << comm.rank();
+      ++failed;
     }
   });
+  EXPECT_EQ(failed, 8);
 }
 
 TEST(EndToEnd, TruncatedDataLogDetectedOnRead) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -201,12 +202,12 @@ TEST(CbNodePlan, GroupsRanksByNodeWithLowestRankLeading) {
   sim::Engine engine;
   net::Cluster cluster(engine, tiny_cluster());
   mpi::run_spmd(cluster, 16, [](mpi::Comm comm) -> sim::Task<void> {
-    const NodePlan plan = NodePlan::build(comm, /*by_node=*/true);
+    const NodePlan plan = NodePlan::of(comm, /*by_node=*/true);
     EXPECT_EQ(plan.num_groups(), 4);
     EXPECT_EQ(plan.my_group, comm.rank() / 4);
     EXPECT_EQ(plan.leader_of(plan.my_group), (comm.rank() / 4) * 4);
     EXPECT_EQ(plan.is_leader(comm.rank()), comm.rank() % 4 == 0);
-    EXPECT_EQ(plan.members[plan.my_group].size(), 4u);
+    EXPECT_EQ(plan.members(plan.my_group).size(), 4u);
     co_return;
   });
 }
@@ -215,13 +216,76 @@ TEST(CbNodePlan, PerRankGroupingMakesEveryRankItsOwnLeader) {
   sim::Engine engine;
   net::Cluster cluster(engine, tiny_cluster());
   mpi::run_spmd(cluster, 16, [](mpi::Comm comm) -> sim::Task<void> {
-    const NodePlan plan = NodePlan::build(comm, /*by_node=*/false);
+    const NodePlan plan = NodePlan::of(comm, /*by_node=*/false);
     EXPECT_EQ(plan.num_groups(), 16);
     EXPECT_EQ(plan.my_group, comm.rank());
     EXPECT_TRUE(plan.is_leader(comm.rank()));
-    EXPECT_EQ(plan.members[plan.my_group], std::vector<int>{comm.rank()});
+    EXPECT_EQ(plan.members(plan.my_group), std::vector<int>{comm.rank()});
     co_return;
   });
+}
+
+// The grouping as every rank used to build it for itself: dense ids in
+// order of first appearance by comm rank, members ascending.
+mpi::RankGroups reference_groups(const mpi::Comm& comm, bool by_node) {
+  mpi::RankGroups ref;
+  std::map<std::size_t, int> dense;
+  for (int r = 0; r < comm.size(); ++r) {
+    const std::size_t key = by_node ? comm.node_of_rank(r) : static_cast<std::size_t>(r);
+    auto [it, inserted] = dense.emplace(key, static_cast<int>(ref.members.size()));
+    if (inserted) ref.members.emplace_back();
+    ref.group_of.push_back(it->second);
+    ref.members[static_cast<std::size_t>(it->second)].push_back(r);
+  }
+  return ref;
+}
+
+// One layout per communicator and grouping, shared by all of its ranks.
+// 24 ranks on 16 cores wrap around the nodes, so node groups are not
+// contiguous rank blocks; the odd/even split gives sub-communicators whose
+// node groups differ from the world's.
+TEST(CbNodePlan, LayoutSharedAcrossRanks) {
+  constexpr int kRanks = 24;
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  // Holding the layouts keeps their addresses from being reused.
+  using Layout = std::shared_ptr<const mpi::RankGroups>;
+  std::vector<Layout> world[2];
+  std::vector<Layout> sub[2];
+  std::vector<int> parity(kRanks);
+  for (auto& v : world) v.resize(kRanks);
+  for (auto& v : sub) v.resize(kRanks);
+  mpi::run_spmd(cluster, kRanks, [&](mpi::Comm comm) -> sim::Task<void> {
+    const int me = comm.rank();
+    parity[static_cast<std::size_t>(me)] = me % 2;
+    mpi::Comm half = co_await comm.split(me % 2, me);
+    // (No braced init lists in coroutines: GCC 12 cannot materialize their
+    // arrays in coroutine frames.)
+    for (int by_node = 0; by_node < 2; ++by_node) {
+      const NodePlan plan = NodePlan::of(comm, by_node == 1);
+      const NodePlan half_plan = NodePlan::of(half, by_node == 1);
+      const mpi::RankGroups ref = reference_groups(comm, by_node == 1);
+      const mpi::RankGroups half_ref = reference_groups(half, by_node == 1);
+      EXPECT_EQ(plan.layout->group_of, ref.group_of);
+      EXPECT_EQ(plan.layout->members, ref.members);
+      EXPECT_EQ(plan.my_group, ref.group_of[static_cast<std::size_t>(me)]);
+      EXPECT_EQ(half_plan.layout->group_of, half_ref.group_of);
+      EXPECT_EQ(half_plan.layout->members, half_ref.members);
+      world[by_node][static_cast<std::size_t>(me)] = plan.layout;
+      sub[by_node][static_cast<std::size_t>(me)] = half_plan.layout;
+    }
+  });
+  for (const int by_node : {0, 1}) {
+    SCOPED_TRACE("by_node=" + std::to_string(by_node));
+    for (int r = 0; r < kRanks; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_EQ(world[by_node][i], world[by_node][0]);
+      EXPECT_EQ(sub[by_node][i], sub[by_node][static_cast<std::size_t>(parity[i])]);
+      EXPECT_NE(sub[by_node][i], world[by_node][i]);
+    }
+    EXPECT_NE(sub[by_node][0], sub[by_node][1]);
+    EXPECT_NE(world[by_node][0], world[1 - by_node][0]);
+  }
 }
 
 // --- config validation ---

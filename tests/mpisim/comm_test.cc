@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
 
 #include "mpisim/runtime.h"
 
 namespace tio::mpi {
+
+// Test-only view of a communicator's shared group.
+struct CommTestPeer {
+  static const std::vector<int>& members(const Comm& c) { return c.group_->members; }
+  static std::size_t pending_splits(const Comm& c) { return c.group_->splits.size(); }
+};
+
 namespace {
 
 net::ClusterConfig test_cluster() {
@@ -201,6 +210,96 @@ TEST(Comm, SplitWithReversedKeysReversesOrder) {
     sub_rank[comm.rank()] = sub.rank();
   });
   for (int r = 0; r < n; ++r) EXPECT_EQ(sub_rank[r], n - 1 - r);
+}
+
+// Splits with seeded random colors and keys (ties and negative keys
+// included) must give every rank exactly what the per-rank (key, rank) sort
+// over its own color gives, and all ranks of one color must share one
+// members list.
+TEST(Comm, SplitMatchesPerRankReference) {
+  for (const int n : {1, 2, 3, 13, 33, 256}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::mt19937 rng(static_cast<std::uint32_t>(1000 + n));
+    std::vector<int> color(n), key(n);
+    for (int r = 0; r < n; ++r) {
+      color[r] = static_cast<int>(rng() % 5) - 1;
+      key[r] = static_cast<int>(rng() % 7) - 3;
+    }
+    std::vector<int> sub_rank(n, -1), sub_size(n, -1);
+    std::vector<std::vector<int>> members(n);
+    std::vector<Comm> subs;  // keeps every group alive for the identity check
+    spmd(n, [&](Comm comm) -> sim::Task<void> {
+      const int me = comm.rank();
+      Comm sub = co_await comm.split(color[me], key[me]);
+      sub_rank[me] = sub.rank();
+      sub_size[me] = sub.size();
+      members[me] = CommTestPeer::members(sub);
+      subs.push_back(sub);
+    });
+    ASSERT_EQ(subs.size(), static_cast<std::size_t>(n));
+    std::vector<const std::vector<int>*> list_of_color;
+    std::vector<int> seen_colors;
+    for (const Comm& sub : subs) {
+      const int r = sub.global_rank();
+      std::vector<std::pair<std::pair<int, int>, int>> mine;  // ((key, rank), rank)
+      for (int q = 0; q < n; ++q) {
+        if (color[q] == color[r]) mine.push_back({{key[q], q}, q});
+      }
+      std::sort(mine.begin(), mine.end());
+      std::vector<int> want;
+      for (const auto& m : mine) want.push_back(m.second);
+      const auto at = std::find(want.begin(), want.end(), r) - want.begin();
+      EXPECT_EQ(sub_rank[r], at) << "rank " << r;
+      EXPECT_EQ(sub_size[r], static_cast<int>(want.size())) << "rank " << r;
+      EXPECT_EQ(members[r], want) << "rank " << r;
+      const auto c = std::find(seen_colors.begin(), seen_colors.end(), color[r]);
+      if (c == seen_colors.end()) {
+        seen_colors.push_back(color[r]);
+        list_of_color.push_back(&CommTestPeer::members(sub));
+      } else {
+        EXPECT_EQ(&CommTestPeer::members(sub), list_of_color[c - seen_colors.begin()])
+            << "rank " << r << " has its own copy of color " << color[r];
+      }
+    }
+    // Distinct colors never share a group.
+    for (std::size_t i = 0; i < list_of_color.size(); ++i) {
+      for (std::size_t j = i + 1; j < list_of_color.size(); ++j) {
+        EXPECT_NE(list_of_color[i], list_of_color[j]);
+      }
+    }
+  }
+}
+
+// Back-to-back splits of one parent and a split of a split both work, and
+// once every rank is past a split the parent holds no memo for it.
+TEST(Comm, NestedAndBackToBackSplitsLeaveNoMemo) {
+  constexpr int n = 24;
+  std::vector<int> sums(n, -1);
+  spmd(n, [&sums](Comm comm) -> sim::Task<void> {
+    const int me = comm.rank();
+    Comm thirds = co_await comm.split(me % 3, -me);
+    Comm blocks = co_await comm.split(me / 8, me);
+    co_await comm.barrier();
+    EXPECT_EQ(CommTestPeer::pending_splits(comm), 0u);
+    EXPECT_EQ(thirds.size(), 8);
+    EXPECT_EQ(thirds.rank(), 7 - me / 3);
+    EXPECT_EQ(blocks.size(), 8);
+    EXPECT_EQ(blocks.rank(), me % 8);
+
+    Comm halves = co_await thirds.split(thirds.rank() % 2, thirds.rank());
+    co_await thirds.barrier();
+    EXPECT_EQ(CommTestPeer::pending_splits(thirds), 0u);
+    EXPECT_EQ(halves.size(), 4);
+    EXPECT_EQ(halves.rank(), thirds.rank() / 2);
+
+    // Collectives on every level still pair up.
+    const auto plus = [](int a, int b) { return a + b; };
+    const int in_halves = co_await halves.allreduce(me, 8, plus);
+    const int in_blocks = co_await blocks.allreduce(in_halves, 8, plus);
+    sums[me] = co_await comm.allreduce(in_blocks, 8, plus);
+  });
+  for (int r = 0; r < n; ++r) EXPECT_EQ(sums[r], sums[0]) << "rank " << r;
+  EXPECT_GT(sums[0], 0);
 }
 
 TEST(Comm, CollectiveTimesScaleLogarithmically) {

@@ -266,6 +266,20 @@ TEST(ParallelRead, MoreRanksThanIndexLogs) {
   });
 }
 
+TEST(ParallelRead, UnlistableFileFailsOnEveryRank) {
+  // Rank 0 cannot list the index logs of a file that was never written;
+  // its sentinel must release every other rank from the collective.
+  World w;
+  std::vector<Errc> codes(8, Errc::ok);
+  mpi::run_spmd(w.cluster, 8, [&w, &codes](mpi::Comm comm) -> sim::Task<void> {
+    auto file = co_await MpiFile::open_read(w.plfs, comm, "/never-written",
+                                            ReadStrategy::parallel_read);
+    codes[static_cast<std::size_t>(comm.rank())] = file.status().code();
+  });
+  EXPECT_EQ(codes[0], Errc::not_found);
+  for (int r = 1; r < 8; ++r) EXPECT_EQ(codes[static_cast<std::size_t>(r)], Errc::io_error) << r;
+}
+
 TEST(MpiFile, ReadBeforeOpenFails) {
   World w;
   mpi::run_spmd(w.cluster, 2, [&w](mpi::Comm comm) -> sim::Task<void> {

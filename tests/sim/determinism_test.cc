@@ -77,7 +77,10 @@ TEST(Determinism, Fig4ShapedJobIsBitReproducible) {
 
 // ---------------------------------------------------------------------------
 // Cross-shard matrix: fig. 8-shaped cells (Cielo rig, N-1 I/O plus an N-N
-// metadata storm) run through a ShardPool at shards in {1, 2, 4, 8}.
+// metadata storm) and a LANL 3-shaped collective-buffering cell run through
+// a ShardPool at shards in {1, 2, 4, 8}. The collective cell keeps the
+// communicator-wide caches (split partitions, request-group layouts) under
+// the same contract.
 
 int matrix_ranks() {
   if (const char* env = std::getenv("TIO_MATRIX_RANKS")) {
@@ -125,15 +128,28 @@ MatrixOutcome storm_cell(int ranks, const pfs::FaultPlan& plan) {
                        PhaseTimes{}, PhaseTimes{}, r.open_s, r.close_s};
 }
 
+MatrixOutcome cb_cell(int ranks, const pfs::FaultPlan& plan) {
+  testbed::Rig rig(cielo_opts(plan));
+  TargetOptions target;
+  target.access = Access::plfs_n1;
+  iolib::CbConfig cb;
+  cb.node_aggregation = true;
+  const JobResult result =
+      run_job(rig, ranks, lanl3(ranks, static_cast<std::uint64_t>(ranks) * (16 << 10), target, cb));
+  return MatrixOutcome{rig.engine().events_processed(), rig.engine().now().to_ns(),
+                       result.write, result.read, 0, 0};
+}
+
 // Runs every cell through a pool with the given shard count. Each cell is an
 // independent rig, so the results must not depend on placement.
 std::vector<MatrixOutcome> run_matrix(std::size_t shards, int ranks,
                                       const pfs::FaultPlan& plan) {
-  std::vector<MatrixOutcome> out(3);
+  std::vector<MatrixOutcome> out(4);
   sim::ShardPool pool(shards);
   pool.submit([&out, ranks, &plan] { out[0] = io_cell(Access::direct_n1, ranks, plan); });
   pool.submit([&out, ranks, &plan] { out[1] = io_cell(Access::plfs_n1, ranks, plan); });
   pool.submit([&out, ranks, &plan] { out[2] = storm_cell(ranks, plan); });
+  pool.submit([&out, ranks, &plan] { out[3] = cb_cell(ranks, plan); });
   pool.run_all();
   return out;
 }
@@ -159,6 +175,7 @@ TEST(Determinism, CrossShardMatrixMatchesSerialBaseline) {
   const std::vector<MatrixOutcome> baseline = run_matrix(1, ranks, no_faults);
   EXPECT_GT(baseline[0].events, static_cast<std::uint64_t>(ranks));
   EXPECT_GT(baseline[2].open_s, 0.0);
+  EXPECT_EQ(baseline[3].write.bytes, static_cast<std::uint64_t>(ranks) * (16 << 10));
 
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
