@@ -6,12 +6,14 @@
 // backoff schedules regardless of event interleaving. Jitter is derived by
 // hashing (seed, op_key, attempt): every operation gets its own jitter
 // stream (spreading a thundering herd of retriers) without consuming state
-// anywhere. The coroutine retry loops that apply the policy live next to
-// their call sites (plfs); the timeout primitive lives in sim/timeout.h.
+// anywhere. The one coroutine loop that applies the policy is sim::retry
+// (sim/retry.h).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <string_view>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -33,10 +35,6 @@ struct RetryPolicy {
   // Fraction of the nominal backoff used as a symmetric jitter window:
   // actual = nominal * (1 + jitter * u), u deterministic in [-1, 1).
   double jitter = 0.25;
-  // Per-attempt virtual-time deadline; zero disables timeouts. A timed-out
-  // attempt counts as a transient failure (the in-flight op is abandoned to
-  // the background, as a client deserting a stalled RPC would).
-  Duration op_timeout = Duration::zero();
   // Stream seed for the deterministic jitter hash.
   std::uint64_t seed = 0x0b0ff5eed;
 
@@ -66,6 +64,15 @@ struct RetryPolicy {
   }
 };
 
+// Jitter-stream key for an op on `path`: every path retries on its own
+// deterministic schedule, spreading thundering herds. Each caller keeps its
+// own `seed`, so two callers retrying the same path draw different streams.
+inline std::uint64_t path_op_key(std::uint64_t seed, std::string_view path) {
+  std::uint64_t h = seed;
+  for (const char c : path) h = splitmix64(h ^ static_cast<unsigned char>(c));
+  return h;
+}
+
 // A client-wide cap on total retries. One budget is shared by every
 // operation of a client instance, so a persistent failure (dead backend,
 // corrupt file) cannot degenerate into an unbounded retry storm: once the
@@ -73,6 +80,9 @@ struct RetryPolicy {
 // consumer runs on the deterministic engine.
 class RetryBudget {
  public:
+  // For a client with no cap (a plain POSIX client re-issuing syscalls).
+  static constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
+
   explicit RetryBudget(std::uint64_t total = 4096) : remaining_(total) {}
 
   // Takes one retry token; false when the budget is exhausted.

@@ -46,12 +46,6 @@ std::string_view path_dirname(std::string_view p) {
   return p.substr(0, pos);
 }
 
-std::string_view path_basename(std::string_view p) {
-  const std::size_t pos = p.rfind('/');
-  if (pos == std::string_view::npos) return p;
-  return p.substr(pos + 1);
-}
-
 std::string path_normalize(std::string_view p) {
   std::string out = "/";
   for (auto part : split(p, '/')) {
@@ -79,18 +73,6 @@ std::string format_bytes(std::uint64_t bytes) {
     ++u;
   }
   return str_printf(u == 0 ? "%.0f %s" : "%.1f %s", v, kUnits[u]);
-}
-
-std::string format_si(double v, std::string_view unit) {
-  static constexpr const char* kPrefix[] = {"", "K", "M", "G", "T", "P"};
-  int u = 0;
-  double a = v < 0 ? -v : v;
-  while (a >= 1000.0 && u < 5) {
-    a /= 1000.0;
-    v /= 1000.0;
-    ++u;
-  }
-  return str_printf("%.2f %s%.*s", v, kPrefix[u], static_cast<int>(unit.size()), unit.data());
 }
 
 std::string str_printf(const char* fmt, ...) {

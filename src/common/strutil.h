@@ -13,16 +13,14 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 // POSIX-style path helpers operating on '/'-separated logical paths.
 std::string path_join(std::string_view a, std::string_view b);
-std::string_view path_dirname(std::string_view p);   // "/a/b/c" -> "/a/b", "/a" -> "/"
-std::string_view path_basename(std::string_view p);  // "/a/b/c" -> "c"
+std::string_view path_dirname(std::string_view p);  // "/a/b/c" -> "/a/b", "/a" -> "/"
 // Normalizes to an absolute path with no trailing slash (except root), no
 // empty components. Does not resolve "." / "..".
 std::string path_normalize(std::string_view p);
 // Components of a normalized absolute path ("/a/b" -> {"a", "b"}).
 std::vector<std::string_view> path_components(std::string_view p);
 
-std::string format_bytes(std::uint64_t bytes);           // "50.0 MiB"
-std::string format_si(double v, std::string_view unit);  // "1.25 GB/s"
+std::string format_bytes(std::uint64_t bytes);  // "50.0 MiB"
 std::string str_printf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace tio

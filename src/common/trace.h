@@ -231,8 +231,8 @@ class BasicSpan {
 using Span = BasicSpan<sim::Engine>;
 
 // Records a span retroactively, from a captured start time to now — for
-// segments whose significance is only known at the end (e.g. an attempt
-// that turned out to hit its timeout).
+// segments whose significance is only known at the end (e.g. a raft
+// candidacy, recorded once it is won).
 template <typename Clock>
 void record_span(Clock& clock, const SpanSite& site, int rank, std::int64_t start_ns) {
   const std::int64_t end_ns = clock.now().to_ns();

@@ -92,10 +92,6 @@ class Comm {
   // gather to rank 0 + bcast (n log n messages; robust at any size).
   template <typename T>
   sim::Task<std::vector<T>> allgather(T mine, std::uint64_t bytes);
-  // Pairwise exchange; element i of the result came from rank i. Quadratic
-  // message count — intended for small comms (e.g. group leaders).
-  template <typename T>
-  sim::Task<std::vector<T>> alltoall(std::vector<T> to_send, std::uint64_t bytes_each);
   // Binomial reduction with a binary op; result valid on root only.
   template <typename T, typename Op>
   sim::Task<T> reduce(int root, T mine, std::uint64_t bytes, Op op);
@@ -242,26 +238,6 @@ sim::Task<std::vector<T>> Comm::allgather(T mine, std::uint64_t bytes) {
   // Broadcasting the full vector costs n * bytes.
   co_return co_await bcast(0, std::move(gathered),
                            bytes * static_cast<std::uint64_t>(size()));
-}
-
-template <typename T>
-sim::Task<std::vector<T>> Comm::alltoall(std::vector<T> to_send, std::uint64_t bytes_each) {
-  if (static_cast<int>(to_send.size()) != size()) {
-    throw std::invalid_argument("Comm::alltoall: vector size must equal comm size");
-  }
-  const int tag = next_op_tag();
-  const int n = size();
-  std::vector<T> out(n);
-  out[rank()] = std::move(to_send[rank()]);
-  // Pairwise rounds: in round r exchange with (rank + r) % n / (rank - r + n) % n.
-  for (int r = 1; r < n; ++r) {
-    const int to = (rank() + r) % n;
-    const int from = (rank() - r + n) % n;
-    co_await send_any(to, tag + 1, std::any(std::move(to_send[to])), bytes_each);
-    std::any payload = co_await recv_any(from, tag + 1);
-    out[from] = detail::checked_any_cast<T>(std::move(payload), "alltoall");
-  }
-  co_return out;
 }
 
 template <typename T, typename Op>

@@ -62,16 +62,12 @@ struct PfsConfig {
   std::uint64_t ost_cache_bytes = 512_MiB;
   double ost_cache_bandwidth = 2.0e9;
 
-  // --- Data-path client behaviour ---
-  // Write-behind caching: writes charge bandwidth (net + OST) but not a
-  // per-op round trip; a lock revocation still synchronously flushes (the
-  // lock_transfer_time below).
-  bool write_behind = true;
-
   // --- Shared-file write locking (the N-1 penalty) ---
-  // Ownership is tracked per *process* (PanFS DirectFlow-style client
-  // locks): interleaved writers thrash regardless of node placement.
-  bool shared_file_locking = true;
+  // Clients cache writes behind (writes charge bandwidth, net + OST, but not
+  // a per-op round trip), so a lock revocation synchronously flushes (the
+  // lock_transfer_time below). Ownership is tracked per *process* (PanFS
+  // DirectFlow-style client locks): interleaved writers thrash regardless
+  // of node placement.
   std::uint64_t lock_range = 1_MiB;      // range-lock granularity
   Duration lock_transfer_time = Duration::ms(1);   // revoke + grant
   Duration lock_grant_time = Duration::us(50);     // uncontended grant

@@ -534,7 +534,7 @@ sim::Task<void> SimPfs::data_path(IoCtx ctx, ObjectId oid, std::uint64_t offset,
   (void)ctx;
   // Write-behind: the client pipelines dirty data to the server, so writes
   // pay bandwidth but not a per-op round trip; reads are synchronous.
-  if (!(is_write && config_.write_behind)) {
+  if (!is_write) {
     co_await engine().sleep(cluster_.storage_latency());
   }
   // The network transfer and the disk work pipeline (servers stream while
@@ -598,9 +598,7 @@ sim::Task<Result<std::uint64_t>> SimPfs::write(IoCtx ctx, FileId file, std::uint
   Object& o = object(of->oid);
   const std::uint64_t len = data.size();
 
-  if (config_.shared_file_locking) {
-    co_await acquire_write_locks(ctx, o, offset, len);
-  }
+  co_await acquire_write_locks(ctx, o, offset, len);
   // Read-modify-write penalty: unaligned data arriving anywhere but the
   // current end of file forces partial-page (parity-stripe) RMW at the
   // server. In-order appends coalesce in the write-behind cache and are

@@ -68,8 +68,6 @@ struct PlfsMount {
   // wherever entries are processed, so index aggregation is never free.
   Duration index_cpu_per_entry = Duration::ns(1000);
 
-  ReadStrategy default_strategy = ReadStrategy::parallel_read;
-
   // Byte budget for the per-Plfs shared index cache (parsed index logs and
   // built serial indices). 0 disables caching entirely.
   std::uint64_t index_cache_bytes = 256_MiB;

@@ -4,7 +4,6 @@
 #include <array>
 #include <concepts>
 #include <limits>
-#include <optional>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -12,7 +11,6 @@
 #include "common/trace.h"
 #include "plfs/pattern.h"
 #include "sim/sync.h"
-#include "sim/timeout.h"
 
 namespace tio::plfs {
 
@@ -20,54 +18,21 @@ using pfs::OpenFlags;
 
 namespace {
 
-// Hot-path counters, resolved once: counter() takes the registry mutex and
-// a map lookup, which the stats.h contract lets us hoist (counters are
-// process-lifetime). These run once per backend op / retry / index batch.
-struct RetryCounters {
-  Counter& timeouts = counter("plfs.retry.timeouts");
-  Counter& success_after_retry = counter("plfs.retry.success_after_retry");
-  Counter& exhausted = counter("plfs.retry.exhausted");
-  Counter& budget_exhausted = counter("plfs.retry.budget_exhausted");
-  Counter& attempts = counter("plfs.retry.attempts");
-  Counter& backoff_ns = counter("plfs.retry.backoff_ns");
-  Counter& short_write_resumed = counter("plfs.retry.short_write_resumed");
-};
-RetryCounters& retry_counters() {
-  static RetryCounters c;
+// Retries of every backend op this layer issues report here. The span
+// site (and so its histogram) registers only on the first backoff sleep.
+sim::RetryCounters& retry_counters() {
+  static sim::RetryCounters c("plfs.retry");
   return c;
 }
-
-// Span sites for the retry layer: every backoff sleep and every timed-out
-// attempt becomes a span (and a histogram sample).
 const trace::SpanSite& backoff_site() {
   static const trace::SpanSite site("plfs.retry", "plfs.retry.backoff");
   return site;
 }
-const trace::SpanSite& timeout_site() {
-  static const trace::SpanSite site("plfs.retry", "plfs.retry.timeout");
-  return site;
-}
 
-// Jitter stream key for an op on a path: every path retries on its own
-// deterministic schedule, spreading thundering herds.
-std::uint64_t path_op_key(std::string_view s) {
-  std::uint64_t h = 0x7e57a1101dull;
-  for (const char c : s) h = splitmix64(h ^ static_cast<unsigned char>(c));
-  return h;
-}
+// Seed of the jitter-stream keys of path-addressed backend ops.
+constexpr std::uint64_t kOpKeySeed = 0x7e57a1101dull;
 
-Status status_of(const Status& s) { return s; }
-template <typename T>
-Status status_of(const Result<T>& r) {
-  return r.status();
-}
-
-template <typename T>
-struct task_value;
-template <typename T>
-struct task_value<sim::Task<T>> {
-  using type = T;
-};
+std::uint64_t path_op_key(std::string_view path) { return tio::path_op_key(kOpKeySeed, path); }
 
 sim::Task<void> finish_leg(sim::Task<Status> leg, Status& out, sim::WaitGroup& wg) {
   out = co_await std::move(leg);
@@ -106,95 +71,23 @@ Plfs::Plfs(pfs::FsClient& fs, PlfsMount mount)
   }
 }
 
+sim::Retrier Plfs::retrier() {
+  return {&engine(), &mount_.retry, &budget_, &retry_counters, &backoff_site};
+}
+
 template <typename MakeOp>
 auto Plfs::with_retry(pfs::IoCtx ctx, std::uint64_t op_key, MakeOp make_op)
     -> decltype(make_op()) {
-  using R = typename task_value<decltype(make_op())>::type;
-  const RetryPolicy& policy = mount_.retry;
-  RetryCounters& rc = retry_counters();
-  for (int attempt = 0;; ++attempt) {
-    std::optional<R> result;
-    if (policy.op_timeout > Duration::zero()) {
-      const std::int64_t t0 = engine().now().to_ns();
-      result = co_await sim::with_timeout(engine(), policy.op_timeout, make_op());
-      if (!result.has_value()) {
-        rc.timeouts.add(1);
-        // The attempt's cost is only interesting once we know it timed out,
-        // so the span is recorded retroactively from the captured start.
-        trace::record_span(engine(), timeout_site(), ctx.rank, t0);
-        result.emplace(error(Errc::busy, "op timed out (attempt abandoned)"));
-      }
-    } else {
-      result.emplace(co_await make_op());
-    }
-    const Status st = status_of(*result);
-    if (st.ok()) {
-      if (attempt > 0) rc.success_after_retry.add(1);
-      co_return std::move(*result);
-    }
-    if (!st.is_transient()) co_return std::move(*result);
-    if (attempt + 1 >= policy.max_attempts) {
-      rc.exhausted.add(1);
-      co_return std::move(*result);
-    }
-    if (!budget_.try_consume()) {
-      rc.budget_exhausted.add(1);
-      co_return std::move(*result);
-    }
-    const Duration wait = policy.backoff(attempt, op_key);
-    rc.attempts.add(1);
-    rc.backoff_ns.add(static_cast<std::uint64_t>(wait.to_ns()));
-    {
-      trace::Span backoff(engine(), backoff_site(), ctx.rank);
-      co_await engine().sleep(wait);
-    }
-  }
+  return sim::retry(retrier(), ctx.rank, op_key, std::move(make_op));
 }
 
 sim::Task<Result<std::uint64_t>> Plfs::write_fully(pfs::IoCtx ctx, pfs::FileId fd,
                                                    std::uint64_t offset, DataView data,
                                                    std::uint64_t op_key) {
-  const RetryPolicy& policy = mount_.retry;
-  RetryCounters& rc = retry_counters();
-  const std::uint64_t n = data.size();
-  if (n == 0) co_return std::uint64_t{0};
-  std::uint64_t done = 0;
-  bool retried = false;
-  for (int attempt = 0;;) {
-    auto wrote = co_await fs_.write(ctx, fd, offset + done, data.slice(done, n - done));
-    if (wrote.ok()) {
-      done += *wrote;
-      if (done >= n) {
-        if (retried) rc.success_after_retry.add(1);
-        co_return n;
-      }
-      // A torn write is progress, not failure: resume after the prefix that
-      // landed, and reset the attempt clock so completion is guaranteed for
-      // any finite tear sequence.
-      rc.short_write_resumed.add(1);
-      attempt = 0;
-      continue;
-    }
-    const Status st = wrote.status();
-    if (!st.is_transient()) co_return st;
-    if (attempt + 1 >= policy.max_attempts) {
-      rc.exhausted.add(1);
-      co_return st;
-    }
-    if (!budget_.try_consume()) {
-      rc.budget_exhausted.add(1);
-      co_return st;
-    }
-    const Duration wait = policy.backoff(attempt, op_key);
-    rc.attempts.add(1);
-    rc.backoff_ns.add(static_cast<std::uint64_t>(wait.to_ns()));
-    {
-      trace::Span backoff(engine(), backoff_site(), ctx.rank);
-      co_await engine().sleep(wait);
-    }
-    retried = true;
-    ++attempt;
-  }
+  return sim::write_fully(retrier(), ctx.rank, op_key, std::move(data),
+                          [this, ctx, fd, offset](std::uint64_t done, DataView rest) {
+                            return fs_.write(ctx, fd, offset + done, std::move(rest));
+                          });
 }
 
 sim::Task<Result<pfs::FileId>> Plfs::open_retried(pfs::IoCtx ctx, std::string path,
@@ -370,10 +263,9 @@ sim::Task<Status> WriteHandle::write(std::uint64_t logical_offset, DataView data
   if (data.empty()) co_return Status::Ok();
   const std::uint64_t len = data.size();
   // Log-structured: always append, regardless of the logical offset.
-  TIO_CO_ASSIGN_OR_RETURN(std::uint64_t written,
-                          co_await plfs_->write_fully(ctx_, data_fd_, data_offset_,
-                                                      std::move(data), splitmix64(data_fd_)));
-  (void)written;
+  TIO_CO_RETURN_IF_ERROR((co_await plfs_->write_fully(ctx_, data_fd_, data_offset_,
+                                                       std::move(data), splitmix64(data_fd_)))
+                             .status());
   entries_.push_back(IndexEntry{logical_offset, len, data_offset_,
                                 plfs_->engine().now().to_ns(),
                                 static_cast<std::uint32_t>(rank_)});
@@ -397,11 +289,10 @@ sim::Task<Status> WriteHandle::flush_index() {
   const std::uint64_t n = buf.size();
   static Counter& log_bytes_written = counter("plfs.index.log_bytes_written");
   log_bytes_written.add(n);
-  TIO_CO_ASSIGN_OR_RETURN(std::uint64_t written,
-                          co_await plfs_->write_fully(ctx_, index_fd_, index_offset_,
-                                                      DataView::literal(std::move(buf)),
-                                                      splitmix64(index_fd_)));
-  (void)written;
+  TIO_CO_RETURN_IF_ERROR((co_await plfs_->write_fully(ctx_, index_fd_, index_offset_,
+                                                       DataView::literal(std::move(buf)),
+                                                       splitmix64(index_fd_)))
+                             .status());
   index_offset_ += n;
   flushed_ = entries_.size();
   co_return Status::Ok();

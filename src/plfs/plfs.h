@@ -21,6 +21,7 @@
 #include "plfs/index_builder.h"
 #include "plfs/index_cache.h"
 #include "plfs/mount.h"
+#include "sim/retry.h"
 
 namespace tio::plfs {
 
@@ -112,17 +113,19 @@ class Plfs {
   sim::Task<Status> ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& lay, std::size_t k,
                                      std::size_t backend);
 
-  // Runs a freshly-made op per attempt under the mount's RetryPolicy:
-  // transient failures back off with deterministic jitter keyed by op_key
-  // until attempts or the instance-wide budget run out. A nonzero
-  // op_timeout additionally races each attempt against a virtual-time
-  // deadline (the in-flight attempt is abandoned, not cancelled). The ctx
-  // attributes backoff/timeout trace spans to the issuing rank.
+  // This instance's caller data for the one retry loop (sim/retry.h): the
+  // mount's RetryPolicy, the instance-wide budget, the plfs.retry.*
+  // counters and the plfs.retry.backoff span site.
+  sim::Retrier retrier();
+  // Runs a freshly-made op per attempt through sim::retry: transient
+  // failures back off with deterministic jitter keyed by op_key until
+  // attempts or the instance-wide budget run out. The ctx attributes
+  // backoff spans to the issuing rank.
   template <typename MakeOp>
   auto with_retry(pfs::IoCtx ctx, std::uint64_t op_key, MakeOp make_op)
       -> decltype(make_op());
-  // Writes all of `data`, resuming after transient failures and short
-  // (torn) writes; progress resets the attempt counter.
+  // Writes all of non-empty `data` through sim::write_fully, resuming after
+  // transient failures and short (torn) writes.
   sim::Task<Result<std::uint64_t>> write_fully(pfs::IoCtx ctx, pfs::FileId fd,
                                                std::uint64_t offset, DataView data,
                                                std::uint64_t op_key);

@@ -6,7 +6,7 @@
 //
 // Waiter bookkeeping is intrusive: each primitive's Awaiter carries the
 // link pointer, and the awaiter object lives inside the suspended
-// coroutine's frame, so parking a process on a mutex, semaphore, barrier,
+// coroutine's frame, so parking a process on a mutex, semaphore,
 // gate, or channel allocates nothing — no vector/deque churn per wait.
 // Shard affinity: a primitive belongs to one engine, and its waiter lists
 // are unsynchronized — every await must happen on the host thread currently
@@ -168,48 +168,6 @@ class Mutex {
 
  private:
   Semaphore sem_;
-};
-
-// Reusable cyclic barrier for `parties` processes (bulk-synchronous phases).
-class Barrier {
- public:
-  Barrier(Engine& engine, std::size_t parties) : engine_(engine), parties_(parties) {
-    if (parties == 0) throw std::invalid_argument("Barrier: zero parties");
-  }
-
-  struct Awaiter {
-    Barrier* barrier;
-    std::coroutine_handle<> handle = nullptr;
-    Awaiter* next = nullptr;
-    bool await_ready() const noexcept {
-      if (barrier->arrived_ + 1 == barrier->parties_) {
-        // Last arriver: trip the barrier and continue without suspending.
-        barrier->arrived_ = 0;
-        while (!barrier->waiters_.empty()) {
-          const auto h = barrier->waiters_.pop_front()->handle;
-          barrier->engine_.after(Duration::zero(), [h] { h.resume(); });
-        }
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      assert(barrier->engine_.is_current() && "Barrier awaited off its engine's shard");
-      ++barrier->arrived_;
-      handle = h;
-      barrier->waiters_.push_back(this);
-    }
-    void await_resume() const noexcept {}
-  };
-  Awaiter arrive_and_wait() { return Awaiter{this}; }
-
-  std::size_t parties() const { return parties_; }
-
- private:
-  Engine& engine_;
-  std::size_t parties_;
-  std::size_t arrived_ = 0;
-  detail::WaiterList<Awaiter> waiters_;
 };
 
 // Join-counter for forked subtasks: add() before spawning, done() at the end

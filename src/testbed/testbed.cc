@@ -111,7 +111,6 @@ Rig::Rig(Options options)
   const std::size_t backends =
       options.plfs_backends > 0 ? options.plfs_backends : options.pfs.num_mds;
   mount_ = plfs_mount(backends, options.num_subdirs);
-  mount_.retry = options.retry;
   mount_.mds_replicated = replicated;
   mount_.meta_batching = options.pfs.mds_batch > 0;
   // One plan spec drives both replication modes: server-targeted faults

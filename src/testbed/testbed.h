@@ -51,8 +51,6 @@ class Rig {
     // pfs.mds_replicas, makes construction throw std::invalid_argument in
     // either replication mode.
     pfs::FaultPlan fault_plan = {};
-    // Retry/timeout policy handed to the PLFS mount.
-    RetryPolicy retry = {};
   };
 
   explicit Rig(Options options);

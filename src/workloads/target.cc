@@ -1,9 +1,7 @@
 #include "workloads/target.h"
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/strutil.h"
-#include "workloads/direct_retry.h"
 
 namespace tio::workloads {
 
@@ -26,6 +24,21 @@ bool is_plfs(Access access) {
 bool is_n1(Access access) {
   return access == Access::plfs_n1 || access == Access::direct_n1;
 }
+
+namespace {
+
+sim::RetryCounters& direct_retry_counters() {
+  static sim::RetryCounters c("direct.retry");
+  return c;
+}
+
+}  // namespace
+
+sim::Retrier direct_retrier(sim::Engine& engine, const RetryPolicy& policy, RetryBudget& budget) {
+  return {&engine, &policy, &budget, &direct_retry_counters};
+}
+
+std::uint64_t direct_op_key(std::string_view path) { return path_op_key(0xd12ec7a11ull, path); }
 
 std::string TargetFactory::plfs_path(const std::string& name, Access access, int rank) const {
   return access == Access::plfs_n1 ? "/" + name : str_printf("/%s.%d", name.c_str(), rank);
@@ -129,38 +142,23 @@ class DirectTarget final : public JitterBase {
         policy_(policy), fd_(fd), size_(size) {}
   sim::Task<Status> write(std::uint64_t offset, DataView data) override {
     co_await think();
-    // Resume after any torn prefix, and retry transient failures in place:
-    // a plain POSIX writer re-issues the syscall from where it got to.
-    const std::uint64_t n = data.size();
-    const std::uint64_t key = splitmix64(fd_ ^ offset);
-    std::uint64_t done = 0;
-    for (int attempt = 0; done < n;) {
-      auto wrote = co_await fs_->write(ctx(), fd_, offset + done, data.slice(done, n - done));
-      if (wrote.ok()) {
-        done += *wrote;
-        attempt = 0;
-        continue;
-      }
-      if (!wrote.status().is_transient()) co_return wrote.status();
-      if (attempt + 1 >= policy_.max_attempts) {
-        counter("direct.retry.exhausted").add(1);
-        co_return wrote.status();
-      }
-      counter("direct.retry.attempts").add(1);
-      co_await engine_->sleep(policy_.backoff(attempt, key));
-      ++attempt;
-    }
-    co_return Status::Ok();
+    if (data.empty()) co_return Status::Ok();
+    auto wrote = co_await sim::write_fully(
+        retrier(), comm_->global_rank(), splitmix64(fd_ ^ offset), std::move(data),
+        [this, offset](std::uint64_t done, DataView rest) {
+          return fs_->write(ctx(), fd_, offset + done, std::move(rest));
+        });
+    co_return wrote.status();
   }
   sim::Task<Result<FragmentList>> read(std::uint64_t offset, std::uint64_t len) override {
     co_await think();
-    co_return co_await direct_retry(
-        *engine_, policy_, splitmix64(fd_ ^ offset) ^ 1,
-        [&] { return fs_->read(ctx(), fd_, offset, len); });
+    co_return co_await sim::retry(retrier(), comm_->global_rank(), splitmix64(fd_ ^ offset) ^ 1,
+                                  [&] { return fs_->read(ctx(), fd_, offset, len); });
   }
   sim::Task<Status> close() override {
-    TIO_CO_RETURN_IF_ERROR(co_await direct_retry(
-        *engine_, policy_, splitmix64(fd_) ^ 2, [&] { return fs_->close(ctx(), fd_); }));
+    TIO_CO_RETURN_IF_ERROR(co_await sim::retry(retrier(), comm_->global_rank(),
+                                               splitmix64(fd_) ^ 2,
+                                               [&] { return fs_->close(ctx(), fd_); }));
     co_await comm_->barrier();
     co_return Status::Ok();
   }
@@ -168,10 +166,12 @@ class DirectTarget final : public JitterBase {
 
  private:
   pfs::IoCtx ctx() const { return IoCtx{comm_->my_node(), comm_->global_rank()}; }
+  sim::Retrier retrier() { return direct_retrier(*engine_, policy_, budget_); }
   sim::Engine* engine_;
   mpi::Comm* comm_;
   pfs::FsClient* fs_;
   RetryPolicy policy_;
+  RetryBudget budget_{RetryBudget::kUnlimited};
   pfs::FileId fd_;
   std::uint64_t size_;
 };
@@ -203,20 +203,22 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_write(mpi::Comm& 
     }
     case Access::direct_n1: {
       const RetryPolicy& retry = plfs_->mount().retry;
+      RetryBudget budget(RetryBudget::kUnlimited);
+      const sim::Retrier retrier = direct_retrier(comm.engine(), retry, budget);
       const std::string path = direct_path(name, options.access, 0);
       // Rank 0 creates/truncates the shared file; everyone else opens after.
       if (comm.rank() == 0) {
-        auto fd = co_await direct_retry(comm.engine(), retry, direct_op_key(path),
-                                        [&] { return fs().open(ctx, path,
-                                                               OpenFlags::wr_trunc()); });
+        auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path), [&] {
+          return fs().open(ctx, path, OpenFlags::wr_trunc());
+        });
         if (!fd.ok()) co_return fd.status();
         co_await comm.barrier();
         co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter, 0, comm,
                                                  fs(), retry, *fd, 0);
       }
       co_await comm.barrier();
-      auto fd = co_await direct_retry(comm.engine(), retry, direct_op_key(path),
-                                      [&] { return fs().open(ctx, path, OpenFlags::wr()); });
+      auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path),
+                                    [&] { return fs().open(ctx, path, OpenFlags::wr()); });
       if (!fd.ok()) co_return fd.status();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
                                                static_cast<std::uint64_t>(comm.rank()), comm,
@@ -224,10 +226,12 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_write(mpi::Comm& 
     }
     case Access::direct_nn: {
       const RetryPolicy& retry = plfs_->mount().retry;
+      RetryBudget budget(RetryBudget::kUnlimited);
+      const sim::Retrier retrier = direct_retrier(comm.engine(), retry, budget);
       const std::string path = direct_path(name, options.access, comm.rank());
-      auto fd = co_await direct_retry(comm.engine(), retry, direct_op_key(path),
-                                      [&] { return fs().open(ctx, path,
-                                                             OpenFlags::wr_trunc()); });
+      auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path), [&] {
+        return fs().open(ctx, path, OpenFlags::wr_trunc());
+      });
       if (!fd.ok()) co_return fd.status();
       co_await comm.barrier();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
@@ -264,12 +268,14 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_read(mpi::Comm& c
     case Access::direct_n1:
     case Access::direct_nn: {
       const RetryPolicy& retry = plfs_->mount().retry;
+      RetryBudget budget(RetryBudget::kUnlimited);
+      const sim::Retrier retrier = direct_retrier(comm.engine(), retry, budget);
       const std::string path = direct_path(name, options.access, comm.rank());
-      auto st = co_await direct_retry(comm.engine(), retry, direct_op_key(path) ^ 4,
-                                      [&] { return fs().stat(ctx, path); });
+      auto st = co_await sim::retry(retrier, ctx.rank, direct_op_key(path) ^ 4,
+                                    [&] { return fs().stat(ctx, path); });
       if (!st.ok()) co_return st.status();
-      auto fd = co_await direct_retry(comm.engine(), retry, direct_op_key(path),
-                                      [&] { return fs().open(ctx, path, OpenFlags::ro()); });
+      auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path),
+                                    [&] { return fs().open(ctx, path, OpenFlags::ro()); });
       if (!fd.ok()) co_return fd.status();
       co_await comm.barrier();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,

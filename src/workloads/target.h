@@ -13,6 +13,7 @@
 #include "pfs/fs_client.h"
 #include "plfs/mpiio.h"
 #include "plfs/plfs.h"
+#include "sim/retry.h"
 
 namespace tio::workloads {
 
@@ -49,6 +50,14 @@ class Target {
   // Logical size, where cheaply known (read targets).
   virtual std::uint64_t size() const { return 0; }
 };
+
+// The direct legs' caller data for the one retry loop (sim/retry.h). They
+// model a plain POSIX client re-issuing a failed syscall: the mount's
+// policy, but direct.retry.* counters, no span and a `budget` of the
+// caller's own that never runs dry (RetryBudget::kUnlimited).
+sim::Retrier direct_retrier(sim::Engine& engine, const RetryPolicy& policy, RetryBudget& budget);
+// Jitter-stream key of a direct op on `path`.
+std::uint64_t direct_op_key(std::string_view path);
 
 class TargetFactory {
  public:

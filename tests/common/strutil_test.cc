@@ -35,12 +35,6 @@ TEST(PathDirname, Cases) {
   EXPECT_EQ(path_dirname("/"), "/");
 }
 
-TEST(PathBasename, Cases) {
-  EXPECT_EQ(path_basename("/a/b/c"), "c");
-  EXPECT_EQ(path_basename("name"), "name");
-  EXPECT_EQ(path_basename("/"), "");
-}
-
 TEST(PathNormalize, Cases) {
   EXPECT_EQ(path_normalize("/a/b"), "/a/b");
   EXPECT_EQ(path_normalize("a/b/"), "/a/b");
@@ -61,11 +55,6 @@ TEST(FormatBytes, Scales) {
   EXPECT_EQ(format_bytes(50ull << 20), "50.0 MiB");
   EXPECT_EQ(format_bytes(1536), "1.5 KiB");
   EXPECT_EQ(format_bytes(10ull << 40), "10.0 TiB");
-}
-
-TEST(FormatSi, Scales) {
-  EXPECT_EQ(format_si(1.25e9, "B/s"), "1.25 GB/s");
-  EXPECT_EQ(format_si(999.0, "ops"), "999.00 ops");
 }
 
 TEST(StrPrintf, Formats) {

@@ -143,21 +143,6 @@ TEST_P(CommSizes, AllreduceMax) {
   for (int r = 0; r < n; ++r) EXPECT_EQ(results[r], (n - 1) * 3 + 1);
 }
 
-TEST_P(CommSizes, AlltoallTransposes) {
-  const int n = GetParam();
-  std::vector<std::vector<int>> results(n);
-  spmd(n, [&results](Comm comm) -> sim::Task<void> {
-    std::vector<int> to_send(comm.size());
-    for (int i = 0; i < comm.size(); ++i) to_send[i] = comm.rank() * 100 + i;
-    results[comm.rank()] = co_await comm.alltoall(std::move(to_send), 8);
-  });
-  for (int r = 0; r < n; ++r) {
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(results[r][i], i * 100 + r);  // from rank i, slot r
-    }
-  }
-}
-
 TEST_P(CommSizes, BarrierSynchronizesArrivalTimes) {
   const int n = GetParam();
   std::vector<std::int64_t> exit_ns(n, 0);

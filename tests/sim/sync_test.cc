@@ -112,45 +112,6 @@ TEST(Mutex, ProvidesMutualExclusion) {
   EXPECT_EQ(e.now().to_ns(), Duration::us(1000).to_ns());
 }
 
-Task<void> barrier_user(Engine& e, Barrier& b, Duration arrive_after, std::vector<std::int64_t>& exit_ns) {
-  co_await e.sleep(arrive_after);
-  co_await b.arrive_and_wait();
-  exit_ns.push_back(e.now().to_ns());
-}
-
-TEST(Barrier, AllPartiesLeaveAtLastArrival) {
-  Engine e;
-  Barrier b(e, 4);
-  std::vector<std::int64_t> exits;
-  for (int i = 0; i < 4; ++i) e.spawn(barrier_user(e, b, Duration::ms(i), exits));
-  e.run();
-  ASSERT_EQ(exits.size(), 4u);
-  for (const auto t : exits) EXPECT_EQ(t, Duration::ms(3).to_ns());
-}
-
-TEST(Barrier, IsReusableAcrossPhases) {
-  Engine e;
-  Barrier b(e, 3);
-  std::vector<std::int64_t> exits;
-  auto worker = [](Engine& eng, Barrier& bar, std::vector<std::int64_t>& log,
-                   int id) -> Task<void> {
-    co_await eng.sleep(Duration::ms(id));
-    co_await bar.arrive_and_wait();  // phase 1 trips at t=2ms
-    co_await eng.sleep(Duration::ms(10 - id));
-    co_await bar.arrive_and_wait();  // phase 2 trips at t=12ms
-    log.push_back(eng.now().to_ns());
-  };
-  for (int i = 0; i < 3; ++i) e.spawn(worker(e, b, exits, i));
-  e.run();
-  ASSERT_EQ(exits.size(), 3u);
-  for (const auto t : exits) EXPECT_EQ(t, Duration::ms(12).to_ns());
-}
-
-TEST(Barrier, ZeroPartiesThrows) {
-  Engine e;
-  EXPECT_THROW(Barrier(e, 0), std::invalid_argument);
-}
-
 TEST(WaitGroup, WaitsForAllSubtasks) {
   Engine e;
   WaitGroup wg(e);

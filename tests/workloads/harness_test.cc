@@ -62,6 +62,34 @@ TEST(Harness, DirectN1JobCompletes) {
   EXPECT_GT(rig.pfs().stats().lock_transfers, 0u);
 }
 
+std::uint64_t family_total(std::string_view family) {
+  std::uint64_t total = 0;
+  for (const auto& [name, value] : counter_snapshot(family)) total += value;
+  return total;
+}
+
+TEST(DirectFault, StridedN1WriteAndVerifiedReadSurviveTransientFaults) {
+  testbed::Rig::Options o = small_rig();
+  o.fault_plan = pfs::FaultPlan::parse("io=0.02,torn=0.05").value();
+  testbed::Rig rig(o);
+  const std::uint64_t plfs_before = family_total("plfs.retry");
+  const std::uint64_t attempts_before = counter("direct.retry.attempts").value();
+  const std::uint64_t resumed_before = counter("direct.retry.short_write_resumed").value();
+  const std::uint64_t faults_before = counter("plfs.fault.io_error").value();
+  JobSpec spec = mpiio_test(256_KiB, 16_KiB, TargetOptions{.access = Access::direct_n1});
+  ASSERT_TRUE(spec.verify);
+  // run_job throws on any failed op and on any read that does not match
+  // the written pattern byte for byte.
+  const JobResult result = run_job(rig, 8, spec);
+  EXPECT_EQ(result.write.bytes, 8u * 256_KiB);
+  EXPECT_EQ(result.read.bytes, 8u * 256_KiB);
+  EXPECT_GT(counter("plfs.fault.io_error").value(), faults_before);
+  EXPECT_GT(counter("direct.retry.attempts").value(), attempts_before);
+  EXPECT_GT(counter("direct.retry.short_write_resumed").value(), resumed_before);
+  // The direct legs never touch the PLFS retry family.
+  EXPECT_EQ(family_total("plfs.retry"), plfs_before);
+}
+
 TEST(Harness, NnModesCompleteForBothTargets) {
   for (const Access access : {Access::plfs_nn, Access::direct_nn}) {
     testbed::Rig rig(small_rig());
