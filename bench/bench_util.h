@@ -9,7 +9,6 @@
 #include <iostream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -417,37 +416,23 @@ inline void print_topo_counters() {
 }
 
 // Shared --shards flag: how many OS threads to spread independent
-// simulations (one Rig per data point) across. 1 = the serial legacy path.
+// simulations (one Rig per data point) across. Every count runs the same
+// ShardPool path, so stdout and traces are identical at any count.
 inline std::int64_t* add_shards_flag(FlagSet& flags) {
   return flags.add_i64(
       "shards", 1,
       "shard independent simulations across N OS threads (1 = serial)");
 }
 
-// Validates --shards: rejects 0/negative values and values above the
-// host's hardware_concurrency() (override with TIO_SHARDS_OVERSUBSCRIBE=1
-// for CI boxes that want to exercise the threaded path regardless), caps
-// at sim::kMaxShards, and notes the count in the sim.engine.shards counter
-// so every stderr counter dump and --json block carries it.
+// Validates --shards against ShardPool's range [1, kMaxShards] (usage
+// message and exit 1 otherwise) and notes the count in the
+// sim.engine.shards counter so every stderr counter dump and --json block
+// carries it. More shards than host threads is allowed: same results,
+// only slower.
 inline std::size_t shards_or_die(std::int64_t value) {
-  if (value < 1) {
-    std::fprintf(stderr, "--shards must be >= 1 (got %lld)\n",
+  if (value < 1 || static_cast<std::uint64_t>(value) > kMaxShards) {
+    std::fprintf(stderr, "--shards must be in [1, %zu] (got %lld)\n", kMaxShards,
                  static_cast<long long>(value));
-    std::exit(1);
-  }
-  const unsigned hc = std::max(1u, std::thread::hardware_concurrency());
-  const char* oversub = std::getenv("TIO_SHARDS_OVERSUBSCRIBE");
-  const bool allow_oversub = oversub != nullptr && oversub[0] == '1';
-  if (static_cast<std::uint64_t>(value) > hc && !allow_oversub) {
-    std::fprintf(stderr,
-                 "--shards=%lld exceeds hardware_concurrency()=%u "
-                 "(set TIO_SHARDS_OVERSUBSCRIBE=1 to force)\n",
-                 static_cast<long long>(value), hc);
-    std::exit(1);
-  }
-  if (static_cast<std::uint64_t>(value) > sim::kMaxShards) {
-    std::fprintf(stderr, "--shards=%lld exceeds the supported maximum of %zu\n",
-                 static_cast<long long>(value), sim::kMaxShards);
     std::exit(1);
   }
   counter("sim.engine.shards").add(static_cast<std::uint64_t>(value));

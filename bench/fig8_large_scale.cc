@@ -108,9 +108,8 @@ int main(int argc, char** argv) {
     spec.shared_file = shared;
     return run_metadata_storm(rig, n, spec).open_s;
   };
-  // Submission order mirrors the serial bench's execution order exactly
-  // (8a, all of 8b, all of 8c, 8d) so shards=1 replays the legacy run —
-  // same engine creation order, same trace bytes.
+  // Submission order (8a, all of 8b, all of 8c, 8d) fixes each cell's job
+  // index, hence its trace pids, at every shard count.
   constexpr std::size_t kNnMds[] = {1, 10, 20};
   constexpr std::size_t kN1Mds[] = {1, 10};
   for (std::size_t i = 0; i < storm_procs.size(); ++i) {

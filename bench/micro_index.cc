@@ -13,9 +13,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -189,28 +189,7 @@ int main(int argc, char** argv) {
       --i;
     }
   }
-  // Same policy as bench::shards_or_die (bench_util.h pulls in testbed
-  // libraries this target does not link, so the check is mirrored here).
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1 (got %lld)\n", shards);
-    return 1;
-  }
-  const unsigned hc = std::max(1u, std::thread::hardware_concurrency());
-  const char* oversub = std::getenv("TIO_SHARDS_OVERSUBSCRIBE");
-  const bool allow_oversub = oversub != nullptr && oversub[0] == '1';
-  if (static_cast<unsigned long long>(shards) > hc && !allow_oversub) {
-    std::fprintf(stderr,
-                 "--shards=%lld exceeds hardware_concurrency()=%u "
-                 "(set TIO_SHARDS_OVERSUBSCRIBE=1 to force)\n",
-                 shards, hc);
-    return 1;
-  }
-  if (static_cast<unsigned long long>(shards) > tio::sim::kMaxShards) {
-    std::fprintf(stderr, "--shards=%lld exceeds the supported maximum of %zu\n", shards,
-                 tio::sim::kMaxShards);
-    return 1;
-  }
-  tio::counter("sim.engine.shards").add(static_cast<std::uint64_t>(shards));
+  tio::bench::shards_or_die(shards);
   // The index microbenches are host-CPU work, so the trace holds whatever
   // simulated spans ran (usually none) — the flag exists for tooling
   // uniformity and always yields a valid, loadable document.

@@ -8,20 +8,19 @@
 //   --json=FILE    also write the JSON report to FILE (--benchmark_out)
 //   --trace=FILE   write Chrome trace-event JSON of the simulated spans
 //   --shards=N     largest shard count the shard-pool benchmark sweeps to
-//                  (validated like the fig benches' --shards)
+//                  (validated by bench::shards_or_die, like the fig benches)
 // Results feed BENCH_sim.json; after the run the sim.engine.* counters are
 // printed so pool hit rates are visible next to the throughput numbers.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -172,29 +171,7 @@ int main(int argc, char** argv) {
       rewritten.emplace_back(arg);
     }
   }
-  // Same policy as bench::shards_or_die (bench_util.h pulls in testbed
-  // libraries this target does not link, so the check is mirrored here).
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1 (got %lld)\n", shards);
-    return 1;
-  }
-  const unsigned hc = std::max(1u, std::thread::hardware_concurrency());
-  const char* oversub = std::getenv("TIO_SHARDS_OVERSUBSCRIBE");
-  const bool allow_oversub = oversub != nullptr && oversub[0] == '1';
-  if (static_cast<unsigned long long>(shards) > hc && !allow_oversub) {
-    std::fprintf(stderr,
-                 "--shards=%lld exceeds hardware_concurrency()=%u "
-                 "(set TIO_SHARDS_OVERSUBSCRIBE=1 to force)\n",
-                 shards, hc);
-    return 1;
-  }
-  if (static_cast<unsigned long long>(shards) > tio::sim::kMaxShards) {
-    std::fprintf(stderr, "--shards=%lld exceeds the supported maximum of %zu\n", shards,
-                 tio::sim::kMaxShards);
-    return 1;
-  }
-  tio::counter("sim.engine.shards").add(static_cast<std::uint64_t>(shards));
-  tio::sim::register_sharded_benchmarks(static_cast<std::size_t>(shards));
+  tio::sim::register_sharded_benchmarks(tio::bench::shards_or_die(shards));
   if (!trace_path.empty()) tio::trace::Tracer::instance().set_enabled(true);
   std::vector<char*> bench_argv;
   bench_argv.reserve(rewritten.size());

@@ -61,23 +61,22 @@ cmake --build --preset tsan -j "$jobs"
 # The shard pool's safety argument (shard-local stats and trace buffers,
 # one engine per job, joins before merges) must hold under ThreadSanitizer,
 # not just under the test matrix. TIO_MATRIX_RANKS shrinks the 4096-rank
-# determinism matrix so the instrumented run stays affordable, and the
-# oversubscribe override lets shards=4/8 paths run on small CI hosts.
+# determinism matrix so the instrumented run stays affordable.
 echo "==> sim + mpisim suites and the cross-shard determinism matrix under TSan"
-TIO_MATRIX_RANKS=512 TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R \
+TIO_MATRIX_RANKS=512 ctest --preset tsan -j "$jobs" -R \
   '^(Engine|EventPool|FramePool|Determinism|ShardPool|ShardedTraceTest|Queue|FairShare|FcfsServer|Runtime|Comm|RaftTest|Topology|FlowNet|MaxMin)\.' \
   -E 'DeepAwaitChains'
 
 # The batcher and lease cache run inside every shard's engine when fig7 is
 # sharded; the suites must stay clean under TSan alongside the engine.
 echo "==> metadata batch + lease-cache suites under TSan"
-TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs)\.'
+ctest --preset tsan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs)\.'
 
 # The collective layer's sharded-counter writes (message census, sieve
 # stats) run on every shard thread; the differential suite under TSan pins
 # that those are race-free alongside the engine's own sharding.
 echo "==> collective-buffering differential + census suites under TSan"
-TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R '^(CbDifferential|CbCensus|CbSieve)\.'
+ctest --preset tsan -j "$jobs" -R '^(CbDifferential|CbCensus|CbSieve)\.'
 
 echo "==> fig7 under the stress fault plan must exit clean"
 ./build/bench/fig7_metadata_nn --procs 64 --max-files 2048 --fault_plan=stress >/dev/null
@@ -149,7 +148,7 @@ cmp tests/golden/fig5_smoke_stdout.txt "$out/fig5_golden_run.txt"
 LC_ALL=C ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
   --cb-node-agg --cb-sieve-threshold=2 --noncontig >"$out/fig5_cb_golden_run.txt" 2>/dev/null
 cmp tests/golden/fig5_cb_node_agg_stdout.txt "$out/fig5_cb_golden_run.txt"
-TIO_SHARDS_OVERSUBSCRIBE=1 LC_ALL=C ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
+LC_ALL=C ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
   --shards=4 >"$out/fig5_golden_run_s4.txt" 2>/dev/null
 cmp tests/golden/fig5_smoke_stdout.txt "$out/fig5_golden_run_s4.txt"
 LC_ALL="$json_locale" ./build/bench/fig5_kernels --max-procs 64 --scale-mib 2 \
@@ -237,7 +236,7 @@ echo "==> fig8 stress-plan stdout must match the checked-in golden output (1 and
 LC_ALL=C ./build/bench/fig8_large_scale --max-read-procs=256 --max-meta-procs=256 \
   --fault_plan=stress >"$out/fig8_stress_golden_run.txt" 2>/dev/null
 cmp tests/golden/fig8_stress_stdout.txt "$out/fig8_stress_golden_run.txt"
-TIO_SHARDS_OVERSUBSCRIBE=1 LC_ALL=C ./build/bench/fig8_large_scale --max-read-procs=256 \
+LC_ALL=C ./build/bench/fig8_large_scale --max-read-procs=256 \
   --max-meta-procs=256 --fault_plan=stress --shards=4 \
   >"$out/fig8_stress_golden_run_s4.txt" 2>/dev/null
 cmp tests/golden/fig8_stress_stdout.txt "$out/fig8_stress_golden_run_s4.txt"
@@ -280,17 +279,15 @@ TIO_FIG7_MAX_FILES=4096 LC_ALL="$json_locale" ./build/bench/fig7_metadata_nn \
   --procs 64 --min-files 1000000 --max-files 1000000 --mds_replication=raft \
   --mds_batch=64 --mds_batch_linger_us=1000 --meta_lease_ms=50 >/dev/null 2>&1
 
-echo "==> fig4 --shards=4 stdout must match --shards=1 byte-for-byte"
+echo "==> fig4 --shards=4 stdout and trace must match --shards=1 byte-for-byte"
 # Sharding spreads rows across threads but every simulated result is a pure
-# function of the row, so the tables cannot change. The serial trace stays
-# on the legacy wire format (no otherData key, implied shards=1); the
-# sharded trace must carry its shard count for tooling.
-TIO_SHARDS_OVERSUBSCRIBE=1 LC_ALL="$json_locale" ./build/bench/fig4_read_scaling \
+# function of the row, and trace pids are keyed by row, so neither the
+# tables nor the exported trace can change with the shard count.
+LC_ALL="$json_locale" ./build/bench/fig4_read_scaling \
   --max-streams 32 --per-proc-mib 2 --shards=4 \
   --trace="$out/fig4_trace_s4.json" >"$out/fig4_run_s4.txt" 2>/dev/null
 cmp "$out/fig4_run1.txt" "$out/fig4_run_s4.txt"
-python3 tools/check_trace.py "$out/fig4_trace.json" --expect-shards=1
-python3 tools/check_trace.py "$out/fig4_trace_s4.json" --expect-shards=4
+cmp "$out/fig4_trace.json" "$out/fig4_trace_s4.json"
 
 echo "==> checked-in bench result files must parse and summarize"
 python3 tools/bench_report.py

@@ -29,7 +29,7 @@ std::size_t nearest_rank_index(double p, std::size_t n) {
 }  // namespace
 
 void set_stat_shard(unsigned shard) {
-  if (shard >= kMaxStatShards) {
+  if (shard >= kMaxShards) {
     throw std::invalid_argument("set_stat_shard: shard id out of range");
   }
   t_stat_shard = shard;
@@ -80,54 +80,23 @@ double Series::percentile(double p) const {
   return sorted_cache_[nearest_rank_index(p, sorted_cache_.size())];
 }
 
-std::size_t Counter::slot() { return t_stat_shard % kSlots; }
-
-// One shard's private accumulation. Only its owning thread writes it;
-// readers merge cells while writers are quiescent.
-struct Histogram::Cell {
-  std::vector<std::int64_t> samples;
-  std::array<std::uint64_t, kBuckets> buckets{};
-  std::int64_t sum = 0;
-};
-
-Histogram::~Histogram() {
-  for (auto& slot : cells_) delete slot.load(std::memory_order_relaxed);
-}
-
-Histogram::Cell& Histogram::local_cell() {
-  const unsigned shard = t_stat_shard;
-  Cell* c = cells_[shard].load(std::memory_order_acquire);
-  if (c == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    c = cells_[shard].load(std::memory_order_relaxed);
-    if (c == nullptr) {
-      c = new Cell();
-      cells_[shard].store(c, std::memory_order_release);
-    }
+void Counter::raise_to(std::uint64_t v) {
+  std::atomic<std::uint64_t>& max = cells_[0].v;
+  std::uint64_t cur = max.load(std::memory_order_relaxed);
+  while (v > cur && !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-  return *c;
-}
-
-void Histogram::record(std::int64_t v) {
-  if (v < 0) v = 0;
-  Cell& c = local_cell();
-  c.samples.push_back(v);
-  c.sum += v;
-  ++c.buckets[static_cast<std::size_t>(bucket_of(v))];
 }
 
 std::uint64_t Histogram::count() const {
   std::uint64_t n = 0;
-  for (const auto& slot : cells_) {
-    if (const Cell* c = slot.load(std::memory_order_acquire)) n += c->samples.size();
-  }
+  for (const Cell& c : cells_) n += c.samples.size();
   return n;
 }
 
 std::int64_t Histogram::sum() const {
   std::int64_t s = 0;
-  for (const auto& slot : cells_) {
-    if (const Cell* c = slot.load(std::memory_order_acquire)) s += c->sum;
+  for (const Cell& c : cells_) {
+    for (const std::int64_t v : c.samples) s += v;
   }
   return s;
 }
@@ -138,10 +107,8 @@ const std::vector<std::int64_t>& Histogram::merged() const {
   if (sorted_count_ != n) {
     sorted_cache_.clear();
     sorted_cache_.reserve(n);
-    for (const auto& slot : cells_) {
-      if (const Cell* c = slot.load(std::memory_order_acquire)) {
-        sorted_cache_.insert(sorted_cache_.end(), c->samples.begin(), c->samples.end());
-      }
+    for (const Cell& c : cells_) {
+      sorted_cache_.insert(sorted_cache_.end(), c.samples.begin(), c.samples.end());
     }
     // A sorted multiset is placement-independent: the merged view is the
     // same whichever shard recorded which sample.
@@ -180,23 +147,15 @@ std::int64_t Histogram::bucket_min(int b) {
 
 std::array<std::uint64_t, Histogram::kBuckets> Histogram::buckets() const {
   std::array<std::uint64_t, kBuckets> out{};
-  for (const auto& slot : cells_) {
-    if (const Cell* c = slot.load(std::memory_order_acquire)) {
-      for (int b = 0; b < kBuckets; ++b) out[static_cast<std::size_t>(b)] += c->buckets[static_cast<std::size_t>(b)];
-    }
+  for (const Cell& c : cells_) {
+    for (const std::int64_t v : c.samples) ++out[static_cast<std::size_t>(bucket_of(v))];
   }
   return out;
 }
 
 void Histogram::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& slot : cells_) {
-    if (Cell* c = slot.load(std::memory_order_relaxed)) {
-      c->samples.clear();
-      c->buckets.fill(0);
-      c->sum = 0;
-    }
-  }
+  for (Cell& c : cells_) c.samples.clear();
   sorted_cache_.clear();
   sorted_count_ = ~std::uint64_t{0};
 }

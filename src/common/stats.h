@@ -1,18 +1,18 @@
 // Sample statistics for benchmark reporting (mean, stddev, percentiles),
 // plus process-global named registries for lightweight subsystem
 // instrumentation: monotonically increasing counters (index builds, cache
-// hits, ...) and log-bucketed latency histograms (span durations recorded
-// by common/trace.h).
+// hits, ...) and latency histograms (span durations recorded by
+// common/trace.h).
 //
-// Sharded accumulation: the simulator can run independent simulations on
-// several OS threads (sim/sharded.h). Counters and histograms therefore
-// accumulate into per-shard cells selected by a thread-local shard id
-// (set_stat_shard), so hot-path recording never contends across shards,
-// and reads merge the cells. Merges are order-independent (sums for
-// counters, a sorted multiset for histogram percentiles), so reported
-// values are deterministic regardless of how work was interleaved across
-// shards. Single-threaded programs never call set_stat_shard and behave
-// exactly as before (everything lands in cell 0).
+// Sharded accumulation: the simulator runs independent simulations on
+// several OS threads (sim/sharded.h). Counters, histograms and trace
+// buffers (common/trace.h) therefore keep one cell per shard, indexed by
+// a thread-local shard id (set_stat_shard), so hot-path recording never
+// contends across shards, and reads merge the cells. Merges are
+// order-independent (sums for counters, a sorted multiset for histogram
+// samples), so reported values do not depend on how work was spread
+// across shards. A thread that never calls set_stat_shard records into
+// shard 0.
 #pragma once
 
 #include <array>
@@ -27,14 +27,15 @@
 
 namespace tio {
 
-// Upper bound on concurrent stat shards (thread-local shard ids). Shard ids
-// must be unique among concurrently running threads; sim::ShardPool assigns
-// dense ids 0..shards-1 under this bound.
-inline constexpr unsigned kMaxStatShards = 64;
+// The one bound on shard ids: sim::ShardPool runs at most this many shards,
+// and every per-shard array (counter cells, histogram cells, trace buffers)
+// has this many entries. Ids must be unique among concurrently recording
+// threads; sim::ShardPool assigns dense ids 0..shards-1.
+inline constexpr std::size_t kMaxShards = 16;
 
-// Sets this thread's stat shard id (throws std::invalid_argument when
-// shard >= kMaxStatShards). Worker threads of a shard pool call this once
-// at startup; the main thread defaults to shard 0.
+// Sets this thread's shard id (throws std::invalid_argument when
+// shard >= kMaxShards). Shard-pool workers call this before running jobs;
+// other threads default to shard 0.
 void set_stat_shard(unsigned shard);
 unsigned stat_shard();
 
@@ -70,17 +71,18 @@ class Series {
 // name the first time they are requested and live for the process lifetime,
 // so holding a `Counter&` across calls is always safe.
 //
-// Internally sharded: add() lands in the calling thread's cell (selected by
-// stat_shard(), aliased into kSlots cells), value() sums every cell. Cells
-// are cache-line-sized so shards incrementing the same counter never
-// false-share.
+// Internally sharded: add() lands in the calling thread's cell (indexed by
+// stat_shard()), value() sums every cell. Cells are cache-line-sized so
+// shards incrementing the same counter never false-share.
 class Counter {
  public:
-  static constexpr std::size_t kSlots = 16;
-
   void add(std::uint64_t delta = 1) {
-    cells_[slot()].v.fetch_add(delta, std::memory_order_relaxed);
+    cells_[stat_shard()].v.fetch_add(delta, std::memory_order_relaxed);
   }
+  // Raises a max-valued counter to at least `v`. The max lives in cell 0
+  // (compare-exchange), so value() is the largest `v` any shard published,
+  // whatever the interleaving. Do not mix with add() on one counter.
+  void raise_to(std::uint64_t v);
   // Total across all shards.
   std::uint64_t value() const {
     std::uint64_t total = 0;
@@ -88,12 +90,9 @@ class Counter {
     return total;
   }
   // This shard's contribution only. Lets a job measure a before/after delta
-  // of a global counter without seeing concurrent jobs on other shards
-  // (exact as long as no two concurrent threads alias to one slot, i.e.
-  // shard ids of live threads are distinct mod kSlots; sim::ShardPool caps
-  // its shard count at kSlots for this).
+  // of a global counter without seeing concurrent jobs on other shards.
   std::uint64_t local_value() const {
-    return cells_[slot()].v.load(std::memory_order_relaxed);
+    return cells_[stat_shard()].v.load(std::memory_order_relaxed);
   }
   void reset() {
     for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
@@ -103,39 +102,29 @@ class Counter {
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> v{0};
   };
-  static std::size_t slot();
-  std::array<Cell, kSlots> cells_{};
+  std::array<Cell, kMaxShards> cells_{};
 };
 
 // A latency histogram over nonnegative int64 samples (virtual-time
-// nanoseconds, in practice). Two views of the same data:
-//   * log2 buckets — bucket b counts samples v with bit_width(v) == b,
-//     i.e. v in [2^(b-1), 2^b); bucket 0 counts exact zeros. Constant
-//     space, used for shape displays.
-//   * the raw sample list — percentiles are exact (nearest-rank over the
-//     full sample), not bucket-interpolated; the merged sort is lazy and
-//     cached like Series.
+// nanoseconds, in practice). It keeps the raw samples, so percentiles are
+// exact (nearest-rank over the full sample), not bucket-interpolated; the
+// merged sort is lazy and cached like Series. sum() and the log2 buckets()
+// shape view are derived from the samples at read time.
 // Like counters, histograms live in a process-global registry for the
 // process lifetime, so holding a `Histogram&` across calls is always safe.
 //
-// Sharded accumulation: record() appends to the calling shard's private
-// cell (no lock, no atomics on the sample path); count/sum/percentile/
-// buckets merge the cells. Readers must be quiescent with respect to
-// writers (the benches read only after shard threads have joined); the
-// merged percentile is a sorted multiset, so it does not depend on which
-// shard recorded which sample.
+// Sharded accumulation: record() appends to the calling shard's sample
+// vector (no lock, no atomics); reads merge the cells. Readers must be
+// quiescent with respect to writers (the benches read only after shard
+// threads have joined); the merged sample is a sorted multiset, so it does
+// not depend on which shard recorded which sample.
 class Histogram {
  public:
   // Number of log2 buckets: zeros + one per possible bit width.
   static constexpr int kBuckets = 65;
 
-  Histogram() = default;
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-  ~Histogram();
-
   // Records one sample; negative values clamp to zero.
-  void record(std::int64_t v);
+  void record(std::int64_t v) { cells_[stat_shard()].samples.push_back(v < 0 ? 0 : v); }
 
   std::uint64_t count() const;
   bool empty() const { return count() == 0; }
@@ -146,22 +135,26 @@ class Histogram {
   std::int64_t percentile(double p) const;
 
   // Log2-bucket index of a sample and the smallest sample mapping to
-  // bucket `b` (0 for the zero bucket).
+  // bucket `b` (0 for the zero bucket): bucket b counts samples v with
+  // bit_width(v) == b, i.e. v in [2^(b-1), 2^b); bucket 0 counts zeros.
   static int bucket_of(std::int64_t v);
   static std::int64_t bucket_min(int b);
-  // Merged bucket counts across shards (by value: the merge is computed).
+  // Bucket counts over every shard's samples.
   std::array<std::uint64_t, kBuckets> buckets() const;
 
   void reset();
 
  private:
-  struct Cell;  // per-shard samples + buckets + sum (stats.cc)
-  Cell& local_cell();
+  // One shard's samples; padded so shards appending to the same histogram
+  // never false-share.
+  struct alignas(64) Cell {
+    std::vector<std::int64_t> samples;
+  };
   // Rebuilds the merged sorted sample cache when stale; returns it.
   const std::vector<std::int64_t>& merged() const;
 
-  std::array<std::atomic<Cell*>, kMaxStatShards> cells_{};
-  mutable std::mutex mu_;  // guards cell creation and the merge cache
+  std::array<Cell, kMaxShards> cells_{};
+  mutable std::mutex mu_;  // guards the merge cache
   mutable std::vector<std::int64_t> sorted_cache_;
   mutable std::uint64_t sorted_count_ = ~std::uint64_t{0};
 };
@@ -196,7 +189,7 @@ std::vector<std::pair<std::string, const Histogram*>> histogram_snapshot(
 
 // Zeroes every registered counter (the registry itself is never shrunk).
 void reset_counters();
-// Clears every registered histogram's samples and buckets.
+// Clears every registered histogram's samples.
 void reset_histograms();
 
 }  // namespace tio

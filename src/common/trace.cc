@@ -12,14 +12,6 @@ namespace tio::trace {
 
 namespace {
 
-// This thread's cached shard pointer, valid only while the epoch matches
-// (Tracer::clear() bumps the epoch, orphaning every cache).
-struct TlsShardRef {
-  void* shard = nullptr;
-  std::uint64_t epoch = ~std::uint64_t{0};
-};
-thread_local TlsShardRef t_shard_ref;
-
 // This thread's active PidScope block; see PidScope.
 struct TlsPidBlock {
   std::uint32_t next = 0;
@@ -36,11 +28,11 @@ Tracer& Tracer::instance() {
 }
 
 void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.clear();
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  for (Shard& shard : shards_) {
+    shard.buffers.clear();
+    shard.next_seq = 0;
+  }
   pid_counter_.store(0, std::memory_order_relaxed);
-  shard_count_.store(1, std::memory_order_relaxed);
 }
 
 std::uint32_t Tracer::intern(std::string_view s) {
@@ -59,26 +51,6 @@ const std::string& Tracer::interned(std::uint32_t id) const {
   return names_[id];  // deque element: the reference outlives the lock
 }
 
-Tracer::Shard& Tracer::local_shard() {
-  const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  if (t_shard_ref.shard != nullptr && t_shard_ref.epoch == epoch) {
-    return *static_cast<Shard*>(t_shard_ref.shard);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* s = shards_.back().get();
-  t_shard_ref = {s, epoch_.load(std::memory_order_relaxed)};
-  return *s;
-}
-
-const Tracer::Shard* Tracer::local_shard_if_registered() const {
-  if (t_shard_ref.shard == nullptr ||
-      t_shard_ref.epoch != epoch_.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  return static_cast<const Shard*>(t_shard_ref.shard);
-}
-
 Tracer::RankBuffer& Tracer::buffer_for(Shard& shard, int rank) {
   const auto idx = static_cast<std::size_t>(rank < 0 ? 0 : rank + 1);
   if (idx >= shard.buffers.size()) shard.buffers.resize(idx + 1);
@@ -87,7 +59,7 @@ Tracer::RankBuffer& Tracer::buffer_for(Shard& shard, int rank) {
 
 std::uint32_t Tracer::begin_span(int rank, std::uint32_t name_id, std::uint32_t cat_id,
                                  std::uint32_t pid, std::int64_t start_ns) {
-  Shard& shard = local_shard();
+  Shard& shard = shards_[stat_shard()];
   RankBuffer& buf = buffer_for(shard, rank);
   SpanRecord rec;
   rec.name_id = name_id;
@@ -114,8 +86,7 @@ std::uint32_t Tracer::begin_span(int rank, std::uint32_t name_id, std::uint32_t 
 }
 
 void Tracer::end_span(int rank, std::uint32_t record, std::int64_t end_ns) {
-  Shard& shard = local_shard();
-  RankBuffer& buf = buffer_for(shard, rank);
+  RankBuffer& buf = buffer_for(shards_[stat_shard()], rank);
   if (record >= buf.spans.size()) return;
   buf.spans[record].end_ns = end_ns;
   // Spans close LIFO per rank in well-formed code; tolerate out-of-order
@@ -129,21 +100,19 @@ void Tracer::end_span(int rank, std::uint32_t record, std::int64_t end_ns) {
 }
 
 std::size_t Tracer::span_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    for (const auto& b : shard->buffers) n += b.spans.size();
+  for (const Shard& shard : shards_) {
+    for (const RankBuffer& b : shard.buffers) n += b.spans.size();
   }
   return n;
 }
 
 const std::vector<SpanRecord>& Tracer::rank_spans(int rank) const {
   static const std::vector<SpanRecord> empty;
-  const Shard* shard = local_shard_if_registered();
-  if (shard == nullptr) return empty;
+  const Shard& shard = shards_[stat_shard()];
   const auto idx = static_cast<std::size_t>(rank < 0 ? 0 : rank + 1);
-  if (idx >= shard->buffers.size()) return empty;
-  return shard->buffers[idx].spans;
+  if (idx >= shard.buffers.size()) return empty;
+  return shard.buffers[idx].spans;
 }
 
 std::uint32_t Tracer::next_pid() {
@@ -158,13 +127,6 @@ std::uint32_t Tracer::next_pid() {
 
 std::uint32_t Tracer::reserve_pids(std::uint32_t count) {
   return pid_counter_.fetch_add(count, std::memory_order_relaxed);
-}
-
-void Tracer::note_shard_count(std::size_t n) {
-  std::size_t cur = shard_count_.load(std::memory_order_relaxed);
-  while (n > cur &&
-         !shard_count_.compare_exchange_weak(cur, n, std::memory_order_relaxed)) {
-  }
 }
 
 PidScope::PidScope(std::uint32_t base, std::uint32_t count)
@@ -206,49 +168,19 @@ std::string Tracer::to_chrome_json() const {
          ",\"pid\":" + std::to_string(rec.pid) + ",\"tid\":" + std::to_string(tid) + "}");
   };
 
-  // A run that stayed on one host thread exports through the pre-sharding
-  // path: per-buffer traversal in record order, no shard annotation —
-  // byte-identical to the single-threaded tracer's output.
-  std::size_t shards_with_spans = 0;
-  const Shard* only = nullptr;
-  for (const auto& shard : shards_) {
-    for (const auto& b : shard->buffers) {
-      if (!b.spans.empty()) {
-        ++shards_with_spans;
-        only = shard.get();
-        break;
-      }
-    }
-  }
-  const std::size_t noted = shard_count_.load(std::memory_order_relaxed);
-  if (noted <= 1 && shards_with_spans <= 1) {
-    if (only != nullptr) {
-      for (std::size_t b = 0; b < only->buffers.size(); ++b) {
-        const auto tid = static_cast<std::uint32_t>(b);
-        for (const SpanRecord& rec : only->buffers[b].spans) {
-          if (rec.end_ns < rec.start_ns) continue;  // never closed
-          emit_name(rec.pid, tid);
-          emit_event(rec, tid);
-        }
-      }
-    }
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return out;
-  }
-
-  // Multi-shard: merge every shard's buffers under a total order that does
-  // not depend on shard placement or host-thread timing. (pid, tid) pairs
-  // are unique to one shard (an engine runs on one thread), so the
-  // shard-local seq is a complete tie-break within a track.
+  // Merge every shard's buffers under a total order that does not depend
+  // on shard placement or host-thread timing. (pid, tid) pairs are unique
+  // to one shard (an engine runs on one thread), so the shard-local seq is
+  // a complete tie-break within a track.
   struct Entry {
     const SpanRecord* rec;
     std::uint32_t tid;
   };
   std::vector<Entry> entries;
-  for (const auto& shard : shards_) {
-    for (std::size_t b = 0; b < shard->buffers.size(); ++b) {
+  for (const Shard& shard : shards_) {
+    for (std::size_t b = 0; b < shard.buffers.size(); ++b) {
       const auto tid = static_cast<std::uint32_t>(b);
-      for (const SpanRecord& rec : shard->buffers[b].spans) {
+      for (const SpanRecord& rec : shard.buffers[b].spans) {
         if (rec.end_ns < rec.start_ns) continue;  // never closed
         entries.push_back({&rec, tid});
       }
@@ -262,8 +194,7 @@ std::string Tracer::to_chrome_json() const {
     emit_name(e.rec->pid, e.tid);
     emit_event(*e.rec, e.tid);
   }
-  out += "\n],\"otherData\":{\"shards\":" + std::to_string(noted) +
-         "},\"displayTimeUnit\":\"ms\"}\n";
+  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
   return out;
 }
 

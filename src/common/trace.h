@@ -20,23 +20,22 @@
 //     In the exported trace each rank is a Chrome "thread" (tid = rank+1;
 //     tid 0 holds engine-level spans) and each Engine a "process", so
 //     successive rigs in one bench don't overlap timelines.
-//   * Sharded runs (sim/sharded.h): span buffers are owned per host
-//     thread — begin/end touch only the calling thread's shard, no lock.
-//     An engine runs on exactly one host thread, so a (pid, tid) track
-//     lives wholly inside one shard. Export merges shards with a
+//   * Sharded runs (sim/sharded.h): span buffers are a fixed per-shard
+//     array indexed by stat_shard() (common/stats.h), like counter and
+//     histogram cells — begin/end touch only the calling shard's buffers,
+//     no lock. An engine runs on exactly one host thread, so a (pid, tid)
+//     track lives wholly inside one shard. Export merges shards with one
 //     deterministic sort on (pid, tid, start, seq); combined with
-//     PidScope's deterministic pid assignment, --trace= output is
-//     byte-identical across reruns at any fixed shard count. Runs that
-//     never leave one thread export through the exact pre-sharding code
-//     path, so single-shard trace bytes are pinned.
+//     PidScope's job-keyed pid assignment, --trace= output is
+//     byte-identical across reruns and across shard counts.
 //   * Tracer buffers grow unboundedly while enabled; benches enable it
 //     only when --trace=<file> is given.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -76,9 +75,9 @@ class Tracer {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  // Drops all buffered spans, per-rank state, pid numbering, and the noted
-  // shard count (interned names are kept). Not concurrency-safe: call only
-  // while no shard threads are running.
+  // Drops all buffered spans, per-rank state and pid numbering (interned
+  // names are kept). Not concurrency-safe: call only while no shard
+  // threads are running.
   void clear();
 
   // Interns a string, returning a stable id (idempotent per content).
@@ -88,7 +87,7 @@ class Tracer {
 
   // Opens a span on `rank`'s buffer (rank -1 = the engine-level track) and
   // returns its record index, or kNoRecord when disabled. The record lives
-  // in the calling thread's shard; end_span must run on the same thread
+  // in the calling thread's shard; end_span must run on the same shard
   // (spans never migrate threads — an engine is pinned to its shard).
   std::uint32_t begin_span(int rank, std::uint32_t name_id, std::uint32_t cat_id,
                            std::uint32_t pid, std::int64_t start_ns);
@@ -97,14 +96,14 @@ class Tracer {
 
   // Total spans across all shards (readers must be quiescent with writers).
   std::size_t span_count() const;
-  // All spans of one rank recorded *by this thread*, in begin order
+  // All spans of one rank recorded on this thread's shard, in begin order
   // (tests and tooling).
   const std::vector<SpanRecord>& rank_spans(int rank) const;
 
   // Chrome trace-event JSON ({"traceEvents": [...]}); locale-independent.
-  // Open spans (begun but never ended) are omitted. Multi-shard runs merge
-  // buffers in (pid, tid, start, seq) order and stamp the shard count into
-  // "otherData" (tools/check_trace.py --expect-shards).
+  // Open spans (begun but never ended) are omitted. Events are ordered by
+  // (pid, tid, start, seq), so the document does not depend on the shard
+  // count.
   std::string to_chrome_json() const;
   // Writes to_chrome_json() to `path`; false on I/O failure.
   bool write_chrome_json(const std::string& path) const;
@@ -115,36 +114,27 @@ class Tracer {
   std::uint32_t next_pid();
   // Reserves `count` consecutive pids and returns the first — the blocks
   // PidScope hands out. A shard pool reserves jobs*stride upfront so job j
-  // always gets the same pids at any shard count, including 1.
+  // always gets the same pids at any shard count.
   std::uint32_t reserve_pids(std::uint32_t count);
-
-  // Records that this run used `n` shards (keeps the max; clear() resets
-  // to 1). A count > 1 switches export to the sorted multi-shard path.
-  void note_shard_count(std::size_t n);
-  std::size_t shard_count() const { return shard_count_.load(std::memory_order_relaxed); }
 
  private:
   struct RankBuffer {
     std::vector<SpanRecord> spans;
     std::vector<std::uint32_t> open;  // indices of currently open spans
   };
-  // One host thread's private buffers. Registered on first use; only the
-  // owning thread writes, merges happen while writers are quiescent.
-  struct Shard {
+  // One shard's buffers. Only the thread holding that shard id writes
+  // them; merges happen while writers are quiescent. Padded so shards
+  // opening spans concurrently never false-share.
+  struct alignas(64) Shard {
     std::vector<RankBuffer> buffers;  // [0] = engine track, [r+1] = rank r
     std::uint64_t next_seq = 0;
   };
-  Shard& local_shard();
-  const Shard* local_shard_if_registered() const;
   static RankBuffer& buffer_for(Shard& shard, int rank);
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint32_t> pid_counter_{0};
-  std::atomic<std::size_t> shard_count_{1};
-  // Bumped by clear() so threads drop their cached shard pointers.
-  std::atomic<std::uint64_t> epoch_{0};
-  mutable std::mutex mu_;  // guards shards_ registration and names_
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kMaxShards> shards_;
+  mutable std::mutex mu_;          // guards names_
   std::deque<std::string> names_;  // deque: interned() references stay valid
 };
 

@@ -186,8 +186,7 @@ void Engine::publish_counters() {
   flush("sim.engine.event_pool_hits", stats_.pool_hits, published_.pool_hits);
   flush("sim.engine.event_pool_misses", stats_.pool_misses, published_.pool_misses);
   // Peak pending events across every engine in the process (max, not sum).
-  Counter& peak = counter("sim.engine.queue_peak");
-  if (stats_.peak_queue > peak.value()) peak.add(stats_.peak_queue - peak.value());
+  counter("sim.engine.queue_peak").raise_to(stats_.peak_queue);
   FramePool::publish_counters();
 }
 

@@ -5,15 +5,10 @@
 #include <thread>
 #include <utility>
 
-#include "common/stats.h"
 #include "common/trace.h"
 #include "sim/frame_pool.h"
 
 namespace tio::sim {
-
-static_assert(kMaxShards == Counter::kSlots,
-              "each live shard needs its own Counter cell for local_value()");
-static_assert(kMaxShards <= kMaxStatShards, "shard ids must be valid stat shards");
 
 ShardPool::ShardPool(std::size_t shards) : shards_(shards) {
   if (shards < 1 || shards > kMaxShards) {
@@ -28,19 +23,11 @@ void ShardPool::run_all() {
   jobs_.clear();
   if (jobs.empty()) return;
 
-  if (shards_ == 1) {
-    // The legacy serial path, bit for bit: inline execution, global pid
-    // numbering, exceptions propagate immediately.
-    for (auto& job : jobs) job();
-    return;
-  }
-
-  trace::Tracer& tracer = trace::Tracer::instance();
-  tracer.note_shard_count(shards_);
   // Reserve every job's pid block upfront so job j's engines get the same
-  // trace pids no matter which thread runs it or when.
-  const std::uint32_t pid_base =
-      tracer.reserve_pids(static_cast<std::uint32_t>(jobs.size()) * kPidsPerJob);
+  // trace pids no matter which thread runs it, when, or how many shards
+  // there are.
+  const std::uint32_t pid_base = trace::Tracer::instance().reserve_pids(
+      static_cast<std::uint32_t>(jobs.size()) * kPidsPerJob);
 
   std::vector<std::exception_ptr> errors(jobs.size());
   const auto worker = [&](std::size_t shard) {

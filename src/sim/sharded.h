@@ -3,13 +3,12 @@
 // ShardPool runs *independent* simulations (each its own Engine, the
 // common bench/test shape: one Rig per data point) on N shard threads.
 // Jobs are assigned round-robin by submission index (job j runs on shard
-// j mod N), stat/trace accumulation is shard-local (common/stats.h,
-// common/trace.h), and each job draws its engine trace pids from a
-// pre-reserved block keyed by j — so every simulated result and exported
-// artifact is a pure function of (seed, job list), identical at every
-// shard count. shards=1 runs jobs inline on the calling thread with no pid
-// scoping: exactly the legacy serial path, byte-identical to the
-// pre-sharding code.
+// j mod N), stat/trace accumulation is keyed on the shard id
+// (common/stats.h, common/trace.h), and each job draws its engine trace
+// pids from a pre-reserved block keyed by j — so every simulated result
+// and exported artifact is a pure function of (seed, job list), identical
+// at every shard count. shards=1 is the same path with one shard, run on
+// the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -17,13 +16,9 @@
 #include <vector>
 
 #include "common/function.h"
+#include "common/stats.h"
 
 namespace tio::sim {
-
-// Upper bound on ShardPool shards: one Counter cell per live shard
-// (common/stats.h), so a job's Counter::local_value() deltas never alias
-// another shard's counts. sharded.cc asserts it equals Counter::kSlots.
-inline constexpr std::size_t kMaxShards = 16;
 
 // Deterministic pool of independent simulation jobs over N shard threads.
 class ShardPool {
@@ -44,7 +39,7 @@ class ShardPool {
   // Runs every queued job to completion and clears the queue. Job j runs
   // on shard j mod shards(), in submission order within a shard. If jobs
   // threw, the exception of the lowest job index is rethrown after all
-  // jobs finish. With shards() == 1 everything runs inline on the caller.
+  // jobs finish. Shard 0 runs on the calling thread.
   void run_all();
 
  private:

@@ -8,15 +8,18 @@
 // The cross-shard matrix below additionally pins the sharding contract:
 // spreading independent simulations across a ShardPool must not change any
 // simulated result at any shard count, and every shard count must be
-// bit-reproducible run to run. TIO_MATRIX_RANKS shrinks the rig for slow
-// instrumented builds (TSan CI).
+// bit-reproducible run to run, and the exported trace must be
+// byte-identical at every shard count. TIO_MATRIX_RANKS shrinks the rig for
+// slow instrumented builds (TSan CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "pfs/faulty_fs.h"
 #include "sim/sharded.h"
 #include "testbed/testbed.h"
@@ -171,7 +174,7 @@ void expect_matrix_identical(const std::vector<MatrixOutcome>& a,
 TEST(Determinism, CrossShardMatrixMatchesSerialBaseline) {
   const pfs::FaultPlan no_faults = {};
   const int ranks = matrix_ranks();
-  // shards=1 is the legacy inline path — the seed baseline.
+  // shards=1: the same pool path on the calling thread, the baseline.
   const std::vector<MatrixOutcome> baseline = run_matrix(1, ranks, no_faults);
   EXPECT_GT(baseline[0].events, static_cast<std::uint64_t>(ranks));
   EXPECT_GT(baseline[2].open_s, 0.0);
@@ -200,6 +203,41 @@ TEST(Determinism, ChaosStressPlanReproducibleAtFourShards) {
   const std::vector<MatrixOutcome> b = run_matrix(4, ranks, plan.value());
   expect_matrix_identical(serial, a);
   expect_matrix_identical(a, b);
+}
+
+// Traced fig. 4-shaped rows (one LANL rig per stream count: N-1 strided
+// PLFS write, then a Parallel Index Read) through a pool of `shards`;
+// returns the exported trace document.
+std::string traced_fig4_rows(std::size_t shards) {
+  trace::Tracer& tracer = trace::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  sim::ShardPool pool(shards);
+  for (const int ranks : {16, 32, 48, 64}) {
+    pool.submit([ranks] {
+      testbed::Rig::Options opts;
+      opts.cluster = testbed::lanl_cluster();
+      opts.pfs = testbed::lanl_pfs();
+      testbed::Rig rig(opts);
+      JobSpec spec;
+      spec.file = "traced";
+      spec.ops = strided_ops(/*bytes_per_proc=*/16 << 10, /*record=*/4 << 10);
+      spec.target.access = Access::plfs_n1;
+      run_job(rig, ranks, spec);
+    });
+  }
+  pool.run_all();
+  std::string json = tracer.to_chrome_json();
+  tracer.set_enabled(false);
+  tracer.clear();
+  return json;
+}
+
+TEST(Determinism, TracedFig4RowsExportIdenticalTracesAcrossShards) {
+  const std::string serial = traced_fig4_rows(1);
+  EXPECT_NE(serial.find("\"harness.open_read\""), std::string::npos);
+  EXPECT_NE(serial.find("\"plfs.open.index_read\""), std::string::npos);
+  EXPECT_EQ(traced_fig4_rows(4), serial);
 }
 
 }  // namespace

@@ -17,13 +17,9 @@ Checks, per engine ("pid" in the trace):
      one phase span, so this reconciliation is exact by construction —
      any gap means an unattributed await crept in.
 
-With --expect-shards=N, additionally asserts the document was exported by
-an N-shard run: multi-shard traces carry {"otherData": {"shards": N}},
-single-shard traces omit the key (implied 1).
-
 Exit status 0 when every window passes, 1 otherwise.
 
-Usage: check_trace.py TRACE.json [--tolerance=0.01] [--expect-shards=N] [--verbose]
+Usage: check_trace.py TRACE.json [--tolerance=0.01] [--verbose]
 """
 
 import json
@@ -34,13 +30,10 @@ from collections import defaultdict
 def main(argv):
     tolerance = 0.01
     verbose = False
-    expect_shards = None
     paths = []
     for arg in argv[1:]:
         if arg.startswith("--tolerance="):
             tolerance = float(arg.split("=", 1)[1])
-        elif arg.startswith("--expect-shards="):
-            expect_shards = int(arg.split("=", 1)[1])
         elif arg == "--verbose":
             verbose = True
         else:
@@ -53,13 +46,6 @@ def main(argv):
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         raise SystemExit(f"{path}: no traceEvents list")
-
-    if expect_shards is not None:
-        got = doc.get("otherData", {}).get("shards", 1)
-        if got != expect_shards:
-            print(f"{path}: expected a {expect_shards}-shard trace, got shards={got}",
-                  file=sys.stderr)
-            return 1
 
     # (pid, tid) -> list of (ts, dur, name, cat) complete spans.
     spans = defaultdict(list)
