@@ -45,8 +45,12 @@ ctest --preset asan -j "$jobs" -R \
 echo "==> chaos + raft suites under ASan/UBSan (fault injection, retry, failover)"
 ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFs|FaultyFsTest|Rig|RetryPolicy|RetryBudget|RetryLoop|DirectFault|Status|RaftTest)\.'
 
-echo "==> metadata batch + lease-cache + SimPfs mutation suites under ASan/UBSan"
-ctest --preset asan -j "$jobs" -R '^(MetaBatch|MetaCache|MetaCacheSimPfs|SimPfsTest)\.'
+# The path table (Namespace) addresses every node by a dense id;
+# its differential suite against the tree oracle and the in-memory file
+# system built on it run here alongside the SimPfs suites that use it.
+echo "==> namespace + metadata batch + lease-cache + SimPfs mutation suites under ASan/UBSan"
+ctest --preset asan -j "$jobs" -R \
+  '^(Namespace|NamespaceDiff|MemFsTest|MetaBatch|MetaCache|MetaCacheSimPfs|SimPfsTest)\.'
 
 echo "==> collective-buffering suites under ASan/UBSan (exchange, census, config, sieving, grouping)"
 ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbCensus|CbConfig|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators)\.'

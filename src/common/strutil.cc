@@ -46,10 +46,22 @@ std::string_view path_dirname(std::string_view p) {
   return p.substr(0, pos);
 }
 
+std::string_view next_path_component(std::string_view p, std::size_t& pos) {
+  while (pos < p.size()) {
+    while (pos < p.size() && p[pos] == '/') ++pos;
+    const std::size_t start = pos;
+    while (pos < p.size() && p[pos] != '/') ++pos;
+    const std::string_view part = p.substr(start, pos - start);
+    if (!part.empty() && part != ".") return part;
+  }
+  return {};
+}
+
 std::string path_normalize(std::string_view p) {
   std::string out = "/";
-  for (auto part : split(p, '/')) {
-    if (part.empty() || part == ".") continue;
+  std::size_t pos = 0;
+  for (auto part = next_path_component(p, pos); !part.empty();
+       part = next_path_component(p, pos)) {
     if (out.back() != '/') out += '/';
     out += part;
   }
@@ -58,8 +70,10 @@ std::string path_normalize(std::string_view p) {
 
 std::vector<std::string_view> path_components(std::string_view p) {
   std::vector<std::string_view> out;
-  for (auto part : split(p, '/')) {
-    if (!part.empty() && part != ".") out.push_back(part);
+  std::size_t pos = 0;
+  for (auto part = next_path_component(p, pos); !part.empty();
+       part = next_path_component(p, pos)) {
+    out.push_back(part);
   }
   return out;
 }

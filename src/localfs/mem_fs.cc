@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/strutil.h"
-
 namespace tio::localfs {
 
 using pfs::FileId;
@@ -14,9 +12,9 @@ sim::Task<Result<FileId>> MemFs::open(pfs::IoCtx ctx, std::string path, pfs::Ope
   if (!flags.read && !flags.write) {
     co_return error(Errc::invalid, "open needs read or write: " + path);
   }
-  path = path_normalize(path);
+  const pfs::Namespace::Resolved r = ns_.resolve(path);
   ObjectId oid = pfs::kNoObject;
-  auto existing = ns_.lookup(path);
+  auto existing = ns_.lookup(r.id);
   if (existing.ok() && existing->is_dir) co_return error(Errc::is_a_directory, path);
   if (existing.ok()) {
     if (flags.create && flags.excl) co_return error(Errc::exists, path);
@@ -29,10 +27,9 @@ sim::Task<Result<FileId>> MemFs::open(pfs::IoCtx ctx, std::string path, pfs::Ope
     }
   } else {
     if (!flags.create) co_return error(Errc::not_found, path);
-    if (!ns_.exists(std::string(path_dirname(path)))) {
-      co_return error(Errc::not_found, "parent: " + std::string(path_dirname(path)));
-    }
-    auto created = ns_.create_file(path, flags.excl);
+    if (!ns_.present(r.parent)) co_return error(Errc::not_found, "parent of " + path);
+    const pfs::PathId id = r.id != pfs::kNoPath ? r.id : ns_.intern(r.parent, r.leaf);
+    auto created = ns_.create_file(id, flags.excl);
     if (!created.ok()) co_return created.status();
     oid = created->oid;
     objects_[oid].mtime = engine_.now();
@@ -76,21 +73,19 @@ sim::Task<Result<FragmentList>> MemFs::read(pfs::IoCtx ctx, FileId file, std::ui
 
 sim::Task<Status> MemFs::mkdir(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  path = path_normalize(path);
-  if (!ns_.exists(std::string(path_dirname(path)))) {
-    co_return error(Errc::not_found, "parent: " + std::string(path_dirname(path)));
-  }
-  co_return ns_.mkdir(path);
+  const pfs::Namespace::Resolved r = ns_.resolve(path);
+  if (!ns_.present(r.parent)) co_return error(Errc::not_found, "parent of " + path);
+  co_return ns_.mkdir(r.id != pfs::kNoPath ? r.id : ns_.intern(r.parent, r.leaf));
 }
 
 sim::Task<Status> MemFs::rmdir(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  co_return ns_.rmdir(path_normalize(path));
+  co_return ns_.rmdir(path);
 }
 
 sim::Task<Status> MemFs::unlink(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  auto removed = ns_.unlink(path_normalize(path));
+  auto removed = ns_.unlink(path);
   if (!removed.ok()) co_return removed.status();
   objects_.erase(removed.value());
   co_return Status::Ok();
@@ -98,7 +93,7 @@ sim::Task<Status> MemFs::unlink(pfs::IoCtx ctx, std::string path) {
 
 sim::Task<Result<pfs::StatInfo>> MemFs::stat(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  auto entry = ns_.lookup(path_normalize(path));
+  auto entry = ns_.lookup(path);
   if (!entry.ok()) co_return entry.status();
   pfs::StatInfo info;
   info.is_dir = entry->is_dir;
@@ -114,7 +109,7 @@ sim::Task<Result<pfs::StatInfo>> MemFs::stat(pfs::IoCtx ctx, std::string path) {
 
 sim::Task<Result<std::vector<pfs::DirEntry>>> MemFs::readdir(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
-  co_return ns_.readdir(path_normalize(path));
+  co_return ns_.readdir(path);
 }
 
 }  // namespace tio::localfs

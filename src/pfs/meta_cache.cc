@@ -22,7 +22,7 @@ MetaCacheCounters& mc() {
 
 }  // namespace
 
-const MetaCache::Entry* MetaCache::lookup(std::size_t node, const std::string& path,
+const MetaCache::Entry* MetaCache::lookup(std::size_t node, PathId path,
                                           std::uint64_t group_epoch) {
   const auto it = entries_.find(path);
   if (it == entries_.end()) {
@@ -55,14 +55,14 @@ const MetaCache::Entry* MetaCache::lookup(std::size_t node, const std::string& p
   return &e;
 }
 
-void MetaCache::insert(std::size_t node, const std::string& path, ObjectId oid, bool is_dir,
+void MetaCache::insert(std::size_t node, PathId path, ObjectId oid, bool is_dir,
                        std::uint64_t group_epoch) {
   if (!enabled()) return;
   mc().inserts.add();
   entries_[path][node] = Entry{oid, is_dir, engine_.now() + lease_, group_epoch};
 }
 
-void MetaCache::invalidate(const std::string& path) {
+void MetaCache::invalidate(PathId path) {
   const auto it = entries_.find(path);
   if (it == entries_.end()) return;
   mc().invalidations.add(it->second.size());

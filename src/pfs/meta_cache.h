@@ -21,10 +21,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 
 #include "common/units.h"
+#include "pfs/namespace.h"
 #include "pfs/types.h"
 #include "sim/engine.h"
 
@@ -44,15 +44,16 @@ class MetaCache {
   bool enabled() const { return lease_ > Duration::zero(); }
 
   // Valid (unexpired, current-epoch) entry for (node, path), or nullptr.
-  // Expired and revoked entries are erased on the way out.
-  const Entry* lookup(std::size_t node, const std::string& path, std::uint64_t group_epoch);
+  // Expired and revoked entries are erased on the way out. Paths are the
+  // owning file system's interned ids; kNoPath always misses.
+  const Entry* lookup(std::size_t node, PathId path, std::uint64_t group_epoch);
 
   // Installs/refreshes the lease for (node, path) under `group_epoch`.
-  void insert(std::size_t node, const std::string& path, ObjectId oid, bool is_dir,
+  void insert(std::size_t node, PathId path, ObjectId oid, bool is_dir,
               std::uint64_t group_epoch);
 
   // Mutation invalidation: drops the path on every node.
-  void invalidate(const std::string& path);
+  void invalidate(PathId path);
 
   // Tests/introspection.
   std::size_t size() const { return entries_.size(); }
@@ -63,7 +64,7 @@ class MetaCache {
   Duration lease_;
   // path -> per-node leases. Keyed by path first so a mutation invalidates
   // all nodes with one erase.
-  std::unordered_map<std::string, std::unordered_map<std::size_t, Entry>> entries_;
+  std::unordered_map<PathId, std::unordered_map<std::size_t, Entry>> entries_;
 };
 
 }  // namespace tio::pfs

@@ -115,7 +115,7 @@ MetaApply SimPfs::apply_meta(const MetaCommand& mc) {
         out.status = removed.status();
         break;
       }
-      objects_.erase(removed.value());
+      if (removed.value() < objects_.size()) objects_[removed.value()] = Object{};
       break;
     }
   }
@@ -125,7 +125,7 @@ MetaApply SimPfs::apply_meta(const MetaCommand& mc) {
   return out;
 }
 
-Duration SimPfs::dir_insert_service(std::string_view dir) const {
+Duration SimPfs::dir_insert_service(PathId dir) const {
   const std::uint64_t entries = ns_.dir_entry_count(dir);
   const double degrade =
       1.0 + static_cast<double>(entries) / static_cast<double>(config_.dir_degrade_entries);
@@ -136,12 +136,12 @@ Duration SimPfs::meta_service(const MetaCommand& mc) const {
   // Same serialized-insert degradation as dir_mutation: the log (or the
   // batch) already serializes mutations, but each one still costs
   // directory-size-dependent MDS service time.
-  const Duration insert = dir_insert_service(path_dirname(mc.path));
+  const Duration insert = dir_insert_service(ns_.parent(mc.path));
   return mc.kind == MetaCommand::Kind::create ? insert + config_.mds_create_time : insert;
 }
 
 SimPfs::SimPfs(net::Cluster& cluster, PfsConfig config)
-    : cluster_(cluster), config_(std::move(config)) {
+    : cluster_(cluster), config_(std::move(config)), ns_(config_.num_mds) {
   group_epochs_.assign(config_.num_mds, 0);
   forming_.assign(config_.num_mds, nullptr);
   if (config_.meta_lease > Duration::zero()) {
@@ -233,35 +233,24 @@ void SimPfs::schedule_server_faults(const FaultPlan& plan) {
   }
 }
 
-std::size_t SimPfs::mds_of_path(std::string_view path) const {
-  const auto comps = path_components(path);
-  if (comps.empty()) return 0;
-  const std::string_view top = comps.front();
-  // Volumes named volK model separately mounted file systems: they map to
-  // metadata servers round-robin, so K volumes on a K-MDS system are
-  // guaranteed disjoint (like PanFS realms). Anything else hashes.
-  if (top.starts_with("vol")) {
-    std::uint64_t k = 0;
-    bool numeric = top.size() > 3;
-    for (const char c : top.substr(3)) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      k = k * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (numeric) return static_cast<std::size_t>(k % config_.num_mds);
-  }
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : top) h = splitmix64(h ^ static_cast<unsigned char>(c));
-  return static_cast<std::size_t>(h % config_.num_mds);
+std::size_t SimPfs::mds_of_path(std::string_view path) const { return ns_.group_of(path); }
+
+std::size_t SimPfs::parent_group(PathId parent, std::string_view path) const {
+  // An uninterned parent means the path has two or more components, so its
+  // parent shares the path's top-level component.
+  return parent != kNoPath ? ns_.group(parent) : ns_.group_of(path);
 }
 
-SimPfs::Object& SimPfs::object(ObjectId oid) { return objects_[oid]; }
+SimPfs::Object& SimPfs::object(ObjectId oid) {
+  if (oid >= objects_.size()) objects_.resize(oid + 1);
+  Object& o = objects_[oid];
+  o.live = true;
+  return o;
+}
 
 const ExtentMap* SimPfs::object_extents(ObjectId oid) const {
-  const auto it = objects_.find(oid);
-  return it == objects_.end() ? nullptr : &it->second.data;
+  if (oid >= objects_.size() || !objects_[oid].live) return nullptr;
+  return &objects_[oid].data;
 }
 
 Result<SimPfs::OpenFile*> SimPfs::handle(FileId file) {
@@ -271,35 +260,37 @@ Result<SimPfs::OpenFile*> SimPfs::handle(FileId file) {
   return &it->second;
 }
 
-sim::Mutex& SimPfs::dir_mutex(const std::string& dir) {
+sim::Mutex& SimPfs::dir_mutex(PathId dir) {
   auto& slot = dir_mutexes_[dir];
   if (!slot) slot = std::make_unique<sim::Mutex>(engine());
   return *slot;
 }
 
-sim::Task<Status> SimPfs::mds_op(IoCtx ctx, std::string_view dir_path, Duration service) {
+sim::Task<Status> SimPfs::mds_op(IoCtx ctx, std::size_t g, Duration service) {
   ++stats_.metadata_ops;
-  if (replicated()) {
-    co_return co_await raft_groups_[mds_of_path(dir_path)]->serve_read(ctx.node, ctx.rank,
-                                                                       service);
-  }
+  if (replicated()) co_return co_await raft_groups_[g]->serve_read(ctx.node, ctx.rank, service);
   co_await engine().sleep(config_.rpc_overhead + cluster_.storage_latency());
-  co_await mds_[mds_of_path(dir_path)]->serve(service);
+  co_await mds_[g]->serve(service);
   co_return Status::Ok();
 }
 
-sim::Task<void> SimPfs::dir_mutation(IoCtx ctx, std::string dir_path) {
+sim::Task<void> SimPfs::dir_mutation(IoCtx ctx, PathId dir) {
   bc().mutation_round_trips.add();
-  sim::Mutex& mu = dir_mutex(dir_path);
+  sim::Mutex& mu = dir_mutex(dir);
   co_await mu.lock();
-  const Status st = co_await mds_op(ctx, dir_path, dir_insert_service(dir_path));
+  const Status st = co_await mds_op(ctx, ns_.group(dir), dir_insert_service(dir));
   (void)st;  // unreplicated mds_op cannot fail
   mu.unlock();
 }
 
-sim::Task<Result<MetaBatchApply>> SimPfs::raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch) {
+std::uint64_t SimPfs::wire_bytes(const MetaBatch& batch) const {
   std::uint64_t bytes = 32;
-  for (const MetaCommand& mc : batch.cmds) bytes += 48 + mc.path.size();
+  for (const MetaCommand& mc : batch.cmds) bytes += 48 + ns_.path_length(mc.path);
+  return bytes;
+}
+
+sim::Task<Result<MetaBatchApply>> SimPfs::raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch) {
+  const std::uint64_t bytes = wire_bytes(batch);
   TIO_CO_ASSIGN_OR_RETURN(std::shared_ptr<const std::any> result,
                           co_await raft_groups_[g]->submit(ctx.node, ctx.rank,
                                                            std::any(std::move(batch)), bytes));
@@ -310,8 +301,9 @@ sim::Task<Result<MetaBatchApply>> SimPfs::raft_apply(IoCtx ctx, std::size_t g, M
 }
 
 sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
-  const std::string parent(path_dirname(cmd.path));
-  if (config_.mds_batch > 0) co_return co_await batch_submit(ctx, parent, std::move(cmd));
+  const PathId parent = ns_.parent(cmd.path);
+  const std::size_t g = ns_.group(parent);
+  if (config_.mds_batch > 0) co_return co_await batch_submit(ctx, g, std::move(cmd));
   if (replicated()) {
     // The mutation is acked only after the group leader committed and
     // applied it: the caller's existence checks are advisory, the apply
@@ -321,7 +313,7 @@ sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
     MetaBatch one;
     one.cmds.push_back(std::move(cmd));
     TIO_CO_ASSIGN_OR_RETURN(MetaBatchApply applied,
-                            co_await raft_apply(ctx, mds_of_path(parent), std::move(one)));
+                            co_await raft_apply(ctx, g, std::move(one)));
     if (applied.results.size() != 1) {
       co_return error(Errc::io_error, "raft: malformed apply result");
     }
@@ -332,7 +324,7 @@ sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
   co_await dir_mutation(ctx, parent);
   if (cmd.kind == MetaCommand::Kind::create) {
     bc().mutation_round_trips.add();
-    const Status st = co_await mds_op(ctx, parent, config_.mds_create_time);
+    const Status st = co_await mds_op(ctx, g, config_.mds_create_time);
     (void)st;  // unreplicated mds_op cannot fail
   }
   co_return apply_meta(cmd);
@@ -340,9 +332,7 @@ sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
 
 // ------------------------------------------------- batched mutation client
 
-sim::Task<Result<MetaApply>> SimPfs::batch_submit(IoCtx ctx, std::string_view group_path,
-                                                  MetaCommand cmd) {
-  const std::size_t g = mds_of_path(group_path);
+sim::Task<Result<MetaApply>> SimPfs::batch_submit(IoCtx ctx, std::size_t g, MetaCommand cmd) {
   std::shared_ptr<PendingBatch>& slot = forming_[g];
   if (!slot) {
     slot = std::make_shared<PendingBatch>(engine());
@@ -417,50 +407,52 @@ sim::Task<void> SimPfs::run_batch(std::size_t g, std::shared_ptr<PendingBatch> p
 
 // ------------------------------------------------ leased client-side cache
 
-bool SimPfs::cache_lookup(const IoCtx& ctx, const std::string& path, MetaCache::Entry* out) {
+bool SimPfs::cache_lookup(const IoCtx& ctx, PathId path, MetaCache::Entry* out) {
   if (!meta_cache_) return false;
-  const MetaCache::Entry* e =
-      meta_cache_->lookup(ctx.node, path, group_epochs_[mds_of_path(path)]);
+  // An uninterned path was never leased: any epoch misses the same way.
+  const std::uint64_t epoch = path == kNoPath ? 0 : group_epochs_[ns_.group(path)];
+  const MetaCache::Entry* e = meta_cache_->lookup(ctx.node, path, epoch);
   if (e == nullptr) return false;
   if (out != nullptr) *out = *e;
   return true;
 }
 
-void SimPfs::cache_insert(const IoCtx& ctx, const std::string& path, ObjectId oid, bool is_dir) {
+void SimPfs::cache_insert(const IoCtx& ctx, PathId path, ObjectId oid, bool is_dir) {
   if (!meta_cache_) return;
-  meta_cache_->insert(ctx.node, path, oid, is_dir, group_epochs_[mds_of_path(path)]);
+  meta_cache_->insert(ctx.node, path, oid, is_dir, group_epochs_[ns_.group(path)]);
 }
 
 sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags flags) {
   if (!flags.read && !flags.write) {
     co_return error(Errc::invalid, "open needs read or write: " + path);
   }
-  path = path_normalize(path);
-  const std::string parent(path_dirname(path));
+  const Namespace::Resolved r = ns_.resolve(path);
+  const std::size_t pg = parent_group(r.parent, path);
   ++stats_.opens;
 
   ObjectId oid = kNoObject;
-  auto existing = ns_.lookup(path);
-  if (existing.ok() && existing->is_dir) {
-    TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
-    co_return error(Errc::is_a_directory, path);
-  }
-  if (existing.ok()) {
+  PathId id = r.id;
+  if (ns_.present(id)) {
+    const Namespace::Entry existing = ns_.lookup(id).value();
+    if (existing.is_dir) {
+      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
+      co_return error(Errc::is_a_directory, path);
+    }
     if (flags.create && flags.excl) {
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
+      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
       co_return error(Errc::exists, path);
     }
-    Object& cached = object(existing->oid);
-    if (!cache_lookup(ctx, path)) {
+    Object& cached = object(existing.oid);
+    if (!cache_lookup(ctx, id)) {
       // Miss (or cache off): pay the MDS round trip, then lease the dentry
       // so this node's repeat opens within the TTL stay local.
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent,
+      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg,
                                              cached.dentry_hot ? config_.mds_cached_open_time
                                                                : config_.mds_open_time));
-      cache_insert(ctx, path, existing->oid, /*is_dir=*/false);
+      cache_insert(ctx, id, existing.oid, /*is_dir=*/false);
     }
     cached.dentry_hot = true;
-    oid = existing->oid;
+    oid = existing.oid;
     if (flags.trunc && flags.write) {
       Object& o = object(oid);
       o.data.truncate(0);
@@ -469,33 +461,33 @@ sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags fl
     }
   } else {
     if (!flags.create) {
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
+      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
       co_return error(Errc::not_found, path);
     }
     // Creation: serialized insert into the parent directory.
-    if (!ns_.exists(parent)) {
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
-      co_return error(Errc::not_found, "parent: " + parent);
+    if (!ns_.present(r.parent)) {
+      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
+      co_return error(Errc::not_found, "parent of " + path);
     }
-    MetaCommand cmd{MetaCommand::Kind::create, path, flags.excl};
+    if (id == kNoPath) id = ns_.intern(r.parent, r.leaf);
+    MetaCommand cmd{MetaCommand::Kind::create, id, flags.excl};
     TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
     TIO_CO_RETURN_IF_ERROR(applied.status);
     oid = applied.oid;
   }
 
-  const FileId id = next_file_id_++;
-  open_files_[id] = OpenFile{oid, flags, parent};
-  co_return id;
+  const FileId fd = next_file_id_++;
+  open_files_[fd] = OpenFile{oid, flags, r.parent};
+  co_return fd;
 }
 
 sim::Task<Status> SimPfs::close(IoCtx ctx, FileId file) {
   TIO_CO_ASSIGN_OR_RETURN(OpenFile * of, handle(file));
-  const std::string parent = of->parent_dir;
-  (void)of;
+  const std::size_t g = ns_.group(of->parent_dir);
   // Keep the handle until the MDS round trip succeeds: in replicated mode
   // the round trip can fail transiently (request timeout, leader change),
   // and close_retried reissues the same fd — the retry must still find it.
-  TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_close_time));
+  TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, g, config_.mds_close_time));
   open_files_.erase(file);
   co_return Status::Ok();
 }
@@ -504,11 +496,13 @@ sim::Task<void> SimPfs::acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_
                                             std::uint64_t len) {
   const std::uint64_t first = offset / config_.lock_range;
   const std::uint64_t last = (offset + len - 1) / config_.lock_range;
+  if (!obj.locks) obj.locks = std::make_unique<Locks>();
+  Locks& locks = *obj.locks;
   for (std::uint64_t r = first; r <= last; ++r) {
-    const auto it = obj.lock_owner.find(r);
+    const auto it = locks.owner.find(r);
     const auto owner = static_cast<std::size_t>(ctx.rank);
-    if (it != obj.lock_owner.end() && it->second == owner) continue;  // cached lock
-    if (it == obj.lock_owner.end()) {
+    if (it != locks.owner.end() && it->second == owner) continue;  // cached lock
+    if (it == locks.owner.end()) {
       ++stats_.lock_grants;
       co_await engine().sleep(config_.lock_grant_time);
     } else {
@@ -517,15 +511,15 @@ sim::Task<void> SimPfs::acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_
       // previous owner's dirty data for the range (approximated by the
       // incoming write's scale) before the new owner may proceed.
       ++stats_.lock_transfers;
-      if (!obj.lock_server) {
-        obj.lock_server = std::make_unique<sim::FcfsServer>(engine(), 1, "lockmgr");
+      if (!locks.server) {
+        locks.server = std::make_unique<sim::FcfsServer>(engine(), 1, "lockmgr");
       }
       const std::uint64_t flush_bytes =
           std::min(config_.lock_range, std::max(len, config_.rmw_page));
-      co_await obj.lock_server->serve(config_.lock_transfer_time +
-                                      transfer_time(flush_bytes, config_.ost_bandwidth));
+      co_await locks.server->serve(config_.lock_transfer_time +
+                                   transfer_time(flush_bytes, config_.ost_bandwidth));
     }
-    obj.lock_owner[r] = owner;
+    locks.owner[r] = owner;
   }
 }
 
@@ -655,71 +649,71 @@ sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64
 // create (in open), mkdir, rmdir and unlink each build one MetaCommand and
 // route it through mutate(); apply_meta is what changes the namespace.
 sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
-  const std::string parent(path_dirname(path));
-  if (!ns_.exists(parent)) {
-    TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent, config_.mds_open_time));
-    co_return error(Errc::not_found, "parent: " + parent);
+  const Namespace::Resolved r = ns_.resolve(path);
+  if (!ns_.present(r.parent)) {
+    TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent_group(r.parent, path),
+                                           config_.mds_open_time));
+    co_return error(Errc::not_found, "parent of " + path);
   }
-  MetaCommand cmd{MetaCommand::Kind::mkdir, std::move(path)};
+  const PathId id = r.id != kNoPath ? r.id : ns_.intern(r.parent, r.leaf);
+  MetaCommand cmd{MetaCommand::Kind::mkdir, id};
   TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
   co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::rmdir(IoCtx ctx, std::string path) {
-  MetaCommand cmd{MetaCommand::Kind::rmdir, path_normalize(path)};
+  MetaCommand cmd{MetaCommand::Kind::rmdir, ns_.intern(path)};
   TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
   co_return applied.status;
 }
 
 sim::Task<Status> SimPfs::unlink(IoCtx ctx, std::string path) {
-  MetaCommand cmd{MetaCommand::Kind::unlink, path_normalize(path)};
+  MetaCommand cmd{MetaCommand::Kind::unlink, ns_.intern(path)};
   TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
   co_return applied.status;
 }
 
 sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
+  const Namespace::Resolved r = ns_.resolve(path);
   MetaCache::Entry lease;
-  if (cache_lookup(ctx, path, &lease)) {
+  if (cache_lookup(ctx, r.id, &lease)) {
     // Lease hit: attributes served from the client cache, no MDS round
     // trip. Sizes/mtimes come from the shared truth — the lease only
     // vouches for existence and identity, which invalidation-on-mutation
     // and epoch revocation keep safe.
     StatInfo info;
     info.is_dir = lease.is_dir;
-    if (!lease.is_dir) {
-      const auto it = objects_.find(lease.oid);
-      if (it != objects_.end()) {
-        info.size = it->second.size;
-        info.mtime = it->second.mtime;
-      }
+    if (!lease.is_dir && lease.oid < objects_.size()) {
+      info.size = objects_[lease.oid].size;
+      info.mtime = objects_[lease.oid].mtime;
     }
     co_return info;
   }
-  TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, path_dirname(path), config_.mds_stat_time));
-  auto entry = ns_.lookup(path);
-  if (!entry.ok()) co_return entry.status();
+  TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent_group(r.parent, path),
+                                         config_.mds_stat_time));
+  // The path may have been created while the MDS round trip was in flight.
+  const PathId id = r.id != kNoPath ? r.id : ns_.find(path);
+  if (!ns_.present(id)) co_return error(Errc::not_found, path);
+  const Namespace::Entry entry = ns_.lookup(id).value();
   StatInfo info;
-  info.is_dir = entry->is_dir;
-  if (!entry->is_dir) {
-    const auto it = objects_.find(entry->oid);
-    if (it != objects_.end()) {
-      info.size = it->second.size;
-      info.mtime = it->second.mtime;
-    }
+  info.is_dir = entry.is_dir;
+  if (!entry.is_dir && entry.oid < objects_.size()) {
+    info.size = objects_[entry.oid].size;
+    info.mtime = objects_[entry.oid].mtime;
   }
-  cache_insert(ctx, path, entry->is_dir ? kNoObject : entry->oid, entry->is_dir);
+  cache_insert(ctx, id, entry.is_dir ? kNoObject : entry.oid, entry.is_dir);
   co_return info;
 }
 
 sim::Task<Result<std::vector<DirEntry>>> SimPfs::readdir(IoCtx ctx, std::string path) {
-  path = path_normalize(path);
-  auto entries = ns_.readdir(path);
+  const PathId id = ns_.find(path);
+  Result<std::vector<DirEntry>> entries = error(Errc::not_found, path);
+  if (ns_.present(id)) entries = ns_.readdir(id);
   const std::size_t n = entries.ok() ? entries->size() : 0;
-  TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, path, config_.mds_open_time +
-                                                        config_.mds_readdir_per_entry *
-                                                            static_cast<std::int64_t>(n)));
+  const std::size_t g = id != kNoPath ? ns_.group(id) : ns_.group_of(path);
+  TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, g, config_.mds_open_time +
+                                                     config_.mds_readdir_per_entry *
+                                                         static_cast<std::int64_t>(n)));
   co_return entries;
 }
 

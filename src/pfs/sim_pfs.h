@@ -14,11 +14,19 @@
 // Metadata placement: the top-level path component ("/vol3/...") selects the
 // metadata server, modeling rigidly divided, glued-together namespaces
 // (PanFS realms). A single directory never spreads across servers.
+//
+// Every op resolves its path once, at entry, to the namespace's dense
+// PathId (a mutation interns it); below the entry the MDS routing (the
+// path table's cached group), the directory locks, the lease cache and the
+// Raft log all work on ids. Per-file state lives in a table indexed by the
+// namespace's dense ObjectIds.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -39,13 +47,19 @@ struct FaultPlan;
 
 // One namespace mutation: what every create/mkdir/rmdir/unlink becomes
 // before it travels (alone, in a batch, or in a Raft log entry) and what
-// apply_meta applies to the namespace.
+// apply_meta applies to the namespace. The path is the id the op interned
+// at SimPfs's entry; ids are never reused, so it still names the same path
+// when the command applies, however long it sat in a batch or a log. The
+// command holds no heap storage (trivially destructible), so a log entry
+// costs its few bytes; the wire size raft_apply charges still counts the
+// normalized path's length, read from the path table.
 struct MetaCommand {
-  enum class Kind { create, mkdir, rmdir, unlink };
+  enum class Kind : std::uint8_t { create, mkdir, rmdir, unlink };
   Kind kind = Kind::create;
-  std::string path;
+  PathId path = kNoPath;
   bool excl = false;
 };
+static_assert(std::is_trivially_destructible_v<MetaCommand>);
 
 // Result of applying one MetaCommand (the client-visible outcome).
 struct MetaApply {
@@ -97,7 +111,11 @@ class SimPfs : public FsClient {
   const ExtentMap* object_extents(ObjectId oid) const;
   const sim::FcfsServer& mds(std::size_t i) const { return *mds_[i]; }
   const Ost& ost(std::size_t i) const { return *osts_[i]; }
+  // Metadata group of a raw path (the placement rule on its top component).
   std::size_t mds_of_path(std::string_view path) const;
+  // Simulated wire size of a batch in a Raft log entry: 32 bytes plus, per
+  // command, 48 bytes and its normalized path's length.
+  std::uint64_t wire_bytes(const MetaBatch& batch) const;
   void drop_caches();
 
   // --- metadata replication (mds_replication = raft) ---
@@ -135,18 +153,26 @@ class SimPfs : public FsClient {
   void reset_stats() { stats_ = Stats{}; }
 
  private:
+  // Range-lock state of a file, allocated on its first write lock.
+  struct Locks {
+    std::unordered_map<std::uint64_t, std::size_t> owner;  // range idx -> rank
+    std::unique_ptr<sim::FcfsServer> server;               // lazily created
+  };
   struct Object {
     ExtentMap data;
     std::uint64_t size = 0;
     TimePoint mtime;
+    bool live = false;        // created and not unlinked since
     bool dentry_hot = false;  // opened before: MDS serves from cache
-    std::unordered_map<std::uint64_t, std::size_t> lock_owner;  // range idx -> node
-    std::unique_ptr<sim::FcfsServer> lock_server;               // lazily created
+    std::unique_ptr<Locks> locks;
   };
+  // parent_dir is the id open resolved: close routes to its cached group,
+  // and since ids are never reused it names the same directory even if that
+  // directory was removed while the file was open.
   struct OpenFile {
     ObjectId oid = kNoObject;
     OpenFlags flags;
-    std::string parent_dir;  // for close-time MDS selection
+    PathId parent_dir = kNoPath;
   };
 
   struct MetaSm;  // raft::StateMachine over ns_ (defined in sim_pfs.cc)
@@ -164,9 +190,10 @@ class SimPfs : public FsClient {
     sim::Gate gate;
   };
 
+  // The object's slot, growing the table to it; marks it live.
   Object& object(ObjectId oid);
   Result<OpenFile*> handle(FileId file);
-  sim::Mutex& dir_mutex(const std::string& dir);
+  sim::Mutex& dir_mutex(PathId dir);
   // The one transport decision for a namespace mutation: mds_batch > 0
   // enqueues it into its group's forming batch; otherwise a replicated
   // deployment submits it as one Raft entry (a batch of one); otherwise it
@@ -179,28 +206,31 @@ class SimPfs : public FsClient {
   // happens here.
   MetaApply apply_meta(const MetaCommand& cmd);
   // Directory-degraded insert service time at the MDS serving `dir`.
-  Duration dir_insert_service(std::string_view dir) const;
+  Duration dir_insert_service(PathId dir) const;
   // MDS service time of one mutation (degraded insert, plus the object
   // creation time for a create).
   Duration meta_service(const MetaCommand& cmd) const;
   // Enqueues `cmd` into the forming batch of its metadata group and waits
   // for the flushed batch's per-entry outcome (mutate, when
   // config_.mds_batch > 0).
-  sim::Task<Result<MetaApply>> batch_submit(IoCtx ctx, std::string_view group_path,
-                                            MetaCommand cmd);
+  sim::Task<Result<MetaApply>> batch_submit(IoCtx ctx, std::size_t g, MetaCommand cmd);
   void flush_batch(std::size_t g);
   sim::Task<void> run_batch(std::size_t g, std::shared_ptr<PendingBatch> pending);
   // True when a valid lease for (node, path) exists; misses are counted.
-  bool cache_lookup(const IoCtx& ctx, const std::string& path, MetaCache::Entry* out = nullptr);
-  void cache_insert(const IoCtx& ctx, const std::string& path, ObjectId oid, bool is_dir);
-  // RPC + queue + service at the MDS serving `dir_path`. Unreplicated this
+  bool cache_lookup(const IoCtx& ctx, PathId path, MetaCache::Entry* out = nullptr);
+  void cache_insert(const IoCtx& ctx, PathId path, ObjectId oid, bool is_dir);
+  // Metadata group serving the directory `parent` of an op on `path`: the
+  // path table's cached group, or the placement rule on the raw path when
+  // the parent was never interned (an error path).
+  std::size_t parent_group(PathId parent, std::string_view path) const;
+  // RPC + queue + service at metadata group g's MDS. Unreplicated this
   // never fails; replicated it is a leader read and can surface
   // Errc::busy when the group has no reachable leader.
-  sim::Task<Status> mds_op(IoCtx ctx, std::string_view dir_path, Duration service);
+  sim::Task<Status> mds_op(IoCtx ctx, std::size_t g, Duration service);
   // Namespace mutation cost under the directory's serialized insert lock,
   // with size-dependent degradation (unreplicated, unbatched only —
   // replicated mutations serialize through the group's log instead).
-  sim::Task<void> dir_mutation(IoCtx ctx, std::string dir_path);
+  sim::Task<void> dir_mutation(IoCtx ctx, PathId dir);
   // Submits `batch` to group g's Raft log as one entry and returns the
   // per-entry outcomes once the leader has committed and applied it.
   sim::Task<Result<MetaBatchApply>> raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch);
@@ -221,8 +251,10 @@ class SimPfs : public FsClient {
   std::vector<std::unique_ptr<raft::Group>> raft_groups_;
   std::vector<std::unique_ptr<sim::FcfsServer>> mds_;
   std::vector<std::unique_ptr<Ost>> osts_;
-  std::unordered_map<std::string, std::unique_ptr<sim::Mutex>> dir_mutexes_;
-  std::unordered_map<ObjectId, Object> objects_;
+  std::unordered_map<PathId, std::unique_ptr<sim::Mutex>> dir_mutexes_;
+  // Indexed by ObjectId (dense from 1). A deque, so growth never moves an
+  // Object: write() holds an Object& across co_await.
+  std::deque<Object> objects_;
   std::unordered_map<FileId, OpenFile> open_files_;
   FileId next_file_id_ = 1;
   Stats stats_;

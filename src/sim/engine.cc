@@ -166,6 +166,9 @@ std::uint64_t Engine::run() {
   while (step()) {
   }
   run_span.end();
+  // Drained: every process of this run has finished, so the frame pool's
+  // free lists hold only dead frames. Give them back (DESIGN.md 5d).
+  FramePool::trim();
   const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - wall_start)
                            .count();

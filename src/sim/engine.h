@@ -66,8 +66,9 @@ class Engine {
   void spawn(Task<void> process);
 
   // Runs until the event queue is empty. Throws if a detached process threw.
-  // Returns the number of events processed. Also publishes sim.engine.*
-  // counters (events, wall time, pool and queue statistics).
+  // Returns the number of events processed. Once drained it trims this
+  // thread's coroutine frame pool (FramePool::trim) and publishes
+  // sim.engine.* counters (events, wall time, pool and queue statistics).
   std::uint64_t run();
   // Processes a single event; returns false when the queue is empty.
   bool step();

@@ -72,6 +72,8 @@ void* FramePool::allocate(std::size_t bytes) {
     return n;
   }
   ++s.totals.misses;
+  s.totals.bytes += class_bytes(cls);
+  if (s.totals.bytes > s.totals.peak_bytes) s.totals.peak_bytes = s.totals.bytes;
   return ::operator new(class_bytes(cls));
 }
 
@@ -90,6 +92,7 @@ void FramePool::deallocate(void* p, std::size_t bytes) noexcept {
   const std::size_t cls = class_of(bytes);
   if (s.cached[cls] >= kMaxCachedPerClass) {
     ++s.totals.dropped;
+    s.totals.bytes -= class_bytes(cls);
     ::operator delete(p);
     return;
   }
@@ -120,6 +123,7 @@ void FramePool::publish_counters() {
   flush("sim.engine.frame_pool_misses", s.totals.misses, s.published.misses);
   flush("sim.engine.frame_pool_oversize", s.totals.oversize, s.published.oversize);
   flush("sim.engine.frame_pool_dropped", s.totals.dropped, s.published.dropped);
+  counter("sim.engine.frame_pool_peak_bytes").raise_to(s.totals.peak_bytes);
 }
 
 void FramePool::trim() noexcept {
@@ -133,6 +137,7 @@ void FramePool::trim() noexcept {
       ::operator delete(n);
       --s.cached[cls];
       --s.totals.cached;
+      s.totals.bytes -= class_bytes(cls);
     }
   }
 }

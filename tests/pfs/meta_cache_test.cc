@@ -18,28 +18,32 @@ void advance(sim::Engine& engine, Duration d) {
   }(engine, d));
 }
 
+// Leases are keyed by the file system's interned path ids.
+constexpr PathId kF = 5;
+constexpr PathId kG = 6;
+
 TEST(MetaCache, HitWithinLease) {
   sim::Engine engine;
   MetaCache cache(engine, Duration::ms(50));
   ASSERT_TRUE(cache.enabled());
-  cache.insert(/*node=*/3, "/d/f", ObjectId{7}, /*is_dir=*/false, /*group_epoch=*/0);
-  const MetaCache::Entry* e = cache.lookup(3, "/d/f", 0);
+  cache.insert(/*node=*/3, kF, ObjectId{7}, /*is_dir=*/false, /*group_epoch=*/0);
+  const MetaCache::Entry* e = cache.lookup(3, kF, 0);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->oid, ObjectId{7});
   EXPECT_FALSE(e->is_dir);
   // The lease is per (node, path): another node has no entry.
-  EXPECT_EQ(cache.lookup(4, "/d/f", 0), nullptr);
+  EXPECT_EQ(cache.lookup(4, kF, 0), nullptr);
 }
 
 TEST(MetaCache, ExpiresAfterLease) {
   sim::Engine engine;
   MetaCache cache(engine, Duration::ms(50));
-  cache.insert(0, "/d/f", ObjectId{7}, false, 0);
+  cache.insert(0, kF, ObjectId{7}, false, 0);
   advance(engine, Duration::ms(49));
-  EXPECT_NE(cache.lookup(0, "/d/f", 0), nullptr);
+  EXPECT_NE(cache.lookup(0, kF, 0), nullptr);
   advance(engine, Duration::ms(1));  // exactly at insert + lease: expired
   const std::uint64_t expired_before = counter("pfs.meta_cache.expired").value();
-  EXPECT_EQ(cache.lookup(0, "/d/f", 0), nullptr);
+  EXPECT_EQ(cache.lookup(0, kF, 0), nullptr);
   EXPECT_EQ(counter("pfs.meta_cache.expired").value(), expired_before + 1);
   EXPECT_EQ(cache.size(), 0u);  // erased on the way out
 }
@@ -47,22 +51,22 @@ TEST(MetaCache, ExpiresAfterLease) {
 TEST(MetaCache, InvalidationDropsEveryNode) {
   sim::Engine engine;
   MetaCache cache(engine, Duration::ms(50));
-  cache.insert(0, "/d/f", ObjectId{7}, false, 0);
-  cache.insert(1, "/d/f", ObjectId{7}, false, 0);
-  cache.insert(0, "/d/g", ObjectId{8}, false, 0);
-  cache.invalidate("/d/f");
-  EXPECT_EQ(cache.lookup(0, "/d/f", 0), nullptr);
-  EXPECT_EQ(cache.lookup(1, "/d/f", 0), nullptr);
-  EXPECT_NE(cache.lookup(0, "/d/g", 0), nullptr);  // other paths untouched
+  cache.insert(0, kF, ObjectId{7}, false, 0);
+  cache.insert(1, kF, ObjectId{7}, false, 0);
+  cache.insert(0, kG, ObjectId{8}, false, 0);
+  cache.invalidate(kF);
+  EXPECT_EQ(cache.lookup(0, kF, 0), nullptr);
+  EXPECT_EQ(cache.lookup(1, kF, 0), nullptr);
+  EXPECT_NE(cache.lookup(0, kG, 0), nullptr);  // other paths untouched
 }
 
 TEST(MetaCache, EpochMismatchRevokes) {
   sim::Engine engine;
   MetaCache cache(engine, Duration::ms(50));
-  cache.insert(0, "/d/f", ObjectId{7}, false, /*group_epoch=*/2);
+  cache.insert(0, kF, ObjectId{7}, false, /*group_epoch=*/2);
   const std::uint64_t revoked_before = counter("pfs.meta_cache.epoch_revoked").value();
   // The group failed over since the lease was issued: entry untrustworthy.
-  EXPECT_EQ(cache.lookup(0, "/d/f", /*group_epoch=*/3), nullptr);
+  EXPECT_EQ(cache.lookup(0, kF, /*group_epoch=*/3), nullptr);
   EXPECT_EQ(counter("pfs.meta_cache.epoch_revoked").value(), revoked_before + 1);
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -71,7 +75,7 @@ TEST(MetaCache, DisabledLeaseInsertsNothing) {
   sim::Engine engine;
   MetaCache cache(engine, Duration::zero());
   EXPECT_FALSE(cache.enabled());
-  cache.insert(0, "/d/f", ObjectId{7}, false, 0);
+  cache.insert(0, kF, ObjectId{7}, false, 0);
   EXPECT_EQ(cache.size(), 0u);
 }
 

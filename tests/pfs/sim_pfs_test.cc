@@ -407,5 +407,67 @@ TEST_F(SimPfsTest, UnlinkedFileIsGone) {
   }(fs_, ctx_));
 }
 
+TEST_F(SimPfsTest, RaftWireBytesCountTheNormalizedPathPerCommand) {
+  // 32 bytes per batch, then 48 bytes plus the normalized path's length per
+  // command, read from the path table (no path string travels).
+  ASSERT_TRUE(fs_.ns().mkdir_all("/vol1/dir").ok());
+  const std::vector<std::string> paths = {"/vol1/dir/file0", "/vol1/dir", "/x", "/"};
+  MetaBatch batch;
+  std::uint64_t want = 32;
+  for (const std::string& p : paths) {
+    batch.cmds.push_back(MetaCommand{MetaCommand::Kind::create, fs_.ns().intern(p), false});
+    want += 48 + p.size();
+  }
+  EXPECT_EQ(fs_.wire_bytes(batch), want);
+  MetaBatch raw;
+  raw.cmds.push_back(
+      MetaCommand{MetaCommand::Kind::unlink, fs_.ns().intern("//vol1/./dir//file0/"), false});
+  EXPECT_EQ(fs_.wire_bytes(raw), 32u + 48u + std::string("/vol1/dir/file0").size());
+  EXPECT_EQ(fs_.wire_bytes(MetaBatch{}), 32u);
+}
+
+TEST_F(SimPfsTest, CachedGroupMatchesThePlacementRule) {
+  // volK maps round-robin (4 MDS here); other top components hash. Every
+  // interned entry caches its top component's group, the root caches 0.
+  const Namespace& ns = fs_.ns();
+  EXPECT_EQ(ns.group(kRootPath), 0u);
+  EXPECT_EQ(fs_.mds_of_path("/"), 0u);
+  for (const char* p : {"/vol0/a", "/vol1/a/b", "/vol3", "/vol7/x/y/z", "/vol12/x", "/volx/y",
+                        "/vol/y", "/home/u/f", "/scratch", "//proj/./a//b/"}) {
+    SCOPED_TRACE(p);
+    const PathId id = fs_.ns().intern(p);
+    EXPECT_EQ(ns.group(id), fs_.mds_of_path(p));
+    for (PathId a = id; a != kRootPath; a = ns.parent(a)) {
+      EXPECT_EQ(ns.group(a), fs_.mds_of_path(ns.path_of(a)));
+    }
+  }
+  EXPECT_EQ(ns.group(ns.find("/vol1/a/b")), 1u);
+  EXPECT_EQ(ns.group(ns.find("/vol7/x/y/z")), 3u);
+  EXPECT_EQ(ns.group(ns.find("/vol12/x")), 0u);
+}
+
+TEST_F(SimPfsTest, UnlinkThenRecreateGetsFreshObjectWithEmptyExtents) {
+  ObjectId first = kNoObject;
+  ObjectId second = kNoObject;
+  test::run_task(engine_, [](SimPfs& fs, IoCtx ctx, ObjectId& a, ObjectId& b) -> sim::Task<void> {
+    auto fd = co_await fs.open(ctx, "/f", OpenFlags::wr_create());
+    EXPECT_TRUE((co_await fs.write(ctx, *fd, 0, DataView::pattern(3, 0, 4096))).ok());
+    EXPECT_TRUE((co_await fs.close(ctx, *fd)).ok());
+    a = fs.ns().lookup("/f")->oid;
+    EXPECT_TRUE((co_await fs.unlink(ctx, "/f")).ok());
+    auto again = co_await fs.open(ctx, "/f", OpenFlags::wr_create());
+    EXPECT_TRUE(again.ok());
+    EXPECT_TRUE((co_await fs.close(ctx, *again)).ok());
+    b = fs.ns().lookup("/f")->oid;
+  }(fs_, ctx_, first, second));
+  EXPECT_NE(first, kNoObject);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(fs_.object_extents(first), nullptr);  // the unlinked slot was reset
+  const ExtentMap* fresh = fs_.object_extents(second);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_TRUE(fresh->empty());
+  EXPECT_EQ(fs_.object_extents(second + 1), nullptr);  // never created
+}
+
 }  // namespace
 }  // namespace tio::pfs

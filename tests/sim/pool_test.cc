@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -149,6 +150,34 @@ TEST(FramePool, CoroutineFramesRecycle) {
   // cold allocations, every frame is a free-list hit.
   EXPECT_GT(stats.hits, 90u);
   FramePool::trim();
+}
+
+// A drained Engine::run leaves no dead frames cached: every process of the
+// run has finished, so the pool gives its free lists back. A second
+// identical run (starting from an empty cache) computes the same results.
+TEST(FramePool, EngineRunDrainReleasesCachedFrames) {
+  FramePool::trim();
+  const std::uint64_t bytes_before = FramePool::stats().bytes;
+  const auto run_once = [] {
+    Engine engine;
+    std::vector<int> results(64);
+    for (int p = 0; p < 64; ++p) {
+      engine.spawn([](Engine& e, int n, int* out) -> Task<void> {
+        *out = co_await run_chain(e, n);
+      }(engine, p + 1, &results[static_cast<std::size_t>(p)]));
+    }
+    const std::uint64_t events = engine.run();
+    EXPECT_EQ(FramePool::stats().cached, 0u);
+    return std::make_tuple(events, engine.now().to_ns(), results);
+  };
+  const auto first = run_once();
+  const auto second = run_once();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(std::get<2>(first)[63], 64);
+  const auto stats = FramePool::stats();
+  EXPECT_EQ(stats.bytes, bytes_before);  // nothing live, nothing cached
+  EXPECT_GE(stats.peak_bytes, 64u * FramePool::kGranularity);
+  EXPECT_GE(counter("sim.engine.frame_pool_peak_bytes").value(), stats.peak_bytes);
 }
 
 // ------------------------------------------------------------ event slab --
