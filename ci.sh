@@ -13,6 +13,16 @@ jobs=$(nproc 2>/dev/null || echo 4)
 echo "==> source check: no co_await as a ternary operand"
 python3 tools/check_coawait_ternary.py src bench tests perfbench examples
 
+# Payloads are typed everywhere but in the mpisim mailbox, whose payload
+# types form an open set; raft, pfs and the rest must not reintroduce
+# type-erased commands, results or messages.
+echo "==> source check: no std::any outside src/mpisim/"
+if grep -rnE --include='*.h' --include='*.cc' '\bstd::any\b|\bany_cast\b|#include <any>' src \
+    | grep -v '^src/mpisim/'; then
+  echo "std::any outside src/mpisim/: use a typed payload"
+  exit 1
+fi
+
 echo "==> configure + build (default preset)"
 cmake --preset default
 cmake --build --preset default -j "$jobs"

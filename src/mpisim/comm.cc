@@ -24,14 +24,6 @@ sim::Task<void> Comm::send_any(int dest, int tag, std::any payload, std::uint64_
   rt_->mailbox({group_->context, dest, my_index_, tag}).push(std::move(payload));
 }
 
-sim::Task<std::any> Comm::recv_any(int src, int tag) {
-  check_rank(src);
-  const Runtime::MailboxKey key{group_->context, my_index_, src, tag};
-  std::any payload = co_await rt_->mailbox(key).pop();
-  rt_->gc_mailbox(key);
-  co_return payload;
-}
-
 sim::Task<void> Comm::barrier() {
   const int tag = next_op_tag();
   const int n = size();
@@ -40,7 +32,7 @@ sim::Task<void> Comm::barrier() {
     const int to = (rank() + dist) % n;
     const int from = (rank() - dist + n) % n;
     co_await send_any(to, tag + round, std::any(0), 8);
-    (void)co_await recv_any(from, tag + round);
+    (void)co_await recv_as<int>(from, tag + round);
   }
 }
 

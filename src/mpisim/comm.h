@@ -23,17 +23,6 @@
 
 namespace tio::mpi {
 
-namespace detail {
-template <typename T>
-T checked_any_cast(std::any payload, const char* where) {
-  if (payload.type() != typeid(T)) {
-    throw std::runtime_error(std::string("any_cast mismatch in ") + where + ": expected " +
-                             typeid(T).name() + " got " + payload.type().name());
-  }
-  return std::any_cast<T>(std::move(payload));
-}
-}  // namespace detail
-
 // A partition of a communicator's ranks into groups. Group ids are dense,
 // in order of first appearance by comm rank; each group's members are
 // ascending comm ranks, so members[g][0] is its lowest rank.
@@ -77,7 +66,9 @@ class Comm {
   template <typename T>
   sim::Task<void> send(int dest, int tag, T value, std::uint64_t bytes);
   template <typename T>
-  sim::Task<T> recv(int src, int tag);
+  sim::Task<T> recv(int src, int tag) {
+    return recv_as<T>(src, tag);
+  }
 
   // --- collectives ---
   sim::Task<void> barrier();
@@ -136,7 +127,11 @@ class Comm {
 
   // Raw transfer of one message to a comm-relative destination.
   sim::Task<void> send_any(int dest, int tag, std::any payload, std::uint64_t bytes);
-  sim::Task<std::any> recv_any(int src, int tag);
+  // The one receive: takes the next (src, tag) message for this rank and
+  // checks that it carries a T. A mismatch throws std::runtime_error naming
+  // this rank, the source and the tag.
+  template <typename T>
+  sim::Task<T> recv_as(int src, int tag);
   int next_op_tag() { return kCollectiveTagBase + 32 * static_cast<int>(op_counter_++); }
   // Forms every color's group of the split at op counter `op`.
   SplitResult partition(const std::vector<SplitEntry>& entries, std::uint32_t op) const;
@@ -163,8 +158,11 @@ sim::Task<void> Comm::send(int dest, int tag, T value, std::uint64_t bytes) {
 }
 
 template <typename T>
-sim::Task<T> Comm::recv(int src, int tag) {
-  std::any payload = co_await recv_any(src, tag);
+sim::Task<T> Comm::recv_as(int src, int tag) {
+  check_rank(src);
+  const Runtime::MailboxKey key{group_->context, my_index_, src, tag};
+  std::any payload = co_await rt_->mailbox(key).pop();
+  rt_->gc_mailbox(key);
   if (payload.type() != typeid(T)) {
     throw std::runtime_error(std::string("Comm::recv type mismatch: expected ") +
                              typeid(T).name() + " got " + payload.type().name() +
@@ -184,8 +182,7 @@ sim::Task<T> Comm::bcast(int root, T value, std::uint64_t bytes) {
   while (mask < n) {
     if (vrank & mask) {
       const int parent = (vrank - mask + root) % n;
-      std::any payload = co_await recv_any(parent, tag);
-      value = detail::checked_any_cast<T>(std::move(payload), "bcast");
+      value = co_await recv_as<T>(parent, tag);
       break;
     }
     mask <<= 1;
@@ -220,8 +217,7 @@ sim::Task<std::vector<T>> Comm::gather(int root, T mine, std::uint64_t bytes) {
     }
     if (vrank + mask < n) {
       const int child = (vrank + mask + root) % n;
-      std::any payload = co_await recv_any(child, tag);
-      auto chunk = detail::checked_any_cast<std::vector<std::pair<int, T>>>(std::move(payload), "gather");
+      auto chunk = co_await recv_as<std::vector<std::pair<int, T>>>(child, tag);
       for (auto& p : chunk) acc.push_back(std::move(p));
     }
     mask <<= 1;
@@ -255,8 +251,8 @@ sim::Task<T> Comm::reduce(int root, T mine, std::uint64_t bytes, Op op) {
     }
     if (vrank + mask < n) {
       const int child = (vrank + mask + root) % n;
-      std::any payload = co_await recv_any(child, tag);
-      mine = op(std::move(mine), detail::checked_any_cast<T>(std::move(payload), "reduce"));
+      T theirs = co_await recv_as<T>(child, tag);
+      mine = op(std::move(mine), std::move(theirs));
     }
     mask <<= 1;
   }

@@ -2,8 +2,11 @@
 //
 // Each rank is a coroutine; messages are matched by (context, destination,
 // source, tag) exactly, like MPI point-to-point without wildcards. Payloads
-// stay in-process (std::any, typically cheap handles); transfer time is
-// charged from the byte count through the cluster fabric model.
+// stay in-process in a type-erased mailbox (std::any): the payload types
+// form an open set (FlatIndex handles, collective-buffering chunk vectors,
+// split entries, ...), and Comm's one receive checks the type on the way
+// out. Transfer time is charged from the byte count through the cluster
+// fabric model.
 #pragma once
 
 #include <any>

@@ -1,11 +1,11 @@
 // Central allocation of the mpisim user-tag space.
 //
 // Comm reserves everything at and above kCollectiveTagLimit for its
-// internal collective operations; user subsystems (collective buffering,
-// the Raft metadata service, ...) must carve their point-to-point tags out
-// of the space below it. Historically each subsystem hand-picked constants
-// (collective buffering used 1000 and 300000-700000) and nothing stopped a
-// new subsystem from silently colliding. Every block now lives here, as a
+// internal collective operations; user subsystems (collective buffering
+// today) must carve their point-to-point tags out of the space below it.
+// Historically each subsystem hand-picked constants (collective buffering
+// used 1000 and 300000-700000) and nothing stopped a new subsystem from
+// silently colliding. Every block now lives here, as a
 // [base, base+size) range, and the static_asserts below prove pairwise
 // disjointness and containment under the collective limit at compile time.
 //
@@ -38,13 +38,8 @@ inline constexpr TagBlock kCbShipReadTags{500000, 65536};   // leader -> aggrega
 inline constexpr TagBlock kCbAggReplyTags{600000, 65536};   // aggregator -> leader (+ j)
 inline constexpr TagBlock kCbFanoutTags{700000, 1};      // leader -> member slices
 
-// Raft RPC kinds (src/raft/). One tag per message type; the raft transport
-// stamps envelopes with these for dispatch and per-kind accounting.
-inline constexpr TagBlock kRaftRpcTags{800000, 16};
-
 inline constexpr TagBlock kAllTagBlocks[] = {
-    kCbIntraTags,    kCbShipWriteTags, kCbShipReadTags,
-    kCbAggReplyTags, kCbFanoutTags,    kRaftRpcTags,
+    kCbIntraTags, kCbShipWriteTags, kCbShipReadTags, kCbAggReplyTags, kCbFanoutTags,
 };
 
 constexpr bool tag_blocks_disjoint() {

@@ -36,11 +36,6 @@
 
 namespace tio::pfs {
 
-// Dense id of one interned path in a Namespace.
-using PathId = std::uint32_t;
-inline constexpr PathId kRootPath = 0;
-inline constexpr PathId kNoPath = 0xffffffffu;
-
 class Namespace {
  public:
   // `groups` is the modulus of the cached metadata group (1: every path is

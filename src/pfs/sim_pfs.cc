@@ -1,7 +1,6 @@
 #include "pfs/sim_pfs.h"
 
 #include <algorithm>
-#include <any>
 #include <stdexcept>
 #include <utility>
 
@@ -59,9 +58,7 @@ struct SimPfs::MetaSm : raft::StateMachine {
   // one): one committed entry, N mutations. Entries apply in submission
   // order; each one is individually idempotent, so re-applying a
   // duplicated batch is harmless.
-  std::any apply(raft::Index, const std::any& cmd) override {
-    if (!cmd.has_value()) return {};  // leader no-op barrier entry
-    const auto& batch = std::any_cast<const MetaBatch&>(cmd);
+  MetaBatchApply apply(raft::Index, const MetaBatch& batch) override {
     applied_ops += batch.cmds.size();
     MetaBatchApply out;
     out.results.reserve(batch.cmds.size());
@@ -71,12 +68,9 @@ struct SimPfs::MetaSm : raft::StateMachine {
 
   // The replication round is amortized; the per-entry MDS service time is
   // not — every insert still pays the directory-degraded cost.
-  Duration apply_service(const std::any& cmd) const override {
+  Duration apply_service(const MetaBatch& batch) const override {
     Duration d = Duration::zero();
-    if (!cmd.has_value()) return d;
-    for (const MetaCommand& mc : std::any_cast<const MetaBatch&>(cmd).cmds) {
-      d += fs.meta_service(mc);
-    }
+    for (const MetaCommand& mc : batch.cmds) d += fs.meta_service(mc);
     return d;
   }
 
@@ -291,13 +285,7 @@ std::uint64_t SimPfs::wire_bytes(const MetaBatch& batch) const {
 
 sim::Task<Result<MetaBatchApply>> SimPfs::raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch) {
   const std::uint64_t bytes = wire_bytes(batch);
-  TIO_CO_ASSIGN_OR_RETURN(std::shared_ptr<const std::any> result,
-                          co_await raft_groups_[g]->submit(ctx.node, ctx.rank,
-                                                           std::any(std::move(batch)), bytes));
-  if (!result || !result->has_value()) {
-    co_return error(Errc::io_error, "raft: malformed batch apply result");
-  }
-  co_return std::any_cast<const MetaBatchApply&>(*result);
+  return raft_groups_[g]->submit(ctx.node, ctx.rank, std::move(batch), bytes);
 }
 
 sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {

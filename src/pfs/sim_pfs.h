@@ -26,7 +26,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -44,46 +43,6 @@
 namespace tio::pfs {
 
 struct FaultPlan;
-
-// One namespace mutation: what every create/mkdir/rmdir/unlink becomes
-// before it travels (alone, in a batch, or in a Raft log entry) and what
-// apply_meta applies to the namespace. The path is the id the op interned
-// at SimPfs's entry; ids are never reused, so it still names the same path
-// when the command applies, however long it sat in a batch or a log. The
-// command holds no heap storage (trivially destructible), so a log entry
-// costs its few bytes; the wire size raft_apply charges still counts the
-// normalized path's length, read from the path table.
-struct MetaCommand {
-  enum class Kind : std::uint8_t { create, mkdir, rmdir, unlink };
-  Kind kind = Kind::create;
-  PathId path = kNoPath;
-  bool excl = false;
-};
-static_assert(std::is_trivially_destructible_v<MetaCommand>);
-
-// Result of applying one MetaCommand (the client-visible outcome).
-struct MetaApply {
-  Status status;
-  ObjectId oid = kNoObject;
-  bool created = false;
-};
-
-// A batch of mutations bound for one metadata group, applied as ONE log
-// entry (replicated) or one amortized round trip (unreplicated, batched).
-// Every Raft log entry is a MetaBatch: an unbatched replicated mutation is
-// a batch of one. Idempotent as a unit because every entry's apply
-// tolerates re-execution (create returns the existing object,
-// mkdir/rmdir/unlink report exists/not_found), and the Raft layer's
-// group-wide applied index already guarantees exactly-once apply per
-// committed index.
-struct MetaBatch {
-  std::vector<MetaCommand> cmds;
-};
-
-// Per-entry outcomes of a MetaBatch, in submission order.
-struct MetaBatchApply {
-  std::vector<MetaApply> results;
-};
 
 class SimPfs : public FsClient {
  public:

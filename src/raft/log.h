@@ -1,28 +1,39 @@
 // Raft replicated log with snapshot-based compaction.
 //
 // Entries are held as shared_ptr<const LogEntry> so that replication
-// fan-out, client waiters, and the apply path all reference the same
-// immutable record without copies; a compacted entry stays alive as long
-// as any in-flight AppendEntries still carries it. Indices are 1-based as
-// in the paper; index 0 is the (empty) snapshot point of a fresh log.
+// fan-out and the apply path on every replica reference the same immutable
+// record without copies: a follower appends the leader's pointer, so every
+// replica holding a committed index holds the same LogEntry object. A
+// compacted entry stays alive as long as any in-flight AppendEntries still
+// carries it. Indices are 1-based as in the paper; index 0 is the (empty)
+// snapshot point of a fresh log.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
+
+#include "pfs/types.h"
 
 namespace tio::raft {
 
 using Term = std::uint64_t;
 using Index = std::uint64_t;
 
+struct Reply;  // a submitting client's wait slot (raft.cc)
+
 struct LogEntry {
   Term term = 0;
-  std::any cmd;             // empty any = leader no-op barrier entry
-  std::uint64_t bytes = 0;  // simulated serialized size on the wire
-  std::int64_t append_ns = -1;  // leader-side append time (replication span)
+  std::optional<pfs::MetaBatch> cmd;  // nullopt = leader no-op barrier entry
+  std::uint64_t bytes = 0;            // simulated serialized size on the wire
+  std::int64_t append_ns = -1;        // leader-side append time (replication span)
+  // The submitting client's wait slot, created by the leader before it
+  // appends. Whichever replica applies the entry group-wide writes the
+  // result there. Weak: the slot lives only as long as its waiter (the
+  // client and the leader's waiter table), so no log keeps a result alive.
+  std::weak_ptr<Reply> reply;
 };
 
 class Log {

@@ -1,56 +1,18 @@
 #include "raft/raft.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/trace.h"
-#include "mpisim/tag_registry.h"
 #include "sim/server.h"
 #include "sim/sync.h"
 
 namespace tio::raft {
 
 namespace {
-
-// Message kinds, allocated from the registry's Raft RPC block.
-constexpr int kTagRequestVote = mpi::kRaftRpcTags.base + 0;
-constexpr int kTagVoteReply = mpi::kRaftRpcTags.base + 1;
-constexpr int kTagAppendEntries = mpi::kRaftRpcTags.base + 2;
-constexpr int kTagAppendReply = mpi::kRaftRpcTags.base + 3;
-constexpr int kTagInstallSnapshot = mpi::kRaftRpcTags.base + 4;
-static_assert(kTagInstallSnapshot < mpi::kRaftRpcTags.end());
-
-struct RequestVote {
-  Term term = 0;
-  int candidate = -1;
-  Index last_index = 0;
-  Term last_term = 0;
-};
-struct VoteReply {
-  Term term = 0;
-  bool granted = false;
-};
-struct AppendEntries {
-  Term term = 0;
-  int leader = -1;
-  Index prev_index = 0;
-  Term prev_term = 0;
-  std::vector<std::shared_ptr<const LogEntry>> entries;
-  Index commit = 0;
-};
-struct AppendReply {
-  Term term = 0;
-  bool success = false;
-  Index match = 0;  // on failure: follower's best hint for next_index - 1
-};
-struct InstallSnapshot {
-  Term term = 0;
-  int leader = -1;
-  Index last_index = 0;
-  Term last_term = 0;
-};
 
 // Simulated wire sizes (headers; entry payloads add their own bytes).
 constexpr std::uint64_t kVoteBytes = 48;
@@ -99,20 +61,52 @@ const trace::SpanSite& failover_site() {
   return site;
 }
 
-template <typename T>
-T cast_msg(std::any& msg) {
-  return std::any_cast<T>(std::move(msg));
-}
-
 }  // namespace
 
-struct Group::ReplyState {
-  explicit ReplyState(sim::Engine& e) : gate(e) {}
+// RPCs between replicas.
+struct Group::RequestVote {
+  Term term = 0;
+  int candidate = -1;
+  Index last_index = 0;
+  Term last_term = 0;
+};
+struct Group::VoteReply {
+  Term term = 0;
+  bool granted = false;
+};
+struct Group::AppendEntries {
+  Term term = 0;
+  int leader = -1;
+  Index prev_index = 0;
+  Term prev_term = 0;
+  std::vector<std::shared_ptr<const LogEntry>> entries;
+  Index commit = 0;
+};
+struct Group::AppendReply {
+  Term term = 0;
+  bool success = false;
+  Index match = 0;  // on failure: follower's best hint for next_index - 1
+};
+struct Group::InstallSnapshot {
+  Term term = 0;
+  int leader = -1;
+  Index last_index = 0;
+  Term last_term = 0;
+};
+
+struct Reply {
+  explicit Reply(sim::Engine& e) : gate(e) {}
   sim::Gate gate;
   bool done = false;        // applied at the leader; result is valid
   bool not_leader = false;  // leadership lost before commit
   int hint = -1;
-  std::shared_ptr<const std::any> result;
+  pfs::MetaBatchApply result;  // written by whichever replica applies first
+};
+
+struct Group::Activity {
+  explicit Activity(Group& g) : g(g) { g.begin_activity(); }
+  ~Activity() { g.end_activity(); }
+  Group& g;
 };
 
 struct Group::Node {
@@ -146,7 +140,7 @@ struct Group::Node {
   std::vector<char> append_inflight;
   std::vector<bool> granted;
   std::size_t votes = 0;
-  std::map<Index, std::shared_ptr<ReplyState>> waiters;
+  std::map<Index, std::shared_ptr<Reply>> waiters;
 
   std::size_t node_id = 0;
   Rng rng;
@@ -176,12 +170,11 @@ Group::~Group() = default;
 
 // ---------------------------------------------------------------- transport
 
-void Group::send(std::size_t from, std::size_t to, int tag, std::any msg, std::uint64_t bytes) {
-  engine_.spawn(deliver(from, to, tag, std::move(msg), bytes));
+void Group::send(std::size_t from, std::size_t to, Rpc msg, std::uint64_t bytes) {
+  engine_.spawn(deliver(from, to, std::move(msg), bytes));
 }
 
-sim::Task<void> Group::deliver(std::size_t from, std::size_t to, int tag, std::any msg,
-                               std::uint64_t bytes) {
+sim::Task<void> Group::deliver(std::size_t from, std::size_t to, Rpc msg, std::uint64_t bytes) {
   co_await engine_.sleep(config_.rpc_overhead);
   co_await cluster_.fabric_transfer(nodes_[from]->node_id, nodes_[to]->node_id, bytes);
   Node& src = *nodes_[from];
@@ -192,7 +185,7 @@ sim::Task<void> Group::deliver(std::size_t from, std::size_t to, int tag, std::a
     rc().msgs_dropped.add();
     co_return;
   }
-  dispatch(to, from, tag, std::move(msg));
+  dispatch(to, from, std::move(msg));
 }
 
 sim::Task<void> Group::reply_latency(std::size_t from_node, std::size_t to_node,
@@ -201,145 +194,141 @@ sim::Task<void> Group::reply_latency(std::size_t from_node, std::size_t to_node,
   co_await cluster_.fabric_transfer(from_node, to_node, bytes);
 }
 
-void Group::dispatch(std::size_t me, std::size_t from, int tag, std::any msg) {
-  Node& n = *nodes_[me];
-  switch (tag - mpi::kRaftRpcTags.base) {
-    case kTagRequestVote - mpi::kRaftRpcTags.base: {
-      auto rv = cast_msg<RequestVote>(msg);
-      if (rv.term > n.term) step_down(me, rv.term);
-      bool grant = false;
-      if (rv.term == n.term && n.role == Node::Role::follower &&
-          (n.voted_for < 0 || n.voted_for == rv.candidate)) {
-        const bool up_to_date =
-            rv.last_term > n.log.last_term() ||
-            (rv.last_term == n.log.last_term() && rv.last_index >= n.log.last_index());
-        if (up_to_date) {
-          grant = true;
-          n.voted_for = rv.candidate;
-          if (running_) arm_election(me);
-        }
-      }
-      send(me, from, kTagVoteReply, VoteReply{n.term, grant}, kReplyBytes);
-      break;
-    }
-    case kTagVoteReply - mpi::kRaftRpcTags.base: {
-      auto vr = cast_msg<VoteReply>(msg);
-      if (vr.term > n.term) {
-        step_down(me, vr.term);
-        break;
-      }
-      if (n.role != Node::Role::candidate || vr.term != n.term) break;
-      if (vr.granted && !n.granted[from]) {
-        n.granted[from] = true;
-        if (++n.votes > config_.replicas / 2) become_leader(me);
-      }
-      break;
-    }
-    case kTagAppendEntries - mpi::kRaftRpcTags.base: {
-      auto ae = cast_msg<AppendEntries>(msg);
-      if (ae.term > n.term) step_down(me, ae.term);
-      if (ae.term < n.term) {
-        send(me, from, kTagAppendReply, AppendReply{n.term, false, 0}, kReplyBytes);
-        break;
-      }
-      // Valid leader for our term.
-      n.known_leader = ae.leader;
-      leader_hint_ = ae.leader;
-      n.candidacy_start_ns = -1;
-      if (n.role != Node::Role::follower) step_down(me, ae.term);
-      if (running_) arm_election(me);
+void Group::dispatch(std::size_t me, std::size_t from, Rpc msg) {
+  std::visit([&](const auto& m) { on_rpc(me, from, m); }, msg);
+}
 
-      // Entries at or below our snapshot point are committed and applied
-      // already; skip them and anchor the consistency check at the
-      // snapshot (which the leader, holding every committed entry, agrees
-      // with by construction).
-      Index prev = ae.prev_index;
-      auto first = ae.entries.begin();
-      if (prev < n.log.snapshot_index()) {
-        const Index skip = n.log.snapshot_index() - prev;
-        first += static_cast<std::ptrdiff_t>(
-            std::min<Index>(skip, static_cast<Index>(ae.entries.size())));
-        prev = n.log.snapshot_index();
-      }
-      bool consistent;
-      if (prev > n.log.last_index()) {
-        consistent = false;
-      } else if (prev == n.log.snapshot_index()) {
-        consistent = true;
-      } else {
-        consistent = n.log.term_at(prev) == ae.prev_term;
-      }
-      if (!consistent) {
-        const Index hint = std::min(n.log.last_index(), prev > 0 ? prev - 1 : 0);
-        send(me, from, kTagAppendReply, AppendReply{n.term, false, hint}, kReplyBytes);
-        break;
-      }
-      Index idx = prev;
-      for (auto it = first; it != ae.entries.end(); ++it) {
-        ++idx;
-        if (n.log.has(idx)) {
-          if (n.log.term_at(idx) == (*it)->term) continue;
-          n.log.truncate_from(idx);
-        }
-        n.log.append(*it);
-      }
-      const Index match = std::max(prev, idx);
-      if (ae.commit > n.commit) {
-        n.commit = std::min(ae.commit, n.log.last_index());
-        schedule_apply(me);
-      }
-      send(me, from, kTagAppendReply, AppendReply{n.term, true, match}, kReplyBytes);
-      break;
-    }
-    case kTagAppendReply - mpi::kRaftRpcTags.base: {
-      auto ar = cast_msg<AppendReply>(msg);
-      if (ar.term > n.term) {
-        step_down(me, ar.term);
-        break;
-      }
-      if (n.role != Node::Role::leader || ar.term != n.term) break;
-      n.append_inflight[from] = 0;
-      if (ar.success) {
-        if (ar.match > n.match[from]) n.match[from] = ar.match;
-        n.next[from] = n.match[from] + 1;
-        advance_commit(me);
-        if (n.next[from] <= n.log.last_index()) send_append(me, from);
-      } else {
-        const Index backed = std::min(n.next[from] > 1 ? n.next[from] - 1 : 1, ar.match + 1);
-        n.next[from] = std::max<Index>(backed, 1);
-        send_append(me, from);
-      }
-      break;
-    }
-    case kTagInstallSnapshot - mpi::kRaftRpcTags.base: {
-      auto is = cast_msg<InstallSnapshot>(msg);
-      if (is.term > n.term) step_down(me, is.term);
-      if (is.term < n.term) {
-        send(me, from, kTagAppendReply, AppendReply{n.term, false, 0}, kReplyBytes);
-        break;
-      }
-      n.known_leader = is.leader;
-      leader_hint_ = is.leader;
-      if (n.role != Node::Role::follower) step_down(me, is.term);
+void Group::on_rpc(std::size_t me, std::size_t from, const RequestVote& rv) {
+  Node& n = *nodes_[me];
+  if (rv.term > n.term) step_down(me, rv.term);
+  bool grant = false;
+  if (rv.term == n.term && n.role == Node::Role::follower &&
+      (n.voted_for < 0 || n.voted_for == rv.candidate)) {
+    const bool up_to_date =
+        rv.last_term > n.log.last_term() ||
+        (rv.last_term == n.log.last_term() && rv.last_index >= n.log.last_index());
+    if (up_to_date) {
+      grant = true;
+      n.voted_for = rv.candidate;
       if (running_) arm_election(me);
-      if (is.last_index > n.log.snapshot_index()) {
-        if (n.log.has(is.last_index) && n.log.term_at(is.last_index) == is.last_term) {
-          n.log.compact_to(is.last_index, is.last_term);
-        } else {
-          n.log.reset_to_snapshot(is.last_index, is.last_term);
-        }
-      }
-      // The state machine is group-shared and snapshots only cover applied
-      // entries, so adopting the snapshot point needs no replay here.
-      n.commit = std::max(n.commit, is.last_index);
-      n.applied = std::max(n.applied, is.last_index);
-      rc().snapshots_installed.add();
-      send(me, from, kTagAppendReply, AppendReply{n.term, true, is.last_index}, kReplyBytes);
-      break;
     }
-    default:
-      throw std::logic_error("raft::Group: unknown RPC tag");
   }
+  send(me, from, VoteReply{n.term, grant}, kReplyBytes);
+}
+
+void Group::on_rpc(std::size_t me, std::size_t from, const VoteReply& vr) {
+  Node& n = *nodes_[me];
+  if (vr.term > n.term) {
+    step_down(me, vr.term);
+    return;
+  }
+  if (n.role != Node::Role::candidate || vr.term != n.term) return;
+  if (vr.granted && !n.granted[from]) {
+    n.granted[from] = true;
+    if (++n.votes > config_.replicas / 2) become_leader(me);
+  }
+}
+
+void Group::on_rpc(std::size_t me, std::size_t from, const AppendEntries& ae) {
+  Node& n = *nodes_[me];
+  if (ae.term > n.term) step_down(me, ae.term);
+  if (ae.term < n.term) {
+    send(me, from, AppendReply{n.term, false, 0}, kReplyBytes);
+    return;
+  }
+  // Valid leader for our term.
+  n.known_leader = ae.leader;
+  leader_hint_ = ae.leader;
+  n.candidacy_start_ns = -1;
+  if (n.role != Node::Role::follower) step_down(me, ae.term);
+  if (running_) arm_election(me);
+
+  // Entries at or below our snapshot point are committed and applied
+  // already; skip them and anchor the consistency check at the
+  // snapshot (which the leader, holding every committed entry, agrees
+  // with by construction).
+  Index prev = ae.prev_index;
+  auto first = ae.entries.begin();
+  if (prev < n.log.snapshot_index()) {
+    const Index skip = n.log.snapshot_index() - prev;
+    first += static_cast<std::ptrdiff_t>(
+        std::min<Index>(skip, static_cast<Index>(ae.entries.size())));
+    prev = n.log.snapshot_index();
+  }
+  bool consistent;
+  if (prev > n.log.last_index()) {
+    consistent = false;
+  } else if (prev == n.log.snapshot_index()) {
+    consistent = true;
+  } else {
+    consistent = n.log.term_at(prev) == ae.prev_term;
+  }
+  if (!consistent) {
+    const Index hint = std::min(n.log.last_index(), prev > 0 ? prev - 1 : 0);
+    send(me, from, AppendReply{n.term, false, hint}, kReplyBytes);
+    return;
+  }
+  Index idx = prev;
+  for (auto it = first; it != ae.entries.end(); ++it) {
+    ++idx;
+    if (n.log.has(idx)) {
+      if (n.log.term_at(idx) == (*it)->term) continue;
+      n.log.truncate_from(idx);
+    }
+    n.log.append(*it);
+  }
+  const Index match = std::max(prev, idx);
+  if (ae.commit > n.commit) {
+    n.commit = std::min(ae.commit, n.log.last_index());
+    schedule_apply(me);
+  }
+  send(me, from, AppendReply{n.term, true, match}, kReplyBytes);
+}
+
+void Group::on_rpc(std::size_t me, std::size_t from, const AppendReply& ar) {
+  Node& n = *nodes_[me];
+  if (ar.term > n.term) {
+    step_down(me, ar.term);
+    return;
+  }
+  if (n.role != Node::Role::leader || ar.term != n.term) return;
+  n.append_inflight[from] = 0;
+  if (ar.success) {
+    if (ar.match > n.match[from]) n.match[from] = ar.match;
+    n.next[from] = n.match[from] + 1;
+    advance_commit(me);
+    if (n.next[from] <= n.log.last_index()) send_append(me, from);
+  } else {
+    const Index backed = std::min(n.next[from] > 1 ? n.next[from] - 1 : 1, ar.match + 1);
+    n.next[from] = std::max<Index>(backed, 1);
+    send_append(me, from);
+  }
+}
+
+void Group::on_rpc(std::size_t me, std::size_t from, const InstallSnapshot& is) {
+  Node& n = *nodes_[me];
+  if (is.term > n.term) step_down(me, is.term);
+  if (is.term < n.term) {
+    send(me, from, AppendReply{n.term, false, 0}, kReplyBytes);
+    return;
+  }
+  n.known_leader = is.leader;
+  leader_hint_ = is.leader;
+  if (n.role != Node::Role::follower) step_down(me, is.term);
+  if (running_) arm_election(me);
+  if (is.last_index > n.log.snapshot_index()) {
+    if (n.log.has(is.last_index) && n.log.term_at(is.last_index) == is.last_term) {
+      n.log.compact_to(is.last_index, is.last_term);
+    } else {
+      n.log.reset_to_snapshot(is.last_index, is.last_term);
+    }
+  }
+  // The state machine is group-shared and snapshots only cover applied
+  // entries, so adopting the snapshot point needs no replay here.
+  n.commit = std::max(n.commit, is.last_index);
+  n.applied = std::max(n.applied, is.last_index);
+  rc().snapshots_installed.add();
+  send(me, from, AppendReply{n.term, true, is.last_index}, kReplyBytes);
 }
 
 // ----------------------------------------------------------------- protocol
@@ -389,8 +378,7 @@ void Group::start_election(std::size_t r) {
   }
   for (std::size_t p = 0; p < config_.replicas; ++p) {
     if (p == r) continue;
-    send(r, p, kTagRequestVote,
-         RequestVote{n.term, static_cast<int>(r), n.log.last_index(), n.log.last_term()},
+    send(r, p, RequestVote{n.term, static_cast<int>(r), n.log.last_index(), n.log.last_term()},
          kVoteBytes);
   }
   arm_election(r);  // candidacy retry with fresh jitter
@@ -411,7 +399,7 @@ void Group::become_leader(std::size_t r) {
   n.append_inflight.assign(config_.replicas, 0);
   // No-op barrier entry: lets entries from previous terms commit promptly
   // without waiting for client traffic (Raft §5.4.2).
-  append_leader_entry(r, std::any(), 16);
+  append_leader_entry(r, std::nullopt, 16);
   broadcast_appends(r);
   advance_commit(r);  // single-replica groups commit immediately
   arm_heartbeat(r);
@@ -432,13 +420,15 @@ void Group::step_down(std::size_t r, Term t) {
   if (running_ && !n.down) arm_election(r);
 }
 
-Index Group::append_leader_entry(std::size_t r, std::any cmd, std::uint64_t bytes) {
+Index Group::append_leader_entry(std::size_t r, std::optional<pfs::MetaBatch> cmd,
+                                std::uint64_t bytes, std::weak_ptr<Reply> reply) {
   Node& n = *nodes_[r];
   auto e = std::make_shared<LogEntry>();
   e->term = n.term;
   e->cmd = std::move(cmd);
   e->bytes = bytes;
   e->append_ns = engine_.now().to_ns();
+  e->reply = std::move(reply);
   n.log.append(std::shared_ptr<const LogEntry>(std::move(e)));
   return n.log.last_index();
 }
@@ -461,7 +451,7 @@ void Group::send_append(std::size_t leader, std::size_t peer, bool force) {
   n.append_inflight[peer] = 1;
   if (n.next[peer] <= n.log.snapshot_index()) {
     rc().snapshots_sent.add();
-    send(leader, peer, kTagInstallSnapshot,
+    send(leader, peer,
          InstallSnapshot{n.term, static_cast<int>(leader), n.log.snapshot_index(),
                          n.log.snapshot_term()},
          sm_.snapshot_bytes());
@@ -477,7 +467,7 @@ void Group::send_append(std::size_t leader, std::size_t peer, bool force) {
     ae.entries.push_back(e);
   }
   rc().append_rpcs.add();
-  send(leader, peer, kTagAppendEntries, std::move(ae), bytes);
+  send(leader, peer, std::move(ae), bytes);
 }
 
 void Group::advance_commit(std::size_t r) {
@@ -523,26 +513,26 @@ sim::Task<void> Group::apply_drain(std::size_t r) {
     auto entry = n.log.at(idx);  // keep alive across compaction
     if (idx > group_applied_ && entry->cmd.has_value() && n.role == Node::Role::leader) {
       // Queue + service at this replica's MDS before the mutation lands.
-      co_await n.server->serve(sm_.apply_service(entry->cmd));
+      co_await n.server->serve(sm_.apply_service(*entry->cmd));
       if (n.down) break;  // crashed while in service
     }
     if (idx > group_applied_) {
       group_applied_ = idx;
       if (entry->cmd.has_value()) {
-        group_results_.emplace(idx, std::make_shared<const std::any>(sm_.apply(idx, entry->cmd)));
+        pfs::MetaBatchApply result = sm_.apply(idx, *entry->cmd);
+        if (auto reply = entry->reply.lock()) reply->result = std::move(result);
         rc().applies.add();
       }
     }
     n.applied = idx;
+    // Only the leader that appended the entry holds its waiter; its own
+    // apply opens the gate, so the ack follows the leader's apply.
     auto it = n.waiters.find(idx);
     if (it != n.waiters.end()) {
-      auto state = it->second;
+      auto reply = it->second;
       n.waiters.erase(it);
-      auto rit = group_results_.find(idx);
-      state->result = rit != group_results_.end() ? rit->second : nullptr;
-      if (rit != group_results_.end()) group_results_.erase(rit);
-      state->done = true;
-      state->gate.open();
+      reply->done = true;
+      reply->gate.open();
     }
     maybe_compact(r);
   }
@@ -558,16 +548,13 @@ void Group::maybe_compact(std::size_t r) {
   const Term t = n.log.term_at(target);
   n.log.compact_to(target, t);
   rc().compactions.add();
-  // Apply results at or below the compaction point were either consumed by
-  // their waiter or orphaned by a leader crash; drop them.
-  group_results_.erase(group_results_.begin(), group_results_.upper_bound(target));
 }
 
 void Group::fail_waiters(Node& n) {
-  for (auto& [idx, state] : n.waiters) {
-    state->not_leader = true;
-    state->hint = n.known_leader;
-    state->gate.open();
+  for (auto& [idx, reply] : n.waiters) {
+    reply->not_leader = true;
+    reply->hint = n.known_leader;
+    reply->gate.open();
   }
   n.waiters.clear();
 }
@@ -656,67 +643,68 @@ void Group::rotate_hint(std::size_t failed) {
 
 // -------------------------------------------------------------- client side
 
-sim::Task<Result<std::shared_ptr<const std::any>>> Group::submit(std::size_t client_node,
-                                                                 int rank, std::any cmd,
-                                                                 std::uint64_t bytes) {
-  struct Activity {
-    Group* g;
-    explicit Activity(Group* g) : g(g) { g->begin_activity(); }
-    ~Activity() { g->end_activity(); }
-  } activity(this);
+sim::Task<Group::Route> Group::route(std::size_t client_node, std::uint64_t request_bytes,
+                                     int attempt) {
+  const std::size_t target = leader_hint_ >= 0
+                                 ? static_cast<std::size_t>(leader_hint_)
+                                 : static_cast<std::size_t>(attempt) % config_.replicas;
+  Node& t = *nodes_[target];
+  co_await engine_.sleep(config_.rpc_overhead);
+  co_await cluster_.fabric_transfer(client_node, t.node_id, request_bytes);
+  if (t.down || t.partitioned) {
+    rc().client_timeouts.add();
+    co_await engine_.sleep(config_.request_timeout);
+    rotate_hint(target);
+    co_return Route{-1, true};
+  }
+  if (t.role == Node::Role::leader) co_return Route{static_cast<int>(target), false};
+  rc().redirects.add();
+  co_await reply_latency(t.node_id, client_node, kReplyBytes);
+  const int hint = t.known_leader;
+  if (hint >= 0 && static_cast<std::size_t>(hint) != target && !nodes_[hint]->down) {
+    leader_hint_ = hint;
+    co_return Route{-1, false};
+  }
+  // Election in progress: bounded wait, then probe the next replica.
+  rc().election_waits.add();
+  co_await engine_.sleep(config_.redirect_backoff);
+  rotate_hint(target);
+  co_return Route{-1, true};
+}
+
+sim::Task<Result<pfs::MetaBatchApply>> Group::submit(std::size_t client_node, int rank,
+                                                     pfs::MetaBatch batch, std::uint64_t bytes) {
+  Activity activity(*this);
   rc().submits.add();
   const std::int64_t start_ns = engine_.now().to_ns();
   bool degraded = false;
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    const std::size_t target = leader_hint_ >= 0
-                                   ? static_cast<std::size_t>(leader_hint_)
-                                   : static_cast<std::size_t>(attempt) % config_.replicas;
+    const Route reached = co_await route(client_node, kAppendHeaderBytes + bytes, attempt);
+    degraded = degraded || reached.degraded;
+    if (reached.leader < 0) continue;
+    const auto target = static_cast<std::size_t>(reached.leader);
     Node& t = *nodes_[target];
-    co_await engine_.sleep(config_.rpc_overhead);
-    co_await cluster_.fabric_transfer(client_node, t.node_id, kAppendHeaderBytes + bytes);
-    if (t.down || t.partitioned) {
-      degraded = true;
-      rc().client_timeouts.add();
-      co_await engine_.sleep(config_.request_timeout);
-      rotate_hint(target);
-      continue;
-    }
-    if (t.role != Node::Role::leader) {
-      rc().redirects.add();
-      co_await reply_latency(t.node_id, client_node, kReplyBytes);
-      const int hint = t.known_leader;
-      if (hint >= 0 && static_cast<std::size_t>(hint) != target && !nodes_[hint]->down) {
-        leader_hint_ = hint;
-      } else {
-        // Election in progress: bounded wait, then probe the next replica.
-        degraded = true;
-        rc().election_waits.add();
-        co_await engine_.sleep(config_.redirect_backoff);
-        rotate_hint(target);
-      }
-      continue;
-    }
 
     // Leader: append, replicate (pipelined per peer), ack after commit +
     // apply.
-    const Index idx = append_leader_entry(target, cmd, bytes);
-    auto state = std::make_shared<ReplyState>(engine_);
-    t.waiters.emplace(idx, state);
+    auto reply = std::make_shared<Reply>(engine_);
+    const Index idx = append_leader_entry(target, batch, bytes, reply);
+    t.waiters.emplace(idx, reply);
     broadcast_appends(target);
     advance_commit(target);  // single-replica groups commit here
-    engine_.after(config_.commit_timeout, [state] { state->gate.open(); });
-    co_await state->gate.wait();
+    engine_.after(config_.commit_timeout, [reply] { reply->gate.open(); });
+    co_await reply->gate.wait();
 
-    if (state->done) {
+    if (reply->done) {
       co_await reply_latency(t.node_id, client_node, kAppendHeaderBytes);
       if (degraded) trace::record_span(engine_, failover_site(), rank, start_ns);
-      co_return state->result;
+      co_return std::move(reply->result);
     }
     degraded = true;
-    if (state->not_leader) {
-      if (state->hint >= 0) {
-        leader_hint_ = state->hint;
+    if (reply->not_leader) {
+      if (reply->hint >= 0) {
+        leader_hint_ = reply->hint;
       } else {
         rc().election_waits.add();
         co_await engine_.sleep(config_.redirect_backoff);
@@ -734,43 +722,17 @@ sim::Task<Result<std::shared_ptr<const std::any>>> Group::submit(std::size_t cli
 }
 
 sim::Task<Status> Group::serve_read(std::size_t client_node, int rank, Duration service) {
-  struct Activity {
-    Group* g;
-    explicit Activity(Group* g) : g(g) { g->begin_activity(); }
-    ~Activity() { g->end_activity(); }
-  } activity(this);
+  Activity activity(*this);
   rc().reads.add();
   const std::int64_t start_ns = engine_.now().to_ns();
   bool degraded = false;
 
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    const std::size_t target = leader_hint_ >= 0
-                                   ? static_cast<std::size_t>(leader_hint_)
-                                   : static_cast<std::size_t>(attempt) % config_.replicas;
+    const Route reached = co_await route(client_node, kReplyBytes, attempt);
+    degraded = degraded || reached.degraded;
+    if (reached.leader < 0) continue;
+    const auto target = static_cast<std::size_t>(reached.leader);
     Node& t = *nodes_[target];
-    co_await engine_.sleep(config_.rpc_overhead);
-    co_await cluster_.fabric_transfer(client_node, t.node_id, kReplyBytes);
-    if (t.down || t.partitioned) {
-      degraded = true;
-      rc().client_timeouts.add();
-      co_await engine_.sleep(config_.request_timeout);
-      rotate_hint(target);
-      continue;
-    }
-    if (t.role != Node::Role::leader) {
-      rc().redirects.add();
-      co_await reply_latency(t.node_id, client_node, kReplyBytes);
-      const int hint = t.known_leader;
-      if (hint >= 0 && static_cast<std::size_t>(hint) != target && !nodes_[hint]->down) {
-        leader_hint_ = hint;
-      } else {
-        degraded = true;
-        rc().election_waits.add();
-        co_await engine_.sleep(config_.redirect_backoff);
-        rotate_hint(target);
-      }
-      continue;
-    }
     co_await t.server->serve(service);
     if (t.down) {  // crashed while we were queued
       degraded = true;
@@ -804,5 +766,6 @@ Term Group::term_of(std::size_t replica) const { return nodes_[replica]->term; }
 Index Group::last_index_of(std::size_t replica) const { return nodes_[replica]->log.last_index(); }
 Index Group::commit_of(std::size_t replica) const { return nodes_[replica]->commit; }
 Index Group::applied_of(std::size_t replica) const { return nodes_[replica]->applied; }
+const Log& Group::log_of(std::size_t replica) const { return nodes_[replica]->log; }
 
 }  // namespace tio::raft

@@ -5,9 +5,15 @@
 // virtual-time timeouts, heartbeats, log replication with commit/apply
 // indices, and snapshot/compaction for lagging followers. Replicas are not
 // mpisim ranks — they are engine-level actors whose RPCs are spawned
-// coroutines charging `rpc_overhead` plus the fabric model, with message
-// kinds tagged out of the central registry block (mpisim/tag_registry.h,
-// kRaftRpcTags).
+// coroutines charging `rpc_overhead` plus the fabric model. The five
+// message kinds are one std::variant (Rpc), so dispatch is a visit and
+// needs no tag registry.
+//
+// Typed commands: a log entry holds the pfs::MetaBatch it replicates
+// (nullopt for the leader's no-op barrier), and the state machine answers
+// with a pfs::MetaBatchApply. Results live in the submitting client's
+// wait slot (Reply), which the leader creates before it appends and the
+// entry points to; the group keeps no result table.
 //
 // Determinism and termination: every source of randomness is a fork of the
 // engine RNG keyed by (group, replica), so a run is a pure function of
@@ -30,24 +36,25 @@
 // Exactly-once application: all replicas of a group share ONE authoritative
 // state machine (the pfs::Namespace lives outside the group). A group-wide
 // applied index guarantees each committed entry mutates it exactly once,
-// whichever replica gets there first; per-replica apply indices track
-// protocol state. Client acks are sent only after the leader has applied
-// the entry, so an acknowledged create can never be lost by a crash. The
-// client side retries on NotLeader redirects and request timeouts, which
-// is the standard at-least-once hazard — callers submit idempotent
-// commands (as the metadata ops are) and the PLFS retry budget bounds the
-// macro-level retries above this layer.
+// whichever replica gets there first, and that replica writes the result
+// into the entry's wait slot; per-replica apply indices track protocol
+// state. Client acks are sent only after the leader has applied the entry,
+// so an acknowledged create can never be lost by a crash. The client side
+// retries on NotLeader redirects and request timeouts, which is the
+// standard at-least-once hazard — callers submit idempotent commands (as
+// the metadata ops are) and the PLFS retry budget bounds the macro-level
+// retries above this layer.
 #pragma once
 
-#include <any>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
 #include "net/cluster.h"
+#include "pfs/types.h"
 #include "raft/log.h"
 #include "sim/engine.h"
 #include "sim/task.h"
@@ -74,15 +81,15 @@ struct RaftConfig {
 };
 
 // The replicated state machine. apply() is invoked exactly once per
-// committed index, in index order, group-wide. apply_service() is the
-// simulated MDS service time charged (through the leader's FCFS server)
-// before the mutation lands; snapshot_bytes() sizes InstallSnapshot
-// transfers on the fabric.
+// committed command, in index order, group-wide (never for the leader's
+// no-op barrier). apply_service() is the simulated MDS service time
+// charged (through the leader's FCFS server) before the mutation lands;
+// snapshot_bytes() sizes InstallSnapshot transfers on the fabric.
 class StateMachine {
  public:
   virtual ~StateMachine() = default;
-  virtual std::any apply(Index index, const std::any& cmd) = 0;
-  virtual Duration apply_service(const std::any& cmd) const = 0;
+  virtual pfs::MetaBatchApply apply(Index index, const pfs::MetaBatch& batch) = 0;
+  virtual Duration apply_service(const pfs::MetaBatch& batch) const = 0;
   virtual std::uint64_t snapshot_bytes() const = 0;
 };
 
@@ -95,13 +102,13 @@ class Group {
   Group(const Group&) = delete;
   Group& operator=(const Group&) = delete;
 
-  // Replicates `cmd` through the group and returns the state machine's
-  // apply result once the leader has committed and applied it. Retries
-  // with NotLeader redirects and bounded election waits; returns
-  // Errc::busy (transient) once the attempt bound is exhausted so the
-  // caller's retry budget governs persistence.
-  sim::Task<Result<std::shared_ptr<const std::any>>> submit(std::size_t client_node, int rank,
-                                                            std::any cmd, std::uint64_t bytes);
+  // Replicates `batch` (`bytes` on the wire) through the group and
+  // returns the state machine's apply result once the leader has committed
+  // and applied it. Retries with NotLeader redirects and bounded election
+  // waits; returns Errc::busy (transient) once the attempt bound is
+  // exhausted so the caller's retry budget governs persistence.
+  sim::Task<Result<pfs::MetaBatchApply>> submit(std::size_t client_node, int rank,
+                                                pfs::MetaBatch batch, std::uint64_t bytes);
 
   // Non-mutating metadata op served by the leader's FCFS server, with the
   // same leader discovery / election wait as submit.
@@ -132,15 +139,41 @@ class Group {
   Index group_applied() const { return group_applied_; }
 
  private:
+  friend struct GroupTestPeer;  // tests compare replica logs (log matching)
+
   struct Node;
-  struct ReplyState;
+  struct Activity;  // holds the group unparked while a client op runs
+
+  // RPCs between replicas (raft.cc), carried as one variant.
+  struct RequestVote;
+  struct VoteReply;
+  struct AppendEntries;
+  struct AppendReply;
+  struct InstallSnapshot;
+  using Rpc = std::variant<RequestVote, VoteReply, AppendEntries, AppendReply, InstallSnapshot>;
+
+  // Outcome of one client attempt to reach the leader.
+  struct Route {
+    int leader = -1;        // the replica that is leader, or -1: attempt spent
+    bool degraded = false;  // the attempt waited out a dead target or an election
+  };
 
   // Transport: fire-and-forget RPC charging rpc_overhead + fabric.
-  void send(std::size_t from, std::size_t to, int tag, std::any msg, std::uint64_t bytes);
-  sim::Task<void> deliver(std::size_t from, std::size_t to, int tag, std::any msg,
-                          std::uint64_t bytes);
-  void dispatch(std::size_t me, std::size_t from, int tag, std::any msg);
+  void send(std::size_t from, std::size_t to, Rpc msg, std::uint64_t bytes);
+  sim::Task<void> deliver(std::size_t from, std::size_t to, Rpc msg, std::uint64_t bytes);
+  void dispatch(std::size_t me, std::size_t from, Rpc msg);
+  void on_rpc(std::size_t me, std::size_t from, const RequestVote& rv);
+  void on_rpc(std::size_t me, std::size_t from, const VoteReply& vr);
+  void on_rpc(std::size_t me, std::size_t from, const AppendEntries& ae);
+  void on_rpc(std::size_t me, std::size_t from, const AppendReply& ar);
+  void on_rpc(std::size_t me, std::size_t from, const InstallSnapshot& is);
   sim::Task<void> reply_latency(std::size_t from_node, std::size_t to_node, std::uint64_t bytes);
+
+  // Client routing: one attempt's request hop of `request_bytes` to the
+  // hinted replica, then the dead-target timeout, the redirect or the
+  // election wait. submit and serve_read differ only in the request bytes
+  // and what they do at the leader.
+  sim::Task<Route> route(std::size_t client_node, std::uint64_t request_bytes, int attempt);
 
   // Protocol.
   void arm_election(std::size_t r);
@@ -155,7 +188,9 @@ class Group {
   sim::Task<void> apply_drain(std::size_t r);
   void maybe_compact(std::size_t r);
   void fail_waiters(Node& n);
-  Index append_leader_entry(std::size_t r, std::any cmd, std::uint64_t bytes);
+  Index append_leader_entry(std::size_t r, std::optional<pfs::MetaBatch> cmd, std::uint64_t bytes,
+                            std::weak_ptr<Reply> reply = {});
+  const Log& log_of(std::size_t replica) const;
 
   // Park/unpark lifecycle.
   void begin_activity();
@@ -174,7 +209,6 @@ class Group {
 
   int leader_hint_ = -1;  // client routing hint, updated by heartbeats
   Index group_applied_ = 0;
-  std::map<Index, std::shared_ptr<const std::any>> group_results_;
 
   std::size_t inflight_ = 0;
   bool running_ = false;

@@ -343,6 +343,55 @@ TEST(Comm, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// The one checked receive says where a payload type went wrong: this rank,
+// the source and the tag, for a point-to-point recv and inside a collective
+// alike (there, the comm's first collective tag).
+TEST(Comm, TypeMismatchNamesRankSourceAndTag) {
+  std::string p2p;
+  spmd(2, [&p2p](Comm comm) -> sim::Task<void> {
+    if (comm.rank() == 0) co_await comm.send(1, 7, 42, 8);
+    if (comm.rank() != 1) co_return;
+    try {
+      (void)co_await comm.recv<double>(0, 7);
+    } catch (const std::runtime_error& e) {
+      p2p = e.what();
+    }
+  });
+  EXPECT_NE(p2p.find("type mismatch"), std::string::npos) << p2p;
+  EXPECT_NE(p2p.find("(rank 1 src 0 tag 7)"), std::string::npos) << p2p;
+
+  const std::string first_collective_tag = " tag " + std::to_string(kCollectiveTagLimit) + ")";
+  // Gather: rank 1 contributes a double to rank 0's gather of ints.
+  std::string gathered;
+  spmd(2, [&gathered](Comm comm) -> sim::Task<void> {
+    try {
+      if (comm.rank() == 0) {
+        (void)co_await comm.gather(0, 1, 4);
+      } else {
+        (void)co_await comm.gather(0, 2.0, 8);
+      }
+    } catch (const std::runtime_error& e) {
+      gathered = e.what();
+    }
+  });
+  EXPECT_NE(gathered.find("(rank 0 src 1" + first_collective_tag), std::string::npos) << gathered;
+  // Bcast: rank 1 expects a double from rank 0's int.
+  std::string broadcast;
+  spmd(2, [&broadcast](Comm comm) -> sim::Task<void> {
+    try {
+      if (comm.rank() == 0) {
+        (void)co_await comm.bcast(0, 1, 4);
+      } else {
+        (void)co_await comm.bcast(0, 2.0, 8);
+      }
+    } catch (const std::runtime_error& e) {
+      broadcast = e.what();
+    }
+  });
+  EXPECT_NE(broadcast.find("(rank 1 src 0" + first_collective_tag), std::string::npos)
+      << broadcast;
+}
+
 TEST(Comm, ReservedTagIsRejected) {
   // Tasks are lazy: validation throws surface when the task is awaited.
   spmd(2, [](Comm comm) -> sim::Task<void> {

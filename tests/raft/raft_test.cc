@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <any>
+#include <map>
 #include <vector>
 
 #include "common/stats.h"
@@ -14,6 +14,12 @@
 #include "testutil.h"
 
 namespace tio::raft {
+
+// Test-only view of a group's replica logs.
+struct GroupTestPeer {
+  static const Log& log(const Group& g, std::size_t replica) { return g.log_of(replica); }
+};
+
 namespace {
 
 net::ClusterConfig small_cluster() {
@@ -30,20 +36,57 @@ net::ClusterConfig small_cluster() {
   return c;
 }
 
-// Doubles each submitted int; remembers the apply order. The raft layer is
-// at-least-once (a timed-out client attempt may resubmit), so tests assert
-// "applied at least once, acked results exact", not exact apply counts.
+// A one-command batch carrying `v` in its path id: the fake state machine
+// below reads it back from there.
+pfs::MetaBatch command(int v) {
+  pfs::MetaBatch batch;
+  batch.cmds.push_back(pfs::MetaCommand{.path = static_cast<pfs::PathId>(v)});
+  return batch;
+}
+
+// Doubles each submitted int (cmds[0].path) and answers in results[0].oid;
+// remembers the apply order and, given a clock, each value's apply time.
+// The raft layer is at-least-once (a timed-out client attempt may
+// resubmit), so tests assert "applied at least once, acked results exact",
+// not exact apply counts.
 struct TestSm : StateMachine {
   std::vector<int> applied;
-  std::any apply(Index, const std::any& cmd) override {
-    if (!cmd.has_value()) return {};  // leader no-op barrier
-    const int v = std::any_cast<int>(cmd);
+  Duration service = Duration::us(50);
+  const sim::Engine* clock = nullptr;
+  std::map<int, std::int64_t> applied_ns;  // first apply, when clock is set
+  pfs::MetaBatchApply apply(Index, const pfs::MetaBatch& batch) override {
+    const int v = static_cast<int>(batch.cmds.at(0).path);
     applied.push_back(v);
-    return std::any(v * 2);
+    if (clock != nullptr) applied_ns.emplace(v, clock->now().to_ns());
+    pfs::MetaApply doubled;
+    doubled.oid = static_cast<pfs::ObjectId>(v) * 2;
+    pfs::MetaBatchApply out;
+    out.results.push_back(doubled);
+    return out;
   }
-  Duration apply_service(const std::any&) const override { return Duration::us(50); }
+  Duration apply_service(const pfs::MetaBatch&) const override { return service; }
   std::uint64_t snapshot_bytes() const override { return 1024; }
 };
+
+// Log matching (Raft §5.3): wherever two replicas hold an entry at the same
+// index with the same term, above both snapshot points, it carries the
+// same command.
+void expect_log_matching(const Group& g) {
+  for (std::size_t a = 0; a < g.replicas(); ++a) {
+    for (std::size_t b = a + 1; b < g.replicas(); ++b) {
+      const Log& la = GroupTestPeer::log(g, a);
+      const Log& lb = GroupTestPeer::log(g, b);
+      const Index lo = std::max(la.snapshot_index(), lb.snapshot_index()) + 1;
+      const Index hi = std::min(la.last_index(), lb.last_index());
+      for (Index i = lo; i <= hi; ++i) {
+        if (la.term_at(i) != lb.term_at(i)) continue;
+        EXPECT_TRUE(la.at(i)->cmd == lb.at(i)->cmd)
+            << "replicas " << a << " and " << b << " differ at index " << i << ", term "
+            << la.term_at(i);
+      }
+    }
+  }
+}
 
 RaftConfig fast_config() {
   RaftConfig c;
@@ -67,12 +110,13 @@ struct World {
 
   // Submits `v` from node 7 and expects the doubled ack.
   sim::Task<void> expect_submit(int v) {
-    auto r = co_await group.submit(/*client_node=*/7, /*rank=*/0, std::any(v), 64);
+    pfs::MetaBatch batch = command(v);
+    auto r = co_await group.submit(/*client_node=*/7, /*rank=*/0, std::move(batch), 64);
     EXPECT_TRUE(r.ok()) << r.status().to_string();
     if (!r.ok()) co_return;
-    EXPECT_TRUE(*r != nullptr && (*r)->has_value());
-    if (*r == nullptr || !(*r)->has_value()) co_return;
-    EXPECT_EQ(std::any_cast<int>(**r), v * 2);
+    EXPECT_EQ(r->results.size(), 1u) << "ack for " << v;
+    if (r->results.size() != 1) co_return;
+    EXPECT_EQ(r->results[0].oid, static_cast<pfs::ObjectId>(v) * 2) << "ack for " << v;
   }
 };
 
@@ -96,6 +140,37 @@ TEST(RaftTest, SubmitCommitsAndAcksAfterApply) {
   EXPECT_EQ(w.sm.applied[0], 21);
   // Index 1 is the leader's no-op barrier, index 2 the command.
   EXPECT_EQ(w.group.group_applied(), 2u);
+}
+
+// Results ride the log entry, not the replica: whichever replica applies an
+// entry first writes its result into the entry's wait slot, and the leader
+// acks from there after its own apply. With the leader's apply service
+// four heartbeats long, the followers learn each commit and apply first,
+// so every ack here carries a result a follower wrote.
+TEST(RaftTest, FollowerFirstApplyAcksWithTheEntrysResult) {
+  constexpr int kBurst = 16;
+  const RaftConfig config = fast_config();
+  World w(42, config);
+  w.sm.service = config.heartbeat * 4;
+  w.sm.clock = &w.engine;
+  test::run_task(w.engine, w.expect_submit(0));  // elect a leader first
+  std::map<int, std::int64_t> acked_ns;
+  auto submit = [](World& w, int v, std::map<int, std::int64_t>& acked) -> sim::Task<void> {
+    co_await w.expect_submit(v);
+    acked[v] = w.engine.now().to_ns();
+  };
+  for (int v = 1; v <= kBurst; ++v) w.engine.spawn(submit(w, v, acked_ns));
+  w.engine.run();
+  ASSERT_EQ(acked_ns.size(), static_cast<std::size_t>(kBurst));
+  for (int v = 0; v <= kBurst; ++v) {
+    ASSERT_EQ(w.sm.applied_ns.count(v), 1u) << v;
+  }
+  // The premise: each command applied at least a heartbeat before its ack,
+  // which only a follower's apply can do (the leader acks one reply hop
+  // after its own apply).
+  for (const auto& [v, ack_ns] : acked_ns) {
+    EXPECT_GT(ack_ns - w.sm.applied_ns[v], config.heartbeat.to_ns()) << "command " << v;
+  }
 }
 
 TEST(RaftTest, ReplicatesManyCommandsInOrder) {
@@ -132,6 +207,7 @@ TEST(RaftTest, LeaderCrashFailsOverAndLosesNoAckedCommand) {
     EXPECT_NE(std::find(w.sm.applied.begin(), w.sm.applied.end(), v), w.sm.applied.end())
         << "acked command " << v << " lost";
   }
+  expect_log_matching(w.group);
 }
 
 TEST(RaftTest, CrashedReplicaRestartsAndCatchesUp) {
@@ -199,6 +275,7 @@ TEST(RaftTest, PartitionedLeaderHealsWithoutSplitBrain) {
   for (int v = 1; v <= 6; ++v) {
     EXPECT_NE(std::find(w.sm.applied.begin(), w.sm.applied.end(), v), w.sm.applied.end());
   }
+  expect_log_matching(w.group);
 }
 
 TEST(RaftTest, SingleReplicaGroupDegeneratesToLocalCommit) {
@@ -209,10 +286,13 @@ TEST(RaftTest, SingleReplicaGroupDegeneratesToLocalCommit) {
   TestSm sm;
   Group group(engine, cluster, sm, config, 0, {3});
   test::run_task(engine, [](Group& g, TestSm& sm) -> sim::Task<void> {
-    auto r = co_await g.submit(0, 0, std::any(5), 64);
+    pfs::MetaBatch batch = command(5);
+    auto r = co_await g.submit(0, 0, std::move(batch), 64);
     EXPECT_TRUE(r.ok());
     if (!r.ok()) co_return;
-    EXPECT_EQ(std::any_cast<int>(**r), 10);
+    EXPECT_EQ(r->results.size(), 1u);
+    if (r->results.size() != 1) co_return;
+    EXPECT_EQ(r->results[0].oid, 10u);
     EXPECT_EQ(sm.applied.size(), 1u);
   }(group, sm));
 }
@@ -223,7 +303,8 @@ TEST(RaftTest, NoQuorumSurfacesBusyWithinAttemptBound) {
     co_await w.expect_submit(1);
     w.group.crash(1);
     w.group.crash(2);
-    auto r = co_await w.group.submit(7, 0, std::any(2), 64);
+    pfs::MetaBatch batch = command(2);
+    auto r = co_await w.group.submit(7, 0, std::move(batch), 64);
     EXPECT_FALSE(r.ok());
     if (r.ok()) co_return;
     EXPECT_EQ(r.status().code(), Errc::busy);
