@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build all three presets, run the full suite on the
 # optimized build, run the index differential/cache suites under ASan+UBSan,
-# run the shard-pool/determinism suites under TSan, and smoke the repository
+# run the shard-pool/determinism suites under TSan, run the examples, gate
+# src/ function coverage (coverage preset), and smoke the repository
 # benchmark's three workloads.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -36,7 +37,7 @@ cmake --build --preset asan -j "$jobs"
 
 echo "==> index differential + cache + wire-codec tests under ASan/UBSan"
 ctest --preset asan -j "$jobs" -R \
-  'IndexDiff|IndexCache|IndexProperty|Varint|WireV2|WireCompat'
+  'IndexDiff|IndexCache|IndexProperty|IndexSerialization|Varint|WireV2'
 
 # A rank whose Parallel Index Read fails must not strand the others in a
 # collective: every rank returns, so no suspended frame leaks.
@@ -302,6 +303,28 @@ LC_ALL="$json_locale" ./build/bench/fig4_read_scaling \
   --trace="$out/fig4_trace_s4.json" >"$out/fig4_run_s4.txt" 2>/dev/null
 cmp "$out/fig4_run1.txt" "$out/fig4_run_s4.txt"
 cmp "$out/fig4_trace.json" "$out/fig4_trace_s4.json"
+
+echo "==> examples at smoke sizes; quickstart stays inside its own fresh subdirectory"
+# quickstart runs PLFS on the host file system under --dir; it must create
+# its own subdirectory there, touch nothing else, and exit nonzero unless
+# the logical file reads back intact.
+qs_parent=$(mktemp -d)
+echo keep >"$qs_parent/sentinel"
+./build/examples/quickstart --dir "$qs_parent" >"$out/quickstart.txt"
+grep -q 'verified byte-for-byte' "$out/quickstart.txt" \
+  || { echo "quickstart did not verify its read-back"; cat "$out/quickstart.txt"; exit 1; }
+[ "$(cat "$qs_parent/sentinel")" = keep ] \
+  || { echo "quickstart touched a file it did not create"; exit 1; }
+rm -rf "$qs_parent"
+./build/examples/checkpoint_restart --procs 32 --per-proc-mib 1 >/dev/null
+./build/examples/metadata_federation --procs 32 --files-per-proc 4 >/dev/null
+./build/examples/formatted_io --procs 16 --data-mib 16 >/dev/null
+
+# Every function defined in a src/ .cc file must be run by the smoke
+# benches or the examples, or be allowlisted in tools/coverage_allowlist.txt
+# with the test that covers it; a .cc file no binary links counts as unrun.
+echo "==> coverage gate (coverage preset: smoke benches + examples, gcov per function)"
+python3 tools/check_coverage.py
 
 echo "==> checked-in bench result files must parse and summarize"
 python3 tools/bench_report.py

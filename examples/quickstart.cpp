@@ -5,9 +5,17 @@
 // logical file, and the program then shows the physical container PLFS
 // built (the transformative part) and reads the logical file back intact.
 //
-//   ./quickstart [--dir /tmp/plfs_quickstart]
+//   ./quickstart [--dir /tmp]
+//
+// The program works only inside a fresh subdirectory (plfs_quickstart.XXXXXX)
+// that it creates under --dir; nothing else there is touched. It exits 1 if
+// the logical file does not read back byte-for-byte.
+#include <stdlib.h>  // mkdtemp
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/strutil.h"
@@ -27,7 +35,7 @@ void print_tree(const std::filesystem::path& p, int depth = 0) {
   }
 }
 
-sim::Task<void> demo(plfs::Plfs& plfs) {
+sim::Task<void> demo(plfs::Plfs& plfs, bool& intact) {
   constexpr int kWriters = 4;
   constexpr std::uint64_t kRecord = 1 << 16;  // 64 KiB
   constexpr int kRounds = 8;
@@ -55,7 +63,7 @@ sim::Task<void> demo(plfs::Plfs& plfs) {
   const std::uint64_t size = (*reader)->logical_size();
   auto data = co_await (*reader)->read(0, size);
   if (!data.ok()) throw std::runtime_error(data.status().to_string());
-  const bool intact = data->content_equals(DataView::pattern(7, 0, size));
+  intact = data->content_equals(DataView::pattern(7, 0, size));
   std::printf("\nlogical file size: %s, content %s\n", format_bytes(size).c_str(),
               intact ? "verified byte-for-byte" : "MISMATCH!");
   std::printf("index mappings after compression: %zu (from %d raw records)\n",
@@ -67,17 +75,26 @@ sim::Task<void> demo(plfs::Plfs& plfs) {
 
 int main(int argc, char** argv) {
   FlagSet flags("quickstart: PLFS over the host file system");
-  auto* dir = flags.add_string("dir", "/tmp/plfs_quickstart", "host directory to use");
+  auto* parent = flags.add_string("dir", std::filesystem::temp_directory_path().string(),
+                                   "existing host directory to create the work directory in");
   if (auto st = flags.parse(argc, argv); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.to_string().c_str());
     return 1;
   }
 
-  std::filesystem::remove_all(*dir);
-  std::filesystem::create_directories(*dir);
+  // A fresh, uniquely named subdirectory: the program never deletes or
+  // overwrites anything it did not create.
+  std::string pattern = (std::filesystem::path(*parent) / "plfs_quickstart.XXXXXX").string();
+  std::vector<char> buf(pattern.begin(), pattern.end());
+  buf.push_back('\0');
+  if (mkdtemp(buf.data()) == nullptr) {
+    std::perror(("quickstart: cannot create a directory under " + *parent).c_str());
+    return 1;
+  }
+  const std::string dir = buf.data();
 
   sim::Engine engine;
-  localfs::LocalFs fs(engine, *dir);
+  localfs::LocalFs fs(engine, dir);
 
   // Two "backends" model two glued file systems (federation); on a laptop
   // they are just two directories.
@@ -85,17 +102,18 @@ int main(int argc, char** argv) {
   mount.backends = {"/backend0", "/backend1"};
   mount.num_subdirs = 4;
   for (const auto& b : mount.backends) {
-    std::filesystem::create_directories(*dir + b);
+    std::filesystem::create_directories(dir + b);
   }
   plfs::Plfs plfs(fs, mount);
 
-  engine.spawn(demo(plfs));
+  bool intact = false;
+  engine.spawn(demo(plfs, intact));
   engine.run();
 
-  std::printf("\nphysical container layout under %s:\n", dir->c_str());
-  print_tree(*dir);
+  std::printf("\nphysical container layout under %s:\n", dir.c_str());
+  print_tree(dir);
   std::printf(
       "\nThe logical file /ckpt/timestep42 is a *container*: every writer got\n"
       "a private data log and index log, spread across both backends.\n");
-  return 0;
+  return intact ? 0 : 1;
 }

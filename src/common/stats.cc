@@ -225,16 +225,4 @@ std::vector<std::pair<std::string, const Histogram*>> histogram_snapshot(
   return out;
 }
 
-void reset_counters() {
-  Registries& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& [name, c] : r.counters) c->reset();
-}
-
-void reset_histograms() {
-  Registries& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& [name, h] : r.histograms) h->reset();
-}
-
 }  // namespace tio

@@ -187,9 +187,4 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot(
 std::vector<std::pair<std::string, const Histogram*>> histogram_snapshot(
     std::string_view prefix = "");
 
-// Zeroes every registered counter (the registry itself is never shrunk).
-void reset_counters();
-// Clears every registered histogram's samples.
-void reset_histograms();
-
 }  // namespace tio

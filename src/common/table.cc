@@ -33,10 +33,4 @@ std::string Table::num(double v, int precision) {
   return str_printf("%.*f", precision, v);
 }
 
-std::string Table::eng(double v, int precision) {
-  if (v >= 1e6) return str_printf("%.*fM", precision, v / 1e6);
-  if (v >= 1e3) return str_printf("%.*fk", precision, v / 1e3);
-  return str_printf("%.*f", precision, v);
-}
-
 }  // namespace tio

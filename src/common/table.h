@@ -19,7 +19,6 @@ class Table {
 
   // Cell formatting helpers.
   static std::string num(double v, int precision = 2);
-  static std::string eng(double v, int precision = 2);  // thousands separators for big ints
 
  private:
   std::vector<std::string> header_;

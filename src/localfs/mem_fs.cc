@@ -21,7 +21,7 @@ sim::Task<Result<FileId>> MemFs::open(pfs::IoCtx ctx, std::string path, pfs::Ope
     oid = existing->oid;
     if (flags.trunc && flags.write) {
       Object& o = objects_[oid];
-      o.data.truncate(0);
+      o.data.clear();
       o.size = 0;
       o.mtime = engine_.now();
     }

@@ -112,17 +112,6 @@ std::uint64_t PageCache::lookup(std::uint64_t object, std::uint64_t offset, std:
   return hit;
 }
 
-void PageCache::invalidate_object(std::uint64_t object) {
-  for (std::uint32_t i = head_; i != kNil;) {
-    const std::uint32_t next = slab_[i].next;
-    if (slab_[i].key.object == object) {
-      map_.erase(slab_[i].key);
-      release(i);
-    }
-    i = next;
-  }
-}
-
 void PageCache::clear() {
   map_.clear();
   slab_.clear();

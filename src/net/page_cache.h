@@ -36,8 +36,6 @@ class PageCache {
   std::uint64_t lookup(std::uint64_t object, std::uint64_t offset, std::uint64_t len,
                        std::vector<ByteRange>* misses = nullptr);
 
-  // Drops every block of `object` (e.g. on unlink).
-  void invalidate_object(std::uint64_t object);
   void clear();
 
   std::uint64_t resident_bytes() const { return static_cast<std::uint64_t>(map_.size()) * block_; }

@@ -99,18 +99,6 @@ std::uint64_t ExtentMap::high_water() const {
   return last.first + last.second.size();
 }
 
-void ExtentMap::truncate(std::uint64_t new_size) {
-  auto it = extents_.lower_bound(new_size);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    const std::uint64_t prev_end = prev->first + prev->second.size();
-    if (prev_end > new_size) {
-      prev->second = prev->second.slice(0, new_size - prev->first);
-    }
-  }
-  extents_.erase(it, extents_.end());
-}
-
 std::uint64_t ExtentMap::backed_bytes() const {
   std::uint64_t total = 0;
   for (const auto& [off, v] : extents_) total += v.size();

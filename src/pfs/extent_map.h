@@ -25,8 +25,8 @@ class ExtentMap {
 
   // Largest written end-offset (0 when empty).
   std::uint64_t high_water() const;
-  // Discards all content at or beyond new_size; splits a straddling extent.
-  void truncate(std::uint64_t new_size);
+  // Discards all content (an O_TRUNC open).
+  void clear() { extents_.clear(); }
 
   std::size_t extent_count() const { return extents_.size(); }
   bool empty() const { return extents_.empty(); }

@@ -443,7 +443,7 @@ sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags fl
     oid = existing.oid;
     if (flags.trunc && flags.write) {
       Object& o = object(oid);
-      o.data.truncate(0);
+      o.data.clear();
       o.size = 0;
       o.mtime = engine().now();
     }

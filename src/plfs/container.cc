@@ -117,22 +117,4 @@ bool parse_stale_marker_name(std::string_view name, std::size_t* k) {
   return true;
 }
 
-bool parse_meta_dropping_name(std::string_view name, std::uint32_t* writer,
-                              std::uint64_t* logical_size) {
-  if (!name.starts_with("dropping.")) return false;
-  const auto rest = name.substr(9);
-  const std::size_t dot = rest.find('.');
-  if (dot == std::string_view::npos) return false;
-  std::uint32_t w = 0;
-  std::uint64_t sz = 0;
-  auto [p1, e1] = std::from_chars(rest.data(), rest.data() + dot, w);
-  if (e1 != std::errc{} || p1 != rest.data() + dot) return false;
-  const auto tail = rest.substr(dot + 1);
-  auto [p2, e2] = std::from_chars(tail.data(), tail.data() + tail.size(), sz);
-  if (e2 != std::errc{} || p2 != tail.data() + tail.size()) return false;
-  *writer = w;
-  *logical_size = sz;
-  return true;
-}
-
 }  // namespace tio::plfs

@@ -68,7 +68,5 @@ class ContainerLayout {
 bool parse_index_log_name(std::string_view name, std::uint32_t* writer);
 // True if `name` is a failover marker "stale.K"; extracts the subdir k.
 bool parse_stale_marker_name(std::string_view name, std::size_t* k);
-bool parse_meta_dropping_name(std::string_view name, std::uint32_t* writer,
-                              std::uint64_t* logical_size);
 
 }  // namespace tio::plfs

@@ -1,9 +1,7 @@
 #include "plfs/index.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
-#include <string>
 
 #include "plfs/pattern.h"
 
@@ -13,42 +11,6 @@ bool entry_timestamp_less(const IndexEntry& a, const IndexEntry& b) {
   if (a.timestamp_ns != b.timestamp_ns) return a.timestamp_ns < b.timestamp_ns;
   if (a.writer != b.writer) return a.writer < b.writer;
   return a.physical_offset < b.physical_offset;
-}
-
-Result<std::vector<IndexEntry>> deserialize_entries(const FragmentList& data) {
-  if (data.size() % IndexEntry::kSerializedSize != 0) {
-    // A truncated trailing record: report where the partial record starts so
-    // operators can tell a torn append from wholesale corruption.
-    const std::uint64_t partial_at =
-        data.size() - data.size() % IndexEntry::kSerializedSize;
-    return error(Errc::io_error,
-                 "truncated index log: " + std::to_string(data.size()) +
-                     " bytes is not a multiple of the " +
-                     std::to_string(IndexEntry::kSerializedSize) +
-                     "-byte record size; partial record begins at byte offset " +
-                     std::to_string(partial_at));
-  }
-  const auto bytes = data.to_bytes();
-  std::vector<IndexEntry> out(bytes.size() / IndexEntry::kSerializedSize);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::byte* p = bytes.data() + i * IndexEntry::kSerializedSize;
-    std::memcpy(&out[i].logical_offset, p + 0, 8);
-    std::memcpy(&out[i].length, p + 8, 8);
-    std::memcpy(&out[i].physical_offset, p + 16, 8);
-    std::memcpy(&out[i].timestamp_ns, p + 24, 8);
-    std::memcpy(&out[i].writer, p + 32, 4);
-    const IndexEntry& e = out[i];
-    const std::string at = " at record #" + std::to_string(i) + " (byte offset " +
-                           std::to_string(i * IndexEntry::kSerializedSize) + ")";
-    if (e.length == 0) {
-      return error(Errc::io_error, "corrupt index log: zero-length record" + at);
-    }
-    if (e.logical_offset + e.length < e.logical_offset ||
-        e.physical_offset + e.length < e.physical_offset) {
-      return error(Errc::io_error, "corrupt index log: extent overflow" + at);
-    }
-  }
-  return out;
 }
 
 namespace {

@@ -42,14 +42,6 @@ struct IndexEntry {
 // deterministic for simultaneous writers.
 bool entry_timestamp_less(const IndexEntry& a, const IndexEntry& b);
 
-// Parses a whole buffer of fixed 40-byte records — the format index logs
-// and flattened indices had before the pattern codec (pattern.h), kept so
-// old containers still open. A trailing partial record, a zero-length
-// record, or an extent whose offset+length overflows is an error: index
-// logs are the source of truth for the read path, so corrupt or truncated
-// logs must be rejected, not silently absorbed.
-Result<std::vector<IndexEntry>> deserialize_entries(const FragmentList& data);
-
 // The aggregated global index. Immutable once built; readers share it via
 // shared_ptr. Building is a sweep over offset-domain boundaries with a
 // lazy-deletion max-heap of live entries — everything is contiguous

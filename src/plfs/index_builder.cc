@@ -132,17 +132,7 @@ Result<std::vector<IndexEntry>> deserialize_trailed_entries(const FragmentList& 
   if (magic != kIndexTrailerMagic) return bad("bad trailer magic", base);
   const std::uint32_t want = crc32c(bytes.data(), base + 12);
   if (crc != want) return bad("crc mismatch", base + 12);
-  // The record payload self-describes its wire format (v2 segments lead
-  // with their own magic); `count` cross-checks whichever decoder ran.
-  Result<std::vector<IndexEntry>> entries = error(Errc::io_error, "unreachable");
-  if (base >= 4 && std::memcmp(bytes.data(), &kWireMagic, 4) == 0) {
-    entries = decode_entries_v2(bytes.data(), base);
-  } else {
-    if (base % IndexEntry::kSerializedSize != 0) return bad("truncated trailer", base);
-    FragmentList records;
-    records.append(DataView::literal(std::vector<std::byte>(bytes.begin(), bytes.begin() + base)));
-    entries = deserialize_entries(records);
-  }
+  Result<std::vector<IndexEntry>> entries = decode_entries(bytes.data(), base);
   if (!entries.ok()) return entries.status();
   if (entries->size() != count) return bad("record count mismatch", base + 4);
   return entries;

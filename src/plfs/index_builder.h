@@ -58,10 +58,7 @@ class IndexBuilder {
 //   [records ...][magic u32][count u64][crc32c u32]   (16B trailer)
 //
 // where crc covers records+magic+count. The records are v2
-// pattern-compressed segments (pattern.h); readers also accept v1 fixed
-// 40-byte records, told apart by the v2 segment magic, so flattened
-// indices written before the codec stay readable. `count` is always the
-// entry count. A missing, truncated, or mismatching trailer — a torn
+// pattern-compressed segments (pattern.h) and `count` is the entry count. A missing, truncated, or mismatching trailer — a torn
 // close, a partial write, bit rot — is detected at read time with
 // Errc::io_error, letting the read-open path fall back to Parallel Index
 // Read instead of serving wrong data.

@@ -208,18 +208,7 @@ std::uint64_t encoded_size(const std::vector<IndexEntry>& entries) {
   return tmp.size();
 }
 
-namespace {
-
-bool starts_with_magic(const std::byte* data, std::size_t size) {
-  if (size < 4) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, data, 4);
-  return magic == kWireMagic;
-}
-
-}  // namespace
-
-Result<std::vector<IndexEntry>> decode_entries_v2(const std::byte* data, std::size_t size) {
+Result<std::vector<IndexEntry>> decode_entries(const std::byte* data, std::size_t size) {
   const auto bad = [size](const std::string& what, std::uint64_t at) {
     return error(Errc::io_error, kErrPrefix + what + " at byte offset " + std::to_string(at) +
                                      " (" + std::to_string(size) + "-byte buffer)");
@@ -371,10 +360,8 @@ Result<std::vector<IndexEntry>> decode_entries_v2(const std::byte* data, std::si
 }
 
 Result<std::vector<IndexEntry>> decode_entries(const FragmentList& data) {
-  if (data.size() == 0) return std::vector<IndexEntry>{};
   const auto bytes = data.to_bytes();
-  if (!starts_with_magic(bytes.data(), bytes.size())) return deserialize_entries(data);
-  return decode_entries_v2(bytes.data(), bytes.size());
+  return decode_entries(bytes.data(), bytes.size());
 }
 
 }  // namespace tio::plfs

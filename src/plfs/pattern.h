@@ -45,14 +45,11 @@
 // in ascending order), so decoding reproduces the original entry order
 // bit-exactly — a decoded run is still a valid timestamp-sorted run.
 //
-// Readers auto-detect the format: a buffer starting with the v2 magic is
-// v2, anything else parses as the original fixed 40-byte records (v1),
-// which nothing writes any more but old containers still hold. (A v1 log
-// whose first record's logical offset happens to equal the magic would
-// misdetect; with a 2^-32 chance against real offsets we document rather
-// than defend.) Truncated, bit-flipped, version-confused, or
-// position-inconsistent buffers are rejected with Errc::io_error carrying
-// the failing byte offset, same as the v1 parser.
+// There is one encoder and one decoder. A buffer that does not start with
+// the v2 magic (including the original fixed 40-byte records, which nothing
+// writes any more) is rejected like any other corruption: truncated,
+// bit-flipped, version-confused, or position-inconsistent buffers fail with
+// Errc::io_error carrying the failing byte offset.
 #pragma once
 
 #include <cstdint>
@@ -109,11 +106,10 @@ std::vector<std::byte> encode_entries(const std::vector<IndexEntry>& entries);
 // Size-only variant for collective costing; does not touch the counters.
 std::uint64_t encoded_size(const std::vector<IndexEntry>& entries);
 
-// Auto-detecting decoder: v2 segments or v1 fixed records, entry order
-// preserved bit-exactly either way.
+// Decodes a sequence of v2 segments, entry order preserved bit-exactly.
 Result<std::vector<IndexEntry>> decode_entries(const FragmentList& data);
-// v2-only decode over a raw byte range (used by the trailer verifier,
-// which has already sliced the payload out of the flattened file).
-Result<std::vector<IndexEntry>> decode_entries_v2(const std::byte* data, std::size_t size);
+// The same over a raw byte range (the trailer verifier has already sliced
+// the payload out of the flattened file).
+Result<std::vector<IndexEntry>> decode_entries(const std::byte* data, std::size_t size);
 
 }  // namespace tio::plfs

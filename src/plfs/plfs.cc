@@ -111,11 +111,6 @@ sim::Task<Status> Plfs::mkdir_retried(pfs::IoCtx ctx, std::string path) {
                                 [&] { return fs_.mkdir(ctx, path); });
 }
 
-sim::Task<Status> Plfs::rmdir_retried(pfs::IoCtx ctx, std::string path) {
-  co_return co_await with_retry(ctx, path_op_key(path) ^ 2,
-                                [&] { return fs_.rmdir(ctx, path); });
-}
-
 sim::Task<Status> Plfs::unlink_retried(pfs::IoCtx ctx, std::string path) {
   co_return co_await with_retry(ctx, path_op_key(path) ^ 3,
                                 [&] { return fs_.unlink(ctx, path); });
@@ -303,9 +298,9 @@ sim::Task<Status> WriteHandle::close() {
   TIO_CO_RETURN_IF_ERROR(co_await flush_index());
   TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, data_fd_));
   TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, index_fd_));
-  // Size dropping (the logical high water is encoded in the name, so stat
-  // never needs index aggregation) and the openhost unlink are independent
-  // mutations.
+  // The size dropping (the logical high water is encoded in its name, as
+  // PLFS does so that stat needs no index aggregation) and the openhost
+  // unlink are independent mutations; the simulator prices both.
   TIO_CO_RETURN_IF_ERROR(co_await run_legs(
       plfs_->engine(), plfs_->mount_.meta_batching,
       plfs_->touch(ctx_, layout_.meta_dropping_path(rank_, high_water_), OpenFlags::wr_create()),
@@ -373,7 +368,7 @@ sim::Task<Result<std::shared_ptr<const std::vector<IndexEntry>>>> Plfs::read_ind
   log_bytes_read.add(data->size());
   auto cached = cache_.get_log(container, path);
   if (cached == nullptr) {
-    auto entries = decode_entries(*data);  // auto-detects wire v1 / v2
+    auto entries = decode_entries(*data);
     if (!entries.ok()) co_return entries.status();
     cached = std::make_shared<const std::vector<IndexEntry>>(std::move(entries.value()));
     // Don't install if a writer invalidated the container mid-parse: this
@@ -540,85 +535,6 @@ sim::Task<Result<bool>> Plfs::is_container(pfs::IoCtx ctx, const std::string& lo
   if (st.ok()) co_return true;
   if (st.status().code() == Errc::not_found) co_return false;
   co_return st.status();
-}
-
-sim::Task<Result<std::uint64_t>> Plfs::logical_size(pfs::IoCtx ctx, const std::string& logical) {
-  ContainerLayout lay = layout(logical);
-  auto entries = co_await readdir_retried(ctx, lay.meta_dir());
-  if (!entries.ok()) co_return entries.status();
-  std::uint64_t size = 0;
-  for (const auto& e : *entries) {
-    std::uint32_t writer = 0;
-    std::uint64_t s = 0;
-    if (parse_meta_dropping_name(e.name, &writer, &s)) size = std::max(size, s);
-  }
-  co_return size;
-}
-
-sim::Task<Result<std::vector<pfs::DirEntry>>> Plfs::readdir(pfs::IoCtx ctx,
-                                                            std::string logical_dir) {
-  std::vector<pfs::DirEntry> out;
-  for (const auto& backend : mount_.backends) {
-    auto entries = co_await readdir_retried(ctx, path_join(backend, logical_dir));
-    if (!entries.ok()) {
-      if (entries.status().code() == Errc::not_found) continue;
-      co_return entries.status();
-    }
-    for (const auto& e : *entries) {
-      if (std::any_of(out.begin(), out.end(),
-                      [&](const pfs::DirEntry& seen) { return seen.name == e.name; })) {
-        continue;
-      }
-      pfs::DirEntry entry = e;
-      if (e.is_dir) {
-        TIO_CO_ASSIGN_OR_RETURN(bool container,
-                                co_await is_container(ctx, path_join(logical_dir, e.name)));
-        if (container) entry.is_dir = false;  // containers are logical files
-      }
-      out.push_back(std::move(entry));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const pfs::DirEntry& a, const pfs::DirEntry& b) { return a.name < b.name; });
-  co_return out;
-}
-
-sim::Task<Status> Plfs::mkdir(pfs::IoCtx ctx, std::string logical_dir) {
-  for (const auto& backend : mount_.backends) {
-    TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, path_join(backend, logical_dir)));
-  }
-  co_return Status::Ok();
-}
-
-sim::Task<Status> Plfs::unlink(pfs::IoCtx ctx, const std::string& logical) {
-  ContainerLayout lay = layout(logical);
-  cache_.invalidate(path_normalize(logical));
-  TIO_CO_ASSIGN_OR_RETURN(bool container, co_await is_container(ctx, logical));
-  if (!container) co_return error(Errc::not_found, logical);
-  for (std::size_t b = 0; b < mount_.backends.size(); ++b) {
-    const std::string root = lay.container_on(b);
-    auto entries = co_await readdir_retried(ctx, root);
-    if (!entries.ok()) {
-      if (entries.status().code() == Errc::not_found) continue;
-      co_return entries.status();
-    }
-    for (const auto& e : *entries) {
-      const std::string child = path_join(root, e.name);
-      if (e.is_dir) {
-        auto inner = co_await readdir_retried(ctx, child);
-        if (inner.ok()) {
-          for (const auto& f : *inner) {
-            TIO_CO_RETURN_IF_ERROR(co_await unlink_retried(ctx, path_join(child, f.name)));
-          }
-        }
-        TIO_CO_RETURN_IF_ERROR(co_await rmdir_retried(ctx, child));
-      } else {
-        TIO_CO_RETURN_IF_ERROR(co_await unlink_retried(ctx, child));
-      }
-    }
-    TIO_CO_RETURN_IF_ERROR(co_await rmdir_retried(ctx, root));
-  }
-  co_return Status::Ok();
 }
 
 }  // namespace tio::plfs

@@ -74,14 +74,6 @@ class Plfs {
 
   // --- logical namespace operations ---
   sim::Task<Result<bool>> is_container(pfs::IoCtx ctx, const std::string& logical);
-  // Fast logical size from the meta droppings (no index aggregation).
-  sim::Task<Result<std::uint64_t>> logical_size(pfs::IoCtx ctx, const std::string& logical);
-  // Union of backends' listings; containers are reported as files.
-  sim::Task<Result<std::vector<pfs::DirEntry>>> readdir(pfs::IoCtx ctx, std::string logical_dir);
-  // Creates a logical directory (on every backend, so shadows can nest).
-  sim::Task<Status> mkdir(pfs::IoCtx ctx, std::string logical_dir);
-  // Removes a logical file: tears the container down on every backend.
-  sim::Task<Status> unlink(pfs::IoCtx ctx, const std::string& logical);
 
   // Ensures `dir` (a backend-physical path) exists; stat-first, tolerant of
   // concurrent creation.
@@ -136,7 +128,6 @@ class Plfs {
   sim::Task<Result<FragmentList>> read_retried(pfs::IoCtx ctx, pfs::FileId fd,
                                                std::uint64_t offset, std::uint64_t len);
   sim::Task<Status> mkdir_retried(pfs::IoCtx ctx, std::string path);
-  sim::Task<Status> rmdir_retried(pfs::IoCtx ctx, std::string path);
   sim::Task<Status> unlink_retried(pfs::IoCtx ctx, std::string path);
   sim::Task<Result<pfs::StatInfo>> stat_retried(pfs::IoCtx ctx, std::string path);
   sim::Task<Result<std::vector<pfs::DirEntry>>> readdir_retried(pfs::IoCtx ctx,

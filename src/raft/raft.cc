@@ -752,20 +752,22 @@ int Group::leader_or_negative() const {
   int best = -1;
   Term best_term = 0;
   for (std::size_t r = 0; r < config_.replicas; ++r) {
-    const Node& n = *nodes_[r];
-    if (!n.down && n.role == Node::Role::leader && n.term >= best_term) {
+    if (is_leader(r) && nodes_[r]->term >= best_term) {
       best = static_cast<int>(r);
-      best_term = n.term;
+      best_term = nodes_[r]->term;
     }
   }
   return best;
 }
 
-bool Group::is_down(std::size_t replica) const { return nodes_[replica]->down; }
+bool Group::is_leader(std::size_t replica) const {
+  const Node& n = *nodes_[replica];
+  return !n.down && n.role == Node::Role::leader;
+}
+
 Term Group::term_of(std::size_t replica) const { return nodes_[replica]->term; }
 Index Group::last_index_of(std::size_t replica) const { return nodes_[replica]->log.last_index(); }
 Index Group::commit_of(std::size_t replica) const { return nodes_[replica]->commit; }
-Index Group::applied_of(std::size_t replica) const { return nodes_[replica]->applied; }
 const Log& Group::log_of(std::size_t replica) const { return nodes_[replica]->log; }
 
 }  // namespace tio::raft

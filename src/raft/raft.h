@@ -129,13 +129,12 @@ class Group {
 
   // Introspection (tests, leader-targeted fault resolution).
   int leader_or_negative() const;  // highest-term live leader, or -1
+  bool is_leader(std::size_t replica) const;  // live and in the leader role
   std::size_t replicas() const { return config_.replicas; }
   std::size_t group_id() const { return group_id_; }
-  bool is_down(std::size_t replica) const;
   Term term_of(std::size_t replica) const;
   Index last_index_of(std::size_t replica) const;
   Index commit_of(std::size_t replica) const;
-  Index applied_of(std::size_t replica) const;
   Index group_applied() const { return group_applied_; }
 
  private:

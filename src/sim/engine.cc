@@ -11,16 +11,19 @@ namespace tio::sim {
 namespace {
 
 // Self-destroying driver coroutine that owns a detached process's Task.
-// Its frame comes from the same recycling pool as Task frames.
+// Its frame comes from the same recycling pool as Task frames. An
+// exception escaping the process is recorded for Engine::run to rethrow.
 struct Driver {
   struct promise_type : PooledFrame {
+    explicit promise_type(Engine* e, Task<void>&) : engine(e) {}
     Driver get_return_object() {
       return Driver{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }  // frame self-destructs
     void return_void() {}
-    void unhandled_exception() { std::terminate(); }
+    void unhandled_exception() { engine->record_process_error(std::current_exception()); }
+    Engine* engine;
   };
   std::coroutine_handle<promise_type> h;
 };
@@ -30,11 +33,7 @@ Driver drive(Engine* engine, Task<void> process) {
     Engine* engine;
     ~Done() { engine->notify_process_finished(); }
   } done{engine};
-  try {
-    co_await std::move(process);
-  } catch (...) {
-    engine->record_process_error(std::current_exception());
-  }
+  co_await std::move(process);
 }
 
 // The engine currently dispatching an event on this thread (set around the

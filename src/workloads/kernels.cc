@@ -38,14 +38,6 @@ JobSpec mpiio_test(std::uint64_t bytes_per_proc, std::uint64_t record, TargetOpt
   return spec;
 }
 
-JobSpec ior(TargetOptions target) {
-  JobSpec spec;
-  spec.file = "ior";
-  spec.ops = strided_ops(50_MiB, 1_MiB);
-  spec.target = target;
-  return spec;
-}
-
 namespace {
 
 iolib::WriteFn bind_write(Target& target) {

@@ -23,8 +23,6 @@ OpGen segmented_ops(std::uint64_t bytes_per_proc, std::uint64_t record);
 // MPI-IO Test as configured in Section IV-C: 50 MB per stream in ~50 KB
 // records, N-1 strided.
 JobSpec mpiio_test(std::uint64_t bytes_per_proc, std::uint64_t record, TargetOptions target);
-// IOR as configured in Section IV-D3: 50 MB per process in 1 MB records.
-JobSpec ior(TargetOptions target);
 
 // --- application kernels (Fig. 5) ---
 // Pixie3D: weak scaling through TinyNc, `bytes_per_proc` split over nvars

@@ -12,7 +12,7 @@ namespace tio::workloads {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what, const Status& status) {
+[[noreturn]] void storm_failed(const std::string& what, const Status& status) {
   throw std::runtime_error("metadata storm " + what + ": " + status.to_string());
 }
 
@@ -46,7 +46,7 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
                 : str_printf("/%s/f%d_%d", spec.dir.c_str(), comm.rank(), i);
         auto wh = co_await rig.plfs().open_write(
             ctx, logical, spec.shared_file ? comm.rank() : 0);
-        if (!wh.ok()) fail("plfs open", wh.status());
+        if (!wh.ok()) storm_failed("plfs open", wh.status());
         plfs_handles.push_back(std::move(wh.value()));
       } else if (spec.shared_file) {
         const std::string path = path_join(rig.direct_dir(), spec.dir + "/shared");
@@ -54,7 +54,7 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
           auto fd = co_await sim::retry(direct, ctx.rank, direct_op_key(path), [&] {
             return rig.fs().open(ctx, path, pfs::OpenFlags::wr_trunc());
           });
-          if (!fd.ok()) fail("direct create", fd.status());
+          if (!fd.ok()) storm_failed("direct create", fd.status());
           direct_fds.push_back(*fd);
           co_await comm.barrier();
         } else {
@@ -62,7 +62,7 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
           auto fd = co_await sim::retry(direct, ctx.rank, direct_op_key(path), [&] {
             return rig.fs().open(ctx, path, pfs::OpenFlags::wr());
           });
-          if (!fd.ok()) fail("direct open", fd.status());
+          if (!fd.ok()) storm_failed("direct open", fd.status());
           direct_fds.push_back(*fd);
         }
       } else {
@@ -72,7 +72,7 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
         auto fd = co_await sim::retry(direct, ctx.rank, direct_op_key(path), [&] {
           return rig.fs().open(ctx, path, pfs::OpenFlags::wr_trunc());
         });
-        if (!fd.ok()) fail("direct create", fd.status());
+        if (!fd.ok()) storm_failed("direct create", fd.status());
         direct_fds.push_back(*fd);
       }
     }
@@ -81,12 +81,12 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
 
     for (auto& wh : plfs_handles) {
       const Status st = co_await wh->close();
-      if (!st.ok()) fail("plfs close", st);
+      if (!st.ok()) storm_failed("plfs close", st);
     }
     for (const auto fd : direct_fds) {
       const Status st = co_await sim::retry(direct, ctx.rank, splitmix64(fd) ^ 2,
                                             [&] { return rig.fs().close(ctx, fd); });
-      if (!st.ok()) fail("direct close", st);
+      if (!st.ok()) storm_failed("direct close", st);
     }
     co_await comm.barrier();
     const TimePoint t2 = engine.now();

@@ -18,13 +18,6 @@ std::string_view access_name(Access access) {
   return "?";
 }
 
-bool is_plfs(Access access) {
-  return access == Access::plfs_n1 || access == Access::plfs_nn;
-}
-bool is_n1(Access access) {
-  return access == Access::plfs_n1 || access == Access::direct_n1;
-}
-
 namespace {
 
 sim::RetryCounters& direct_retry_counters() {
@@ -92,7 +85,6 @@ class PlfsN1Target final : public JitterBase {
     if (writing_) co_return co_await file_->close_write(flatten_);
     co_return co_await file_->close_read();
   }
-  std::uint64_t size() const override { return file_->logical_size(); }
 
  private:
   std::unique_ptr<plfs::MpiFile> file_;
@@ -125,7 +117,6 @@ class PlfsNnTarget final : public JitterBase {
     co_await comm_->barrier();
     co_return Status::Ok();
   }
-  std::uint64_t size() const override { return read_ ? read_->logical_size() : 0; }
 
  private:
   mpi::Comm* comm_;
@@ -137,9 +128,9 @@ class PlfsNnTarget final : public JitterBase {
 class DirectTarget final : public JitterBase {
  public:
   DirectTarget(sim::Engine& engine, Duration jitter, std::uint64_t stream, mpi::Comm& comm,
-               pfs::FsClient& fs, const RetryPolicy& policy, pfs::FileId fd, std::uint64_t size)
+               pfs::FsClient& fs, const RetryPolicy& policy, pfs::FileId fd)
       : JitterBase(engine, jitter, stream), engine_(&engine), comm_(&comm), fs_(&fs),
-        policy_(policy), fd_(fd), size_(size) {}
+        policy_(policy), fd_(fd) {}
   sim::Task<Status> write(std::uint64_t offset, DataView data) override {
     co_await think();
     if (data.empty()) co_return Status::Ok();
@@ -162,7 +153,6 @@ class DirectTarget final : public JitterBase {
     co_await comm_->barrier();
     co_return Status::Ok();
   }
-  std::uint64_t size() const override { return size_; }
 
  private:
   pfs::IoCtx ctx() const { return IoCtx{comm_->my_node(), comm_->global_rank()}; }
@@ -173,7 +163,6 @@ class DirectTarget final : public JitterBase {
   RetryPolicy policy_;
   RetryBudget budget_{RetryBudget::kUnlimited};
   pfs::FileId fd_;
-  std::uint64_t size_;
 };
 
 }  // namespace
@@ -214,7 +203,7 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_write(mpi::Comm& 
         if (!fd.ok()) co_return fd.status();
         co_await comm.barrier();
         co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter, 0, comm,
-                                                 fs(), retry, *fd, 0);
+                                                 fs(), retry, *fd);
       }
       co_await comm.barrier();
       auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path),
@@ -222,7 +211,7 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_write(mpi::Comm& 
       if (!fd.ok()) co_return fd.status();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
                                                static_cast<std::uint64_t>(comm.rank()), comm,
-                                               fs(), retry, *fd, 0);
+                                               fs(), retry, *fd);
     }
     case Access::direct_nn: {
       const RetryPolicy& retry = plfs_->mount().retry;
@@ -236,7 +225,7 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_write(mpi::Comm& 
       co_await comm.barrier();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
                                                static_cast<std::uint64_t>(comm.rank()), comm,
-                                               fs(), retry, *fd, 0);
+                                               fs(), retry, *fd);
     }
   }
   co_return error(Errc::invalid, "bad access mode");
@@ -280,7 +269,7 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_read(mpi::Comm& c
       co_await comm.barrier();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
                                                static_cast<std::uint64_t>(comm.rank()), comm,
-                                               fs(), retry, *fd, st->size);
+                                               fs(), retry, *fd);
     }
   }
   co_return error(Errc::invalid, "bad access mode");

@@ -25,8 +25,6 @@ enum class Access {
 };
 
 std::string_view access_name(Access access);
-bool is_plfs(Access access);
-bool is_n1(Access access);
 
 struct TargetOptions {
   Access access = Access::plfs_n1;
@@ -47,8 +45,6 @@ class Target {
   virtual sim::Task<Result<FragmentList>> read(std::uint64_t offset, std::uint64_t len) = 0;
   // Collective close (all ranks call).
   virtual sim::Task<Status> close() = 0;
-  // Logical size, where cheaply known (read targets).
-  virtual std::uint64_t size() const { return 0; }
 };
 
 // The direct legs' caller data for the one retry loop (sim/retry.h). They

@@ -112,16 +112,6 @@ TEST(Counters, SnapshotFiltersByPrefixAndSortsByName) {
   EXPECT_TRUE(counter_snapshot("test.snap.nothing").empty());
 }
 
-TEST(Counters, ResetCountersZeroesButKeepsRegistration) {
-  Counter& c = counter("test.reset.x");
-  c.add(7);
-  reset_counters();
-  EXPECT_EQ(c.value(), 0u);
-  const auto snap = counter_snapshot("test.reset.");
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].second, 0u);
-}
-
 TEST(Grouping, NameInGroupIsDotBoundaryAware) {
   EXPECT_TRUE(name_in_group("plfs.index.builds", "plfs.index"));
   EXPECT_TRUE(name_in_group("plfs.index", "plfs.index"));  // exact match
@@ -228,7 +218,7 @@ TEST(Histograms, RegistryAndSnapshotAndReset) {
     }
   }
   EXPECT_TRUE(found);
-  reset_histograms();
+  h.reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0);
 }

@@ -140,21 +140,6 @@ TEST(EndToEnd, OversubscribedJobRuns) {
   EXPECT_GT(r.read.io_s, 0);
 }
 
-TEST(EndToEnd, UnlinkAfterFullCycleLeavesBackendsClean) {
-  testbed::Rig rig(small_rig());
-  mpi::run_spmd(rig.cluster(), 8, [&rig](mpi::Comm comm) -> sim::Task<void> {
-    auto f = co_await plfs::MpiFile::open_write(rig.plfs(), comm, "/temp");
-    EXPECT_TRUE((co_await (*f)->write(comm.rank() * 1024, DataView::zeros(1024))).ok());
-    EXPECT_TRUE((co_await (*f)->close_write(true)).ok());
-    if (comm.rank() == 0) {
-      EXPECT_TRUE((co_await rig.plfs().unlink(pfs::IoCtx{0, 0}, "/temp")).ok());
-    }
-  });
-  for (const auto& b : rig.mount().backends) {
-    EXPECT_FALSE(rig.pfs().ns().exists(b + "/temp")) << b;
-  }
-}
-
 TEST(EndToEnd, MixedWorkloadsShareTheRig) {
   // Two different logical files written by different jobs on one rig; both
   // read back intact (no cross-container bleed).

@@ -57,15 +57,6 @@ TEST(PageCache, ZeroCapacityNeverCaches) {
   EXPECT_EQ(c.resident_bytes(), 0u);
 }
 
-TEST(PageCache, InvalidateObjectDropsOnlyThatObject) {
-  PageCache c(4096, 64);
-  c.fill(1, 0, 128);
-  c.fill(2, 0, 128);
-  c.invalidate_object(1);
-  EXPECT_EQ(c.lookup(1, 0, 128), 0u);
-  EXPECT_EQ(c.lookup(2, 0, 128), 128u);
-}
-
 TEST(PageCache, ClearDropsEverything) {
   PageCache c(4096, 64);
   c.fill(1, 0, 1024);

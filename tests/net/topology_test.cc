@@ -7,9 +7,11 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/trace.h"
 #include "net/cluster.h"
 #include "sim/engine.h"
 #include "testutil.h"
@@ -424,6 +426,29 @@ TEST(Topology, CrossRackTorCostsTwoHopsMoreThanFlat) {
   const auto a = completion_instants(flat, one);
   const auto b = completion_instants(tor, one);
   EXPECT_EQ(b[0] - a[0], (Duration::us(2) * 2).to_ns());
+}
+
+// With tracing on, every fabric flow is a span named by its locality: a
+// route through the core is cross-rack, one inside a ToR intra-rack.
+TEST(Topology, TracedFlowsAreNamedByLocality) {
+  trace::Tracer& tracer = trace::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  {
+    sim::Engine e;
+    Cluster c(e, tor_config());  // 8 nodes in 2 racks of 4
+    test::run_task(e, c.fabric_transfer(0, 5, 1000000));
+    test::run_task(e, c.fabric_transfer(0, 1, 1000000));
+  }
+  tracer.set_enabled(false);
+  std::vector<std::string> names;
+  for (const trace::SpanRecord& s : tracer.rank_spans(-1)) {
+    const std::string& name = tracer.interned(s.name_id);
+    if (name.starts_with("net.topo.flow.")) names.push_back(name);
+  }
+  tracer.clear();
+  EXPECT_EQ(names, (std::vector<std::string>{"net.topo.flow.cross_rack",
+                                             "net.topo.flow.intra_rack"}));
 }
 
 TEST(Topology, OversubscribedUplinkThrottlesCrossRackIncast) {

@@ -90,15 +90,14 @@ TEST(ExtentMap, BackfillBetweenExtentsCoalescesAllThree) {
   EXPECT_TRUE(m.read(0, 30).content_equals(DataView::pattern(7, 0, 30)));
 }
 
-TEST(ExtentMap, TruncateDropsAndSplits) {
+TEST(ExtentMap, ClearDropsAllContent) {
   ExtentMap m;
   m.write(0, DataView::pattern(1, 0, 100));
   m.write(200, DataView::pattern(2, 0, 50));
-  m.truncate(60);
-  EXPECT_EQ(m.high_water(), 60u);
-  EXPECT_TRUE(m.read(0, 60).content_equals(DataView::pattern(1, 0, 60)));
-  m.truncate(0);
+  m.clear();
   EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.high_water(), 0u);
+  EXPECT_TRUE(m.read(0, 250).content_equals(DataView::zeros(250)));
 }
 
 TEST(ExtentMap, ZeroLengthWriteIsNoop) {

@@ -131,16 +131,5 @@ TEST(ParseIndexLogName, AcceptsValidRejectsInvalid) {
   EXPECT_FALSE(parse_index_log_name("index", &w));
 }
 
-TEST(ParseMetaDroppingName, AcceptsValidRejectsInvalid) {
-  std::uint32_t w = 0;
-  std::uint64_t s = 0;
-  EXPECT_TRUE(parse_meta_dropping_name("dropping.12.52428800", &w, &s));
-  EXPECT_EQ(w, 12u);
-  EXPECT_EQ(s, 52428800u);
-  EXPECT_FALSE(parse_meta_dropping_name("dropping.12", &w, &s));
-  EXPECT_FALSE(parse_meta_dropping_name("dropping.x.5", &w, &s));
-  EXPECT_FALSE(parse_meta_dropping_name("other.1.2", &w, &s));
-}
-
 }  // namespace
 }  // namespace tio::plfs

@@ -17,7 +17,6 @@
 #include "plfs/index.h"
 #include "plfs/index_builder.h"
 #include "plfs/pattern.h"
-#include "plfs/v1_writer.h"
 
 namespace tio::plfs {
 namespace {
@@ -264,16 +263,14 @@ TEST(WireV2, EveryTruncationIsRejected) {
 
 TEST(WireV2, EverySingleByteFlipIsRejected) {
   // The crc is verified before block parsing, so any flip inside the
-  // segment fails; flips inside the crc itself mismatch too. (The v2-only
-  // entry point is used on purpose: a flipped magic byte would otherwise
-  // just route the buffer to the v1 parser.)
+  // segment fails; flips inside the crc itself mismatch too.
   const auto entries = irregular_workload(0xF11E, 3, 60);
   const auto buf = encode_entries(entries);
   for (std::size_t i = 0; i < buf.size(); ++i) {
     for (const unsigned bit : {0u, 3u, 7u}) {
       auto bad = buf;
       bad[i] ^= static_cast<std::byte>(1u << bit);
-      const auto got = decode_entries_v2(bad.data(), bad.size());
+      const auto got = decode_entries(bad.data(), bad.size());
       ASSERT_FALSE(got.ok()) << "byte " << i << " bit " << bit;
       EXPECT_EQ(got.status().code(), Errc::io_error);
     }
@@ -304,26 +301,31 @@ TEST(WireV2, GarbageAfterValidSegmentIsRejected) {
       << got.status();
 }
 
-// --- v1 compatibility ------------------------------------------------------
-
-TEST(WireCompat, V1BuffersStillDecodeThroughAutoDetect) {
-  for (const auto& [name, entries] : all_workloads()) {
-    const auto buf = encode_v1(entries);  // fixed 40-byte records
-    const auto got = decode_entries(as_fragments(buf));
-    ASSERT_TRUE(got.ok()) << name << ": " << got.status();
-    EXPECT_EQ(*got, entries) << name;
+TEST(WireV2, V1ShapedPayloadsFailClosed) {
+  // The original fixed 40-byte records (logical, length, physical,
+  // timestamp, writer, padding) carry no segment magic. Nothing writes them
+  // and nothing reads them: both readers reject them like any corruption.
+  const auto entries = strided_workload(4, 8, 4096);
+  std::vector<std::byte> records(entries.size() * IndexEntry::kSerializedSize);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    std::byte* p = records.data() + i * IndexEntry::kSerializedSize;
+    std::memcpy(p + 0, &entries[i].logical_offset, 8);
+    std::memcpy(p + 8, &entries[i].length, 8);
+    std::memcpy(p + 16, &entries[i].physical_offset, 8);
+    std::memcpy(p + 24, &entries[i].timestamp_ns, 8);
+    std::memcpy(p + 32, &entries[i].writer, 4);
   }
-}
+  std::vector<std::byte> trailed = records;
+  append_index_trailer(trailed, entries.size());  // a valid CRC trailer
 
-TEST(WireCompat, TrailerAcceptsBothWireFormats) {
-  const auto entries = strided_workload(8, 32, 8192);
-  const auto v1 = encode_v1_trailed(entries);
-  const auto v2 = serialize_entries_with_trailer(entries);
-  EXPECT_LT(v2.size(), v1.size() / 4);
-  for (const auto* bytes : {&v1, &v2}) {
-    const auto got = deserialize_trailed_entries(as_fragments(*bytes));
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->size(), entries.size());
+  const auto log = decode_entries(as_fragments(records));
+  const auto flat = deserialize_trailed_entries(as_fragments(trailed));
+  for (const auto* got : {&log, &flat}) {
+    ASSERT_FALSE(got->ok());
+    EXPECT_EQ(got->status().code(), Errc::io_error);
+    EXPECT_NE(got->status().message().find("bad segment magic at byte offset 0"),
+              std::string::npos)
+        << got->status();
   }
 }
 

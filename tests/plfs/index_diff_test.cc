@@ -12,9 +12,7 @@
 // Strategy level: four write shapes are aggregated through all three
 // ReadStrategy values (with and without an injected fault plan); every
 // strategy must expand to exactly what an oracle built from the
-// container's raw index-log entries expands to. The same holds for a
-// container whose logs and flattened index were written in the original
-// fixed-record format (wire v1).
+// container's raw index-log entries expands to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +30,6 @@
 #include "plfs/index_builder.h"
 #include "plfs/mpiio.h"
 #include "plfs/pattern.h"
-#include "plfs/v1_writer.h"
 #include "testutil.h"
 
 namespace tio::plfs {
@@ -299,42 +296,6 @@ TEST(IndexDiffStrategies, PatternMatchesOracleAcrossShapesStrategiesAndFaults) {
   }
 }
 
-// Replaces the contents of `path` through the raw backend.
-sim::Task<void> overwrite(pfs::FsClient& fs, std::string path, std::vector<std::byte> bytes) {
-  const pfs::IoCtx ctx{0, 0};
-  auto fd = co_await fs.open(ctx, path, pfs::OpenFlags::wr_trunc());
-  EXPECT_TRUE(fd.ok()) << fd.status();
-  if (!fd.ok()) co_return;
-  EXPECT_TRUE((co_await fs.write(ctx, *fd, 0, DataView::literal(std::move(bytes)))).ok());
-  EXPECT_TRUE((co_await fs.close(ctx, *fd)).ok());
-}
-
-TEST(WireCompat, V1ContainerOpensUnderEveryStrategy) {
-  // Fabricate a container as the v1 writer left it: write normally, then
-  // re-encode every index log and the flattened index as fixed records.
-  World w;
-  write_shape(w, "/v1", Shape::overlapping);
-  const std::vector<RawLog> logs = test::run_task(w.engine, raw_logs(w.plfs, "/v1"));
-  ASSERT_FALSE(logs.empty());
-  const BTreeIndex oracle = oracle_of(logs);
-  for (const RawLog& log : logs) {
-    test::run_task(w.engine, overwrite(w.plfs.backend_fs(), log.path, encode_v1(log.entries)));
-  }
-  test::run_task(w.engine, overwrite(w.plfs.backend_fs(), w.plfs.layout("/v1").global_index_path(),
-                                     encode_v1_trailed(oracle.to_entries())));
-  w.plfs.index_cache().invalidate("/v1");
-
-  const std::uint64_t fallbacks = counter("plfs.degrade.index_fallback").value();
-  for (const ReadStrategy strategy : kStrategies) {
-    const IndexPtr got = aggregate(w, "/v1", strategy);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->lookup(0, kDomain), oracle.lookup(0, kDomain))
-        << "strategy " << static_cast<int>(strategy);
-  }
-  // The v1 flattened index was used, not bypassed.
-  EXPECT_EQ(counter("plfs.degrade.index_fallback").value(), fallbacks);
-}
-
 // --- Serialization integrity: error context and the CRC trailer -----------
 
 std::vector<IndexEntry> sample_entries() {
@@ -349,13 +310,13 @@ FragmentList as_fragments(std::vector<std::byte> bytes) {
 }
 
 TEST(IndexSerialization, TruncationErrorNamesTheByteOffset) {
-  auto bytes = encode_v1(sample_entries());
-  ASSERT_EQ(bytes.size(), 3 * IndexEntry::kSerializedSize);
-  bytes.resize(bytes.size() - 5);  // tear the last record
-  const auto got = deserialize_entries(as_fragments(std::move(bytes)));
+  auto bytes = encode_entries(sample_entries());
+  bytes.resize(bytes.size() - 5);  // tear the segment's tail
+  const auto got = decode_entries(as_fragments(std::move(bytes)));
   ASSERT_FALSE(got.ok());
-  // The partial record begins where the second whole record ended.
-  EXPECT_NE(got.status().message().find("partial record begins at byte offset 80"),
+  // The torn payload begins after the 7-byte segment header (magic,
+  // version, one-byte entry count, one-byte payload length).
+  EXPECT_NE(got.status().message().find("segment payload overruns buffer at byte offset 7"),
             std::string::npos)
       << got.status();
 }

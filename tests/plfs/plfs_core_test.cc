@@ -173,21 +173,6 @@ TEST_F(PlfsCoreTest, OpenhostRecordPresentWhileOpen) {
   }(plfs_, fs_));
 }
 
-TEST_F(PlfsCoreTest, LogicalSizeFromDroppings) {
-  test::run_task(engine_, [](Plfs& plfs) -> sim::Task<void> {
-    for (int w = 0; w < 3; ++w) {
-      IoCtx ctx{0, w};
-      auto wh = co_await plfs.open_write(ctx, "/f", w);
-      EXPECT_TRUE(
-          (co_await (*wh)->write(w * 1000, DataView::pattern(1, w * 1000, 500))).ok());
-      EXPECT_TRUE((co_await (*wh)->close()).ok());
-    }
-    auto size = co_await plfs.logical_size(IoCtx{0, 0}, "/f");
-    EXPECT_TRUE(size.ok());
-    EXPECT_EQ(*size, 2500u);  // writer 2 reached 2000 + 500
-  }(plfs_));
-}
-
 TEST_F(PlfsCoreTest, IndexLogFlushBatching) {
   // index_flush_every = 4: after 3 writes the log is empty; after 4 one
   // batch (a v2 segment) hits the log; close flushes the remainder as a
@@ -256,44 +241,20 @@ TEST_F(PlfsCoreTest, MissingGlobalIndexIsNotFound) {
   }(plfs_));
 }
 
-TEST_F(PlfsCoreTest, IsContainerAndReaddir) {
+TEST_F(PlfsCoreTest, IsContainerTellsContainersFromPlainDirs) {
+  for (const auto& b : mount_.backends) ASSERT_TRUE(fs_.ns().mkdir_all(b + "/realdir").ok());
   test::run_task(engine_, [](Plfs& plfs) -> sim::Task<void> {
     IoCtx ctx{0, 0};
-    EXPECT_TRUE((co_await plfs.mkdir(ctx, "/dir")).ok());
-    auto wh = co_await plfs.open_write(ctx, "/dir/ckpt", 0);
+    auto wh = co_await plfs.open_write(ctx, "/ckpt", 0);
     EXPECT_TRUE((co_await (*wh)->close()).ok());
-    EXPECT_TRUE((co_await plfs.mkdir(ctx, "/dir/realdir")).ok());
 
-    auto is_c = co_await plfs.is_container(ctx, "/dir/ckpt");
+    auto is_c = co_await plfs.is_container(ctx, "/ckpt");
     EXPECT_TRUE(is_c.ok() && *is_c);
-    is_c = co_await plfs.is_container(ctx, "/dir/realdir");
+    is_c = co_await plfs.is_container(ctx, "/realdir");
     EXPECT_TRUE(is_c.ok() && !*is_c);
-
-    auto entries = co_await plfs.readdir(ctx, "/dir");
-    EXPECT_TRUE(entries.ok());
-    EXPECT_EQ(entries->size(), 2u);
-    // The container is presented as a file, the real dir as a dir.
-    EXPECT_EQ((*entries)[0], (pfs::DirEntry{"ckpt", false}));
-    EXPECT_EQ((*entries)[1], (pfs::DirEntry{"realdir", true}));
+    is_c = co_await plfs.is_container(ctx, "/missing");
+    EXPECT_TRUE(is_c.ok() && !*is_c);
   }(plfs_));
-}
-
-TEST_F(PlfsCoreTest, UnlinkRemovesContainerEverywhere) {
-  test::run_task(engine_, [](Plfs& plfs, localfs::MemFs& fs, const PlfsMount& mount)
-                     -> sim::Task<void> {
-    IoCtx ctx{0, 0};
-    for (int w = 0; w < 8; ++w) {
-      auto wh = co_await plfs.open_write(IoCtx{0, w}, "/f", w);
-      EXPECT_TRUE((co_await (*wh)->write(0, DataView::zeros(10))).ok());
-      EXPECT_TRUE((co_await (*wh)->close()).ok());
-    }
-    EXPECT_TRUE((co_await plfs.unlink(ctx, "/f")).ok());
-    for (const auto& b : mount.backends) {
-      EXPECT_FALSE(fs.ns().exists(b + "/f")) << b;
-    }
-    auto is_c = co_await plfs.is_container(ctx, "/f");
-    EXPECT_TRUE(is_c.ok() && !*is_c);
-  }(plfs_, fs_, mount_));
 }
 
 TEST_F(PlfsCoreTest, FederationSpreadsSubdirsAcrossBackends) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -99,10 +100,35 @@ RaftConfig fast_config() {
   return c;
 }
 
+// Replica r runs on node r; clients submit from node 7.
+std::vector<std::size_t> first_nodes(std::size_t n) {
+  std::vector<std::size_t> nodes(n);
+  for (std::size_t r = 0; r < n; ++r) nodes[r] = r;
+  return nodes;
+}
+
+// Election safety (Raft §5.2): no two replicas lead in the same term.
+// Checked after every engine event, because a second leader in a term only
+// lasts until the first AppendEntries of the other one reaches it.
+struct LeaderPerTerm {
+  std::map<Term, std::size_t> leader_of;
+  std::vector<std::string> violations;
+  void check(const Group& g) {
+    for (std::size_t r = 0; r < g.replicas(); ++r) {
+      if (!g.is_leader(r)) continue;
+      const auto [it, fresh] = leader_of.emplace(g.term_of(r), r);
+      if (it->second != r) {
+        violations.push_back("term " + std::to_string(it->first) + ": replicas " +
+                             std::to_string(it->second) + " and " + std::to_string(r));
+      }
+    }
+  }
+};
+
 struct World {
   explicit World(std::uint64_t seed = 42, RaftConfig config = fast_config())
       : engine(seed), cluster(engine, small_cluster()),
-        group(engine, cluster, sm, config, /*group_id=*/0, {0, 1, 2}) {}
+        group(engine, cluster, sm, config, /*group_id=*/0, first_nodes(config.replicas)) {}
   sim::Engine engine;
   net::Cluster cluster;
   TestSm sm;
@@ -276,6 +302,83 @@ TEST(RaftTest, PartitionedLeaderHealsWithoutSplitBrain) {
     EXPECT_NE(std::find(w.sm.applied.begin(), w.sm.applied.end(), v), w.sm.applied.end());
   }
   expect_log_matching(w.group);
+}
+
+// A follower partitioned across several committed batches and a leader
+// change heals through multi-entry AppendEntries, and a deposed leader
+// holding entries that never committed truncates them (Log::truncate_from)
+// when it rejoins. Five replicas, so a majority survives both the lagging
+// follower and the deposed leader. The election jitter is narrow on
+// purpose: replicas whose timers were armed by the same heartbeat time out
+// within a few RPC latencies of each other, so elections are contested.
+// After every event at most one replica leads per term; at the end every
+// acked command was applied, every replica holds the leader's log, and
+// equal (index, term) means an equal command on every pair of replicas.
+TEST(RaftTest, LaggingFollowerAndDeposedLeaderHealToOneLog) {
+  RaftConfig config = fast_config();
+  config.replicas = 5;
+  config.election_jitter = Duration::us(100);
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    World w(seed, config);
+    auto scenario = [](World& w) -> sim::Task<void> {
+      co_await w.expect_submit(1);
+      const int leader = w.group.leader_or_negative();
+      EXPECT_GE(leader, 0);
+      if (leader < 0) co_return;
+      const auto deposed = static_cast<std::size_t>(leader);
+      std::vector<std::size_t> followers;
+      for (std::size_t r = 0; r < w.group.replicas(); ++r) {
+        if (r != deposed) followers.push_back(r);
+      }
+      const std::size_t lagging = followers[0];
+      w.group.set_partitioned(lagging, true);
+      for (int v = 2; v <= 4; ++v) co_await w.expect_submit(v);
+      // Cut the leader off from every follower for less than an election
+      // timeout: the submits it takes meanwhile append to its log alone.
+      for (std::size_t f : followers) w.group.set_partitioned(f, true);
+      w.engine.spawn(w.expect_submit(5));
+      w.engine.spawn(w.expect_submit(6));
+      co_await w.engine.sleep(Duration::ms(10));
+      // The leader goes down with those entries; the three others elect a
+      // new leader among themselves, and 5 and 6 retry through it.
+      w.group.crash(deposed);
+      for (std::size_t f : followers) {
+        if (f != lagging) w.group.set_partitioned(f, false);
+      }
+      for (int v = 7; v <= 10; ++v) co_await w.expect_submit(v);
+      w.group.set_partitioned(lagging, false);
+      for (int v = 11; v <= 16; ++v) co_await w.expect_submit(v);
+      w.group.restart(deposed);
+      for (int v = 17; v <= 20; ++v) co_await w.expect_submit(v);
+      // Let heartbeats finish the catch-up before the group parks.
+      w.group.keep_alive(true);
+      co_await w.engine.sleep(Duration::ms(200));
+      w.group.keep_alive(false);
+    };
+    w.engine.spawn(scenario(w));
+    LeaderPerTerm monitor;
+    while (w.engine.step()) monitor.check(w.group);
+    w.engine.rethrow_pending_error();
+
+    EXPECT_TRUE(monitor.violations.empty()) << "two leaders in one term: "
+                                            << monitor.violations.front();
+    for (int v = 1; v <= 20; ++v) {
+      EXPECT_NE(std::find(w.sm.applied.begin(), w.sm.applied.end(), v), w.sm.applied.end())
+          << "acked command " << v << " lost";
+    }
+    const int leader = w.group.leader_or_negative();
+    EXPECT_GE(leader, 0);
+    if (leader >= 0) {
+      const Log& want = GroupTestPeer::log(w.group, static_cast<std::size_t>(leader));
+      for (std::size_t r = 0; r < w.group.replicas(); ++r) {
+        const Log& got = GroupTestPeer::log(w.group, r);
+        EXPECT_EQ(got.last_index(), want.last_index()) << "replica " << r;
+        EXPECT_EQ(got.last_term(), want.last_term()) << "replica " << r;
+      }
+    }
+    expect_log_matching(w.group);
+  }
 }
 
 TEST(RaftTest, SingleReplicaGroupDegeneratesToLocalCommit) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "plfs/container.h"
 #include "workloads/kernels.h"
 #include "workloads/metadata.h"
@@ -60,6 +63,22 @@ TEST(Harness, DirectN1JobCompletes) {
   EXPECT_GT(result.read.io_s, 0);
   // The shared-file ping-pong really happened.
   EXPECT_GT(rig.pfs().stats().lock_transfers, 0u);
+}
+
+// A step that fails on every rank aborts the job with an exception naming
+// the step; no rank is left waiting in a collective.
+TEST(Harness, FailedStepThrowsNamingIt) {
+  testbed::Rig rig(small_rig());
+  JobSpec spec = mpiio_test(64_KiB, 32_KiB, TargetOptions{.access = Access::plfs_n1});
+  spec.file = "never_written";
+  spec.do_write = false;
+  try {
+    run_job(rig, 4, spec);
+    ADD_FAILURE() << "reading a file that was never written succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("workload open_read failed"), std::string::npos)
+        << e.what();
+  }
 }
 
 std::uint64_t family_total(std::string_view family) {
@@ -212,6 +231,23 @@ TEST(MetadataStorm, NnPlfsAndDirectComplete) {
   spec.use_plfs = false;
   const MetaResult direct = run_metadata_storm(rig2, 8, spec);
   EXPECT_GT(direct.open_s, 0);
+}
+
+TEST(MetadataStorm, FailedCreateThrowsNamingIt) {
+  testbed::Rig rig(small_rig(2));
+  MetaSpec spec;
+  spec.dir = "blocked";
+  spec.use_plfs = false;
+  // A file where the storm's directory should be: every create fails.
+  ASSERT_TRUE(rig.pfs().ns().mkdir_all(rig.direct_dir()).ok());
+  ASSERT_TRUE(rig.pfs().ns().create_file(rig.direct_dir() + "/blocked", true).ok());
+  try {
+    run_metadata_storm(rig, 4, spec);
+    ADD_FAILURE() << "creates under a plain file succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("metadata storm direct create"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MetadataStorm, MoreMdsReducesPlfsOpenTime) {
