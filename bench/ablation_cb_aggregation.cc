@@ -26,7 +26,7 @@ struct Row {
   bool node_agg;
   double sieve;
   double write_s, read_s;
-  std::uint64_t fabric_msgs, local_msgs, bytes_shipped, pfs_ops, sieve_joins;
+  bench::CbCensus cb;
 };
 
 }  // namespace
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       for (const int aggs : agg_sweep) {
         for (const bool node_agg : {false, true}) {
           for (const double sieve : sieve_sweep) {
-            rows.push_back(Row{kernel, cpn, aggs, node_agg, sieve, 0, 0, 0, 0, 0, 0, 0});
+            rows.push_back(Row{kernel, cpn, aggs, node_agg, sieve, 0, 0, {}});
           }
         }
       }
@@ -85,24 +85,11 @@ int main(int argc, char** argv) {
       opts.cluster.cores_per_node = static_cast<std::size_t>(row.cores_per_node);
       testbed::Rig rig(opts);
 
-      const auto census = [] {
-        return std::array<std::uint64_t, 5>{
-            counter("iolib.cb.fabric_msgs").local_value(),
-            counter("iolib.cb.local_msgs").local_value(),
-            counter("iolib.cb.bytes_shipped").local_value(),
-            counter("iolib.cb.pfs_ops").local_value(),
-            counter("iolib.cb.sieve_joins").local_value()};
-      };
-      const auto before = census();
-      const JobResult result = run_job(rig, procs, spec);
-      const auto after = census();
-      row.write_s = result.write.total_s();
-      row.read_s = result.read.total_s();
-      row.fabric_msgs = after[0] - before[0];
-      row.local_msgs = after[1] - before[1];
-      row.bytes_shipped = after[2] - before[2];
-      row.pfs_ops = after[3] - before[3];
-      row.sieve_joins = after[4] - before[4];
+      row.cb = bench::CbCensus::of([&] {
+        const JobResult result = run_job(rig, procs, spec);
+        row.write_s = result.write.total_s();
+        row.read_s = result.read.total_s();
+      });
     });
   }
   pool.run_all();
@@ -115,51 +102,28 @@ int main(int argc, char** argv) {
   for (const auto& r : rows) {
     t.add_row({r.kernel, std::to_string(r.cores_per_node), std::to_string(r.aggregators),
                r.node_agg ? "on" : "off", Table::num(r.sieve, 1), Table::num(r.write_s, 3),
-               Table::num(r.read_s, 3), std::to_string(r.fabric_msgs),
-               Table::num(static_cast<double>(r.bytes_shipped) / 1e6, 1),
-               std::to_string(r.pfs_ops), std::to_string(r.sieve_joins)});
+               Table::num(r.read_s, 3), std::to_string(r.cb.fabric_msgs),
+               Table::num(static_cast<double>(r.cb.bytes_shipped) / 1e6, 1),
+               std::to_string(r.cb.pfs_ops), std::to_string(r.cb.sieve_joins)});
   }
   t.print(std::cout);
 
-  if (!json_path->empty()) {
-    std::FILE* f = std::fopen(json_path->c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open --json file: %s\n", json_path->c_str());
-      return 1;
+  bench::write_json(*json_path, "ablation_cb_aggregation", [&](JsonWriter& w) {
+    w.key("config").begin_object().field("procs", procs).field("total_mib", *total_mib)
+        .field("cb_buffer_mib", *buffer_mib).field("shards", shards).end_object();
+    w.key("rows").begin_array();
+    for (const Row& r : rows) {
+      w.begin_object().field("kernel", r.kernel).field("cores_per_node", r.cores_per_node)
+          .field("aggregators", r.aggregators).field("node_agg", r.node_agg)
+          .field("sieve_threshold", r.sieve, 4).field("write_s", r.write_s, 6)
+          .field("read_s", r.read_s, 6);
+      r.cb.write(w);
+      w.end_object();
     }
-    std::fprintf(f, "{\n  \"bench\": \"ablation_cb_aggregation\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"procs\": %d, \"total_mib\": %lld, \"cb_buffer_mib\": %lld, "
-                 "\"shards\": %zu},\n",
-                 procs, static_cast<long long>(*total_mib),
-                 static_cast<long long>(*buffer_mib), shards);
-    std::fprintf(f, "  \"rows\": [");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(f,
-                   "%s\n    {\"kernel\": \"%s\", \"cores_per_node\": %d, \"aggregators\": %d, "
-                   "\"node_agg\": %s, \"sieve_threshold\": %s, \"write_s\": %s, \"read_s\": %s, "
-                   "\"fabric_msgs\": %llu, \"local_msgs\": %llu, \"bytes_shipped\": %llu, "
-                   "\"pfs_ops\": %llu, \"sieve_joins\": %llu}",
-                   i ? "," : "", r.kernel.c_str(), r.cores_per_node, r.aggregators,
-                   r.node_agg ? "true" : "false", json_double(r.sieve, 4).c_str(),
-                   json_double(r.write_s, 6).c_str(), json_double(r.read_s, 6).c_str(),
-                   static_cast<unsigned long long>(r.fabric_msgs),
-                   static_cast<unsigned long long>(r.local_msgs),
-                   static_cast<unsigned long long>(r.bytes_shipped),
-                   static_cast<unsigned long long>(r.pfs_ops),
-                   static_cast<unsigned long long>(r.sieve_joins));
-    }
-    std::fprintf(f, "\n  ],\n");
-    bench::json_counters(f);
-    bench::json_histograms(f);
-    std::fprintf(f, "  \"schema\": 2\n}\n");
-    std::fclose(f);
-  }
+    w.end_array();
+  });
 
   bench::finish_trace(*trace_path);
-  bench::print_cb_counters();
-  bench::print_histograms();
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

@@ -83,6 +83,6 @@ int main(int argc, char** argv) {
                Table::num(cells[i].close_s, 3), Table::num(cells[i].open_s, 3)});
   }
   t.print(std::cout);
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

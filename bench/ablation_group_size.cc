@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
                Table::num(opens[i], 3)});
   }
   t.print(std::cout);
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

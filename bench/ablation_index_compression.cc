@@ -97,6 +97,6 @@ int main(int argc, char** argv) {
                    "x"});
   }
   t.print(std::cout);
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

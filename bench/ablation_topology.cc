@@ -51,8 +51,6 @@ struct RowResult {
   std::uint64_t intra_rack_bytes = 0;
 };
 
-std::uint64_t topo_local(const char* name) { return counter(name).local_value(); }
-
 // Strided N-1 slots of `record` bytes; each write fills a seeded random
 // prefix of its slot, in [record/2, record].
 OpGen ragged_strided_ops(std::uint64_t bytes_per_proc, std::uint64_t record,
@@ -91,9 +89,8 @@ RowResult run_row(const RowSpec& spec, const RowParams& p) {
   const OpGen ops = ragged_strided_ops(p.per_proc, p.record, seed);
 
   RowResult row;
-  const std::uint64_t xb0 = topo_local("net.topo.bytes.cross_rack");
-  const std::uint64_t xm0 = topo_local("net.topo.msgs.cross_rack");
-  const std::uint64_t ib0 = topo_local("net.topo.bytes.intra_rack");
+  const bench::LocalDelta topo({"net.topo.bytes.cross_rack", "net.topo.msgs.cross_rack",
+                                "net.topo.bytes.intra_rack"});
   mpi::run_spmd(rig.cluster(), n, [&](mpi::Comm comm) -> sim::Task<void> {
     auto wf = co_await plfs::MpiFile::open_write(plfs, comm, "/t");
     if (!wf.ok()) throw std::runtime_error(wf.status().to_string());
@@ -111,9 +108,9 @@ RowResult run_row(const RowSpec& spec, const RowParams& p) {
   });
   // Whole-job deltas; the only fabric-heavy phase is the open's index
   // exchange, so cross-rack bytes track the leader traffic.
-  row.cross_rack_bytes = topo_local("net.topo.bytes.cross_rack") - xb0;
-  row.cross_rack_msgs = topo_local("net.topo.msgs.cross_rack") - xm0;
-  row.intra_rack_bytes = topo_local("net.topo.bytes.intra_rack") - ib0;
+  row.cross_rack_bytes = topo[0];
+  row.cross_rack_msgs = topo[1];
+  row.intra_rack_bytes = topo[2];
   return row;
 }
 
@@ -187,39 +184,23 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  if (!json_path->empty()) {
-    std::FILE* f = std::fopen(json_path->c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open --json file: %s\n", json_path->c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ablation_topology\",\n");
-    std::fprintf(f, "  \"config\": {\"procs\": %d, \"racks\": %zu, \"nodes\": %zu, "
-                 "\"cores_per_node\": %zu, \"per_proc_mib\": %lld, \"record_kib\": %lld, "
-                 "\"index_cpu_ns\": %lld, \"shards\": %zu},\n",
-                 n, racks, geom.nodes, geom.cores_per_node,
-                 static_cast<long long>(*per_proc_mib), static_cast<long long>(*record_kib),
-                 static_cast<long long>(*index_cpu_ns), shards);
-    std::fprintf(f, "  \"rows\": [");
+  bench::write_json(*json_path, "ablation_topology", [&](JsonWriter& w) {
+    w.key("config").begin_object().field("procs", n).field("racks", racks)
+        .field("nodes", geom.nodes).field("cores_per_node", geom.cores_per_node)
+        .field("per_proc_mib", *per_proc_mib).field("record_kib", *record_kib)
+        .field("index_cpu_ns", *index_cpu_ns).field("shards", shards).end_object();
+    w.key("rows").begin_array();
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      std::fprintf(f,
-                   "%s\n    {\"topology\": \"%s\", \"oversubscription\": %s, "
-                   "\"grouping\": \"%s\", \"read_open_s\": %s, \"cross_rack_bytes\": %llu, "
-                   "\"cross_rack_msgs\": %llu, \"intra_rack_bytes\": %llu}",
-                   i ? "," : "", net::topology_kind_name(specs[i].kind).c_str(),
-                   json_double(specs[i].oversubscription, 1).c_str(), specs[i].grouping,
-                   json_double(rows[i].open_s, 6).c_str(),
-                   static_cast<unsigned long long>(rows[i].cross_rack_bytes),
-                   static_cast<unsigned long long>(rows[i].cross_rack_msgs),
-                   static_cast<unsigned long long>(rows[i].intra_rack_bytes));
+      w.begin_object().field("topology", net::topology_kind_name(specs[i].kind))
+          .field("oversubscription", specs[i].oversubscription, 1)
+          .field("grouping", specs[i].grouping).field("read_open_s", rows[i].open_s, 6)
+          .field("cross_rack_bytes", rows[i].cross_rack_bytes)
+          .field("cross_rack_msgs", rows[i].cross_rack_msgs)
+          .field("intra_rack_bytes", rows[i].intra_rack_bytes).end_object();
     }
-    std::fprintf(f, "\n  ],\n");
-    bench::json_counters(f);
-    std::fprintf(f, "  \"schema\": 1\n}\n");
-    std::fclose(f);
-  }
+    w.end_array();
+  });
 
-  bench::print_topo_counters();
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

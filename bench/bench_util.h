@@ -6,9 +6,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -161,149 +166,6 @@ inline void apply_mds_tuning(const MdsTuningFlags& t, pfs::PfsConfig& pfs) {
   pfs.raft_commit_timeout = Duration::ms(*t.raft_commit_timeout_ms);
 }
 
-// Batched-metadata and client-cache instrumentation. stderr, like the other
-// counter dumps, so stdout stays byte-comparable across runs.
-inline void print_meta_counters() {
-  auto counters = counter_snapshot("pfs.batch");
-  const auto cache = counter_snapshot("pfs.meta_cache");
-  const auto meta = counter_snapshot("pfs.meta");
-  counters.insert(counters.end(), cache.begin(), cache.end());
-  counters.insert(counters.end(), meta.begin(), meta.end());
-  if (counters.empty()) return;
-  std::fprintf(stderr, "\n-- metadata batch/cache counters --\n");
-  for (const auto& [name, value] : counters) {
-    std::fprintf(stderr, "%-36s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-  }
-}
-
-// Fault/retry/degradation instrumentation accumulated during the run.
-// stderr on purpose: stdout must stay byte-identical across runs whether or
-// not a plan is active (the determinism check diffs it).
-inline void print_fault_counters() {
-  auto counters = counter_snapshot("plfs.fault");
-  const auto retry = counter_snapshot("plfs.retry");
-  const auto degrade = counter_snapshot("plfs.degrade");
-  const auto direct = counter_snapshot("direct.retry");
-  const auto raft = counter_snapshot("raft");
-  counters.insert(counters.end(), retry.begin(), retry.end());
-  counters.insert(counters.end(), degrade.begin(), degrade.end());
-  counters.insert(counters.end(), direct.begin(), direct.end());
-  counters.insert(counters.end(), raft.begin(), raft.end());
-  if (counters.empty()) return;
-  std::fprintf(stderr, "\n-- fault/retry counters --\n");
-  for (const auto& [name, value] : counters) {
-    std::fprintf(stderr, "%-36s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-  }
-}
-
-// Host-side index/cache instrumentation accumulated during the run.
-inline void print_index_counters() {
-  // Prefix grouping is dot-boundary-aware, so "plfs.index" no longer drags
-  // in the plfs.index_cache.* family; ask for both groups explicitly.
-  auto counters = counter_snapshot("plfs.index");
-  const auto cache = counter_snapshot("plfs.index_cache");
-  counters.insert(counters.end(), cache.begin(), cache.end());
-  if (counters.empty()) return;
-  // stderr on purpose: build_ns is host wall time, and stdout must stay
-  // byte-identical across runs (the determinism check diffs it).
-  std::fprintf(stderr, "\n-- index counters (host-side) --\n");
-  std::uint64_t raw = 0, wire = 0;
-  for (const auto& [name, value] : counters) {
-    if (name == "plfs.index.pattern.raw_bytes") raw = value;
-    if (name == "plfs.index.pattern.wire_bytes") wire = value;
-    std::fprintf(stderr, "%-36s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-  }
-  if (raw > 0 && wire > 0) {
-    std::fprintf(stderr, "%-36s %.1fx\n", "plfs.index.pattern.compression",
-                 static_cast<double>(raw) / static_cast<double>(wire));
-  }
-}
-
-// Emits the accumulated counter state as one JSON object member named
-// "counters" (no trailing comma), for the figure harnesses' --json output.
-// Includes the derived pattern-compression ratio when the codec ran.
-inline void json_counters(std::FILE* f) {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  for (const char* prefix :
-       {"plfs.index", "plfs.index_cache", "plfs.fault", "plfs.retry", "plfs.degrade",
-        "iolib.cb", "raft", "pfs.batch", "pfs.meta_cache", "pfs.meta", "net.topo"}) {
-    const auto group = counter_snapshot(prefix);
-    counters.insert(counters.end(), group.begin(), group.end());
-  }
-  std::fprintf(f, "  \"counters\": {");
-  std::uint64_t raw = 0, wire = 0;
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (name == "plfs.index.pattern.raw_bytes") raw = value;
-    if (name == "plfs.index.pattern.wire_bytes") wire = value;
-    std::fprintf(f, "%s\n    \"%s\": %llu", first ? "" : ",", name.c_str(),
-                 static_cast<unsigned long long>(value));
-    first = false;
-  }
-  std::fprintf(f, "\n  },\n");
-  // json_double, not printf %f: the harnesses call setlocale(), and a comma
-  // decimal point would corrupt the JSON document.
-  if (raw > 0 && wire > 0) {
-    const double ratio = static_cast<double>(raw) / static_cast<double>(wire);
-    std::fprintf(f, "  \"index_compression_ratio\": %s,\n", json_double(ratio, 2).c_str());
-  } else {
-    std::fprintf(f, "  \"index_compression_ratio\": null,\n");
-  }
-}
-
-// Emits the accumulated latency-histogram state as one JSON object member
-// named "histograms" (no trailing comma). All fields are integer
-// nanoseconds, immune to locale.
-inline void json_histograms(std::FILE* f, std::string_view prefix = "") {
-  const auto hists = histogram_snapshot(prefix);
-  std::fprintf(f, "  \"histograms\": {");
-  bool first = true;
-  for (const auto& [name, h] : hists) {
-    if (h->count() == 0) continue;
-    std::fprintf(f,
-                 "%s\n    \"%s\": {\"count\": %llu, \"p50_ns\": %lld, \"p90_ns\": %lld, "
-                 "\"p99_ns\": %lld, \"max_ns\": %lld, \"sum_ns\": %lld}",
-                 first ? "" : ",", name.c_str(), static_cast<unsigned long long>(h->count()),
-                 static_cast<long long>(h->percentile(50)), static_cast<long long>(h->percentile(90)),
-                 static_cast<long long>(h->percentile(99)), static_cast<long long>(h->max()),
-                 static_cast<long long>(h->sum()));
-    first = false;
-  }
-  std::fprintf(f, "\n  },\n");
-}
-
-// Latency-histogram table on stderr (host-readable companion of the --json
-// "histograms" block; stdout stays byte-comparable across runs).
-inline void print_histograms() {
-  const auto hists = histogram_snapshot("");
-  bool any = false;
-  for (const auto& [name, h] : hists) any = any || h->count() > 0;
-  if (!any) return;
-  std::fprintf(stderr, "\n-- latency histograms (virtual ns) --\n");
-  std::fprintf(stderr, "%-28s %10s %12s %12s %12s %12s\n", "span", "count", "p50", "p90", "p99",
-               "max");
-  for (const auto& [name, h] : hists) {
-    if (h->count() == 0) continue;
-    std::fprintf(stderr, "%-28s %10llu %12lld %12lld %12lld %12lld\n", name.c_str(),
-                 static_cast<unsigned long long>(h->count()),
-                 static_cast<long long>(h->percentile(50)),
-                 static_cast<long long>(h->percentile(90)),
-                 static_cast<long long>(h->percentile(99)), static_cast<long long>(h->max()));
-  }
-}
-
-// Collective-buffering instrumentation (message census, bytes shipped
-// across nodes, sieve activity). stderr, like the other counter dumps, so
-// stdout stays byte-comparable across runs.
-inline void print_cb_counters() {
-  const auto counters = counter_snapshot("iolib.cb");
-  if (counters.empty()) return;
-  std::fprintf(stderr, "\n-- collective-buffering counters --\n");
-  for (const auto& [name, value] : counters) {
-    std::fprintf(stderr, "%-36s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-  }
-}
-
 // Shared CbConfig flags for the benches that drive the collective layer.
 struct CbFlags {
   std::int64_t* aggregators;
@@ -404,17 +266,6 @@ inline void apply_topology(const TopologyFlags& t, net::ClusterConfig& cluster) 
   }
 }
 
-// Topology link/flow instrumentation (net.topo.* locality census). stderr,
-// like the other counter dumps, so stdout stays byte-comparable.
-inline void print_topo_counters() {
-  const auto counters = counter_snapshot("net.topo");
-  if (counters.empty()) return;
-  std::fprintf(stderr, "\n-- topology counters --\n");
-  for (const auto& [name, value] : counters) {
-    std::fprintf(stderr, "%-36s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-  }
-}
-
 // Shared --shards flag: how many OS threads to spread independent
 // simulations (one Rig per data point) across. Every count runs the same
 // ShardPool path, so stdout and traces are identical at any count.
@@ -426,8 +277,8 @@ inline std::int64_t* add_shards_flag(FlagSet& flags) {
 
 // Validates --shards against ShardPool's range [1, kMaxShards] (usage
 // message and exit 1 otherwise) and notes the count in the
-// sim.engine.shards counter so every stderr counter dump and --json block
-// carries it. More shards than host threads is allowed: same results,
+// sim.engine.shards counter so the counter dump and the --json counters
+// carry it. More shards than host threads is allowed: same results,
 // only slower.
 inline std::size_t shards_or_die(std::int64_t value) {
   if (value < 1 || static_cast<std::uint64_t>(value) > kMaxShards) {
@@ -463,25 +314,135 @@ inline void finish_trace(const std::string& path) {
                path.c_str());
 }
 
-// Wall-clock engine instrumentation: raw sim.engine.* counters plus the
-// derived events-per-second figure the scaling sweeps are gated by. Written
-// to stderr so figure tables on stdout stay byte-comparable across runs.
-inline void print_sim_counters() {
-  auto counters = counter_snapshot("sim.engine");
-  const auto spills = counter_snapshot("common.fn");
-  counters.insert(counters.end(), spills.begin(), spills.end());
-  if (counters.empty()) return;
-  std::fprintf(stderr, "\n-- engine counters (host-side) --\n");
-  std::uint64_t events = 0, wall_ns = 0;
-  for (const auto& [name, value] : counters) {
-    if (name == "sim.engine.events") events = value;
-    if (name == "sim.engine.run_wall_ns") wall_ns = value;
-    std::fprintf(stderr, "%-36s %llu\n", name.c_str(),
-                 static_cast<unsigned long long>(value));
+// What named counters gained on this shard since construction:
+// local_value() deltas, so a row's before/after census never sees rows
+// running concurrently on other shard threads.
+class LocalDelta {
+ public:
+  explicit LocalDelta(std::initializer_list<std::string_view> names) {
+    for (const std::string_view name : names) {
+      const Counter& c = counter(name);
+      start_.emplace_back(&c, c.local_value());
+    }
   }
+  // The gain of the i-th named counter.
+  std::uint64_t operator[](std::size_t i) const {
+    return start_[i].first->local_value() - start_[i].second;
+  }
+
+ private:
+  std::vector<std::pair<const Counter*, std::uint64_t>> start_;
+};
+
+// The iolib.cb census of one job (fig5 cells, ablation_cb_aggregation
+// rows): exchange messages across the fabric and inside nodes, bytes
+// shipped between nodes, aggregator pfs ops and sieve joins.
+struct CbCensus {
+  std::uint64_t fabric_msgs = 0, local_msgs = 0, bytes_shipped = 0, pfs_ops = 0,
+                sieve_joins = 0;
+
+  // Runs `job` and returns the census it added on this shard.
+  template <class Job>
+  static CbCensus of(Job&& job) {
+    const LocalDelta d({"iolib.cb.fabric_msgs", "iolib.cb.local_msgs", "iolib.cb.bytes_shipped",
+                        "iolib.cb.pfs_ops", "iolib.cb.sieve_joins"});
+    job();
+    return {d[0], d[1], d[2], d[3], d[4]};
+  }
+
+  // The five counts as members of the enclosing JSON object.
+  void write(JsonWriter& w) const {
+    w.field("fabric_msgs", fabric_msgs).field("local_msgs", local_msgs)
+        .field("bytes_shipped", bytes_shipped).field("pfs_ops", pfs_ops)
+        .field("sieve_joins", sieve_joins);
+  }
+};
+
+// A counter_snapshot(): (name, value) pairs sorted by name. The stderr dump
+// and the --json "counters" block both report the whole snapshot, every
+// registered counter, zero or not.
+using CounterList = std::vector<std::pair<std::string, std::uint64_t>>;
+
+inline std::uint64_t value_of(const CounterList& counters, std::string_view name) {
+  const auto it = std::ranges::find(counters, name, &CounterList::value_type::first);
+  return it == counters.end() ? 0 : it->second;
+}
+
+// Raw over wire bytes of the index pattern codec; nullopt when it never ran.
+inline std::optional<double> pattern_compression(const CounterList& counters) {
+  const std::uint64_t raw = value_of(counters, "plfs.index.pattern.raw_bytes");
+  const std::uint64_t wire = value_of(counters, "plfs.index.pattern.wire_bytes");
+  if (raw == 0 || wire == 0) return std::nullopt;
+  return static_cast<double>(raw) / static_cast<double>(wire);
+}
+
+// The one counter dump every bench ends with, on stderr so stdout stays
+// byte-comparable across runs (the determinism checks diff it): every
+// registered counter, the two derived lines (pattern compression, host
+// events/s), then the latency-histogram table (virtual ns).
+inline void print_counters() {
+  const CounterList counters = counter_snapshot();
+  if (!counters.empty()) std::fprintf(stderr, "\n-- counters --\n");
+  for (const auto& [name, value] : counters) {
+    std::fprintf(stderr, "%-36s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
+  }
+  if (const auto ratio = pattern_compression(counters)) {
+    std::fprintf(stderr, "%-36s %.1fx\n", "plfs.index.pattern.compression", *ratio);
+  }
+  const std::uint64_t events = value_of(counters, "sim.engine.events");
+  const std::uint64_t wall_ns = value_of(counters, "sim.engine.run_wall_ns");
   if (events > 0 && wall_ns > 0) {
     std::fprintf(stderr, "%-36s %.3f\n", "sim.engine.events_per_sec_millions",
                  static_cast<double>(events) / (static_cast<double>(wall_ns) * 1e-9) / 1e6);
+  }
+  bool header = false;
+  for (const auto& [name, h] : histogram_snapshot()) {
+    if (h->count() == 0) continue;
+    if (!header) {
+      std::fprintf(stderr, "\n-- latency histograms (virtual ns) --\n");
+      std::fprintf(stderr, "%-28s %10s %12s %12s %12s %12s\n", "span", "count", "p50", "p90",
+                   "p99", "max");
+      header = true;
+    }
+    std::fprintf(stderr, "%-28s %10llu %12lld %12lld %12lld %12lld\n", name.c_str(),
+                 static_cast<unsigned long long>(h->count()),
+                 static_cast<long long>(h->percentile(50)),
+                 static_cast<long long>(h->percentile(90)),
+                 static_cast<long long>(h->percentile(99)), static_cast<long long>(h->max()));
+  }
+}
+
+// Writes the --json report to `path` (nothing when it is empty): an object
+// holding "bench", the members `fill(JsonWriter&)` adds (config and rows),
+// then the shared trailer: every registered counter, index_compression_ratio,
+// the non-empty latency histograms (integer virtual ns) and "schema": 2.
+// Exits 1 when the file cannot be opened or written.
+template <class Fill>
+void write_json(const std::string& path, std::string_view bench_name, Fill&& fill) {
+  if (path.empty()) return;
+  JsonWriter w;
+  w.begin_object().field("bench", bench_name);
+  fill(w);
+  const CounterList counters = counter_snapshot();
+  w.key("counters").begin_object();
+  for (const auto& [name, value] : counters) w.field(name, value);
+  w.end_object();
+  // null when the codec never ran (a NaN ratio writes as null).
+  w.field("index_compression_ratio", pattern_compression(counters).value_or(std::nan("")), 2);
+  w.key("histograms").begin_object();
+  for (const auto& [name, h] : histogram_snapshot()) {
+    if (h->count() == 0) continue;
+    w.key(name).begin_object().field("count", h->count()).field("p50_ns", h->percentile(50))
+        .field("p90_ns", h->percentile(90)).field("p99_ns", h->percentile(99))
+        .field("max_ns", h->max()).field("sum_ns", h->sum()).end_object();
+  }
+  w.end_object();
+  w.field("schema", 2).end_object();
+
+  std::ofstream f(path);
+  if (!(f << w.str() << '\n') || !f.flush()) {
+    std::fprintf(stderr, "cannot write --json file: %s\n", path.c_str());
+    std::exit(1);
   }
 }
 

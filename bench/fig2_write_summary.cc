@@ -86,6 +86,6 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\nprocs=%lld, %lld MiB/proc, N-1 strided, LANL-cluster testbed\n",
               static_cast<long long>(*procs), static_cast<long long>(*per_proc_mib));
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

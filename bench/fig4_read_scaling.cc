@@ -27,14 +27,6 @@ struct Row {
   std::uint64_t ibytes_orig, ibytes_flat, ibytes_par;
 };
 
-// Index bytes read from storage so far (log + flattened-global files) *by
-// this shard*: before/after deltas must not see rows running concurrently
-// on other shard threads.
-std::uint64_t index_bytes_read() {
-  return counter("plfs.index.log_bytes_read").local_value() +
-         counter("plfs.index.global_bytes_read").local_value();
-}
-
 // Fabric-topology knobs threaded into every rig of a row (defaults = flat
 // preset + block groups).
 struct TopoOpts {
@@ -66,9 +58,10 @@ Row run_streams(int streams, std::uint64_t per_proc, std::uint64_t record,
     spec.target.access = Access::plfs_n1;
     spec.target.strategy = strategy;
     spec.do_write = false;
-    const std::uint64_t before = index_bytes_read();
+    const bench::LocalDelta index_read(
+        {"plfs.index.log_bytes_read", "plfs.index.global_bytes_read"});
     const PhaseTimes read = run_job(rig, streams, spec).read;
-    *ibytes = index_bytes_read() - before;
+    *ibytes = index_read[0] + index_read[1];
     *open_s = read.open_s;
     *bw = read.effective_bw();
   };
@@ -194,61 +187,34 @@ int main(int argc, char** argv) {
   }
   d.print(std::cout);
 
-  if (!json_path->empty()) {
-    std::FILE* f = std::fopen(json_path->c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open --json file: %s\n", json_path->c_str());
-      return 1;
+  bench::write_json(*json_path, "fig4_read_scaling", [&](JsonWriter& w) {
+    w.key("config").begin_object().field("max_streams", *max_streams)
+        .field("per_proc_mib", *per_proc_mib).field("record_kib", *record_kib)
+        .field("fault_plan", *plan_spec).field("topology", net::topology_kind_name(topo.kind))
+        .field("racks", topo.racks).field("oversubscription", topo.oversubscription, 2)
+        .field("rack_groups", topo.rack_groups).field("shards", shards).end_object();
+    w.key("rows").begin_array();
+    for (const Row& r : rows) {
+      w.begin_object().field("streams", r.streams);
+      w.key("read_open_s").begin_object().field("original", r.open_orig, 6)
+          .field("index_flatten", r.open_flat, 6).field("parallel_read", r.open_par, 6)
+          .end_object();
+      w.key("read_bw_mbps").begin_object().field("original", bench::mbps(r.bw_orig), 3)
+          .field("index_flatten", bench::mbps(r.bw_flat), 3)
+          .field("parallel_read", bench::mbps(r.bw_par), 3).end_object();
+      w.key("index_bytes_read").begin_object().field("original", r.ibytes_orig)
+          .field("index_flatten", r.ibytes_flat).field("parallel_read", r.ibytes_par)
+          .end_object();
+      w.key("write_close_s").begin_object().field("noflatten", r.close_noflat, 6)
+          .field("flatten", r.close_flat, 6).end_object();
+      w.key("write_bw_mbps").begin_object().field("noflatten", bench::mbps(r.wbw_noflat), 3)
+          .field("flatten", bench::mbps(r.wbw_flat), 3).end_object();
+      w.end_object();
     }
-    std::fprintf(f, "{\n  \"bench\": \"fig4_read_scaling\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"max_streams\": %lld, \"per_proc_mib\": %lld, "
-                 "\"record_kib\": %lld, \"fault_plan\": \"%s\", \"topology\": \"%s\", \"racks\": %zu, "
-                 "\"oversubscription\": %s, \"rack_groups\": %s, \"shards\": %zu},\n",
-                 static_cast<long long>(*max_streams), static_cast<long long>(*per_proc_mib),
-                 static_cast<long long>(*record_kib), plan_spec->c_str(),
-                 net::topology_kind_name(topo.kind).c_str(), topo.racks,
-                 json_double(topo.oversubscription, 2).c_str(),
-                 topo.rack_groups ? "true" : "false", shards);
-    std::fprintf(f, "  \"rows\": [");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(f, "%s\n    {\"streams\": %d,\n", i ? "," : "", r.streams);
-      std::fprintf(f,
-                   "     \"read_open_s\": {\"original\": %s, \"index_flatten\": %s, "
-                   "\"parallel_read\": %s},\n",
-                   json_double(r.open_orig, 6).c_str(), json_double(r.open_flat, 6).c_str(),
-                   json_double(r.open_par, 6).c_str());
-      std::fprintf(f,
-                   "     \"read_bw_mbps\": {\"original\": %s, \"index_flatten\": %s, "
-                   "\"parallel_read\": %s},\n",
-                   json_double(bench::mbps(r.bw_orig), 3).c_str(),
-                   json_double(bench::mbps(r.bw_flat), 3).c_str(),
-                   json_double(bench::mbps(r.bw_par), 3).c_str());
-      std::fprintf(f,
-                   "     \"index_bytes_read\": {\"original\": %llu, \"index_flatten\": %llu, "
-                   "\"parallel_read\": %llu},\n",
-                   static_cast<unsigned long long>(r.ibytes_orig),
-                   static_cast<unsigned long long>(r.ibytes_flat),
-                   static_cast<unsigned long long>(r.ibytes_par));
-      std::fprintf(f, "     \"write_close_s\": {\"noflatten\": %s, \"flatten\": %s},\n",
-                   json_double(r.close_noflat, 6).c_str(), json_double(r.close_flat, 6).c_str());
-      std::fprintf(f, "     \"write_bw_mbps\": {\"noflatten\": %s, \"flatten\": %s}}",
-                   json_double(bench::mbps(r.wbw_noflat), 3).c_str(),
-                   json_double(bench::mbps(r.wbw_flat), 3).c_str());
-    }
-    std::fprintf(f, "\n  ],\n");
-    bench::json_counters(f);
-    bench::json_histograms(f);
-    std::fprintf(f, "  \"schema\": 2\n}\n");
-    std::fclose(f);
-  }
+    w.end_array();
+  });
 
   bench::finish_trace(*trace_path);
-  bench::print_fault_counters();
-  bench::print_index_counters();
-  bench::print_topo_counters();
-  bench::print_histograms();
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

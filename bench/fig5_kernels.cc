@@ -15,8 +15,6 @@
 // table) honor the shared --cb-* flags, so the intra-node aggregation and
 // data-sieving pipeline can be measured here directly; per-row iolib.cb.*
 // counter deltas land in the --json report.
-#include <array>
-
 #include "bench_util.h"
 
 using namespace tio;
@@ -45,9 +43,8 @@ double read_bw(const JobSpec& base, Access access, int procs) {
 
 struct Cell {
   double direct, plfs;
-  // iolib.cb.* deltas over both cells' runs (zero for non-collective
-  // kernels); local_value() so concurrent shard rows can't bleed in.
-  std::uint64_t fabric_msgs, local_msgs, bytes_shipped, pfs_ops, sieve_joins;
+  // iolib.cb census over both cells' runs (zero for non-collective kernels).
+  bench::CbCensus cb;
 };
 
 struct KernelRows {
@@ -67,24 +64,12 @@ KernelRows kernel_table(const std::string& key, const std::string& title,
   for (std::size_t i = 0; i < procs.size(); ++i) {
     const int n = procs[i];
     pool.submit([&cells, &make, i, n] {
-      const auto cb_before = [] {
-        return std::array<std::uint64_t, 5>{
-            counter("iolib.cb.fabric_msgs").local_value(),
-            counter("iolib.cb.local_msgs").local_value(),
-            counter("iolib.cb.bytes_shipped").local_value(),
-            counter("iolib.cb.pfs_ops").local_value(),
-            counter("iolib.cb.sieve_joins").local_value()};
-      };
-      const auto before = cb_before();
-      const JobSpec spec = make(n);
-      cells[i].direct = read_bw(spec, Access::direct_n1, n);
-      cells[i].plfs = read_bw(spec, Access::plfs_n1, n);
-      const auto after = cb_before();
-      cells[i].fabric_msgs = after[0] - before[0];
-      cells[i].local_msgs = after[1] - before[1];
-      cells[i].bytes_shipped = after[2] - before[2];
-      cells[i].pfs_ops = after[3] - before[3];
-      cells[i].sieve_joins = after[4] - before[4];
+      Cell& cell = cells[i];
+      cell.cb = bench::CbCensus::of([&] {
+        const JobSpec spec = make(n);
+        cell.direct = read_bw(spec, Access::direct_n1, n);
+        cell.plfs = read_bw(spec, Access::plfs_n1, n);
+      });
     });
   }
   pool.run_all();
@@ -185,54 +170,29 @@ int main(int argc, char** argv) {
         [&](int n) { return noncontig(n, 16 * scale, 1024, 4096, {}, cb); }));
   }
 
-  if (!json_path->empty()) {
-    std::FILE* f = std::fopen(json_path->c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open --json file: %s\n", json_path->c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig5_kernels\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"max_procs\": %lld, \"scale_mib\": %lld, \"shards\": %zu, "
-                 "\"cb_aggregators\": %lld, \"cb_buffer_mib\": %lld, \"cb_node_agg\": %s, "
-                 "\"cb_sieve_threshold\": %s, \"noncontig\": %s},\n",
-                 static_cast<long long>(*max_procs), static_cast<long long>(*scale_mib), shards,
-                 static_cast<long long>(*cb_flags.aggregators),
-                 static_cast<long long>(*cb_flags.buffer_mib),
-                 *cb_flags.node_agg ? "true" : "false",
-                 json_double(*cb_flags.sieve_threshold, 4).c_str(),
-                 *with_noncontig ? "true" : "false");
-    std::fprintf(f, "  \"kernels\": [");
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      const KernelRows& kr = results[k];
-      std::fprintf(f, "%s\n    {\"kernel\": \"%s\", \"rows\": [", k ? "," : "", kr.key.c_str());
+  bench::write_json(*json_path, "fig5_kernels", [&](JsonWriter& w) {
+    w.key("config").begin_object().field("max_procs", *max_procs)
+        .field("scale_mib", *scale_mib).field("shards", shards)
+        .field("cb_aggregators", *cb_flags.aggregators).field("cb_buffer_mib", *cb_flags.buffer_mib)
+        .field("cb_node_agg", *cb_flags.node_agg)
+        .field("cb_sieve_threshold", *cb_flags.sieve_threshold, 4)
+        .field("noncontig", *with_noncontig).end_object();
+    w.key("kernels").begin_array();
+    for (const KernelRows& kr : results) {
+      w.begin_object().field("kernel", kr.key).key("rows").begin_array();
       for (std::size_t i = 0; i < kr.cells.size(); ++i) {
         const Cell& c = kr.cells[i];
-        std::fprintf(f,
-                     "%s\n      {\"procs\": %d, \"direct_mbps\": %s, \"plfs_mbps\": %s, "
-                     "\"cb\": {\"fabric_msgs\": %llu, \"local_msgs\": %llu, "
-                     "\"bytes_shipped\": %llu, \"pfs_ops\": %llu, \"sieve_joins\": %llu}}",
-                     i ? "," : "", kr.procs[i], json_double(bench::mbps(c.direct), 3).c_str(),
-                     json_double(bench::mbps(c.plfs), 3).c_str(),
-                     static_cast<unsigned long long>(c.fabric_msgs),
-                     static_cast<unsigned long long>(c.local_msgs),
-                     static_cast<unsigned long long>(c.bytes_shipped),
-                     static_cast<unsigned long long>(c.pfs_ops),
-                     static_cast<unsigned long long>(c.sieve_joins));
+        w.begin_object().field("procs", kr.procs[i]).field("direct_mbps", bench::mbps(c.direct), 3)
+            .field("plfs_mbps", bench::mbps(c.plfs), 3).key("cb").begin_object();
+        c.cb.write(w);
+        w.end_object().end_object();
       }
-      std::fprintf(f, "\n    ]}");
+      w.end_array().end_object();
     }
-    std::fprintf(f, "\n  ],\n");
-    bench::json_counters(f);
-    bench::json_histograms(f);
-    std::fprintf(f, "  \"schema\": 2\n}\n");
-    std::fclose(f);
-  }
+    w.end_array();
+  });
 
   bench::finish_trace(*trace_path);
-  bench::print_cb_counters();
-  bench::print_topo_counters();
-  bench::print_histograms();
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

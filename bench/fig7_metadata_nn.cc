@@ -107,51 +107,32 @@ int main(int argc, char** argv) {
   }
   b.print(std::cout);
 
-  if (!json_path->empty()) {
-    std::FILE* f = std::fopen(json_path->c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open --json file: %s\n", json_path->c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig7_metadata_nn\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"procs\": %lld, \"min_files\": %lld, \"max_files\": %lld, "
-                 "\"fault_plan\": \"%s\", \"mds_replication\": \"%.*s\", \"shards\": %zu, "
-                 "\"mds_batch\": %lld, \"mds_batch_linger_us\": %lld, \"meta_lease_ms\": %lld},\n",
-                 static_cast<long long>(*procs), static_cast<long long>(bottom_files),
-                 static_cast<long long>(top_files), plan_spec->c_str(),
-                 static_cast<int>(pfs::mds_replication_name(replication).size()),
-                 pfs::mds_replication_name(replication).data(), shards,
-                 static_cast<long long>(*tuning.mds_batch),
-                 static_cast<long long>(*tuning.mds_batch_linger_us),
-                 static_cast<long long>(*tuning.meta_lease_ms));
-    std::fprintf(f, "  \"rows\": [");
-    for (std::size_t f_i = 0; f_i < file_counts.size(); ++f_i) {
-      std::fprintf(f, "%s\n    {\"files\": %d,\n     \"open_s\": {", f_i ? "," : "",
-                   file_counts[f_i]);
+  bench::write_json(*json_path, "fig7_metadata_nn", [&](JsonWriter& w) {
+    w.key("config").begin_object().field("procs", *procs).field("min_files", bottom_files)
+        .field("max_files", top_files).field("fault_plan", *plan_spec)
+        .field("mds_replication", pfs::mds_replication_name(replication)).field("shards", shards)
+        .field("mds_batch", *tuning.mds_batch)
+        .field("mds_batch_linger_us", *tuning.mds_batch_linger_us)
+        .field("meta_lease_ms", *tuning.meta_lease_ms).end_object();
+    // One object of times per row and phase, keyed plfs<MDS count> and direct.
+    const auto times = [&](const char* name, std::size_t f, double Cell::*time) {
+      w.key(name).begin_object();
       for (std::size_t i = 0; i < mds_counts.size(); ++i) {
-        std::fprintf(f, "%s\"plfs%zu\": %s", i ? ", " : "", mds_counts[i],
-                     json_double(plfs_cells[i][f_i].open, 6).c_str());
+        w.field("plfs" + std::to_string(mds_counts[i]), plfs_cells[i][f].*time, 6);
       }
-      std::fprintf(f, ", \"direct\": %s},\n     \"close_s\": {",
-                   json_double(direct_cells[f_i].open, 6).c_str());
-      for (std::size_t i = 0; i < mds_counts.size(); ++i) {
-        std::fprintf(f, "%s\"plfs%zu\": %s", i ? ", " : "", mds_counts[i],
-                     json_double(plfs_cells[i][f_i].close, 6).c_str());
-      }
-      std::fprintf(f, ", \"direct\": %s}}", json_double(direct_cells[f_i].close, 6).c_str());
+      w.field("direct", direct_cells[f].*time, 6).end_object();
+    };
+    w.key("rows").begin_array();
+    for (std::size_t f = 0; f < file_counts.size(); ++f) {
+      w.begin_object().field("files", file_counts[f]);
+      times("open_s", f, &Cell::open);
+      times("close_s", f, &Cell::close);
+      w.end_object();
     }
-    std::fprintf(f, "\n  ],\n");
-    bench::json_counters(f);
-    bench::json_histograms(f);
-    std::fprintf(f, "  \"schema\": 2\n}\n");
-    std::fclose(f);
-  }
+    w.end_array();
+  });
 
   bench::finish_trace(*trace_path);
-  bench::print_meta_counters();
-  bench::print_fault_counters();
-  bench::print_histograms();
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

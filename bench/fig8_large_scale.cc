@@ -8,6 +8,8 @@
 //      creation burst; federation matters as process count grows).
 //   8d N-N open time, PLFS-10 vs direct: paper reports a 17x speedup at
 //      32,768 processes.
+#include <span>
+
 #include "bench_util.h"
 
 using namespace tio;
@@ -200,64 +202,41 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
 
-  if (!json_path->empty()) {
-    std::FILE* f = std::fopen(json_path->c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open --json file: %s\n", json_path->c_str());
-      return 1;
+  bench::write_json(*json_path, "fig8_large_scale", [&](JsonWriter& w) {
+    w.key("config").begin_object().field("max_read_procs", *max_read_procs)
+        .field("max_meta_procs", *max_meta_procs).field("per_proc_mib", *per_proc_mib)
+        .field("fault_plan", *plan_spec).field("shards", shards).end_object();
+    w.key("fig8a_read_bw_mbps").begin_array();
+    for (const auto& r : read_rows) {
+      w.begin_object().field("procs", r.procs).field("nn_direct", bench::mbps(r.nn_direct), 3)
+          .field("nn_plfs", bench::mbps(r.nn_plfs), 3)
+          .field("n1_plfs", bench::mbps(r.n1_plfs), 3).end_object();
     }
-    std::fprintf(f, "{\n  \"bench\": \"fig8_large_scale\",\n");
-    std::fprintf(f,
-                 "  \"config\": {\"max_read_procs\": %lld, \"max_meta_procs\": %lld, "
-                 "\"per_proc_mib\": %lld, \"fault_plan\": \"%s\", \"shards\": %zu},\n",
-                 static_cast<long long>(*max_read_procs), static_cast<long long>(*max_meta_procs),
-                 static_cast<long long>(*per_proc_mib), plan_spec->c_str(), shards);
-    std::fprintf(f, "  \"fig8a_read_bw_mbps\": [");
-    for (std::size_t i = 0; i < read_rows.size(); ++i) {
-      const auto& r = read_rows[i];
-      std::fprintf(f,
-                   "%s\n    {\"procs\": %d, \"nn_direct\": %s, \"nn_plfs\": %s, "
-                   "\"n1_plfs\": %s}",
-                   i ? "," : "", r.procs, json_double(bench::mbps(r.nn_direct), 3).c_str(),
-                   json_double(bench::mbps(r.nn_plfs), 3).c_str(),
-                   json_double(bench::mbps(r.n1_plfs), 3).c_str());
+    w.end_array();
+    // 8b/8c rows: one open time per MDS-count column, keyed plfs<count>.
+    const auto storm_rows = [&w](const char* name, const std::vector<StormRow>& rows,
+                                 std::span<const std::size_t> mds) {
+      w.key(name).begin_array();
+      for (const auto& r : rows) {
+        w.begin_object().field("procs", r.procs);
+        for (std::size_t m = 0; m < mds.size(); ++m) {
+          w.field("plfs" + std::to_string(mds[m]), r.open_s[m], 6);
+        }
+        w.end_object();
+      }
+      w.end_array();
+    };
+    storm_rows("fig8b_nn_open_s", nn_rows, kNnMds);
+    storm_rows("fig8c_n1_open_s", n1_rows, kN1Mds);
+    w.key("fig8d_nn_open_s").begin_array();
+    for (const auto& r : direct_rows) {
+      w.begin_object().field("procs", r.procs).field("direct", r.direct_s, 6)
+          .field("plfs10", r.plfs_s, 6).end_object();
     }
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f, "  \"fig8b_nn_open_s\": [");
-    for (std::size_t i = 0; i < nn_rows.size(); ++i) {
-      const auto& r = nn_rows[i];
-      std::fprintf(f,
-                   "%s\n    {\"procs\": %d, \"plfs1\": %s, \"plfs10\": %s, \"plfs20\": %s}",
-                   i ? "," : "", r.procs, json_double(r.open_s[0], 6).c_str(),
-                   json_double(r.open_s[1], 6).c_str(), json_double(r.open_s[2], 6).c_str());
-    }
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f, "  \"fig8c_n1_open_s\": [");
-    for (std::size_t i = 0; i < n1_rows.size(); ++i) {
-      const auto& r = n1_rows[i];
-      std::fprintf(f, "%s\n    {\"procs\": %d, \"plfs1\": %s, \"plfs10\": %s}", i ? "," : "",
-                   r.procs, json_double(r.open_s[0], 6).c_str(),
-                   json_double(r.open_s[1], 6).c_str());
-    }
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f, "  \"fig8d_nn_open_s\": [");
-    for (std::size_t i = 0; i < direct_rows.size(); ++i) {
-      const auto& r = direct_rows[i];
-      std::fprintf(f, "%s\n    {\"procs\": %d, \"direct\": %s, \"plfs10\": %s}", i ? "," : "",
-                   r.procs, json_double(r.direct_s, 6).c_str(), json_double(r.plfs_s, 6).c_str());
-    }
-    std::fprintf(f, "\n  ],\n");
-    bench::json_counters(f);
-    bench::json_histograms(f);
-    std::fprintf(f, "  \"schema\": 2\n}\n");
-    std::fclose(f);
-  }
+    w.end_array();
+  });
 
   bench::finish_trace(*trace_path);
-  bench::print_fault_counters();
-  bench::print_index_counters();
-  bench::print_topo_counters();
-  bench::print_histograms();
-  bench::print_sim_counters();
+  bench::print_counters();
   return 0;
 }

@@ -144,6 +144,28 @@ for f in "$out"/fig4.json "$out"/fig7.json "$out"/fig7_raft.json "$out"/fig8.jso
   python3 -m json.tool "$f" >/dev/null || { echo "invalid JSON: $f"; exit 1; }
 done
 
+echo "==> --json quotes strings and carries every counter family"
+# One writer builds every --json report: a quote or a backslash in a
+# fault-plan prefix must come back as the same string, and the counters
+# block holds every registered counter (the direct comparator's
+# direct.retry.* included), not a per-bench list.
+for spec in 'outage=/vol"9@0-1' 'outage=/v\x@0-1'; do
+  LC_ALL="$json_locale" ./build/bench/fig7_metadata_nn --procs 32 --max-files 512 \
+    --fault_plan="$spec" --json="$out/fig7_escape.json" >/dev/null 2>&1
+  python3 - "$out/fig7_escape.json" "$spec" <<'PY'
+import json, sys
+got = json.load(open(sys.argv[1]))["config"]["fault_plan"]
+assert got == sys.argv[2], f"fault_plan echoed as {got!r}, want {sys.argv[2]!r}"
+PY
+done
+LC_ALL="$json_locale" ./build/bench/fig8_large_scale --max-read-procs=256 \
+  --max-meta-procs=256 --fault_plan=stress --json="$out/fig8_stress.json" >/dev/null 2>&1
+python3 - "$out/fig8_stress.json" <<'PY'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+assert "direct.retry.attempts" in counters, "direct.retry.attempts missing from counters"
+PY
+
 echo "==> fig4 trace: per-phase open breakdown must sum to the open window (1%)"
 python3 tools/check_trace.py "$out/fig4_trace.json"
 

@@ -128,13 +128,6 @@ sim::Task<Status> LocalFs::mkdir(pfs::IoCtx ctx, std::string path) {
   co_return Status::Ok();
 }
 
-sim::Task<Status> LocalFs::rmdir(pfs::IoCtx ctx, std::string path) {
-  (void)ctx;
-  const std::string host = host_path(path);
-  if (::rmdir(host.c_str()) != 0) co_return errno_status("rmdir", host);
-  co_return Status::Ok();
-}
-
 sim::Task<Status> LocalFs::unlink(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
   const std::string host = host_path(path);

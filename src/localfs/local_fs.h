@@ -26,7 +26,6 @@ class LocalFs : public pfs::FsClient {
   sim::Task<Result<FragmentList>> read(pfs::IoCtx ctx, pfs::FileId file, std::uint64_t offset,
                                        std::uint64_t len) override;
   sim::Task<Status> mkdir(pfs::IoCtx ctx, std::string path) override;
-  sim::Task<Status> rmdir(pfs::IoCtx ctx, std::string path) override;
   sim::Task<Status> unlink(pfs::IoCtx ctx, std::string path) override;
   sim::Task<Result<pfs::StatInfo>> stat(pfs::IoCtx ctx, std::string path) override;
   sim::Task<Result<std::vector<pfs::DirEntry>>> readdir(pfs::IoCtx ctx,

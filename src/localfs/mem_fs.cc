@@ -78,11 +78,6 @@ sim::Task<Status> MemFs::mkdir(pfs::IoCtx ctx, std::string path) {
   co_return ns_.mkdir(r.id != pfs::kNoPath ? r.id : ns_.intern(r.parent, r.leaf));
 }
 
-sim::Task<Status> MemFs::rmdir(pfs::IoCtx ctx, std::string path) {
-  (void)ctx;
-  co_return ns_.rmdir(path);
-}
-
 sim::Task<Status> MemFs::unlink(pfs::IoCtx ctx, std::string path) {
   (void)ctx;
   auto removed = ns_.unlink(path);

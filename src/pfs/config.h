@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/units.h"
 
@@ -78,7 +77,7 @@ struct PfsConfig {
   Duration rpc_overhead = Duration::us(15);
 
   // --- Batched metadata mutations (client-library aggregation) ---
-  // Clients coalesce create/mkdir/rmdir/unlink mutations bound for the
+  // Clients coalesce create/mkdir/unlink mutations bound for the
   // same metadata group into one batch RPC: at most mds_batch entries per
   // batch (0 = every mutation travels alone), flushed early after
   // mds_batch_linger once the first entry is waiting. Replicated groups
@@ -107,10 +106,6 @@ struct PfsConfig {
   Duration raft_redirect_backoff = Duration::ms(5);
   std::size_t raft_compact_threshold = 1024;
   std::size_t raft_compact_keep = 128;
-  // raft_placement[g][r] = cluster node hosting replica r of metadata
-  // group g. Empty (or wrong-sized) rows fall back to a spread that puts a
-  // group's replicas on distinct nodes; the testbed fills this in.
-  std::vector<std::vector<std::size_t>> raft_placement;
 };
 
 }  // namespace tio::pfs

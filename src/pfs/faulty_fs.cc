@@ -210,11 +210,6 @@ sim::Task<Status> FaultyFs::mkdir(IoCtx ctx, std::string path) {
   co_return co_await base_.mkdir(ctx, std::move(path));
 }
 
-sim::Task<Status> FaultyFs::rmdir(IoCtx ctx, std::string path) {
-  TIO_CO_RETURN_IF_ERROR(co_await inject(OpClass::meta, path));
-  co_return co_await base_.rmdir(ctx, std::move(path));
-}
-
 sim::Task<Status> FaultyFs::unlink(IoCtx ctx, std::string path) {
   TIO_CO_RETURN_IF_ERROR(co_await inject(OpClass::meta, path));
   co_return co_await base_.unlink(ctx, std::move(path));

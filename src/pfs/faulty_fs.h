@@ -35,7 +35,7 @@
 namespace tio::pfs {
 
 // Operation classes a FaultSpec can target. `meta` covers the pure
-// metadata ops (mkdir/rmdir/unlink/stat/readdir).
+// metadata ops (mkdir/unlink/stat/readdir).
 enum class OpClass : std::size_t { open = 0, close, read, write, meta };
 inline constexpr std::size_t kNumOpClasses = 5;
 std::string_view op_class_name(OpClass c);
@@ -148,7 +148,6 @@ class FaultyFs : public FsClient {
   sim::Task<Result<FragmentList>> read(IoCtx ctx, FileId file, std::uint64_t offset,
                                        std::uint64_t len) override;
   sim::Task<Status> mkdir(IoCtx ctx, std::string path) override;
-  sim::Task<Status> rmdir(IoCtx ctx, std::string path) override;
   sim::Task<Status> unlink(IoCtx ctx, std::string path) override;
   sim::Task<Result<StatInfo>> stat(IoCtx ctx, std::string path) override;
   sim::Task<Result<std::vector<DirEntry>>> readdir(IoCtx ctx, std::string path) override;

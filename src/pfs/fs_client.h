@@ -32,7 +32,6 @@ class FsClient {
                                                std::uint64_t len) = 0;
 
   virtual sim::Task<Status> mkdir(IoCtx ctx, std::string path) = 0;
-  virtual sim::Task<Status> rmdir(IoCtx ctx, std::string path) = 0;
   virtual sim::Task<Status> unlink(IoCtx ctx, std::string path) = 0;
   virtual sim::Task<Result<StatInfo>> stat(IoCtx ctx, std::string path) = 0;
   virtual sim::Task<Result<std::vector<DirEntry>>> readdir(IoCtx ctx, std::string path) = 0;

@@ -5,7 +5,7 @@
 // mechanisms layered on the simulator's shared-truth namespace:
 //
 //   * invalidation-on-mutation: every applied metadata mutation (create,
-//     mkdir, rmdir, unlink) drops the path's cached entries on EVERY
+//     mkdir, unlink) drops the path's cached entries on EVERY
 //     node before the mutator is acked, so a lease never covers a path
 //     that changed underneath it;
 //   * epoch revocation: each metadata group carries an epoch that the

@@ -185,17 +185,6 @@ Status Namespace::mkdir(PathId id) {
   return Status::Ok();
 }
 
-Status Namespace::rmdir(PathId id) {
-  TIO_RETURN_IF_ERROR(parent_status(id));
-  Node& n = nodes_[id];
-  if (!n.present) return error(Errc::not_found, path_of(id));
-  if (!n.is_dir) return error(Errc::not_a_directory, path_of(id));
-  if (n.children > 0) return error(Errc::not_empty, path_of(id));
-  n.present = false;
-  --nodes_[n.parent].children;
-  return Status::Ok();
-}
-
 Result<ObjectId> Namespace::unlink(PathId id) {
   TIO_RETURN_IF_ERROR(parent_status(id));
   Node& n = nodes_[id];
@@ -261,8 +250,6 @@ Status Namespace::mkdir_all(std::string_view path) {
   }
   return Status::Ok();
 }
-
-Status Namespace::rmdir(std::string_view path) { return rmdir(intern(path)); }
 
 Result<ObjectId> Namespace::unlink(std::string_view path) { return unlink(intern(path)); }
 

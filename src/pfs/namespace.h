@@ -12,13 +12,13 @@
 // skipped, as path_normalize does), one hash probe on (parent id, leaf) per
 // step, with no allocation; lookups never insert.
 //
-// Ids are never reused: rmdir and unlink only mark an entry absent, so an
-// id held by an in-flight command or an open file keeps naming the same
-// path, and re-creating the path revives the same id. A present entry's
-// ancestors are always present directories (creates need a present parent
-// directory, rmdir needs an empty one), so `present(id)` alone answers
-// whether the path exists; the root-down walk that names the first missing
-// or non-directory ancestor runs only when a mutation fails.
+// Ids are never reused: unlink only marks an entry absent, so an id held
+// by an in-flight command or an open file keeps naming the same path, and
+// re-creating the path revives the same id. A present entry's ancestors
+// are always present directories (creates need a present parent
+// directory, and directories are never removed), so `present(id)` alone
+// answers whether the path exists; the root-down walk that names the first
+// missing or non-directory ancestor runs only when a mutation fails.
 //
 // The string API (lookup, exists, mkdir_all, ...) resolves to an id and
 // calls the id operation.
@@ -87,7 +87,6 @@ class Namespace {
   // --- id operations ---
   Result<CreateResult> create_file(PathId id, bool excl);
   Status mkdir(PathId id);
-  Status rmdir(PathId id);
   // Removes a file and returns its ObjectId (for store reclamation).
   Result<ObjectId> unlink(PathId id);
   Result<Entry> lookup(PathId id) const;
@@ -102,7 +101,6 @@ class Namespace {
   Status mkdir(std::string_view path);
   // mkdir -p semantics; never fails on existing directories.
   Status mkdir_all(std::string_view path);
-  Status rmdir(std::string_view path);
   Result<ObjectId> unlink(std::string_view path);
   Result<std::vector<DirEntry>> readdir(std::string_view path) const;
   std::uint64_t dir_entry_count(std::string_view path) const;

@@ -100,9 +100,6 @@ MetaApply SimPfs::apply_meta(const MetaCommand& mc) {
     case MetaCommand::Kind::mkdir:
       out.status = ns_.mkdir(mc.path);
       break;
-    case MetaCommand::Kind::rmdir:
-      out.status = ns_.rmdir(mc.path);
-      break;
     case MetaCommand::Kind::unlink: {
       auto removed = ns_.unlink(mc.path);
       if (!removed.ok()) {
@@ -163,17 +160,12 @@ SimPfs::SimPfs(net::Cluster& cluster, PfsConfig config)
     rc.compact_threshold = config_.raft_compact_threshold;
     rc.compact_keep = config_.raft_compact_keep;
     for (std::size_t g = 0; g < config_.num_mds; ++g) {
+      // Replica r of group g lands on node (g + r*groups) % nodes: distinct
+      // nodes per group when the cluster is big enough, offset by group so
+      // leaders scatter.
       std::vector<std::size_t> placement;
-      if (g < config_.raft_placement.size() &&
-          config_.raft_placement[g].size() == rc.replicas) {
-        placement = config_.raft_placement[g];
-        for (std::size_t& n : placement) n %= cluster_.nodes();
-      } else {
-        // Default spread: a group's replicas land on distinct nodes when
-        // the cluster is big enough, offset by group so leaders scatter.
-        for (std::size_t r = 0; r < rc.replicas; ++r) {
-          placement.push_back((g + r * config_.num_mds) % cluster_.nodes());
-        }
+      for (std::size_t r = 0; r < rc.replicas; ++r) {
+        placement.push_back((g + r * config_.num_mds) % cluster_.nodes());
       }
       raft_groups_.push_back(std::make_unique<raft::Group>(engine(), cluster_, *meta_sm_, rc,
                                                            g, std::move(placement)));
@@ -634,7 +626,7 @@ sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64
   co_return o.data.read(offset, len);
 }
 
-// create (in open), mkdir, rmdir and unlink each build one MetaCommand and
+// create (in open), mkdir and unlink each build one MetaCommand and
 // route it through mutate(); apply_meta is what changes the namespace.
 sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
   const Namespace::Resolved r = ns_.resolve(path);
@@ -645,12 +637,6 @@ sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
   }
   const PathId id = r.id != kNoPath ? r.id : ns_.intern(r.parent, r.leaf);
   MetaCommand cmd{MetaCommand::Kind::mkdir, id};
-  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
-  co_return applied.status;
-}
-
-sim::Task<Status> SimPfs::rmdir(IoCtx ctx, std::string path) {
-  MetaCommand cmd{MetaCommand::Kind::rmdir, ns_.intern(path)};
   TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
   co_return applied.status;
 }

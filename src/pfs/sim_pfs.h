@@ -56,7 +56,6 @@ class SimPfs : public FsClient {
   sim::Task<Result<FragmentList>> read(IoCtx ctx, FileId file, std::uint64_t offset,
                                        std::uint64_t len) override;
   sim::Task<Status> mkdir(IoCtx ctx, std::string path) override;
-  sim::Task<Status> rmdir(IoCtx ctx, std::string path) override;
   sim::Task<Status> unlink(IoCtx ctx, std::string path) override;
   sim::Task<Result<StatInfo>> stat(IoCtx ctx, std::string path) override;
   sim::Task<Result<std::vector<DirEntry>>> readdir(IoCtx ctx, std::string path) override;

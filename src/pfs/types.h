@@ -60,7 +60,7 @@ struct DirEntry {
   friend bool operator==(const DirEntry&, const DirEntry&) = default;
 };
 
-// One namespace mutation: what every create/mkdir/rmdir/unlink becomes
+// One namespace mutation: what every create/mkdir/unlink becomes
 // before it travels (alone, in a batch, or in a Raft log entry) and what
 // SimPfs::apply_meta applies to the namespace. The path is the id the op
 // interned at SimPfs's entry; ids are never reused, so it still names the
@@ -69,7 +69,7 @@ struct DirEntry {
 // entry costs its few bytes; the wire size SimPfs::raft_apply charges still
 // counts the normalized path's length, read from the path table.
 struct MetaCommand {
-  enum class Kind : std::uint8_t { create, mkdir, rmdir, unlink };
+  enum class Kind : std::uint8_t { create, mkdir, unlink };
   Kind kind = Kind::create;
   PathId path = kNoPath;
   bool excl = false;
@@ -89,7 +89,7 @@ struct MetaApply {
 // Every Raft log entry is a MetaBatch: an unbatched replicated mutation is
 // a batch of one. Idempotent as a unit because every entry's apply
 // tolerates re-execution (create returns the existing object,
-// mkdir/rmdir/unlink report exists/not_found), and the Raft layer's
+// mkdir/unlink report exists/not_found), and the Raft layer's
 // group-wide applied index already guarantees exactly-once apply per
 // committed index.
 struct MetaBatch {

@@ -77,23 +77,6 @@ plfs::PlfsMount plfs_mount(std::size_t backends, std::size_t num_subdirs) {
   return m;
 }
 
-namespace {
-// Replica r of group g lands on node (g + r*groups) % nodes: distinct nodes
-// per group whenever the cluster is big enough, leaders scattered across
-// groups.
-std::vector<std::vector<std::size_t>> spread_replicas(std::size_t groups,
-                                                      std::size_t replicas,
-                                                      std::size_t nodes) {
-  std::vector<std::vector<std::size_t>> placement(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t r = 0; r < replicas; ++r) {
-      placement[g].push_back((g + r * groups) % nodes);
-    }
-  }
-  return placement;
-}
-}  // namespace
-
 Rig::Rig(Options options)
     : engine_(options.seed),
       cluster_(std::make_unique<net::Cluster>(engine_, options.cluster)) {
@@ -102,10 +85,6 @@ Rig::Rig(Options options)
           options.pfs.num_mds, std::max<std::size_t>(1, options.pfs.mds_replicas));
       !st.ok()) {
     throw std::invalid_argument("fault plan: " + st.message());
-  }
-  if (replicated && options.pfs.raft_placement.empty()) {
-    options.pfs.raft_placement =
-        spread_replicas(options.pfs.num_mds, options.pfs.mds_replicas, options.cluster.nodes);
   }
   pfs_ = std::make_unique<pfs::SimPfs>(*cluster_, options.pfs);
   const std::size_t backends =

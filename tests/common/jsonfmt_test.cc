@@ -4,6 +4,7 @@
 
 #include <clocale>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -55,6 +56,81 @@ TEST(JsonQuote, EscapesMandatoryCharacters) {
   EXPECT_EQ(json_quote("line\nfeed\ttab\rret"), "\"line\\nfeed\\ttab\\rret\"");
   EXPECT_EQ(json_quote(std::string("\x01", 1)), "\"\\u0001\"");
   EXPECT_EQ(json_quote(""), "\"\"");
+}
+
+
+TEST(JsonWriter, NestsObjectsAndArraysWithCommasAndIndent) {
+  JsonWriter w;
+  w.begin_object().field("bench", "demo");
+  w.key("config").begin_object().field("procs", 32).field("flag", true).end_object();
+  w.key("rows").begin_array();
+  for (int i = 0; i < 2; ++i) {
+    w.begin_object().field("i", i).key("cells").begin_array().value(1).value(2).end_array();
+    w.end_object();
+  }
+  w.end_array();
+  w.key("empty_object").begin_object().end_object();
+  w.key("empty_array").begin_array().end_array();
+  w.field("schema", 2).end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"bench\": \"demo\",\n"
+            "  \"config\": {\n"
+            "    \"procs\": 32,\n"
+            "    \"flag\": true\n"
+            "  },\n"
+            "  \"rows\": [\n"
+            "    {\n"
+            "      \"i\": 0,\n"
+            "      \"cells\": [\n"
+            "        1,\n"
+            "        2\n"
+            "      ]\n"
+            "    },\n"
+            "    {\n"
+            "      \"i\": 1,\n"
+            "      \"cells\": [\n"
+            "        1,\n"
+            "        2\n"
+            "      ]\n"
+            "    }\n"
+            "  ],\n"
+            "  \"empty_object\": {},\n"
+            "  \"empty_array\": [],\n"
+            "  \"schema\": 2\n"
+            "}");
+}
+
+TEST(JsonWriter, EscapesStringValuesAndKeys) {
+  JsonWriter w;
+  w.begin_object()
+      .field("fault_plan", "outage=/vol\"9@0-1")
+      .field("prefix", std::string("/v\\x"))
+      .field("tab\tkey", std::string_view("a\nb"))
+      .end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"fault_plan\": \"outage=/vol\\\"9@0-1\",\n"
+            "  \"prefix\": \"/v\\\\x\",\n"
+            "  \"tab\\tkey\": \"a\\nb\"\n"
+            "}");
+}
+
+TEST(JsonWriter, NumbersIntegersBooleansAndNull) {
+  JsonWriter w;
+  w.begin_array()
+      .value(1.5, 3)
+      .value(std::numeric_limits<double>::quiet_NaN(), 3)
+      .value(std::numeric_limits<double>::infinity(), 2)
+      .value(-std::numeric_limits<double>::infinity(), 2)
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(false)
+      .null()
+      .end_array();
+  EXPECT_EQ(w.str(),
+            "[\n  1.500,\n  null,\n  null,\n  null,\n  18446744073709551615,\n"
+            "  -9223372036854775808,\n  false,\n  null\n]");
 }
 
 }  // namespace

@@ -70,7 +70,6 @@ TEST_F(LocalFsTest, ErrnoMapping) {
     EXPECT_TRUE((co_await fs.close(ctx, *fd)).ok());
     EXPECT_EQ((co_await fs.open(ctx, "/d/f", OpenFlags::wr_create_excl())).status().code(),
               Errc::exists);
-    EXPECT_EQ((co_await fs.rmdir(ctx, "/d")).code(), Errc::not_empty);
   }(*fs_, ctx_));
 }
 

@@ -211,7 +211,6 @@ TEST_F(FaultyFsTest, DisabledPlanForwardsEverything) {
     EXPECT_TRUE(fl->content_equals(DataView::pattern(1, 0, 4096)));
     EXPECT_TRUE((co_await fs.close(ctx, *rfd)).ok());
     EXPECT_TRUE((co_await fs.unlink(ctx, "/d/f")).ok());
-    EXPECT_TRUE((co_await fs.rmdir(ctx, "/d")).ok());
   }(fs, ctx_));
 }
 

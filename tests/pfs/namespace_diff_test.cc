@@ -63,8 +63,6 @@ void run_sequence(std::uint64_t seed, int ops) {
         ASSERT_EQ(ns.mkdir_all(path).code(), tree.mkdir_all(path).code());
         break;
       case 4:
-        ASSERT_EQ(ns.rmdir(path).code(), tree.rmdir(path).code());
-        break;
       case 5: {
         const auto got = ns.unlink(path);
         const auto want = tree.unlink(path);
@@ -144,7 +142,6 @@ TEST(NamespaceDiff, IntermediateFileAndMissingParentErrors) {
               tree.create_file(p, false).status().code());
     EXPECT_EQ(ns.mkdir(p).code(), tree.mkdir(p).code());
     EXPECT_EQ(ns.mkdir_all(p).code(), tree.mkdir_all(p).code());
-    EXPECT_EQ(ns.rmdir(p).code(), tree.rmdir(p).code());
     EXPECT_EQ(ns.unlink(p).status().code(), tree.unlink(p).status().code());
     EXPECT_EQ(ns.readdir(p).status().code(), tree.readdir(p).status().code());
   }

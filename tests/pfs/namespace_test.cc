@@ -91,18 +91,6 @@ TEST(Namespace, LookupThroughFileIsNotFound) {
   EXPECT_FALSE(ns.lookup("/f/x").ok());
 }
 
-TEST(Namespace, RmdirSemantics) {
-  Namespace ns;
-  ASSERT_TRUE(ns.mkdir("/d").ok());
-  ASSERT_TRUE(ns.mkdir("/d/sub").ok());
-  EXPECT_EQ(ns.rmdir("/d").code(), Errc::not_empty);
-  ASSERT_TRUE(ns.rmdir("/d/sub").ok());
-  ASSERT_TRUE(ns.rmdir("/d").ok());
-  EXPECT_EQ(ns.rmdir("/d").code(), Errc::not_found);
-  ASSERT_TRUE(ns.create_file("/f", true).ok());
-  EXPECT_EQ(ns.rmdir("/f").code(), Errc::not_a_directory);
-}
-
 TEST(Namespace, UnlinkSemantics) {
   Namespace ns;
   auto created = ns.create_file("/f", true);

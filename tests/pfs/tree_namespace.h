@@ -78,17 +78,6 @@ class TreeNamespace {
     return Status::Ok();
   }
 
-  Status rmdir(std::string_view path) {
-    std::string_view leaf;
-    TIO_ASSIGN_OR_RETURN(Node * parent, parent_of(path, &leaf));
-    const auto it = parent->children.find(leaf);
-    if (it == parent->children.end()) return error(Errc::not_found, std::string(path));
-    if (!it->second->is_dir) return error(Errc::not_a_directory, std::string(path));
-    if (!it->second->children.empty()) return error(Errc::not_empty, std::string(path));
-    parent->children.erase(it);
-    return Status::Ok();
-  }
-
   Result<ObjectId> unlink(std::string_view path) {
     std::string_view leaf;
     TIO_ASSIGN_OR_RETURN(Node * parent, parent_of(path, &leaf));

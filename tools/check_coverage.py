@@ -29,7 +29,7 @@ Allowlist lines are `<function> <Suite.Name>`; `#` starts a comment. The
 function is its qualified name without `tio::` and without parameters, for
 example `pfs::FaultPlan::to_string`; `name(text)` matches only the
 overloads whose demangled parameter list contains `text`, as in
-`pfs::Namespace::rmdir(unsigned int)`. The test, the line's last word, is
+`pfs::Namespace::lookup(string_view)`. The test, the line's last word, is
 the gtest `TEST` (or `TEST_F`/`TEST_P`) that runs the function.
 
 --no-run skips the build and the runs and reads the counts already on disk.
