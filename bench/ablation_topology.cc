@@ -142,13 +142,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   params.index_cpu = Duration::ns(*index_cpu_ns);
-  net::ClusterConfig geom = testbed::lanl_cluster();
-  std::size_t racks = static_cast<std::size_t>(*racks_flag);
-  if (racks == 0) racks = std::max<std::size_t>(1, geom.nodes / 8);
-  if (geom.nodes % racks != 0) {
-    std::fprintf(stderr, "--racks=%zu does not divide nodes=%zu\n", racks, geom.nodes);
-    return 1;
-  }
+  const net::ClusterConfig geom = testbed::lanl_cluster();
+  const std::size_t racks = bench::racks_or_die(*racks_flag, geom.nodes);
   params.racks = racks;
   const int n = params.n;
 

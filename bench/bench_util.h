@@ -238,6 +238,23 @@ inline TopologyFlags add_topology_flags(FlagSet& flags) {
   return t;
 }
 
+// Resolves a --racks value for a cluster of `nodes`: 0 picks nodes/8, at
+// least 1. Exits with a usage message for a negative count or one that
+// does not divide the nodes.
+inline std::size_t racks_or_die(std::int64_t value, std::size_t nodes) {
+  if (value < 0) {
+    std::fprintf(stderr, "--racks must be >= 0 (got %lld)\n", static_cast<long long>(value));
+    std::exit(1);
+  }
+  std::size_t racks = static_cast<std::size_t>(value);
+  if (racks == 0) racks = std::max<std::size_t>(1, nodes / 8);
+  if (nodes % racks != 0) {
+    std::fprintf(stderr, "--racks=%zu does not divide nodes=%zu\n", racks, nodes);
+    std::exit(1);
+  }
+  return racks;
+}
+
 // Validates the topology flags and applies them onto a ClusterConfig.
 inline void apply_topology(const TopologyFlags& t, net::ClusterConfig& cluster) {
   net::TopologyKind kind = net::TopologyKind::flat;
@@ -247,23 +264,12 @@ inline void apply_topology(const TopologyFlags& t, net::ClusterConfig& cluster) 
     std::exit(1);
   }
   cluster.topology = kind;
-  if (*t.racks < 0) {
-    std::fprintf(stderr, "--racks must be >= 0 (got %lld)\n", static_cast<long long>(*t.racks));
-    std::exit(1);
-  }
+  cluster.racks = racks_or_die(*t.racks, cluster.nodes);
   if (!(std::isfinite(*t.oversubscription) && *t.oversubscription > 0)) {
     std::fprintf(stderr, "--oversubscription must be finite and > 0\n");
     std::exit(1);
   }
   cluster.oversubscription = *t.oversubscription;
-  std::size_t racks = static_cast<std::size_t>(*t.racks);
-  if (racks == 0) racks = std::max<std::size_t>(1, cluster.nodes / 8);
-  cluster.racks = racks;
-  if (cluster.nodes % cluster.racks != 0) {
-    std::fprintf(stderr, "--racks=%zu does not divide nodes=%zu\n", cluster.racks,
-                 cluster.nodes);
-    std::exit(1);
-  }
 }
 
 // Shared --shards flag: how many OS threads to spread independent

@@ -4,7 +4,8 @@
 // The headline number is the global-index build: k-way merge of per-writer
 // sorted runs plus the FlatIndex offset sweep, at 10k/100k/1M entries.
 // After the run a serialized-size report (raw 40-byte records vs the
-// pattern-compressed encoding) and the plfs.index.* counters are printed.
+// pattern-compressed encoding) is printed, then the shared counter dump
+// (bench::print_counters, on stderr).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/trace.h"
 #include "plfs/index.h"
 #include "plfs/index_builder.h"
 #include "plfs/pattern.h"
@@ -193,26 +193,13 @@ int main(int argc, char** argv) {
   // The index microbenches are host-CPU work, so the trace holds whatever
   // simulated spans ran (usually none) — the flag exists for tooling
   // uniformity and always yields a valid, loadable document.
-  if (!trace_path.empty()) tio::trace::Tracer::instance().set_enabled(true);
+  tio::bench::start_trace(trace_path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!trace_path.empty()) {
-    if (!tio::trace::Tracer::instance().write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "failed to write trace to %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "trace: %zu spans -> %s\n",
-                 tio::trace::Tracer::instance().span_count(), trace_path.c_str());
-  }
+  tio::bench::finish_trace(trace_path);
   tio::plfs::print_size_report(static_cast<std::size_t>(shards));
-  const auto counters = tio::counter_snapshot("plfs.index");
-  if (!counters.empty()) {
-    std::printf("\n-- plfs.index counters --\n");
-    for (const auto& [name, value] : counters) {
-      std::printf("%-32s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-    }
-  }
+  tio::bench::print_counters();
   return 0;
 }

@@ -9,11 +9,11 @@
 //   --trace=FILE   write Chrome trace-event JSON of the simulated spans
 //   --shards=N     largest shard count the shard-pool benchmark sweeps to
 //                  (validated by bench::shards_or_die, like the fig benches)
-// Results feed BENCH_sim.json; after the run the sim.engine.* counters are
-// printed so pool hit rates are visible next to the throughput numbers.
+// Results feed BENCH_sim.json; after the run the shared counter dump
+// (bench::print_counters, on stderr) shows the pool hit rates next to the
+// throughput numbers.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -23,7 +23,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/trace.h"
 #include "pfs/extent_map.h"
 #include "sim/engine.h"
 #include "sim/fairshare.h"
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
     }
   }
   tio::sim::register_sharded_benchmarks(tio::bench::shards_or_die(shards));
-  if (!trace_path.empty()) tio::trace::Tracer::instance().set_enabled(true);
+  tio::bench::start_trace(trace_path);
   std::vector<char*> bench_argv;
   bench_argv.reserve(rewritten.size());
   for (auto& s : rewritten) bench_argv.push_back(s.data());
@@ -181,22 +180,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!trace_path.empty()) {
-    if (!tio::trace::Tracer::instance().write_chrome_json(trace_path)) {
-      std::fprintf(stderr, "failed to write trace to %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "trace: %zu spans -> %s\n",
-                 tio::trace::Tracer::instance().span_count(), trace_path.c_str());
-  }
-  auto counters = tio::counter_snapshot("sim.engine");
-  const auto spills = tio::counter_snapshot("common.fn");
-  counters.insert(counters.end(), spills.begin(), spills.end());
-  if (!counters.empty()) {
-    std::printf("\n-- sim.engine counters --\n");
-    for (const auto& [name, value] : counters) {
-      std::printf("%-36s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
-    }
-  }
+  tio::bench::finish_trace(trace_path);
+  tio::bench::print_counters();
   return 0;
 }

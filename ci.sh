@@ -351,14 +351,22 @@ python3 tools/check_coverage.py
 echo "==> checked-in bench result files must parse and summarize"
 python3 tools/bench_report.py
 
-echo "==> repository benchmark smoke: every workload must report correct"
+echo "==> repository benchmark smoke: every workload must report correct and its pinned digest"
 # The benchmark driver builds perfbench/driver.cc against src/, so a src/
 # API change that breaks it fails here rather than in a benchmark run.
+# Each workload's seed-1 digest (a hash of its simulated outputs) is pinned
+# in tests/golden/perfbench_digests.txt, so a host-side speed-up that moves
+# a simulated output fails here; a deliberate model change updates the
+# file with the digests the runs print.
 for workload in n1_ckpt_restart nn_create_storm cb_kernel_tor; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
     >"$out/perfbench_$workload.txt"
   grep -q '"correct": true' "$out/perfbench_$workload.txt" \
     || { echo "benchmark workload $workload not correct"; cat "$out/perfbench_$workload.txt"; exit 1; }
+  pinned=$(awk -v w="$workload" '$1 == w { print $2 }' tests/golden/perfbench_digests.txt)
+  got=$(sed -n 's/^#.* digest=//p' "$out/perfbench_$workload.txt")
+  [ -n "$pinned" ] && [ "$got" = "$pinned" ] \
+    || { echo "benchmark workload $workload digest $got, pinned ${pinned:-none}"; exit 1; }
 done
 
 echo "==> ci.sh: all green"

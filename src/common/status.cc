@@ -9,7 +9,6 @@ std::string_view errc_name(Errc e) {
     case Errc::exists: return "EXISTS";
     case Errc::not_a_directory: return "NOT_A_DIRECTORY";
     case Errc::is_a_directory: return "IS_A_DIRECTORY";
-    case Errc::not_empty: return "NOT_EMPTY";
     case Errc::invalid: return "INVALID";
     case Errc::bad_handle: return "BAD_HANDLE";
     case Errc::busy: return "BUSY";

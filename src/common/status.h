@@ -23,7 +23,6 @@ enum class Errc : std::uint8_t {
   exists,          // EEXIST
   not_a_directory, // ENOTDIR
   is_a_directory,  // EISDIR
-  not_empty,       // ENOTEMPTY
   invalid,         // EINVAL
   bad_handle,      // EBADF
   busy,            // EBUSY

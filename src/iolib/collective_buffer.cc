@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <span>
 #include <utility>
 
 #include "common/stats.h"
@@ -93,19 +93,61 @@ void split_over_domains(const Extent& ext, int num_aggs, std::uint64_t offset,
   }
 }
 
-// Adds [s, e) to a start->end union map, merging overlaps and adjacency.
-void merge_range(std::map<std::uint64_t, std::uint64_t>& runs, std::uint64_t s,
-                 std::uint64_t e) {
-  auto it = runs.lower_bound(s);
-  if (it != runs.begin() && std::prev(it)->second >= s) --it;
-  std::uint64_t ns = s;
-  std::uint64_t ne = e;
-  while (it != runs.end() && it->first <= ne) {
-    ns = std::min(ns, it->first);
-    ne = std::max(ne, it->second);
-    it = runs.erase(it);
+// Per-aggregator lists in one flat buffer: aggregator j's items are
+// items[start[j], start[j + 1]), in the order they were split.
+template <class T>
+struct PerAgg {
+  std::vector<std::uint32_t> start;  // num_aggs + 1 offsets into items
+  std::vector<T> items;
+  std::span<T> of(int j) {
+    return {items.data() + start[j], items.data() + start[j + 1]};
   }
-  runs[ns] = ne;
+  std::span<const T> of(int j) const {
+    return {items.data() + start[j], items.data() + start[j + 1]};
+  }
+};
+
+// Splits each of `n` requests over the aggregator domains: range_of(i)
+// gives request i's (offset, len), make(i, pos, take) builds one piece. A
+// counting pass sizes the buffer, then a second pass fills it, so the
+// pieces of one aggregator keep request order.
+template <class T, class RangeOf, class Make>
+PerAgg<T> split_all(const Extent& ext, int num_aggs, std::size_t n, RangeOf range_of,
+                    Make make) {
+  PerAgg<T> out;
+  out.start.assign(static_cast<std::size_t>(num_aggs) + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [off, len] = range_of(i);
+    split_over_domains(ext, num_aggs, off, len,
+                       [&](int j, std::uint64_t, std::uint64_t) { ++out.start[j + 1]; });
+  }
+  for (int j = 0; j < num_aggs; ++j) out.start[j + 1] += out.start[j];
+  std::vector<std::uint32_t> cursor(out.start.begin(), out.start.end() - 1);
+  out.items.resize(out.start.back());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [off, len] = range_of(i);
+    split_over_domains(ext, num_aggs, off, len, [&](int j, std::uint64_t pos, std::uint64_t take) {
+      out.items[cursor[j]++] = make(i, pos, take);
+    });
+  }
+  return out;
+}
+
+// Sorts `ranges` by offset and merges overlapping or touching ones: the
+// union as sorted, disjoint, non-adjacent runs.
+void coalesce(std::vector<CbRange>& ranges) {
+  std::sort(ranges.begin(), ranges.end(),
+            [](const CbRange& a, const CbRange& b) { return a.offset < b.offset; });
+  std::size_t n = 0;
+  for (const CbRange& r : ranges) {
+    if (n > 0 && ranges[n - 1].offset + ranges[n - 1].len >= r.offset) {
+      CbRange& last = ranges[n - 1];
+      last.len = std::max(last.offset + last.len, r.offset + r.len) - last.offset;
+    } else {
+      ranges[n++] = r;
+    }
+  }
+  ranges.resize(n);
 }
 
 // Drains an extent map into its coalesced runs as chunks.
@@ -150,18 +192,15 @@ void note_msg(const mpi::Comm& comm, int dst, std::uint64_t data_bytes) {
   }
 }
 
-// Aggregator read staging: merge-sieve the requested runs, read each group
-// in buffer_bytes-capped operations, stage into `staged` (short reads
-// leave holes; ExtentMap zero-fills them on read).
-sim::Task<Status> stage_runs(const std::map<std::uint64_t, std::uint64_t>& runs,
-                             const CbConfig& config, const ReadFn& read_at,
-                             pfs::ExtentMap* staged) {
-  std::vector<CbRange> list;
-  list.reserve(runs.size());
-  for (const auto& [s, e] : runs) list.push_back(CbRange{s, e - s});
-  cbc().read_runs.add(list.size());
+// Aggregator read staging: sieve the requested runs (sorted, disjoint,
+// non-adjacent, as coalesce() leaves them), read each group in
+// buffer_bytes-capped operations, stage into `staged` (short reads leave
+// holes; ExtentMap zero-fills them on read).
+sim::Task<Status> stage_runs(const std::vector<CbRange>& runs, const CbConfig& config,
+                             const ReadFn& read_at, pfs::ExtentMap* staged) {
+  cbc().read_runs.add(runs.size());
   CbSieveStats sieve;
-  const std::vector<CbRange> groups = cb_sieve_groups(list, config.sieve_threshold, &sieve);
+  const std::vector<CbRange> groups = cb_sieve_groups(runs, config.sieve_threshold, &sieve);
   cbc().sieve_joins.add(sieve.joins);
   cbc().sieve_hole_bytes.add(sieve.hole_bytes);
   for (const auto& g : groups) {
@@ -272,14 +311,14 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
   const int me = comm.rank();
 
   // Split my chunks across aggregator domains.
-  std::vector<std::vector<CbChunk>> outgoing(num_aggs);
-  for (auto& c : mine) {
-    split_over_domains(ext, num_aggs, c.offset, c.data.size(),
-                       [&](int j, std::uint64_t pos, std::uint64_t take) {
-                         outgoing[j].push_back(
-                             CbChunk{pos, c.data.slice(pos - c.offset, take)});
-                       });
-  }
+  PerAgg<CbChunk> split = split_all<CbChunk>(
+      ext, num_aggs, mine.size(),
+      [&mine](std::size_t i) { return std::pair(mine[i].offset, mine[i].data.size()); },
+      [&mine](std::size_t i, std::uint64_t pos, std::uint64_t take) {
+        return CbChunk{pos, mine[i].data.slice(pos - mine[i].offset, take)};
+      });
+  mine = {};  // the pieces hold their own views
+  std::vector<std::vector<CbChunk>> outgoing(num_aggs);  // leader only: merged, per aggregator
 
   pfs::ExtentMap staged;
 
@@ -292,31 +331,23 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
     trace::Span gather(engine, kGather, grank);
     if (me != leader) {
       std::uint64_t bytes = 0;
-      for (const auto& per_agg : outgoing) {
-        for (const auto& c : per_agg) bytes += c.data.size() + 16;
-      }
+      for (const auto& c : split.items) bytes += c.data.size() + 16;
       note_msg(comm, leader, bytes);
-      co_await comm.send(leader, kCbTagIntraW, std::move(outgoing), bytes);
-      outgoing.assign(num_aggs, {});
+      co_await comm.send(leader, kCbTagIntraW, std::move(split), bytes);
     } else {
       std::vector<pfs::ExtentMap> merged(num_aggs);
       std::uint64_t chunks_in = 0;
-      for (int j = 0; j < num_aggs; ++j) {
-        for (auto& c : outgoing[j]) {
-          ++chunks_in;
-          merged[j].write(c.offset, std::move(c.data));
+      const auto merge = [&merged, &chunks_in, num_aggs](PerAgg<CbChunk>& part) {
+        chunks_in += part.items.size();
+        for (int j = 0; j < num_aggs; ++j) {
+          for (auto& c : part.of(j)) merged[j].write(c.offset, std::move(c.data));
         }
-      }
+      };
+      merge(split);
       const std::vector<int>& residents = plan.members(plan.my_group);
       for (std::size_t i = 1; i < residents.size(); ++i) {
-        auto theirs = co_await comm.recv<std::vector<std::vector<CbChunk>>>(
-            residents[i], kCbTagIntraW);
-        for (int j = 0; j < num_aggs; ++j) {
-          for (auto& c : theirs[j]) {
-            ++chunks_in;
-            merged[j].write(c.offset, std::move(c.data));
-          }
-        }
+        auto theirs = co_await comm.recv<PerAgg<CbChunk>>(residents[i], kCbTagIntraW);
+        merge(theirs);
       }
       cbc().node_reqs_in.add(chunks_in);
       for (int j = 0; j < num_aggs; ++j) {
@@ -413,47 +444,47 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
     std::uint64_t offset;
     std::uint64_t len;
   };
-  std::vector<std::vector<Piece>> outgoing(num_aggs);
-  for (std::uint32_t i = 0; i < wants.size(); ++i) {
-    split_over_domains(ext, num_aggs, wants[i].offset, wants[i].len,
-                       [&](int j, std::uint64_t pos, std::uint64_t take) {
-                         outgoing[j].push_back(Piece{i, pos, take});
-                       });
-  }
+  PerAgg<Piece> outgoing = split_all<Piece>(
+      ext, num_aggs, wants.size(),
+      [&wants](std::size_t i) { return std::pair(wants[i].offset, wants[i].len); },
+      [](std::size_t i, std::uint64_t pos, std::uint64_t take) {
+        return Piece{static_cast<std::uint32_t>(i), pos, take};
+      });
 
   // The exchange's buffers live in this block and are released before the
   // trailing barrier; holding them through it raises the peak footprint.
   {
     // Members keep their piece lists: the leader replies with slices in the
     // same flattened (j-ascending, then list) order.
-    const std::vector<std::vector<Piece>> my_pieces =
-        me != leader ? outgoing : std::vector<std::vector<Piece>>{};
-    // Reassembles one rank's (piece, data) pairs into `out`: offset sort per
-    // want, zero-pad pieces the aggregator could not fully satisfy.
-    const auto assemble = [&wants, out](std::vector<std::pair<Piece, FragmentList>> pieces) {
-      std::vector<std::vector<std::pair<Piece, FragmentList>>> by_want(wants.size());
-      for (auto& pr : pieces) by_want[pr.first.want].push_back(std::move(pr));
-      for (std::uint32_t i = 0; i < wants.size(); ++i) {
-        auto& v = by_want[i];
-        std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
-          return a.first.offset < b.first.offset;
-        });
-        for (auto& [p, fl] : v) {
-          for (const auto& frag : fl.fragments()) (*out)[i].append(frag);
-          if (fl.size() < p.len) (*out)[i].append(DataView::zeros(p.len - fl.size()));
+    const PerAgg<Piece> my_pieces = me != leader ? outgoing : PerAgg<Piece>{};
+    // Reassembles one rank's (piece, data) pairs into `out`: one sort by
+    // (want, offset), zero-padding pieces the aggregator could not fully
+    // satisfy. A want's first piece moves in whole.
+    const auto assemble = [out](std::vector<std::pair<Piece, FragmentList>>& pieces) {
+      std::sort(pieces.begin(), pieces.end(), [](const auto& a, const auto& b) {
+        return a.first.want != b.first.want ? a.first.want < b.first.want
+                                            : a.first.offset < b.first.offset;
+      });
+      for (auto& [p, fl] : pieces) {
+        FragmentList& dst = (*out)[p.want];
+        const std::uint64_t got = fl.size();
+        if (dst.empty()) {
+          dst = std::move(fl);
+        } else {
+          for (const auto& frag : fl.fragments()) dst.append(frag);
         }
+        if (got < p.len) dst.append(DataView::zeros(p.len - got));
       }
     };
 
     // Phase 0: group members hand piece lists to the group leader, which
     // coalesces them into per-aggregator run lists.
-    std::vector<std::vector<std::vector<Piece>>> member_pieces;  // leader only
-    std::vector<std::vector<CbRange>> group_runs(num_aggs);      // leader only
+    std::vector<PerAgg<Piece>> member_pieces;               // leader only
+    std::vector<std::vector<CbRange>> group_runs(num_aggs);  // leader only
     {
       trace::Span gather(engine, kGather, grank);
       if (me != leader) {
-        std::uint64_t pieces = 0;
-        for (const auto& per_agg : outgoing) pieces += per_agg.size();
+        const std::uint64_t pieces = outgoing.items.size();
         note_msg(comm, leader, 0);
         co_await comm.send(leader, kCbTagIntraR, std::move(outgoing), pieces * 24);
       } else {
@@ -461,21 +492,19 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         member_pieces.resize(residents.size());
         member_pieces[0] = std::move(outgoing);
         for (std::size_t i = 1; i < residents.size(); ++i) {
-          member_pieces[i] = co_await comm.recv<std::vector<std::vector<Piece>>>(
-              residents[i], kCbTagIntraR);
+          member_pieces[i] = co_await comm.recv<PerAgg<Piece>>(residents[i], kCbTagIntraR);
         }
         std::uint64_t pieces_in = 0;
+        std::vector<CbRange> runs;  // scratch, reused per aggregator
         for (int j = 0; j < num_aggs; ++j) {
-          std::map<std::uint64_t, std::uint64_t> merged;
+          runs.clear();
           for (const auto& member : member_pieces) {
-            for (const auto& p : member[j]) {
-              ++pieces_in;
-              merge_range(merged, p.offset, p.offset + p.len);
-            }
+            for (const Piece& p : member.of(j)) runs.push_back(CbRange{p.offset, p.len});
           }
-          group_runs[j].reserve(merged.size());
-          for (const auto& [s, e] : merged) group_runs[j].push_back(CbRange{s, e - s});
-          cbc().node_reqs_out.add(group_runs[j].size());
+          pieces_in += runs.size();
+          coalesce(runs);
+          group_runs[j].assign(runs.begin(), runs.end());
+          cbc().node_reqs_out.add(runs.size());
         }
         cbc().node_reqs_in.add(pieces_in);
       }
@@ -504,10 +533,14 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
 
     pfs::ExtentMap staged;  // aggregator only
     if (my_j >= 0) {
-      std::map<std::uint64_t, std::uint64_t> runs;
+      std::size_t total = 0;
+      for (const auto& per_group : agg_requests) total += per_group.size();
+      std::vector<CbRange> runs;
+      runs.reserve(total);
       for (const auto& per_group : agg_requests) {
-        for (const auto& r : per_group) merge_range(runs, r.offset, r.offset + r.len);
+        runs.insert(runs.end(), per_group.begin(), per_group.end());
       }
+      coalesce(runs);
       trace::Span pfs(engine, kPfs, grank);
       TIO_CO_RETURN_IF_ERROR(co_await stage_runs(runs, config, read_at, &staged));
     }
@@ -548,35 +581,30 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         const std::vector<int>& residents = plan.members(plan.my_group);
         for (std::size_t i = 1; i < residents.size(); ++i) {
           std::vector<FragmentList> slices;
+          slices.reserve(member_pieces[i].items.size());
           std::uint64_t bytes = 0;
-          for (int j = 0; j < num_aggs; ++j) {
-            for (const auto& p : member_pieces[i][j]) {
-              slices.push_back(restaged.read(p.offset, p.len));
-              bytes += slices.back().size();
-            }
+          for (const Piece& p : member_pieces[i].items) {
+            slices.push_back(restaged.read(p.offset, p.len));
+            bytes += slices.back().size();
           }
           note_msg(comm, residents[i], bytes);
           co_await comm.send(residents[i], kCbTagFanout, std::move(slices), bytes);
         }
         // The leader's own pieces, straight out of the restaged map.
         std::vector<std::pair<Piece, FragmentList>> mine;
-        for (int j = 0; j < num_aggs; ++j) {
-          for (const auto& p : member_pieces[0][j]) {
-            mine.emplace_back(p, restaged.read(p.offset, p.len));
-          }
+        mine.reserve(member_pieces[0].items.size());
+        for (const Piece& p : member_pieces[0].items) {
+          mine.emplace_back(p, restaged.read(p.offset, p.len));
         }
-        assemble(std::move(mine));
+        assemble(mine);
       } else {
         auto slices = co_await comm.recv<std::vector<FragmentList>>(leader, kCbTagFanout);
         std::vector<std::pair<Piece, FragmentList>> mine;
-        std::size_t k = 0;
-        for (int j = 0; j < num_aggs; ++j) {
-          for (const auto& p : my_pieces[j]) {
-            mine.emplace_back(p, std::move(slices[k]));
-            ++k;
-          }
+        mine.reserve(my_pieces.items.size());
+        for (std::size_t k = 0; k < my_pieces.items.size(); ++k) {
+          mine.emplace_back(my_pieces.items[k], std::move(slices[k]));
         }
-        assemble(std::move(mine));
+        assemble(mine);
       }
     }
   }

@@ -24,7 +24,6 @@ Errc errc_from_errno(int err) {
     case EEXIST: return Errc::exists;
     case ENOTDIR: return Errc::not_a_directory;
     case EISDIR: return Errc::is_a_directory;
-    case ENOTEMPTY: return Errc::not_empty;
     case EACCES: return Errc::permission;
     case EBADF: return Errc::bad_handle;
     case ENOSPC: return Errc::no_space;

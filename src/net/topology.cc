@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -65,17 +64,88 @@ std::size_t FlowNet::RouteKeyHash::operator()(const RouteKey& k) const {
       hash_combine(hash_combine(k[0], k[1]), hash_combine(k[2], k[3])));
 }
 
+void FlowNet::LinkHeap::clear(std::size_t num_links) {
+  entries_.clear();
+  pos_.resize(num_links);
+}
+
+void FlowNet::LinkHeap::append(double share, std::uint32_t link) {
+  pos_[link] = static_cast<std::uint32_t>(entries_.size());
+  entries_.emplace_back(share, link);
+}
+
+void FlowNet::LinkHeap::heapify() {
+  for (std::size_t i = entries_.size() / 2; i-- > 0;) sift_down(i);
+}
+
+void FlowNet::LinkHeap::update(std::uint32_t link, double share) {
+  const std::size_t i = pos_[link];
+  const double old = entries_[i].first;
+  entries_[i].first = share;
+  if (share < old) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+}
+
+void FlowNet::LinkHeap::erase(std::uint32_t link) {
+  const std::size_t i = pos_[link];
+  const Entry removed = entries_[i];
+  const Entry last = entries_.back();
+  entries_.pop_back();
+  if (i == entries_.size()) return;
+  place(i, last);
+  if (last < removed) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+}
+
+void FlowNet::LinkHeap::place(std::size_t i, const Entry& e) {
+  entries_[i] = e;
+  pos_[e.second] = static_cast<std::uint32_t>(i);
+}
+
+void FlowNet::LinkHeap::sift_up(std::size_t i) {
+  const Entry e = entries_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e < entries_[parent])) break;
+    place(i, entries_[parent]);
+    i = parent;
+  }
+  place(i, e);
+}
+
+void FlowNet::LinkHeap::sift_down(std::size_t i) {
+  const Entry e = entries_[i];
+  const std::size_t n = entries_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && entries_[child + 1] < entries_[child]) ++child;
+    if (!(entries_[child] < e)) break;
+    place(i, entries_[child]);
+    i = child;
+  }
+  place(i, e);
+}
+
 // Each round freezes the flows of one bottleneck link, so a scan over every
 // link and flow per round would cost O(rounds x (flows + links)). Instead
 // the items crossing each link are bucketed once, and the candidate
-// bottlenecks sit in a min-heap keyed on (share, link index) — the same
-// order the scan's "smallest share, lowest index" rule picks. A link's key
-// is pushed again whenever its residual or load changes; an entry whose
-// share no longer matches the link's current residual / load is stale and
-// skipped. Every flow a round freezes takes the same share off each of its
-// links, so the order flows freeze in, and how they are grouped into
-// items, cannot change a residual: the rates are bit-identical to the
-// textbook scan that freezes one flow at a time.
+// bottlenecks sit in an indexed min-heap (LinkHeap) keyed on (share, link
+// index) — the same order the scan's "smallest share, lowest index" rule
+// picks. Each loaded link has exactly one entry: a round re-keys, in place,
+// every link whose residual and load it changed, and removes the links it
+// left without unfrozen flows (the bottleneck among them). The keys are
+// unique, so the heap pops the bottlenecks in the scan's order. Every flow
+// a round freezes takes the same share off each of its links, so the order
+// flows freeze in, and how they are grouped into items, cannot change a
+// residual: the rates are bit-identical to the textbook scan that freezes
+// one flow at a time.
 template <class PathOf, class WeightOf, class SetRate>
 void FlowNet::water_fill(std::span<const double> capacity, std::size_t num_items,
                          PathOf path_of, WeightOf weight_of, SetRate set_rate, FillScratch& s) {
@@ -120,22 +190,14 @@ void FlowNet::water_fill(std::span<const double> capacity, std::size_t num_items
     }
   }
 
-  using Candidate = std::pair<double, std::uint32_t>;
-  const auto later = std::greater<Candidate>();
-  s.heap.clear();
+  s.heap.clear(capacity.size());
   for (const std::uint32_t l : s.touched) {
-    s.heap.emplace_back(s.residual[l] / static_cast<double>(s.load[l]), l);
+    s.heap.append(s.residual[l] / static_cast<double>(s.load[l]), l);
   }
-  std::make_heap(s.heap.begin(), s.heap.end(), later);
+  s.heap.heapify();
   while (unfrozen > 0) {
     assert(!s.heap.empty() && "every unfrozen flow crosses a loaded link");
-    std::pop_heap(s.heap.begin(), s.heap.end(), later);
-    const auto [share, bottleneck] = s.heap.back();
-    s.heap.pop_back();
-    if (s.load[bottleneck] == 0 ||
-        s.residual[bottleneck] / static_cast<double>(s.load[bottleneck]) != share) {
-      continue;  // stale candidate
-    }
+    const auto [share, bottleneck] = s.heap.top();
     assert(share > 0 && "max-min share must stay positive on positive capacities");
     const std::uint32_t slot = s.slot[bottleneck];
     for (std::uint32_t k = s.start[slot]; k < s.start[slot + 1]; ++k) {
@@ -157,8 +219,9 @@ void FlowNet::water_fill(std::span<const double> capacity, std::size_t num_items
         for (std::uint64_t k = s.pending[l]; k > 0 && s.residual[l] > 0; --k) {
           s.residual[l] = std::max(0.0, s.residual[l] - share);
         }
-        s.heap.emplace_back(s.residual[l] / static_cast<double>(s.load[l]), l);
-        std::push_heap(s.heap.begin(), s.heap.end(), later);
+        s.heap.update(l, s.residual[l] / static_cast<double>(s.load[l]));
+      } else if (unfrozen > 0) {  // after the last round the heap is never read
+        s.heap.erase(l);
       }
       s.pending[l] = 0;
     }

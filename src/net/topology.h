@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -148,6 +149,30 @@ class FlowNet {
     std::uint32_t hops;
     RouteKey links;
   };
+  // The candidate bottlenecks of a water-filling pass: a binary min-heap
+  // on (share, link) holding one entry per link that still has unfrozen
+  // flows. An entry is re-keyed in place when its link's share moves and
+  // removed when the link's last unfrozen flow freezes.
+  class LinkHeap {
+   public:
+    using Entry = std::pair<double, std::uint32_t>;  // (share, link)
+    // Drops every entry; `num_links` bounds the link indices to come.
+    void clear(std::size_t num_links);
+    // Adds an entry out of heap order; heapify() restores the order.
+    void append(double share, std::uint32_t link);
+    void heapify();
+    bool empty() const { return entries_.empty(); }
+    const Entry& top() const { return entries_.front(); }
+    void update(std::uint32_t link, double share);
+    void erase(std::uint32_t link);
+
+   private:
+    void place(std::size_t i, const Entry& e);
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> pos_;  // link -> index into entries_
+  };
   // Water-filling scratch, reused across passes. Only links some flow
   // crosses are touched; `load` and `pending` are all zeros again when a
   // pass ends.
@@ -162,7 +187,7 @@ class FlowNet {
     std::vector<std::uint32_t> cursor;
     std::vector<std::uint32_t> members;   // items crossing each touched link
     std::vector<char> frozen;
-    std::vector<std::pair<double, std::uint32_t>> heap;  // (share, link) candidates
+    LinkHeap heap;
   };
 
   // The one max-min routine behind max_min_rates and the live recompute.

@@ -52,6 +52,24 @@ iolib::ReadFn bind_read(Target& target) {
   };
 }
 
+// One rank's records as collective-buffering chunks of pattern data, and
+// as the ranges that read them back.
+std::vector<iolib::CbChunk> cb_chunks(const std::vector<IoOp>& ops, std::uint64_t seed) {
+  std::vector<iolib::CbChunk> chunks;
+  chunks.reserve(ops.size());
+  for (const auto& op : ops) {
+    chunks.push_back(iolib::CbChunk{op.offset, DataView::pattern(seed, op.offset, op.len)});
+  }
+  return chunks;
+}
+
+std::vector<iolib::CbRange> cb_ranges(const std::vector<IoOp>& ops) {
+  std::vector<iolib::CbRange> wants;
+  wants.reserve(ops.size());
+  for (const auto& op : ops) wants.push_back(iolib::CbRange{op.offset, op.len});
+  return wants;
+}
+
 }  // namespace
 
 JobSpec pixie3d(int nprocs, std::uint64_t bytes_per_proc, int nvars, TargetOptions target) {
@@ -133,17 +151,11 @@ JobSpec lanl3(int nprocs, std::uint64_t total_bytes, TargetOptions target,
   const std::uint64_t seed = spec.seed;
 
   spec.write_fn = [gen, cb, seed](mpi::Comm& comm, Target& t) -> sim::Task<Status> {
-    std::vector<iolib::CbChunk> chunks;
-    for (const auto& op : gen(comm.rank(), comm.size())) {
-      chunks.push_back(iolib::CbChunk{op.offset, DataView::pattern(seed, op.offset, op.len)});
-    }
+    std::vector<iolib::CbChunk> chunks = cb_chunks(gen(comm.rank(), comm.size()), seed);
     co_return co_await iolib::cb_write(comm, cb, std::move(chunks), bind_write(t));
   };
   spec.read_fn = [gen, cb, seed](mpi::Comm& comm, Target& t) -> sim::Task<Status> {
-    std::vector<iolib::CbRange> wants;
-    for (const auto& op : gen(comm.rank(), comm.size())) {
-      wants.push_back(iolib::CbRange{op.offset, op.len});
-    }
+    const std::vector<iolib::CbRange> wants = cb_ranges(gen(comm.rank(), comm.size()));
     std::vector<FragmentList> got;
     TIO_CO_RETURN_IF_ERROR(co_await iolib::cb_read(comm, cb, wants, bind_read(t), &got));
     for (std::size_t i = 0; i < wants.size(); ++i) {
@@ -177,17 +189,11 @@ JobSpec noncontig(int nprocs, std::uint64_t total_bytes, std::uint64_t field,
   const std::uint64_t seed = spec.seed;
 
   spec.write_fn = [gen, cb, seed](mpi::Comm& comm, Target& t) -> sim::Task<Status> {
-    std::vector<iolib::CbChunk> chunks;
-    for (const auto& op : gen(comm.rank(), comm.size())) {
-      chunks.push_back(iolib::CbChunk{op.offset, DataView::pattern(seed, op.offset, op.len)});
-    }
+    std::vector<iolib::CbChunk> chunks = cb_chunks(gen(comm.rank(), comm.size()), seed);
     co_return co_await iolib::cb_write(comm, cb, std::move(chunks), bind_write(t));
   };
   spec.read_fn = [gen, cb, seed](mpi::Comm& comm, Target& t) -> sim::Task<Status> {
-    std::vector<iolib::CbRange> wants;
-    for (const auto& op : gen(comm.rank(), comm.size())) {
-      wants.push_back(iolib::CbRange{op.offset, op.len});
-    }
+    const std::vector<iolib::CbRange> wants = cb_ranges(gen(comm.rank(), comm.size()));
     std::vector<FragmentList> got;
     TIO_CO_RETURN_IF_ERROR(co_await iolib::cb_read(comm, cb, wants, bind_read(t), &got));
     for (std::size_t i = 0; i < wants.size(); ++i) {

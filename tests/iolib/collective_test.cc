@@ -73,11 +73,36 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> uneven_shape(int rank, int 
   return ops;
 }
 
+// Records that overlap other ranks' records, touch end to end, and come
+// out of offset order within a rank, so the exchange must union the
+// requests (sort and coalesce) and rebuild each want from its pieces in
+// offset order. Rank r owns a 4 KiB block at r * 4 KiB, and its first
+// record runs 2 KiB into rank r+1's block. Every fourth rank adds a record
+// over three blocks. Ranks 1, 5, 9 and 13 also want the whole file (one
+// piece per aggregator) among 24 small records in descending offset
+// order: enough pieces that a sort on the want alone would misplace them.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> overlap_shape(int rank, int nprocs) {
+  const std::uint64_t base = static_cast<std::uint64_t>(rank) * 4096;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ops = {
+      {base + 4096, 2048},  // overlaps rank+1's first two records
+      {base + 1024, 1024},  // touches the next two end to end
+      {base, 1024},
+      {base + 2048, 3072},  // overlaps the first record within the rank
+  };
+  if (rank % 4 == 0) ops.emplace_back(base + 512, 3 * 4096);
+  if (rank % 4 == 1) {
+    ops.emplace_back(0, static_cast<std::uint64_t>(nprocs) * 4096 + 2048);
+    for (int k = 23; k >= 0; --k) ops.emplace_back(static_cast<std::uint64_t>(k) * 2560, 512);
+  }
+  return ops;
+}
+
 const Shape kShapes[] = {
     {"strided", strided_shape},
     {"segmented", segmented_shape},
     {"noncontig", noncontig_shape},
     {"uneven", uneven_shape},
+    {"overlap", overlap_shape},
 };
 
 // The config grid the differential sweeps cover.
