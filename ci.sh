@@ -63,8 +63,17 @@ echo "==> namespace + metadata batch + lease-cache + SimPfs mutation suites unde
 ctest --preset asan -j "$jobs" -R \
   '^(Namespace|NamespaceDiff|MemFsTest|MetaBatch|MetaCache|MetaCacheSimPfs|SimPfsTest)\.'
 
-echo "==> collective-buffering suites under ASan/UBSan (exchange, census, config, sieving, grouping)"
-ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbCensus|CbConfig|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators)\.'
+# The extent store keeps extents in sorted leaf vectors; its differential
+# suite against the std::map oracle (tests/pfs/map_extent_map.h) splits and
+# merges leaves, so it runs here too (parameterized suites carry a Seeds/
+# prefix).
+echo "==> extent map + differential suites under ASan/UBSan"
+ctest --preset asan -j "$jobs" -R '^(Seeds/)?ExtentMap[A-Za-z]*\.'
+
+# TinyNc/TinyHdf share iolib_test with the Cb suites; a rank that fails a
+# read must still meet its peers at the barrier, or their frames leak.
+echo "==> collective-buffering + formatted-library suites under ASan/UBSan (exchange, census, config, sieving, grouping, error paths)"
+ctest --preset asan -j "$jobs" -R '^(CbDifferential|CbCensus|CbConfig|CbSieve|CbNodePlan|CbWrite|CbRead|CbAggregators|TinyNc|TinyHdf)\.'
 
 echo "==> trace + stats + jsonfmt suites under ASan/UBSan"
 ctest --preset asan -j "$jobs" -R '^(TraceTest|Histograms|Series|Counters|Grouping|JsonDouble|JsonQuote)\.'

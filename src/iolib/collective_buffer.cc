@@ -154,7 +154,9 @@ void coalesce(std::vector<CbRange>& ranges) {
 std::vector<CbChunk> chunks_of(pfs::ExtentMap& map) {
   std::vector<CbChunk> out;
   out.reserve(map.extent_count());
-  for (const auto& [off, view] : map.extents()) out.push_back(CbChunk{off, view});
+  for (const auto& leaf : map.leaves()) {
+    for (const pfs::Extent& e : leaf) out.push_back(CbChunk{e.offset, e.data});
+  }
   return out;
 }
 
@@ -384,15 +386,17 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
   {
     trace::Span pfs(engine, kPfs, grank);
     if (my_j >= 0) {
-      for (const auto& [off, view] : staged.extents()) {
-        cbc().write_runs.add();
-        std::uint64_t pos = 0;
-        while (pos < view.size()) {
-          const std::uint64_t take = std::min<std::uint64_t>(config.buffer_bytes,
-                                                             view.size() - pos);
-          cbc().pfs_ops.add();
-          TIO_CO_RETURN_IF_ERROR(co_await write_at(off + pos, view.slice(pos, take)));
-          pos += take;
+      for (const auto& leaf : staged.leaves()) {
+        for (const pfs::Extent& run : leaf) {
+          cbc().write_runs.add();
+          std::uint64_t pos = 0;
+          while (pos < run.data.size()) {
+            const std::uint64_t take = std::min<std::uint64_t>(config.buffer_bytes,
+                                                               run.data.size() - pos);
+            cbc().pfs_ops.add();
+            TIO_CO_RETURN_IF_ERROR(co_await write_at(run.offset + pos, run.data.slice(pos, take)));
+            pos += take;
+          }
         }
       }
     }

@@ -60,54 +60,67 @@ DataView chunk_record(const TinyHdf::Layout& layout, std::uint64_t chunk) {
 sim::Task<Status> TinyHdf::write_all(mpi::Comm& comm, const WriteFn& write,
                                      std::uint64_t dataset_bytes, std::uint64_t chunk_bytes,
                                      std::uint64_t seed) {
+  // A rank that fails stops writing but still reaches the barrier, so its
+  // peers never wait on it; each returns its own status.
   const Layout layout = layout_for(dataset_bytes, chunk_bytes);
-  if (comm.rank() == 0) {
-    TIO_CO_RETURN_IF_ERROR(co_await write(0, DataView::literal(serialize_superblock(layout))));
-  }
-  for (std::uint64_t c = comm.rank(); c < layout.num_chunks;
+  Status st = Status::Ok();
+  if (comm.rank() == 0) st = co_await write(0, DataView::literal(serialize_superblock(layout)));
+  for (std::uint64_t c = comm.rank(); st.ok() && c < layout.num_chunks;
        c += static_cast<std::uint64_t>(comm.size())) {
     // Small scattered metadata record, then the chunk payload.
-    TIO_CO_RETURN_IF_ERROR(
-        co_await write(layout.btree_offset + c * kChunkRecordBytes, chunk_record(layout, c)));
+    st = co_await write(layout.btree_offset + c * kChunkRecordBytes, chunk_record(layout, c));
+    if (!st.ok()) break;
     const std::uint64_t off = layout.data_offset + c * layout.chunk_bytes;
-    TIO_CO_RETURN_IF_ERROR(co_await write(off, DataView::pattern(seed, off, layout.chunk_bytes)));
+    st = co_await write(off, DataView::pattern(seed, off, layout.chunk_bytes));
   }
   co_await comm.barrier();
-  co_return Status::Ok();
+  co_return st;
 }
 
 sim::Task<Status> TinyHdf::read_all(mpi::Comm& comm, const ReadFn& read, std::uint64_t seed,
                                     bool verify, Layout* layout_out) {
+  // Every rank reaches the broadcast and the barrier whatever fails, and
+  // returns its own status. A superblock rank 0 cannot read broadcasts as
+  // null.
+  Status st = Status::Ok();
   std::shared_ptr<const Layout> layout;
   if (comm.rank() == 0) {
     auto sb = co_await read(0, kSuperblockBytes);
-    if (!sb.ok()) co_return sb.status();
-    auto parsed = parse_superblock(*sb);
-    if (!parsed.ok()) co_return parsed.status();
-    layout = std::make_shared<const Layout>(parsed.value());
+    auto parsed = sb.ok() ? parse_superblock(*sb) : Result<Layout>(sb.status());
+    if (parsed.ok()) {
+      layout = std::make_shared<const Layout>(parsed.value());
+    } else {
+      st = parsed.status();
+    }
   }
   layout = co_await comm.bcast(0, std::move(layout), 48);
+  if (!layout && st.ok()) st = error(Errc::io_error, "TinyHdf: superblock unreadable on rank 0");
 
-  for (std::uint64_t c = comm.rank(); c < layout->num_chunks;
+  for (std::uint64_t c = comm.rank(); st.ok() && c < layout->num_chunks;
        c += static_cast<std::uint64_t>(comm.size())) {
     auto record = co_await read(layout->btree_offset + c * kChunkRecordBytes, kChunkRecordBytes);
-    if (!record.ok()) co_return record.status();
+    if (!record.ok()) {
+      st = record.status();
+      break;
+    }
     if (verify && !record->content_equals(chunk_record(*layout, c))) {
-      co_return error(Errc::io_error, "TinyHdf: chunk record mismatch");
+      st = error(Errc::io_error, "TinyHdf: chunk record mismatch");
+      break;
     }
     const std::uint64_t off = layout->data_offset + c * layout->chunk_bytes;
     auto chunk = co_await read(off, layout->chunk_bytes);
-    if (!chunk.ok()) co_return chunk.status();
-    if (chunk->size() != layout->chunk_bytes) {
-      co_return error(Errc::io_error, "TinyHdf: short chunk read");
-    }
-    if (verify && !chunk->content_equals(DataView::pattern(seed, off, layout->chunk_bytes))) {
-      co_return error(Errc::io_error, "TinyHdf: chunk content mismatch");
+    if (!chunk.ok()) {
+      st = chunk.status();
+    } else if (chunk->size() != layout->chunk_bytes) {
+      st = error(Errc::io_error, "TinyHdf: short chunk read");
+    } else if (verify &&
+               !chunk->content_equals(DataView::pattern(seed, off, layout->chunk_bytes))) {
+      st = error(Errc::io_error, "TinyHdf: chunk content mismatch");
     }
   }
-  if (layout_out != nullptr) *layout_out = *layout;
+  if (st.ok() && layout_out != nullptr) *layout_out = *layout;
   co_await comm.barrier();
-  co_return Status::Ok();
+  co_return st;
 }
 
 }  // namespace tio::iolib

@@ -61,45 +61,54 @@ Result<std::vector<NcVar>> TinyNc::parse_header(const FragmentList& data) {
 
 sim::Task<Status> TinyNc::write_all(mpi::Comm& comm, const WriteFn& write,
                                     std::vector<NcVar> vars, std::uint64_t seed) {
-  if (comm.rank() == 0) {
-    TIO_CO_RETURN_IF_ERROR(co_await write(0, DataView::literal(serialize_header(vars))));
-  }
-  for (std::size_t v = 0; v < vars.size(); ++v) {
+  // A rank that fails stops writing but still reaches the barrier, so its
+  // peers never wait on it; each returns its own status.
+  Status st = Status::Ok();
+  if (comm.rank() == 0) st = co_await write(0, DataView::literal(serialize_header(vars)));
+  for (std::size_t v = 0; st.ok() && v < vars.size(); ++v) {
     const std::uint64_t off = slab_offset(comm.rank(), comm.size(), vars, v);
-    TIO_CO_RETURN_IF_ERROR(
-        co_await write(off, DataView::pattern(seed, off, vars[v].bytes_per_proc)));
+    st = co_await write(off, DataView::pattern(seed, off, vars[v].bytes_per_proc));
   }
   co_await comm.barrier();
-  co_return Status::Ok();
+  co_return st;
 }
 
 sim::Task<Status> TinyNc::read_all(mpi::Comm& comm, const ReadFn& read, std::uint64_t seed,
                                    bool verify, std::vector<NcVar>* vars_out) {
+  // Every rank reaches both broadcasts and the barrier whatever fails, and
+  // returns its own status. A header rank 0 cannot read broadcasts as null.
+  Status st = Status::Ok();
   std::shared_ptr<const std::vector<NcVar>> vars;
   if (comm.rank() == 0) {
     auto header = co_await read(0, kHeaderBytes);
-    if (!header.ok()) co_return header.status();
-    auto parsed = parse_header(*header);
-    if (!parsed.ok()) co_return parsed.status();
-    vars = std::make_shared<const std::vector<NcVar>>(std::move(parsed.value()));
+    auto parsed =
+        header.ok() ? parse_header(*header) : Result<std::vector<NcVar>>(header.status());
+    if (parsed.ok()) {
+      vars = std::make_shared<const std::vector<NcVar>>(std::move(parsed.value()));
+    } else {
+      st = parsed.status();
+    }
   }
   const std::uint64_t hdr_bytes =
       co_await comm.bcast(0, vars ? std::uint64_t{32} * vars->size() : 0, 8);
   vars = co_await comm.bcast(0, std::move(vars), hdr_bytes);
+  if (!vars && st.ok()) st = error(Errc::io_error, "TinyNc: header unreadable on rank 0");
 
-  for (std::size_t v = 0; v < vars->size(); ++v) {
+  for (std::size_t v = 0; st.ok() && v < vars->size(); ++v) {
     const std::uint64_t off = slab_offset(comm.rank(), comm.size(), *vars, v);
     const std::uint64_t len = (*vars)[v].bytes_per_proc;
     auto slab = co_await read(off, len);
-    if (!slab.ok()) co_return slab.status();
-    if (slab->size() != len) co_return error(Errc::io_error, "TinyNc: short slab read");
-    if (verify && !slab->content_equals(DataView::pattern(seed, off, len))) {
-      co_return error(Errc::io_error, "TinyNc: slab content mismatch");
+    if (!slab.ok()) {
+      st = slab.status();
+    } else if (slab->size() != len) {
+      st = error(Errc::io_error, "TinyNc: short slab read");
+    } else if (verify && !slab->content_equals(DataView::pattern(seed, off, len))) {
+      st = error(Errc::io_error, "TinyNc: slab content mismatch");
     }
   }
-  if (vars_out != nullptr) *vars_out = *vars;
+  if (st.ok() && vars_out != nullptr) *vars_out = *vars;
   co_await comm.barrier();
-  co_return Status::Ok();
+  co_return st;
 }
 
 }  // namespace tio::iolib

@@ -239,11 +239,11 @@ const ExtentMap* SimPfs::object_extents(ObjectId oid) const {
   return &objects_[oid].data;
 }
 
-Result<SimPfs::OpenFile*> SimPfs::handle(FileId file) {
-  const auto it = open_files_.find(file);
-  if (it == open_files_.end()) return error(Errc::bad_handle, str_printf("fd %llu",
-                                            static_cast<unsigned long long>(file)));
-  return &it->second;
+Result<const SimPfs::OpenFile*> SimPfs::handle(FileId file) const {
+  if (file == 0 || file > open_files_.size() || open_files_[file - 1].oid == kNoObject) {
+    return error(Errc::bad_handle, str_printf("fd %llu", static_cast<unsigned long long>(file)));
+  }
+  return &open_files_[file - 1];
 }
 
 sim::Mutex& SimPfs::dir_mutex(PathId dir) {
@@ -456,20 +456,31 @@ sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags fl
     oid = applied.oid;
   }
 
-  const FileId fd = next_file_id_++;
-  open_files_[fd] = OpenFile{oid, flags, r.parent};
-  co_return fd;
+  open_files_.push_back(OpenFile{oid, r.parent, flags.read, flags.write});
+  co_return FileId{open_files_.size()};
 }
 
 sim::Task<Status> SimPfs::close(IoCtx ctx, FileId file) {
-  TIO_CO_ASSIGN_OR_RETURN(OpenFile * of, handle(file));
+  TIO_CO_ASSIGN_OR_RETURN(const OpenFile* of, handle(file));
   const std::size_t g = ns_.group(of->parent_dir);
   // Keep the handle until the MDS round trip succeeds: in replicated mode
   // the round trip can fail transiently (request timeout, leader change),
   // and close_retried reissues the same fd — the retry must still find it.
   TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, g, config_.mds_close_time));
-  open_files_.erase(file);
+  open_files_[file - 1].oid = kNoObject;
   co_return Status::Ok();
+}
+
+bool SimPfs::locks_cached(const Object& obj, int rank, std::uint64_t offset,
+                          std::uint64_t len) const {
+  if (!obj.locks) return false;
+  const std::vector<std::uint32_t>& owner = obj.locks->owner;
+  const std::uint64_t last = (offset + len - 1) / config_.lock_range;
+  if (last >= owner.size()) return false;
+  for (std::uint64_t r = offset / config_.lock_range; r <= last; ++r) {
+    if (owner[r] != static_cast<std::uint32_t>(rank)) return false;
+  }
+  return true;
 }
 
 sim::Task<void> SimPfs::acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_t offset,
@@ -478,11 +489,12 @@ sim::Task<void> SimPfs::acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_
   const std::uint64_t last = (offset + len - 1) / config_.lock_range;
   if (!obj.locks) obj.locks = std::make_unique<Locks>();
   Locks& locks = *obj.locks;
+  if (last >= locks.owner.size()) locks.owner.resize(last + 1, Locks::kNoOwner);
+  const auto owner = static_cast<std::uint32_t>(ctx.rank);
   for (std::uint64_t r = first; r <= last; ++r) {
-    const auto it = locks.owner.find(r);
-    const auto owner = static_cast<std::size_t>(ctx.rank);
-    if (it != locks.owner.end() && it->second == owner) continue;  // cached lock
-    if (it == locks.owner.end()) {
+    const std::uint32_t held = locks.owner[r];
+    if (held == owner) continue;  // cached lock
+    if (held == Locks::kNoOwner) {
       ++stats_.lock_grants;
       co_await engine().sleep(config_.lock_grant_time);
     } else {
@@ -566,13 +578,14 @@ sim::Task<void> SimPfs::data_path(IoCtx ctx, ObjectId oid, std::uint64_t offset,
 
 sim::Task<Result<std::uint64_t>> SimPfs::write(IoCtx ctx, FileId file, std::uint64_t offset,
                                                DataView data) {
-  TIO_CO_ASSIGN_OR_RETURN(OpenFile * of, handle(file));
-  if (!of->flags.write) co_return error(Errc::permission, "fd not writable");
+  TIO_CO_ASSIGN_OR_RETURN(const OpenFile* of, handle(file));
+  if (!of->writable) co_return error(Errc::permission, "fd not writable");
   if (data.empty()) co_return std::uint64_t{0};
-  Object& o = object(of->oid);
+  const ObjectId oid = of->oid;  // `of` dangles once an open grows the table
+  Object& o = object(oid);
   const std::uint64_t len = data.size();
 
-  co_await acquire_write_locks(ctx, o, offset, len);
+  if (!locks_cached(o, ctx.rank, offset, len)) co_await acquire_write_locks(ctx, o, offset, len);
   // Read-modify-write penalty: unaligned data arriving anywhere but the
   // current end of file forces partial-page (parity-stripe) RMW at the
   // server. In-order appends coalesce in the write-behind cache and are
@@ -583,31 +596,32 @@ sim::Task<Result<std::uint64_t>> SimPfs::write(IoCtx ctx, FileId file, std::uint
   if (!in_order_append && !aligned) {
     ++stats_.rmw_reads;
     const std::uint64_t page_start = offset - offset % config_.rmw_page;
-    co_await data_path(ctx, of->oid, page_start, config_.rmw_page, /*is_write=*/false);
+    co_await data_path(ctx, oid, page_start, config_.rmw_page, /*is_write=*/false);
   }
 
-  co_await data_path(ctx, of->oid, offset, len, /*is_write=*/true);
+  co_await data_path(ctx, oid, offset, len, /*is_write=*/true);
 
   o.data.write(offset, std::move(data));
   o.size = std::max(o.size, offset + len);
   o.mtime = engine().now();
-  cluster_.page_cache(ctx.node).fill(of->oid, offset, len);
+  cluster_.page_cache(ctx.node).fill(oid, offset, len);
   stats_.bytes_written += len;
   co_return len;
 }
 
 sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64_t offset,
                                              std::uint64_t len) {
-  TIO_CO_ASSIGN_OR_RETURN(OpenFile * of, handle(file));
-  if (!of->flags.read) co_return error(Errc::permission, "fd not readable");
-  Object& o = object(of->oid);
+  TIO_CO_ASSIGN_OR_RETURN(const OpenFile* of, handle(file));
+  if (!of->readable) co_return error(Errc::permission, "fd not readable");
+  const ObjectId oid = of->oid;  // `of` dangles once an open grows the table
+  Object& o = object(oid);
   if (offset >= o.size) co_return FragmentList{};  // EOF
   len = std::min(len, o.size - offset);
   if (len == 0) co_return FragmentList{};
 
   net::PageCache& cache = cluster_.page_cache(ctx.node);
   std::vector<net::ByteRange> misses;
-  const std::uint64_t hit = cache.lookup(of->oid, offset, len, &misses);
+  const std::uint64_t hit = cache.lookup(oid, offset, len, &misses);
   stats_.cache_hit_bytes += hit;
   if (hit > 0) {
     co_await engine().sleep(transfer_time(hit, cluster_.cached_read_rate()));
@@ -619,8 +633,8 @@ sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64
     // for. This is what makes sequential log reads prefetch-friendly.
     const std::uint64_t lo = m.offset / block * block;
     const std::uint64_t hi = std::min(o.size, (m.offset + m.len + block - 1) / block * block);
-    co_await data_path(ctx, of->oid, lo, hi - lo, /*is_write=*/false);
-    cache.fill(of->oid, lo, hi - lo);
+    co_await data_path(ctx, oid, lo, hi - lo, /*is_write=*/false);
+    cache.fill(oid, lo, hi - lo);
   }
   stats_.bytes_read += len;
   co_return o.data.read(offset, len);

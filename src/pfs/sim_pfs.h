@@ -113,8 +113,9 @@ class SimPfs : public FsClient {
  private:
   // Range-lock state of a file, allocated on its first write lock.
   struct Locks {
-    std::unordered_map<std::uint64_t, std::size_t> owner;  // range idx -> rank
-    std::unique_ptr<sim::FcfsServer> server;               // lazily created
+    static constexpr std::uint32_t kNoOwner = 0xffffffffu;
+    std::vector<std::uint32_t> owner;         // range idx -> rank, or kNoOwner
+    std::unique_ptr<sim::FcfsServer> server;  // lazily created
   };
   struct Object {
     ExtentMap data;
@@ -126,11 +127,14 @@ class SimPfs : public FsClient {
   };
   // parent_dir is the id open resolved: close routes to its cached group,
   // and since ids are never reused it names the same directory even if that
-  // directory was removed while the file was open.
+  // directory was removed while the file was open. A closed fd keeps its
+  // slot as a tombstone with oid == kNoObject. 16 bytes: the table keeps
+  // one per open ever made.
   struct OpenFile {
     ObjectId oid = kNoObject;
-    OpenFlags flags;
     PathId parent_dir = kNoPath;
+    bool readable = false;
+    bool writable = false;
   };
 
   struct MetaSm;  // raft::StateMachine over ns_ (defined in sim_pfs.cc)
@@ -150,7 +154,9 @@ class SimPfs : public FsClient {
 
   // The object's slot, growing the table to it; marks it live.
   Object& object(ObjectId oid);
-  Result<OpenFile*> handle(FileId file);
+  // The open file behind `file`. The pointer is good until the caller
+  // suspends: an open meanwhile may grow (and move) the table.
+  Result<const OpenFile*> handle(FileId file) const;
   sim::Mutex& dir_mutex(PathId dir);
   // The one transport decision for a namespace mutation: mds_batch > 0
   // enqueues it into its group's forming batch; otherwise a replicated
@@ -192,6 +198,9 @@ class SimPfs : public FsClient {
   // Submits `batch` to group g's Raft log as one entry and returns the
   // per-entry outcomes once the leader has committed and applied it.
   sim::Task<Result<MetaBatchApply>> raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch);
+  // True when `rank` already owns every lock range [offset, offset+len)
+  // touches, so a write needs no grant or transfer.
+  bool locks_cached(const Object& obj, int rank, std::uint64_t offset, std::uint64_t len) const;
   sim::Task<void> acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_t offset,
                                       std::uint64_t len);
   // Physical transfer of [offset, offset+len) of `oid`: storage network +
@@ -213,8 +222,8 @@ class SimPfs : public FsClient {
   // Indexed by ObjectId (dense from 1). A deque, so growth never moves an
   // Object: write() holds an Object& across co_await.
   std::deque<Object> objects_;
-  std::unordered_map<FileId, OpenFile> open_files_;
-  FileId next_file_id_ = 1;
+  // Indexed by FileId - 1: ids are sequential from 1 and never reused.
+  std::vector<OpenFile> open_files_;
   Stats stats_;
 };
 

@@ -252,8 +252,8 @@ sim::Task<Result<std::unique_ptr<MpiFile>>> MpiFile::open_write(Plfs& plfs, mpi:
 }
 
 sim::Task<Status> MpiFile::write(std::uint64_t offset, DataView data) {
-  if (!write_) co_return error(Errc::bad_handle, "not open for write");
-  co_return co_await write_->write(offset, std::move(data));
+  if (!write_) return sim::ready<Status>(error(Errc::bad_handle, "not open for write"));
+  return write_->write(offset, std::move(data));
 }
 
 sim::Task<Status> MpiFile::close_write(bool flatten) {
@@ -315,8 +315,10 @@ sim::Task<Result<std::unique_ptr<MpiFile>>> MpiFile::open_read(Plfs& plfs, mpi::
 }
 
 sim::Task<Result<FragmentList>> MpiFile::read(std::uint64_t offset, std::uint64_t len) {
-  if (!read_) co_return error(Errc::bad_handle, "not open for read");
-  co_return co_await read_->read(offset, len);
+  if (!read_) {
+    return sim::ready<Result<FragmentList>>(error(Errc::bad_handle, "not open for read"));
+  }
+  return read_->read(offset, len);
 }
 
 sim::Task<Status> MpiFile::close_read() {

@@ -102,8 +102,8 @@ sim::Task<Status> Plfs::close_retried(pfs::IoCtx ctx, pfs::FileId fd) {
 
 sim::Task<Result<FragmentList>> Plfs::read_retried(pfs::IoCtx ctx, pfs::FileId fd,
                                                    std::uint64_t offset, std::uint64_t len) {
-  co_return co_await with_retry(ctx, splitmix64(fd ^ offset),
-                                [&] { return fs_.read(ctx, fd, offset, len); });
+  return with_retry(ctx, splitmix64(fd ^ offset),
+                    [this, ctx, fd, offset, len] { return fs_.read(ctx, fd, offset, len); });
 }
 
 sim::Task<Status> Plfs::mkdir_retried(pfs::IoCtx ctx, std::string path) {
@@ -473,8 +473,6 @@ sim::Task<Result<std::unique_ptr<ReadHandle>>> Plfs::open_read(pfs::IoCtx ctx,
 }
 
 sim::Task<Result<pfs::FileId>> ReadHandle::data_fd(std::uint32_t writer) {
-  const auto it = data_fds_.find(writer);
-  if (it != data_fds_.end()) co_return it->second;
   // The log normally lives on its hashed home backend; after an MDS
   // failover it may sit anywhere on the federation ring, so probe
   // (home + j) % B on not_found.
@@ -506,7 +504,12 @@ sim::Task<Result<FragmentList>> ReadHandle::read(std::uint64_t offset, std::uint
       out.append(DataView::zeros(m.logical_offset - pos));  // unwritten gap
       pos = m.logical_offset;
     }
-    TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await data_fd(m.writer));
+    pfs::FileId fd;
+    if (const auto it = data_fds_.find(m.writer); it != data_fds_.end()) {
+      fd = it->second;
+    } else {
+      TIO_CO_ASSIGN_OR_RETURN(fd, co_await data_fd(m.writer));
+    }
     auto piece = co_await plfs_->read_retried(ctx_, fd, m.physical_offset, m.length);
     if (!piece.ok()) co_return piece.status();
     if (piece->size() != m.length) {

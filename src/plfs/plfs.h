@@ -201,6 +201,8 @@ class ReadHandle {
   ReadHandle(Plfs& plfs, pfs::IoCtx ctx, ContainerLayout layout, IndexPtr index)
       : plfs_(&plfs), ctx_(ctx), layout_(std::move(layout)), index_(std::move(index)) {}
 
+  // Opens `writer`'s data log and caches its fd in data_fds_ (read()
+  // looks the cache up itself and calls this only on a miss).
   sim::Task<Result<pfs::FileId>> data_fd(std::uint32_t writer);
 
   Plfs* plfs_;

@@ -142,4 +142,12 @@ class [[nodiscard]] Task<void> {
   std::coroutine_handle<promise_type> h_ = nullptr;
 };
 
+// A task that completes with `value` as soon as it is awaited: the early
+// return (say, an error) of a plain function that otherwise hands back the
+// task of the layer below instead of wrapping it in a frame of its own.
+template <typename T>
+Task<T> ready(T value) {
+  co_return std::move(value);
+}
+
 }  // namespace tio::sim

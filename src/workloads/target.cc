@@ -50,12 +50,18 @@ class JitterBase : public Target {
  protected:
   JitterBase(sim::Engine& engine, Duration jitter, std::uint64_t stream)
       : engine_(&engine), jitter_(jitter), rng_(engine.fork_rng(stream)) {}
-  sim::Task<void> think() {
-    if (jitter_ > Duration::zero()) {
-      co_await engine_->sleep(
-          Duration::ns(static_cast<std::int64_t>(rng_.below(
-              static_cast<std::uint64_t>(jitter_.to_ns()) + 1))));
-    }
+
+  // An engine sleep that is ready at once when jitter is off. It draws the
+  // think time when the op starts (think() runs inside the co_await).
+  struct ThinkAwaiter : sim::Engine::SleepAwaiter {
+    bool skip;
+    bool await_ready() const noexcept { return skip; }
+  };
+  ThinkAwaiter think() {
+    if (jitter_ <= Duration::zero()) return {{engine_, Duration::zero()}, true};
+    return {{engine_, Duration::ns(static_cast<std::int64_t>(
+                          rng_.below(static_cast<std::uint64_t>(jitter_.to_ns()) + 1)))},
+            false};
   }
 
  private:

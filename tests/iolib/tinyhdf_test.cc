@@ -86,11 +86,52 @@ TEST(TinyHdf, DetectsChunkDataCorruption) {
   const auto l = TinyHdf::layout_for(1_MiB, 256_KiB);
   file.map.write(l.data_offset + 300000, DataView::pattern(12345, 0, 16));
   int failures = 0;
+  int returned = 0;
   mpi::run_spmd(cluster, 2, [&](mpi::Comm comm) -> sim::Task<void> {
     if (!(co_await TinyHdf::read_all(comm, file.reader(), 9, true)).ok()) ++failures;
+    ++returned;
     (void)comm;
   });
-  EXPECT_GE(failures, 1);
+  EXPECT_EQ(failures, 1);  // chunk 1 is rank 1's
+  EXPECT_EQ(returned, 2);  // rank 0 is not left waiting at the barrier
+}
+
+TEST(TinyHdf, FailedChunkWriteStillMeetsPeers) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  MemFile file;
+  const auto l = TinyHdf::layout_for(1_MiB, 256_KiB);
+  const WriteFn inner = file.writer();
+  // Rank 1's first chunk record write fails; it must skip the rest but
+  // still reach the barrier rank 0 waits in.
+  const std::uint64_t bad = l.btree_offset + TinyHdf::kChunkRecordBytes;
+  const WriteFn failing = [&](std::uint64_t off, DataView data) -> sim::Task<Status> {
+    if (off == bad) co_return error(Errc::io_error, "injected");
+    co_return co_await inner(off, std::move(data));
+  };
+  int failures = 0;
+  int returned = 0;
+  mpi::run_spmd(cluster, 2, [&](mpi::Comm comm) -> sim::Task<void> {
+    if (!(co_await TinyHdf::write_all(comm, failing, 1_MiB, 256_KiB, 9)).ok()) ++failures;
+    ++returned;
+  });
+  EXPECT_EQ(failures, 1);
+  EXPECT_EQ(returned, 2);
+}
+
+TEST(TinyHdf, UnreadableSuperblockFailsEveryRank) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  MemFile file;
+  mpi::run_spmd(cluster, 2, [&](mpi::Comm comm) -> sim::Task<void> {
+    EXPECT_TRUE((co_await TinyHdf::write_all(comm, file.writer(), 1_MiB, 256_KiB, 9)).ok());
+  });
+  file.map.write(0, DataView::pattern(4242, 0, 8));  // clobbers the magic
+  int failures = 0;
+  mpi::run_spmd(cluster, 2, [&](mpi::Comm comm) -> sim::Task<void> {
+    if (!(co_await TinyHdf::read_all(comm, file.reader(), 9, true)).ok()) ++failures;
+  });
+  EXPECT_EQ(failures, 2);
 }
 
 TEST(TinyHdf, DetectsMetadataCorruption) {

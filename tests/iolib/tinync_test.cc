@@ -94,12 +94,54 @@ TEST(TinyNc, ReadDetectsCorruption) {
   // Corrupt one slab.
   file.map.write(TinyNc::kHeaderBytes + 2500, DataView::pattern(999, 0, 10));
   int failures = 0;
+  int returned = 0;
   mpi::run_spmd(cluster, 4, [&](mpi::Comm comm) -> sim::Task<void> {
     const Status st = co_await TinyNc::read_all(comm, file.reader(), 77, true);
     if (!st.ok()) ++failures;
+    ++returned;
     (void)comm;
   });
-  EXPECT_GE(failures, 1);  // the rank owning the corrupted slab notices
+  EXPECT_EQ(failures, 1);  // only the rank owning the corrupted slab notices
+  EXPECT_EQ(returned, 4);  // and it still meets its peers at the barrier
+}
+
+TEST(TinyNc, FailedSlabWriteStillMeetsPeers) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  MemFile file;
+  const std::vector<NcVar> vars = {{"a", 2000}, {"b", 100}};
+  const WriteFn inner = file.writer();
+  // Rank 2's first slab write fails; it must skip its second one but still
+  // reach the barrier its peers wait in.
+  const std::uint64_t bad = TinyNc::slab_offset(2, 4, vars, 0);
+  const WriteFn failing = [&](std::uint64_t off, DataView data) -> sim::Task<Status> {
+    if (off == bad) co_return error(Errc::io_error, "injected");
+    co_return co_await inner(off, std::move(data));
+  };
+  int failures = 0;
+  int returned = 0;
+  mpi::run_spmd(cluster, 4, [&](mpi::Comm comm) -> sim::Task<void> {
+    if (!(co_await TinyNc::write_all(comm, failing, vars, 77)).ok()) ++failures;
+    ++returned;
+  });
+  EXPECT_EQ(failures, 1);
+  EXPECT_EQ(returned, 4);
+}
+
+TEST(TinyNc, UnreadableHeaderFailsEveryRank) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  MemFile file;
+  const std::vector<NcVar> vars = {{"a", 2000}};
+  mpi::run_spmd(cluster, 4, [&](mpi::Comm comm) -> sim::Task<void> {
+    EXPECT_TRUE((co_await TinyNc::write_all(comm, file.writer(), vars, 77)).ok());
+  });
+  file.map.write(0, DataView::pattern(999, 0, 8));  // clobbers the magic
+  int failures = 0;
+  mpi::run_spmd(cluster, 4, [&](mpi::Comm comm) -> sim::Task<void> {
+    if (!(co_await TinyNc::read_all(comm, file.reader(), 77, true)).ok()) ++failures;
+  });
+  EXPECT_EQ(failures, 4);
 }
 
 TEST(TinyNc, ReadWithoutVerifySkipsContentCheck) {

@@ -142,6 +142,28 @@ TEST_F(SimPfsTest, BadHandleIsRejected) {
   }(fs_, ctx_));
 }
 
+TEST_F(SimPfsTest, ClosedFdIsDeadAndNeverReused) {
+  test::run_task(engine_, [](SimPfs& fs, IoCtx ctx) -> sim::Task<void> {
+    auto fd = co_await fs.open(ctx, "/f", OpenFlags{.read = true, .write = true, .create = true});
+    EXPECT_TRUE(fd.ok());
+    EXPECT_TRUE((co_await fs.write(ctx, *fd, 0, DataView::zeros(10))).ok());
+    EXPECT_TRUE((co_await fs.close(ctx, *fd)).ok());
+    // The closed fd's slot is a tombstone: every op on it fails.
+    EXPECT_EQ((co_await fs.read(ctx, *fd, 0, 1)).status().code(), Errc::bad_handle);
+    EXPECT_EQ((co_await fs.write(ctx, *fd, 0, DataView::zeros(1))).status().code(),
+              Errc::bad_handle);
+    EXPECT_EQ((co_await fs.close(ctx, *fd)).code(), Errc::bad_handle);
+    // A fresh open of the same file gets the next id, not the dead one, and
+    // the dead one stays dead.
+    auto again = co_await fs.open(ctx, "/f", OpenFlags::ro());
+    EXPECT_TRUE(again.ok());
+    EXPECT_EQ(*again, *fd + 1);
+    EXPECT_EQ((co_await fs.read(ctx, *fd, 0, 1)).status().code(), Errc::bad_handle);
+    EXPECT_EQ((co_await fs.read(ctx, *again, 0, 10)).value().size(), 10u);
+    EXPECT_EQ((co_await fs.close(ctx, 0)).code(), Errc::bad_handle);
+  }(fs_, ctx_));
+}
+
 TEST_F(SimPfsTest, StatReportsSizeAndMtime) {
   test::run_task(engine_, [](SimPfs& fs, IoCtx ctx) -> sim::Task<void> {
     auto fd = co_await fs.open(ctx, "/f", OpenFlags::wr_create());

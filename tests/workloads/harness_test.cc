@@ -6,6 +6,7 @@
 #include <string>
 
 #include "plfs/container.h"
+#include "sim/frame_pool.h"
 #include "workloads/kernels.h"
 #include "workloads/metadata.h"
 
@@ -53,6 +54,50 @@ TEST(Harness, PlfsN1WriteReadJobCompletesAndTimes) {
   EXPECT_EQ(result.write.bytes, 8u * 256_KiB);
   EXPECT_GT(result.read.total_s(), 0);
   EXPECT_GT(result.write.effective_bw(), 0);
+}
+
+// Coroutine frames per record op on the PLFS N-1 path, a deterministic
+// work count. The marginal FramePool allocations between two jobs that
+// differ only in records per rank price one record write (Target ->
+// WriteHandle -> retry -> SimPfs -> data path) and one record read (Target
+// -> ReadHandle -> retry -> SimPfs -> data path), open, close and index
+// work cancelling out. A pass-through layer (a coroutine whose body only
+// awaits the layer below) costs one more frame per op, so restoring any
+// of the removed ones breaks the bounds.
+TEST(FrameBudget, PlfsN1RecordWriteAndRead) {
+  // Measured: 8 per write plus a lock grant every 32 records (a 1 MiB lock
+  // range of 32 KiB records), and 6 per read; 11 and 10 before the
+  // pass-through layers went.
+  constexpr double kWriteFrames = 8.05;
+  constexpr double kReadFrames = 6.0;
+  constexpr int kProcs = 8;
+  constexpr std::uint64_t kFew = 8;
+  constexpr std::uint64_t kMany = 40;
+  const auto frames = [] {
+    const sim::FramePool::Stats s = sim::FramePool::stats();
+    return s.hits + s.misses;
+  };
+  // Frames of a write-only job, then of a read-only job on its file.
+  const auto job_frames = [&](std::uint64_t records) {
+    testbed::Rig rig(small_rig());
+    JobSpec spec = mpiio_test(records * 32_KiB, 32_KiB, TargetOptions{.access = Access::plfs_n1});
+    spec.do_read = false;
+    const std::uint64_t before = frames();
+    run_job(rig, kProcs, spec);
+    const std::uint64_t written = frames();
+    spec.do_write = false;
+    spec.do_read = true;
+    spec.drop_caches_before_read = true;  // a cold restart: reads reach the data path
+    run_job(rig, kProcs, spec);
+    return std::pair{written - before, frames() - written};
+  };
+  const auto [write_few, read_few] = job_frames(kFew);
+  const auto [write_many, read_many] = job_frames(kMany);
+  const double ops = static_cast<double>((kMany - kFew) * kProcs);
+  const double per_write = static_cast<double>(write_many - write_few) / ops;
+  const double per_read = static_cast<double>(read_many - read_few) / ops;
+  EXPECT_LE(per_write, kWriteFrames) << "frames per record write";
+  EXPECT_LE(per_read, kReadFrames) << "frames per record read";
 }
 
 TEST(Harness, DirectN1JobCompletes) {
