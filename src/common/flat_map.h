@@ -1,11 +1,12 @@
 // Open-addressed hash map for the simulator's hot per-event lookups
-// (MPI mailboxes, page-cache residency). std::unordered_map pays a node
-// allocation per insert, a prime-modulo division per probe, and a pointer
-// chase per bucket collision — at millions of messages per run that is a
-// measurable slice of wall time. This map linear-probes a contiguous
-// power-of-two table (one cache line per probe step), deletes via
-// tombstones, and cleans them up by right-sizing on rehash, so churn-heavy
-// maps (a mailbox lives for exactly one message) stay compact.
+// (MPI mailboxes, page-cache residency, range-lock ownership).
+// std::unordered_map pays a node allocation per insert, a prime-modulo
+// division per probe, and a pointer chase per bucket collision — at
+// millions of messages per run that is a measurable slice of wall time.
+// This map linear-probes a contiguous power-of-two table (one cache line
+// per probe step), deletes via tombstones, and cleans them up by
+// right-sizing on rehash, so churn-heavy maps (a mailbox lives for exactly
+// one message) stay compact.
 //
 // Requirements: Key copyable and equality-comparable, Value default-
 // constructible, Hash well mixed over all 64 bits (linear probing amplifies
@@ -19,7 +20,22 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace tio {
+
+// One block of one object: the key of the page caches' residency maps (a
+// cache block) and of SimPfs's lock table (a lock range).
+struct ObjectBlock {
+  std::uint64_t object;
+  std::uint64_t block;
+  bool operator==(const ObjectBlock&) const = default;
+};
+struct ObjectBlockHash {
+  std::size_t operator()(const ObjectBlock& k) const {
+    return static_cast<std::size_t>(hash_combine(k.object, k.block));
+  }
+};
 
 template <typename Key, typename Value, typename Hash>
 class FlatMap {
@@ -42,6 +58,7 @@ class FlatMap {
       if (state_[i] == kFull && slots_[i].first == k) return &slots_[i].second;
     }
   }
+  const Value* find(const Key& k) const { return const_cast<FlatMap*>(this)->find(k); }
 
   // Existing mapped value, or a freshly value-initialized one.
   Value& operator[](const Key& k) {

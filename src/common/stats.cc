@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -36,49 +35,6 @@ void set_stat_shard(unsigned shard) {
 }
 
 unsigned stat_shard() { return t_stat_shard; }
-
-double Series::sum() const {
-  double s = 0;
-  for (double x : xs_) s += x;
-  return s;
-}
-
-double Series::mean() const {
-  if (xs_.empty()) throw std::logic_error("Series::mean on empty series");
-  return sum() / static_cast<double>(xs_.size());
-}
-
-double Series::stddev() const {
-  if (xs_.size() < 2) return 0.0;
-  // One pass for the sum (not mean(), which would re-walk the sample),
-  // one for the squared deviations.
-  double s = 0;
-  for (double x : xs_) s += x;
-  const double m = s / static_cast<double>(xs_.size());
-  double acc = 0;
-  for (double x : xs_) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs_.size() - 1));
-}
-
-double Series::min() const {
-  if (xs_.empty()) throw std::logic_error("Series::min on empty series");
-  return *std::min_element(xs_.begin(), xs_.end());
-}
-
-double Series::max() const {
-  if (xs_.empty()) throw std::logic_error("Series::max on empty series");
-  return *std::max_element(xs_.begin(), xs_.end());
-}
-
-double Series::percentile(double p) const {
-  if (xs_.empty()) throw std::logic_error("Series::percentile on empty series");
-  if (!sorted_) {
-    sorted_cache_ = xs_;
-    std::sort(sorted_cache_.begin(), sorted_cache_.end());
-    sorted_ = true;
-  }
-  return sorted_cache_[nearest_rank_index(p, sorted_cache_.size())];
-}
 
 void Counter::raise_to(std::uint64_t v) {
   std::atomic<std::uint64_t>& max = cells_[0].v;
@@ -132,25 +88,6 @@ std::int64_t Histogram::percentile(double p) const {
   const auto& xs = merged();
   if (xs.empty()) return 0;
   return xs[nearest_rank_index(p, xs.size())];
-}
-
-int Histogram::bucket_of(std::int64_t v) {
-  if (v <= 0) return 0;
-  return std::bit_width(static_cast<std::uint64_t>(v));
-}
-
-std::int64_t Histogram::bucket_min(int b) {
-  if (b <= 0) return 0;
-  if (b == 1) return 1;
-  return std::int64_t{1} << (b - 1);
-}
-
-std::array<std::uint64_t, Histogram::kBuckets> Histogram::buckets() const {
-  std::array<std::uint64_t, kBuckets> out{};
-  for (const Cell& c : cells_) {
-    for (const std::int64_t v : c.samples) ++out[static_cast<std::size_t>(bucket_of(v))];
-  }
-  return out;
 }
 
 void Histogram::reset() {

@@ -1,5 +1,4 @@
-// Sample statistics for benchmark reporting (mean, stddev, percentiles),
-// plus process-global named registries for lightweight subsystem
+// Process-global named registries for lightweight subsystem
 // instrumentation: monotonically increasing counters (index builds, cache
 // hits, ...) and latency histograms (span durations recorded by
 // common/trace.h).
@@ -38,34 +37,6 @@ inline constexpr std::size_t kMaxShards = 16;
 // other threads default to shard 0.
 void set_stat_shard(unsigned shard);
 unsigned stat_shard();
-
-class Series {
- public:
-  void add(double v) {
-    xs_.push_back(v);
-    sorted_ = false;
-  }
-  std::size_t count() const { return xs_.size(); }
-  bool empty() const { return xs_.empty(); }
-
-  double sum() const;
-  double mean() const;
-  double stddev() const;  // sample stddev (n-1); 0 for n < 2
-  double min() const;
-  double max() const;
-  // Nearest-rank percentile, p in [0, 100] (values outside are clamped).
-  // p = 0 returns the minimum, p = 100 the maximum. The sample is sorted
-  // lazily once and the order is cached across calls, so a p50/p90/p99
-  // report costs one sort, not three.
-  double percentile(double p) const;
-
- private:
-  std::vector<double> xs_;
-  // Sorted view of xs_, built on first percentile() call and reused until
-  // the next add() invalidates it.
-  mutable std::vector<double> sorted_cache_;
-  mutable bool sorted_ = false;
-};
 
 // A monotonically increasing event/byte counter. Counters are registered by
 // name the first time they are requested and live for the process lifetime,
@@ -107,9 +78,9 @@ class Counter {
 
 // A latency histogram over nonnegative int64 samples (virtual-time
 // nanoseconds, in practice). It keeps the raw samples, so percentiles are
-// exact (nearest-rank over the full sample), not bucket-interpolated; the
-// merged sort is lazy and cached like Series. sum() and the log2 buckets()
-// shape view are derived from the samples at read time.
+// exact (nearest-rank over the full sample); the merged sort is lazy and
+// cached until the next record. sum() is derived from the samples at read
+// time.
 // Like counters, histograms live in a process-global registry for the
 // process lifetime, so holding a `Histogram&` across calls is always safe.
 //
@@ -120,9 +91,6 @@ class Counter {
 // not depend on which shard recorded which sample.
 class Histogram {
  public:
-  // Number of log2 buckets: zeros + one per possible bit width.
-  static constexpr int kBuckets = 65;
-
   // Records one sample; negative values clamp to zero.
   void record(std::int64_t v) { cells_[stat_shard()].samples.push_back(v < 0 ? 0 : v); }
 
@@ -133,14 +101,6 @@ class Histogram {
   std::int64_t max() const;  // 0 when empty
   // Exact nearest-rank percentile, p in [0, 100] (clamped); 0 when empty.
   std::int64_t percentile(double p) const;
-
-  // Log2-bucket index of a sample and the smallest sample mapping to
-  // bucket `b` (0 for the zero bucket): bucket b counts samples v with
-  // bit_width(v) == b, i.e. v in [2^(b-1), 2^b); bucket 0 counts zeros.
-  static int bucket_of(std::int64_t v);
-  static std::int64_t bucket_min(int b);
-  // Bucket counts over every shard's samples.
-  std::array<std::uint64_t, kBuckets> buckets() const;
 
   void reset();
 

@@ -382,19 +382,23 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
   }
 
   // Phase 2: aggregators issue large contiguous writes, capped at
-  // buffer_bytes per operation.
+  // buffer_bytes per operation. A failed write ends the aggregator's
+  // writes but not its part in the barrier, so no peer waits on it; each
+  // rank returns its own status.
+  Status st = Status::Ok();
   {
     trace::Span pfs(engine, kPfs, grank);
     if (my_j >= 0) {
       for (const auto& leaf : staged.leaves()) {
         for (const pfs::Extent& run : leaf) {
+          if (!st.ok()) break;
           cbc().write_runs.add();
           std::uint64_t pos = 0;
-          while (pos < run.data.size()) {
+          while (st.ok() && pos < run.data.size()) {
             const std::uint64_t take = std::min<std::uint64_t>(config.buffer_bytes,
                                                                run.data.size() - pos);
             cbc().pfs_ops.add();
-            TIO_CO_RETURN_IF_ERROR(co_await write_at(run.offset + pos, run.data.slice(pos, take)));
+            st = co_await write_at(run.offset + pos, run.data.slice(pos, take));
             pos += take;
           }
         }
@@ -405,7 +409,7 @@ sim::Task<Status> cb_write(mpi::Comm& comm, const CbConfig& config, std::vector<
     trace::Span sync(engine, kSync, grank);
     co_await comm.barrier();
   }
-  co_return Status::Ok();
+  co_return st;
 }
 
 sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<CbRange> wants,
@@ -448,6 +452,12 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
     std::uint64_t offset;
     std::uint64_t len;
   };
+  // A reply or fan-out: one slice per run or piece, and the status of the
+  // aggregator read that staged them.
+  struct Slices {
+    Status status;
+    std::vector<FragmentList> data;
+  };
   PerAgg<Piece> outgoing = split_all<Piece>(
       ext, num_aggs, wants.size(),
       [&wants](std::size_t i) { return std::pair(wants[i].offset, wants[i].len); },
@@ -455,6 +465,11 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         return Piece{static_cast<std::uint32_t>(i), pos, take};
       });
 
+  // A failed aggregator read still answers every requester: its status
+  // rides the replies and the leaders' fan-outs, so every rank reaches the
+  // barrier, and each rank in a group that asked it for data returns the
+  // failure.
+  Status st = Status::Ok();
   // The exchange's buffers live in this block and are released before the
   // trailing barrier; holding them through it raises the peak footprint.
   {
@@ -546,7 +561,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
       }
       coalesce(runs);
       trace::Span pfs(engine, kPfs, grank);
-      TIO_CO_RETURN_IF_ERROR(co_await stage_runs(runs, config, read_at, &staged));
+      st = co_await stage_runs(runs, config, read_at, &staged);
     }
 
     // Phase 2: aggregators answer each requesting leader with data for its
@@ -556,12 +571,12 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
       if (my_j >= 0) {
         for (int group = 0; group < plan.num_groups(); ++group) {
           if (agg_requests[group].empty()) continue;
-          std::vector<FragmentList> reply;
-          reply.reserve(agg_requests[group].size());
+          Slices reply{st, {}};
+          reply.data.reserve(agg_requests[group].size());
           std::uint64_t reply_bytes = 0;
           for (const auto& r : agg_requests[group]) {
-            reply.push_back(staged.read(r.offset, r.len));
-            reply_bytes += reply.back().size();
+            reply.data.push_back(staged.read(r.offset, r.len));
+            reply_bytes += reply.data.back().size();
           }
           note_msg(comm, plan.leader_of(group), reply_bytes);
           co_await comm.send(plan.leader_of(group), kCbTagAggReply + my_j, std::move(reply),
@@ -573,10 +588,11 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         for (int j = 0; j < num_aggs; ++j) {
           if (group_runs[j].empty()) continue;
           const int root = aggs[static_cast<std::size_t>(j)];
-          auto reply = co_await comm.recv<std::vector<FragmentList>>(root, kCbTagAggReply + j);
+          auto reply = co_await comm.recv<Slices>(root, kCbTagAggReply + j);
+          if (st.ok()) st = reply.status;
           for (std::size_t i = 0; i < group_runs[j].size(); ++i) {
             std::uint64_t at = group_runs[j][i].offset;
-            for (const auto& frag : reply[i].fragments()) {
+            for (const auto& frag : reply.data[i].fragments()) {
               restaged.write(at, frag);
               at += frag.size();
             }
@@ -584,12 +600,12 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         }
         const std::vector<int>& residents = plan.members(plan.my_group);
         for (std::size_t i = 1; i < residents.size(); ++i) {
-          std::vector<FragmentList> slices;
-          slices.reserve(member_pieces[i].items.size());
+          Slices slices{st, {}};
+          slices.data.reserve(member_pieces[i].items.size());
           std::uint64_t bytes = 0;
           for (const Piece& p : member_pieces[i].items) {
-            slices.push_back(restaged.read(p.offset, p.len));
-            bytes += slices.back().size();
+            slices.data.push_back(restaged.read(p.offset, p.len));
+            bytes += slices.data.back().size();
           }
           note_msg(comm, residents[i], bytes);
           co_await comm.send(residents[i], kCbTagFanout, std::move(slices), bytes);
@@ -602,11 +618,12 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
         }
         assemble(mine);
       } else {
-        auto slices = co_await comm.recv<std::vector<FragmentList>>(leader, kCbTagFanout);
+        auto slices = co_await comm.recv<Slices>(leader, kCbTagFanout);
+        if (st.ok()) st = slices.status;
         std::vector<std::pair<Piece, FragmentList>> mine;
         mine.reserve(my_pieces.items.size());
         for (std::size_t k = 0; k < my_pieces.items.size(); ++k) {
-          mine.emplace_back(my_pieces.items[k], std::move(slices[k]));
+          mine.emplace_back(my_pieces.items[k], std::move(slices.data[k]));
         }
         assemble(mine);
       }
@@ -616,7 +633,7 @@ sim::Task<Status> cb_read(mpi::Comm& comm, const CbConfig& config, std::vector<C
     trace::Span sync(engine, kSync, grank);
     co_await comm.barrier();
   }
-  co_return Status::Ok();
+  co_return st;
 }
 
 }  // namespace tio::iolib

@@ -3,13 +3,7 @@
 
 #include <stdexcept>
 
-#include "common/rng.h"
-
 namespace tio::net {
-
-std::size_t PageCache::KeyHash::operator()(const Key& k) const {
-  return static_cast<std::size_t>(hash_combine(k.object, k.block));
-}
 
 PageCache::PageCache(std::uint64_t capacity_bytes, std::uint64_t block_bytes)
     : capacity_(capacity_bytes), block_(block_bytes) {
@@ -46,7 +40,7 @@ void PageCache::release(std::uint32_t i) {
 }
 
 void PageCache::touch(std::uint64_t object, std::uint64_t block) {
-  const Key key{object, block};
+  const ObjectBlock key{object, block};
   if (const std::uint32_t* found = map_.find(key)) {
     if (head_ != *found) {
       unlink(*found);
@@ -87,7 +81,7 @@ std::uint64_t PageCache::lookup(std::uint64_t object, std::uint64_t offset, std:
   const std::uint64_t first = offset / block_;
   const std::uint64_t last = (offset + len - 1) / block_;
   for (std::uint64_t b = first; b <= last; ++b) {
-    const std::uint32_t* found = map_.find(Key{object, b});
+    const std::uint32_t* found = map_.find(ObjectBlock{object, b});
     const std::uint64_t block_start = b * block_;
     const std::uint64_t lo = std::max(offset, block_start);
     const std::uint64_t hi = std::min(offset + len, block_start + block_);

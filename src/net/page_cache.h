@@ -49,17 +49,9 @@ class PageCache {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Key {
-    std::uint64_t object;
-    std::uint64_t block;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
   static constexpr std::uint32_t kNil = 0xffffffffu;
   struct Entry {
-    Key key;
+    ObjectBlock key;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
@@ -76,7 +68,7 @@ class PageCache {
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;         // most recently used
   std::uint32_t tail_ = kNil;         // least recently used
-  FlatMap<Key, std::uint32_t, KeyHash> map_;
+  FlatMap<ObjectBlock, std::uint32_t, ObjectBlockHash> map_;
   Stats stats_;
 };
 

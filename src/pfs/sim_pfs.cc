@@ -471,30 +471,29 @@ sim::Task<Status> SimPfs::close(IoCtx ctx, FileId file) {
   co_return Status::Ok();
 }
 
-bool SimPfs::locks_cached(const Object& obj, int rank, std::uint64_t offset,
+bool SimPfs::locks_cached(ObjectId oid, int rank, std::uint64_t offset,
                           std::uint64_t len) const {
-  if (!obj.locks) return false;
-  const std::vector<std::uint32_t>& owner = obj.locks->owner;
+  const auto owner = static_cast<std::uint32_t>(rank) + 1;
   const std::uint64_t last = (offset + len - 1) / config_.lock_range;
-  if (last >= owner.size()) return false;
   for (std::uint64_t r = offset / config_.lock_range; r <= last; ++r) {
-    if (owner[r] != static_cast<std::uint32_t>(rank)) return false;
+    const std::uint32_t* held = lock_owner_.find(ObjectBlock{oid, r});
+    if (held == nullptr || *held != owner) return false;
   }
   return true;
 }
 
-sim::Task<void> SimPfs::acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_t offset,
-                                            std::uint64_t len) {
+sim::Task<void> SimPfs::acquire_write_locks(IoCtx ctx, ObjectId oid, Object& obj,
+                                            std::uint64_t offset, std::uint64_t len) {
   const std::uint64_t first = offset / config_.lock_range;
   const std::uint64_t last = (offset + len - 1) / config_.lock_range;
-  if (!obj.locks) obj.locks = std::make_unique<Locks>();
-  Locks& locks = *obj.locks;
-  if (last >= locks.owner.size()) locks.owner.resize(last + 1, Locks::kNoOwner);
-  const auto owner = static_cast<std::uint32_t>(ctx.rank);
+  const auto owner = static_cast<std::uint32_t>(ctx.rank) + 1;
   for (std::uint64_t r = first; r <= last; ++r) {
-    const std::uint32_t held = locks.owner[r];
+    // Looked up afresh per range: the map may rehash while this suspends.
+    const ObjectBlock key{oid, r};
+    const std::uint32_t* found = lock_owner_.find(key);
+    const std::uint32_t held = found != nullptr ? *found : 0;
     if (held == owner) continue;  // cached lock
-    if (held == Locks::kNoOwner) {
+    if (held == 0) {
       ++stats_.lock_grants;
       co_await engine().sleep(config_.lock_grant_time);
     } else {
@@ -503,15 +502,13 @@ sim::Task<void> SimPfs::acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_
       // previous owner's dirty data for the range (approximated by the
       // incoming write's scale) before the new owner may proceed.
       ++stats_.lock_transfers;
-      if (!locks.server) {
-        locks.server = std::make_unique<sim::FcfsServer>(engine(), 1, "lockmgr");
-      }
+      if (!obj.lock_mgr) obj.lock_mgr = std::make_unique<sim::FcfsServer>(engine(), 1, "lockmgr");
       const std::uint64_t flush_bytes =
           std::min(config_.lock_range, std::max(len, config_.rmw_page));
-      co_await locks.server->serve(config_.lock_transfer_time +
+      co_await obj.lock_mgr->serve(config_.lock_transfer_time +
                                    transfer_time(flush_bytes, config_.ost_bandwidth));
     }
-    locks.owner[r] = owner;
+    lock_owner_[key] = owner;
   }
 }
 
@@ -585,7 +582,9 @@ sim::Task<Result<std::uint64_t>> SimPfs::write(IoCtx ctx, FileId file, std::uint
   Object& o = object(oid);
   const std::uint64_t len = data.size();
 
-  if (!locks_cached(o, ctx.rank, offset, len)) co_await acquire_write_locks(ctx, o, offset, len);
+  if (!locks_cached(oid, ctx.rank, offset, len)) {
+    co_await acquire_write_locks(ctx, oid, o, offset, len);
+  }
   // Read-modify-write penalty: unaligned data arriving anywhere but the
   // current end of file forces partial-page (parity-stripe) RMW at the
   // server. In-order appends coalesce in the write-behind cache and are

@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "net/cluster.h"
 #include "pfs/config.h"
 #include "pfs/extent_map.h"
@@ -67,6 +68,11 @@ class SimPfs : public FsClient {
   Namespace& ns() { return ns_; }
   // Extent map of a file's object; null when unknown.
   const ExtentMap* object_extents(ObjectId oid) const;
+  // Lock ranges with an owner, over every object: only ranges a write
+  // touched, however far into its file.
+  std::size_t lock_ranges_held() const { return lock_owner_.size(); }
+  // Fd-table slots: one per open ever made (ids are never reused).
+  std::size_t open_file_slots() const { return open_files_.size(); }
   const sim::FcfsServer& mds(std::size_t i) const { return *mds_[i]; }
   const Ost& ost(std::size_t i) const { return *osts_[i]; }
   // Metadata group of a raw path (the placement rule on its top component).
@@ -111,19 +117,14 @@ class SimPfs : public FsClient {
   void reset_stats() { stats_ = Stats{}; }
 
  private:
-  // Range-lock state of a file, allocated on its first write lock.
-  struct Locks {
-    static constexpr std::uint32_t kNoOwner = 0xffffffffu;
-    std::vector<std::uint32_t> owner;         // range idx -> rank, or kNoOwner
-    std::unique_ptr<sim::FcfsServer> server;  // lazily created
-  };
   struct Object {
     ExtentMap data;
     std::uint64_t size = 0;
     TimePoint mtime;
     bool live = false;        // created and not unlinked since
     bool dentry_hot = false;  // opened before: MDS serves from cache
-    std::unique_ptr<Locks> locks;
+    // Serializes lock-ownership transfers; created on the first one.
+    std::unique_ptr<sim::FcfsServer> lock_mgr;
   };
   // parent_dir is the id open resolved: close routes to its cached group,
   // and since ids are never reused it names the same directory even if that
@@ -200,8 +201,8 @@ class SimPfs : public FsClient {
   sim::Task<Result<MetaBatchApply>> raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch);
   // True when `rank` already owns every lock range [offset, offset+len)
   // touches, so a write needs no grant or transfer.
-  bool locks_cached(const Object& obj, int rank, std::uint64_t offset, std::uint64_t len) const;
-  sim::Task<void> acquire_write_locks(IoCtx ctx, Object& obj, std::uint64_t offset,
+  bool locks_cached(ObjectId oid, int rank, std::uint64_t offset, std::uint64_t len) const;
+  sim::Task<void> acquire_write_locks(IoCtx ctx, ObjectId oid, Object& obj, std::uint64_t offset,
                                       std::uint64_t len);
   // Physical transfer of [offset, offset+len) of `oid`: storage network +
   // striped OST I/Os (issued concurrently up to stripe_parallelism).
@@ -224,6 +225,10 @@ class SimPfs : public FsClient {
   std::deque<Object> objects_;
   // Indexed by FileId - 1: ids are sequential from 1 and never reused.
   std::vector<OpenFile> open_files_;
+  // (object, lock range) -> owner rank + 1 (0 = unowned), for the ranges
+  // writes touched. Entries of an unlinked object stay (ids are never
+  // reused, so no later file sees them).
+  FlatMap<ObjectBlock, std::uint32_t, ObjectBlockHash> lock_owner_;
   Stats stats_;
 };
 

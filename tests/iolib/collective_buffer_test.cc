@@ -146,6 +146,32 @@ TEST(CbWrite, UnevenContributionsStillLandCorrectly) {
   }
 }
 
+// An aggregator whose PFS write fails still meets its peers in the
+// trailing barrier: every rank returns, and only that aggregator fails.
+TEST(CbWrite, FailedAggregatorWriteStillMeetsPeers) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  Recorder file;
+  const int n = 16;
+  int failures = 0;
+  int returned = 0;
+  mpi::run_spmd(cluster, n, [&](mpi::Comm comm) -> sim::Task<void> {
+    const WriteFn inner = file.writer(comm.rank());
+    const WriteFn failing = [&inner, rank = comm.rank()](std::uint64_t off,
+                                                         DataView data) -> sim::Task<Status> {
+      if (rank == 4) co_return error(Errc::io_error, "injected");  // aggregator 1
+      co_return co_await inner(off, std::move(data));
+    };
+    const Status st =
+        co_await cb_write(comm, CbConfig{}, strided_chunks(comm.rank(), n, 32, 1024, 7), failing);
+    if (!st.ok()) ++failures;
+    ++returned;
+  });
+  EXPECT_EQ(failures, 1);
+  EXPECT_EQ(returned, n);
+  EXPECT_EQ(file.writer_ranks, (std::set<int>{0, 8, 12}));
+}
+
 TEST(CbRead, ReturnsEveryRequestInOrderAndOnlyAggregatorsRead) {
   sim::Engine engine;
   net::Cluster cluster(engine, tiny_cluster());
@@ -174,6 +200,39 @@ TEST(CbRead, ReturnsEveryRequestInOrderAndOnlyAggregatorsRead) {
     }
   });
   EXPECT_EQ(file.reader_ranks, (std::set<int>{0, 4, 8, 12}));
+}
+
+// An aggregator whose PFS read fails still answers every requester, and
+// the failure rides its replies: with strided wants, every rank asked it
+// for data, so every rank returns the failure instead of waiting forever.
+TEST(CbRead, FailedAggregatorReadStillMeetsPeers) {
+  sim::Engine engine;
+  net::Cluster cluster(engine, tiny_cluster());
+  Recorder file;
+  const int n = 16;
+  const int rounds = 32;
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * rounds * 1024;
+  file.map.write(0, DataView::pattern(7, 0, total));
+  file.size = total;
+  int failures = 0;
+  int returned = 0;
+  mpi::run_spmd(cluster, n, [&](mpi::Comm comm) -> sim::Task<void> {
+    const ReadFn inner = file.reader(comm.rank());
+    const ReadFn failing = [&inner, rank = comm.rank()](std::uint64_t off, std::uint64_t len)
+        -> sim::Task<Result<FragmentList>> {
+      if (rank == 4) co_return error(Errc::io_error, "injected");  // aggregator 1
+      co_return co_await inner(off, len);
+    };
+    std::vector<CbRange> wants;
+    for (const CbChunk& c : strided_chunks(comm.rank(), n, rounds, 1024, 7)) {
+      wants.push_back(CbRange{c.offset, c.data.size()});
+    }
+    std::vector<FragmentList> got;
+    if (!(co_await cb_read(comm, CbConfig{}, wants, failing, &got)).ok()) ++failures;
+    ++returned;
+  });
+  EXPECT_EQ(failures, n);
+  EXPECT_EQ(returned, n);
 }
 
 TEST(CbRead, RequestSpanningDomainBoundaryIsReassembled) {

@@ -244,6 +244,18 @@ TEST_F(SimPfsTest, SameRankRepeatedWritesDoNotPingPong) {
   EXPECT_EQ(fs_.stats().lock_grants, 1u);
 }
 
+// The lock table holds only the ranges writes touched: one byte 16 GiB
+// into a file takes one range, not every range before it.
+TEST_F(SimPfsTest, FarWriteHoldsOneLockRange) {
+  test::run_task(engine_, [](SimPfs& fs, IoCtx ctx) -> sim::Task<void> {
+    auto fd = co_await fs.open(ctx, "/sparse", OpenFlags::wr_create());
+    EXPECT_TRUE(fd.ok());
+    EXPECT_TRUE((co_await fs.write(ctx, *fd, 16_GiB, DataView::zeros(1))).ok());
+  }(fs_, ctx_));
+  EXPECT_EQ(fs_.lock_ranges_held(), 1u);
+  EXPECT_EQ(fs_.stats().lock_grants, 1u);
+}
+
 TEST_F(SimPfsTest, PerProcessFilesAvoidLockTraffic) {
   test::run_task(engine_, [](SimPfs& fs) -> sim::Task<void> {
     for (int node = 0; node < 4; ++node) {

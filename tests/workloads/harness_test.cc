@@ -100,6 +100,43 @@ TEST(FrameBudget, PlfsN1RecordWriteAndRead) {
   EXPECT_LE(per_read, kReadFrames) << "frames per record read";
 }
 
+// The state a simulation keeps grows with what it touches. Fig. 8a's read
+// rig (Cielo, direct N-N, 4 MiB per proc in 256 KiB records) runs at 256,
+// 512 and 1,024 procs; held lock ranges, fd-table slots and interned paths
+// may grow at most 2.1x per doubling. Direct N-N writes file k at rank k's
+// N-1 offset, so a lock table indexed by absolute range grows ~4x here.
+TEST(GrowthLaw, Fig8ReadRigStateIsLinearInProcs) {
+  struct State {
+    std::size_t lock_ranges;
+    std::size_t fd_slots;
+    std::size_t paths;
+  };
+  const auto run = [](int procs) {
+    testbed::Rig::Options o;
+    o.cluster = testbed::cielo();
+    o.pfs = testbed::cielo_pfs(10);
+    testbed::Rig rig(std::move(o));
+    JobSpec spec;
+    spec.file = "big";
+    spec.ops = segmented_ops(4_MiB, 256_KiB);
+    spec.target.access = Access::direct_nn;
+    spec.drop_caches_before_read = true;
+    run_job(rig, procs, spec);
+    pfs::SimPfs& fs = rig.pfs();
+    return State{fs.lock_ranges_held(), fs.open_file_slots(), fs.ns().interned()};
+  };
+  constexpr double kPerDoubling = 2.1;
+  State prev = run(256);
+  ASSERT_GT(prev.lock_ranges, 0u);
+  for (const int procs : {512, 1024}) {
+    const State cur = run(procs);
+    EXPECT_LE(cur.lock_ranges, prev.lock_ranges * kPerDoubling) << procs << " procs";
+    EXPECT_LE(cur.fd_slots, prev.fd_slots * kPerDoubling) << procs << " procs";
+    EXPECT_LE(cur.paths, prev.paths * kPerDoubling) << procs << " procs";
+    prev = cur;
+  }
+}
+
 TEST(Harness, DirectN1JobCompletes) {
   testbed::Rig rig(small_rig());
   JobSpec spec = mpiio_test(128_KiB, 32_KiB, TargetOptions{.access = Access::direct_n1});
