@@ -49,8 +49,6 @@ int main(int argc, char** argv) {
       spec.ops = strided_ops(static_cast<std::uint64_t>(entries) * 64_KiB, 64_KiB);
       spec.target.flatten_on_close = true;
       spec.do_read = false;
-      // Use a dedicated Plfs with the adjusted mount.
-      TargetFactory factory(plfs, rig.direct_dir());
       double close_s = 0, open_s = 0;
       mpi::run_spmd(rig.cluster(), nprocs, [&](mpi::Comm comm) -> sim::Task<void> {
         auto file = co_await plfs::MpiFile::open_write(plfs, comm, "/thresh");

@@ -54,7 +54,7 @@ ctest --preset asan -j "$jobs" -R \
   -E 'DeepAwaitChains'
 
 echo "==> chaos + raft suites under ASan/UBSan (fault injection, retry, failover)"
-ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFs|FaultyFsTest|Rig|RetryPolicy|RetryBudget|RetryLoop|DirectFault|Status|RaftTest)\.'
+ctest --preset asan -j "$jobs" -R '^(Chaos|FaultPlan|FaultyFs|FaultyFsTest|Rig|RetryPolicy|RetryBudget|RetryLoop|RetryingFs|DirectFault|Status|RaftTest)\.'
 
 # The path table (Namespace) addresses every node by a dense id;
 # its differential suite against the tree oracle and the in-memory file
@@ -274,10 +274,13 @@ LC_ALL=C ./build/bench/fig7_metadata_nn --procs 64 --max-files 2048 --fault_plan
 cmp tests/golden/fig7_failover_raft_stdout.txt "$out/fig7_failover_raft_golden_run.txt"
 
 echo "==> fig8 stress-plan stdout must match the checked-in golden output (1 and 4 shards)"
-# Every retry path runs here: PLFS ops and torn-write resumes, and the
-# direct comparator's opens, writes, reads and closes, all under the stress
-# fault plan. Retries follow one backoff schedule, so any change to it
-# moves the tables. A deliberate model change must regenerate the golden by
+# Every retry path runs here, under the stress fault plan: PLFS ops and
+# torn-write resumes through Plfs's RetryingFs, and the direct comparator's
+# opens, writes, reads and closes through the rig's direct RetryingFs.
+# Both key each op's backoff jitter by one rule (open: the path key;
+# mkdir/unlink/stat/readdir: that key ^1/^3/^4/^5; close and write: the
+# fd; read: fd ^ offset), so any change to the rule or the schedule moves
+# the tables. A deliberate model change must regenerate the golden by
 # redirecting the same command's stdout into it.
 LC_ALL=C ./build/bench/fig8_large_scale --max-read-procs=256 --max-meta-procs=256 \
   --fault_plan=stress >"$out/fig8_stress_golden_run.txt" 2>/dev/null

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "mpisim/comm.h"
 
@@ -48,10 +49,28 @@ void Runtime::gc_mailbox(const MailboxKey& key) {
 void run_spmd(net::Cluster& cluster, int nprocs,
               const std::function<sim::Task<void>(Comm)>& rank_main) {
   Runtime rt(cluster, nprocs);
+  std::vector<char> finished(static_cast<std::size_t>(nprocs), 0);
   for (int r = 0; r < nprocs; ++r) {
-    cluster.engine().spawn(rank_main(Comm::world(rt, r)));
+    cluster.engine().spawn([](sim::Task<void> main, char& done) -> sim::Task<void> {
+      co_await std::move(main);
+      done = 1;
+    }(rank_main(Comm::world(rt, r)), finished[static_cast<std::size_t>(r)]));
   }
   cluster.engine().run();
+  // The queue is empty, so nothing can resume a rank still suspended: it
+  // waits on a peer that returned without meeting it.
+  constexpr int kNamed = 8;
+  int stranded = 0;
+  std::string names;
+  for (int r = 0; r < nprocs; ++r) {
+    if (finished[static_cast<std::size_t>(r)]) continue;
+    if (++stranded <= kNamed) names += (stranded == 1 ? "" : ", ") + std::to_string(r);
+  }
+  if (stranded == 0) return;
+  throw std::runtime_error("run_spmd: " + std::to_string(stranded) + " of " +
+                           std::to_string(nprocs) +
+                           " ranks never returned (stranded in a collective or receive): " +
+                           names + (stranded > kNamed ? ", ..." : ""));
 }
 
 }  // namespace tio::mpi

@@ -81,7 +81,9 @@ class Runtime {
 };
 
 // Runs an SPMD job: spawns `nprocs` rank coroutines (each receiving its own
-// world Comm) and drives the engine until every process finishes.
+// world Comm) and drives the engine until its queue drains. Throws
+// std::runtime_error naming the stranded ranks if any rank is then still
+// suspended (a peer returned before a collective or send it waits on).
 void run_spmd(net::Cluster& cluster, int nprocs,
               const std::function<sim::Task<void>(Comm)>& rank_main);
 

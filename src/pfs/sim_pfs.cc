@@ -465,7 +465,7 @@ sim::Task<Status> SimPfs::close(IoCtx ctx, FileId file) {
   const std::size_t g = ns_.group(of->parent_dir);
   // Keep the handle until the MDS round trip succeeds: in replicated mode
   // the round trip can fail transiently (request timeout, leader change),
-  // and close_retried reissues the same fd — the retry must still find it.
+  // and RetryingFs::close reissues the same fd — the retry must find it.
   TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, g, config_.mds_close_time));
   open_files_[file - 1].oid = kNoObject;
   co_return Status::Ok();

@@ -29,12 +29,10 @@ ContainerLayout::ContainerLayout(const PlfsMount& mount, std::string logical_pat
 std::uint64_t ContainerLayout::path_hash() const { return string_hash(logical_); }
 
 std::size_t ContainerLayout::canonical_backend() const {
-  if (!mount_->spread_containers) return 0;
   return static_cast<std::size_t>(path_hash() % mount_->backends.size());
 }
 
 std::size_t ContainerLayout::subdir_backend(std::size_t k) const {
-  if (!mount_->spread_subdirs) return canonical_backend();
   return static_cast<std::size_t>(hash_combine(path_hash(), k) % mount_->backends.size());
 }
 

@@ -8,8 +8,8 @@
 //   subdir.K/       K in [0, num_subdirs): holds data.<rank>, index.<rank>
 //   global.index    (optional) flattened global index
 //
-// The canonical backend C is chosen by hashing the logical path; with
-// subdir spreading, each subdir.K is hashed independently across backends
+// The canonical backend C is chosen by hashing the logical path, and each
+// subdir.K is hashed independently across backends
 // ("shadow containers"), which is how PLFS federates one file's metadata
 // load over multiple metadata servers (paper Fig. 6). All hashing is
 // static, so every process resolves paths without coordination.

@@ -22,13 +22,10 @@ struct PlfsMount {
   // namespace; one entry means no federation.
   std::vector<std::string> backends;
 
-  // Subdirectories per container holding the data/index logs.
+  // Subdirectories per container holding the data/index logs. Both the
+  // canonical container and each subdir.k are hashed across the backends
+  // (with one backend, everything lands on it).
   std::size_t num_subdirs = 32;
-  // Container-level federation: hash the canonical container across
-  // backends (otherwise everything is canonical on backends[0]).
-  bool spread_containers = true;
-  // Subdir-level federation: hash each subdir.k across backends.
-  bool spread_subdirs = true;
 
   // The backing metadata service replicates each namespace (consistent
   // failover below the middleware, pfs::MdsReplication::raft). Placement

@@ -288,6 +288,8 @@ sim::Task<Status> MpiFile::close_write(bool flatten) {
           // let the close finish clean.
           static Counter& flatten_abort = counter("plfs.degrade.flatten_abort");
           flatten_abort.add(1);
+          // The one PLFS op that bypasses the retry decorator: a failed
+          // removal costs nothing, so it is issued once, unretried.
           const Status removed = co_await plfs_->backend_fs().unlink(
               ctx(), plfs_->layout(logical_).global_index_path());
           (void)removed;

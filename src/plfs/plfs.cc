@@ -5,7 +5,6 @@
 #include <concepts>
 #include <limits>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/strutil.h"
 #include "common/trace.h"
@@ -17,22 +16,6 @@ namespace tio::plfs {
 using pfs::OpenFlags;
 
 namespace {
-
-// Retries of every backend op this layer issues report here. The span
-// site (and so its histogram) registers only on the first backoff sleep.
-sim::RetryCounters& retry_counters() {
-  static sim::RetryCounters c("plfs.retry");
-  return c;
-}
-const trace::SpanSite& backoff_site() {
-  static const trace::SpanSite site("plfs.retry", "plfs.retry.backoff");
-  return site;
-}
-
-// Seed of the jitter-stream keys of path-addressed backend ops.
-constexpr std::uint64_t kOpKeySeed = 0x7e57a1101dull;
-
-std::uint64_t path_op_key(std::string_view path) { return tio::path_op_key(kOpKeySeed, path); }
 
 sim::Task<void> finish_leg(sim::Task<Status> leg, Status& out, sim::WaitGroup& wg) {
   out = co_await std::move(leg);
@@ -64,83 +47,29 @@ sim::Task<Status> run_legs(sim::Engine& engine, bool concurrent, Legs... legs) {
 }  // namespace
 
 Plfs::Plfs(pfs::FsClient& fs, PlfsMount mount)
-    : fs_(fs), mount_(std::move(mount)), cache_(mount_.index_cache_bytes),
-      budget_(mount_.retry_budget) {
+    : mount_(std::move(mount)),
+      fs_(fs, /*key_seed=*/0x7e57a1101dull, mount_.retry, mount_.retry_budget, "plfs.retry",
+          "plfs.retry.backoff"),
+      cache_(mount_.index_cache_bytes) {
   if (mount_.backends.empty()) {
     throw std::invalid_argument("PlfsMount must have at least one backend");
   }
 }
 
-sim::Retrier Plfs::retrier() {
-  return {&engine(), &mount_.retry, &budget_, &retry_counters, &backoff_site};
-}
-
-template <typename MakeOp>
-auto Plfs::with_retry(pfs::IoCtx ctx, std::uint64_t op_key, MakeOp make_op)
-    -> decltype(make_op()) {
-  return sim::retry(retrier(), ctx.rank, op_key, std::move(make_op));
-}
-
-sim::Task<Result<std::uint64_t>> Plfs::write_fully(pfs::IoCtx ctx, pfs::FileId fd,
-                                                   std::uint64_t offset, DataView data,
-                                                   std::uint64_t op_key) {
-  return sim::write_fully(retrier(), ctx.rank, op_key, std::move(data),
-                          [this, ctx, fd, offset](std::uint64_t done, DataView rest) {
-                            return fs_.write(ctx, fd, offset + done, std::move(rest));
-                          });
-}
-
-sim::Task<Result<pfs::FileId>> Plfs::open_retried(pfs::IoCtx ctx, std::string path,
-                                                  OpenFlags flags) {
-  co_return co_await with_retry(ctx, path_op_key(path),
-                                [&] { return fs_.open(ctx, path, flags); });
-}
-
-sim::Task<Status> Plfs::close_retried(pfs::IoCtx ctx, pfs::FileId fd) {
-  co_return co_await with_retry(ctx, splitmix64(fd), [&] { return fs_.close(ctx, fd); });
-}
-
-sim::Task<Result<FragmentList>> Plfs::read_retried(pfs::IoCtx ctx, pfs::FileId fd,
-                                                   std::uint64_t offset, std::uint64_t len) {
-  return with_retry(ctx, splitmix64(fd ^ offset),
-                    [this, ctx, fd, offset, len] { return fs_.read(ctx, fd, offset, len); });
-}
-
-sim::Task<Status> Plfs::mkdir_retried(pfs::IoCtx ctx, std::string path) {
-  co_return co_await with_retry(ctx, path_op_key(path) ^ 1,
-                                [&] { return fs_.mkdir(ctx, path); });
-}
-
-sim::Task<Status> Plfs::unlink_retried(pfs::IoCtx ctx, std::string path) {
-  co_return co_await with_retry(ctx, path_op_key(path) ^ 3,
-                                [&] { return fs_.unlink(ctx, path); });
-}
-
-sim::Task<Result<pfs::StatInfo>> Plfs::stat_retried(pfs::IoCtx ctx, std::string path) {
-  co_return co_await with_retry(ctx, path_op_key(path) ^ 4,
-                                [&] { return fs_.stat(ctx, path); });
-}
-
-sim::Task<Result<std::vector<pfs::DirEntry>>> Plfs::readdir_retried(pfs::IoCtx ctx,
-                                                                    std::string path) {
-  co_return co_await with_retry(ctx, path_op_key(path) ^ 5,
-                                [&] { return fs_.readdir(ctx, path); });
-}
-
 sim::Task<Status> Plfs::touch(pfs::IoCtx ctx, std::string path, OpenFlags flags) {
-  auto fd = co_await open_retried(ctx, std::move(path), flags);
-  if (fd.ok()) co_return co_await close_retried(ctx, *fd);
+  auto fd = co_await fs_.open(ctx, std::move(path), flags);
+  if (fd.ok()) co_return co_await fs_.close(ctx, *fd);
   if (flags.excl && fd.status().code() == Errc::exists) co_return Status::Ok();
   co_return fd.status();
 }
 
 sim::Task<Status> Plfs::open_log(pfs::IoCtx ctx, std::string path, pfs::FileId& fd) {
-  TIO_CO_ASSIGN_OR_RETURN(fd, co_await open_retried(ctx, std::move(path), OpenFlags::wr_trunc()));
+  TIO_CO_ASSIGN_OR_RETURN(fd, co_await fs_.open(ctx, std::move(path), OpenFlags::wr_trunc()));
   co_return Status::Ok();
 }
 
 sim::Task<Status> Plfs::unlink_record(pfs::IoCtx ctx, std::string path) {
-  const Status st = co_await unlink_retried(ctx, std::move(path));
+  const Status st = co_await fs_.unlink(ctx, std::move(path));
   // Replicated submits are at-least-once: a lost ack makes the retry
   // re-apply the unlink and see not_found. The record is per-rank, so
   // already-gone is success.
@@ -149,12 +78,12 @@ sim::Task<Status> Plfs::unlink_record(pfs::IoCtx ctx, std::string path) {
 }
 
 sim::Task<Status> Plfs::ensure_dir(pfs::IoCtx ctx, std::string dir) {
-  auto st = co_await stat_retried(ctx, dir);
+  auto st = co_await fs_.stat(ctx, dir);
   if (st.ok()) {
     if (!st->is_dir) co_return error(Errc::not_a_directory, dir);
     co_return Status::Ok();
   }
-  Status made = co_await mkdir_retried(ctx, dir);
+  Status made = co_await fs_.mkdir(ctx, dir);
   if (!made.ok() && made.code() != Errc::exists) co_return made;
   co_return Status::Ok();
 }
@@ -258,9 +187,8 @@ sim::Task<Status> WriteHandle::write(std::uint64_t logical_offset, DataView data
   if (data.empty()) co_return Status::Ok();
   const std::uint64_t len = data.size();
   // Log-structured: always append, regardless of the logical offset.
-  TIO_CO_RETURN_IF_ERROR((co_await plfs_->write_fully(ctx_, data_fd_, data_offset_,
-                                                       std::move(data), splitmix64(data_fd_)))
-                             .status());
+  TIO_CO_RETURN_IF_ERROR(
+      (co_await plfs_->fs_.write(ctx_, data_fd_, data_offset_, std::move(data))).status());
   entries_.push_back(IndexEntry{logical_offset, len, data_offset_,
                                 plfs_->engine().now().to_ns(),
                                 static_cast<std::uint32_t>(rank_)});
@@ -284,9 +212,8 @@ sim::Task<Status> WriteHandle::flush_index() {
   const std::uint64_t n = buf.size();
   static Counter& log_bytes_written = counter("plfs.index.log_bytes_written");
   log_bytes_written.add(n);
-  TIO_CO_RETURN_IF_ERROR((co_await plfs_->write_fully(ctx_, index_fd_, index_offset_,
-                                                       DataView::literal(std::move(buf)),
-                                                       splitmix64(index_fd_)))
+  TIO_CO_RETURN_IF_ERROR((co_await plfs_->fs_.write(ctx_, index_fd_, index_offset_,
+                                                    DataView::literal(std::move(buf))))
                              .status());
   index_offset_ += n;
   flushed_ = entries_.size();
@@ -296,8 +223,8 @@ sim::Task<Status> WriteHandle::flush_index() {
 sim::Task<Status> WriteHandle::close() {
   if (closed_) co_return error(Errc::bad_handle, "double close");
   TIO_CO_RETURN_IF_ERROR(co_await flush_index());
-  TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, data_fd_));
-  TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, index_fd_));
+  TIO_CO_RETURN_IF_ERROR(co_await plfs_->fs_.close(ctx_, data_fd_));
+  TIO_CO_RETURN_IF_ERROR(co_await plfs_->fs_.close(ctx_, index_fd_));
   // The size dropping (the logical high water is encoded in its name, as
   // PLFS does so that stat needs no index aggregation) and the openhost
   // unlink are independent mutations; the simulator prices both.
@@ -324,7 +251,7 @@ sim::Task<Result<std::vector<Plfs::IndexLogRef>>> Plfs::list_index_logs(
   std::vector<char> stale(lay.num_subdirs(), 0);
   if (lay.num_backends() > 1 && !mount_.mds_replicated) {
     TIO_CO_ASSIGN_OR_RETURN(std::vector<pfs::DirEntry> canon,
-                            co_await readdir_retried(ctx, lay.canonical_container()));
+                            co_await fs_.readdir(ctx, lay.canonical_container()));
     for (const auto& e : canon) {
       std::size_t k = 0;
       if (!e.is_dir && parse_stale_marker_name(e.name, &k) && k < stale.size()) stale[k] = 1;
@@ -336,7 +263,7 @@ sim::Task<Result<std::vector<Plfs::IndexLogRef>>> Plfs::list_index_logs(
     const std::size_t probes = stale[k] ? lay.num_backends() : 1;
     for (std::size_t j = 0; j < probes; ++j) {
       const std::string subdir = lay.subdir_path_on(k, (home + j) % lay.num_backends());
-      auto entries = co_await readdir_retried(ctx, subdir);
+      auto entries = co_await fs_.readdir(ctx, subdir);
       if (!entries.ok()) {
         if (entries.status().code() == Errc::not_found) continue;  // unused subdir
         co_return entries.status();
@@ -358,9 +285,9 @@ sim::Task<Result<std::shared_ptr<const std::vector<IndexEntry>>>> Plfs::read_ind
     pfs::IoCtx ctx, std::string logical, std::string path) {
   // Simulated costs are always paid in full; only the parsed host structure
   // is shared across readers, through the container-scoped cache.
-  TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await open_retried(ctx, path, OpenFlags::ro()));
-  auto data = co_await read_retried(ctx, fd, 0, std::numeric_limits<std::int64_t>::max());
-  TIO_CO_RETURN_IF_ERROR(co_await close_retried(ctx, fd));
+  TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await fs_.open(ctx, path, OpenFlags::ro()));
+  auto data = co_await fs_.read(ctx, fd, 0, std::numeric_limits<std::int64_t>::max());
+  TIO_CO_RETURN_IF_ERROR(co_await fs_.close(ctx, fd));
   if (!data.ok()) co_return data.status();
   const std::string container = path_normalize(logical);
   const std::uint64_t gen = cache_.generation(container);
@@ -423,9 +350,9 @@ sim::Task<Result<IndexPtr>> Plfs::read_global_index(pfs::IoCtx ctx, const std::s
   const std::uint64_t gen = cache_.generation(container);
   static const trace::SpanSite kReadSite("plfs.open", "plfs.open.index_read");
   trace::Span read_span(engine(), kReadSite, ctx.rank);
-  TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await open_retried(ctx, path, OpenFlags::ro()));
-  auto data = co_await read_retried(ctx, fd, 0, std::numeric_limits<std::int64_t>::max());
-  TIO_CO_RETURN_IF_ERROR(co_await close_retried(ctx, fd));
+  TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await fs_.open(ctx, path, OpenFlags::ro()));
+  auto data = co_await fs_.read(ctx, fd, 0, std::numeric_limits<std::int64_t>::max());
+  TIO_CO_RETURN_IF_ERROR(co_await fs_.close(ctx, fd));
   if (!data.ok()) co_return data.status();
   static Counter& global_bytes_read = counter("plfs.index.global_bytes_read");
   global_bytes_read.add(data->size());
@@ -449,13 +376,12 @@ sim::Task<Status> Plfs::write_global_index(pfs::IoCtx ctx, const std::string& lo
   ContainerLayout lay = layout(logical);
   cache_.invalidate(path_normalize(logical));  // cached global-index log is stale
   const std::string path = lay.global_index_path();
-  TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await open_retried(ctx, path, OpenFlags::wr_trunc()));
+  TIO_CO_ASSIGN_OR_RETURN(pfs::FileId fd, co_await fs_.open(ctx, path, OpenFlags::wr_trunc()));
   auto bytes = serialize_entries_with_trailer(index.to_entries());
   static Counter& global_bytes_written = counter("plfs.index.global_bytes_written");
   global_bytes_written.add(bytes.size());
-  auto written = co_await write_fully(ctx, fd, 0, DataView::literal(std::move(bytes)),
-                                      path_op_key(path));
-  const Status closed = co_await close_retried(ctx, fd);
+  auto written = co_await fs_.write(ctx, fd, 0, DataView::literal(std::move(bytes)));
+  const Status closed = co_await fs_.close(ctx, fd);
   if (!written.ok()) co_return written.status();
   co_return closed;
 }
@@ -480,7 +406,7 @@ sim::Task<Result<pfs::FileId>> ReadHandle::data_fd(std::uint32_t writer) {
   const std::size_t home = layout_.subdir_backend(layout_.subdir_of_rank(rank));
   Result<pfs::FileId> fd = error(Errc::not_found, "no backend holds the data log");
   for (std::size_t j = 0; j < layout_.num_backends(); ++j) {
-    fd = co_await plfs_->open_retried(
+    fd = co_await plfs_->fs_.open(
         ctx_, layout_.data_log_path_on(rank, (home + j) % layout_.num_backends()),
         OpenFlags::ro());
     if (fd.ok()) break;
@@ -510,7 +436,7 @@ sim::Task<Result<FragmentList>> ReadHandle::read(std::uint64_t offset, std::uint
     } else {
       TIO_CO_ASSIGN_OR_RETURN(fd, co_await data_fd(m.writer));
     }
-    auto piece = co_await plfs_->read_retried(ctx_, fd, m.physical_offset, m.length);
+    auto piece = co_await plfs_->fs_.read(ctx_, fd, m.physical_offset, m.length);
     if (!piece.ok()) co_return piece.status();
     if (piece->size() != m.length) {
       co_return error(Errc::io_error, "data log shorter than its index claims");
@@ -525,7 +451,7 @@ sim::Task<Result<FragmentList>> ReadHandle::read(std::uint64_t offset, std::uint
 sim::Task<Status> ReadHandle::close() {
   if (closed_) co_return error(Errc::bad_handle, "double close");
   for (const auto& [writer, fd] : data_fds_) {
-    TIO_CO_RETURN_IF_ERROR(co_await plfs_->close_retried(ctx_, fd));
+    TIO_CO_RETURN_IF_ERROR(co_await plfs_->fs_.close(ctx_, fd));
   }
   data_fds_.clear();
   closed_ = true;
@@ -534,7 +460,7 @@ sim::Task<Status> ReadHandle::close() {
 
 sim::Task<Result<bool>> Plfs::is_container(pfs::IoCtx ctx, const std::string& logical) {
   ContainerLayout lay = layout(logical);
-  auto st = co_await stat_retried(ctx, lay.access_path());
+  auto st = co_await fs_.stat(ctx, lay.access_path());
   if (st.ok()) co_return true;
   if (st.status().code() == Errc::not_found) co_return false;
   co_return st.status();

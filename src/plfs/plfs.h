@@ -21,7 +21,7 @@
 #include "plfs/index_builder.h"
 #include "plfs/index_cache.h"
 #include "plfs/mount.h"
-#include "sim/retry.h"
+#include "pfs/retrying_fs.h"
 
 namespace tio::plfs {
 
@@ -33,7 +33,8 @@ class Plfs {
   Plfs(pfs::FsClient& fs, PlfsMount mount);
 
   const PlfsMount& mount() const { return mount_; }
-  pfs::FsClient& backend_fs() { return fs_; }
+  // The backend itself, without this instance's retries.
+  pfs::FsClient& backend_fs() { return fs_.inner(); }
   sim::Engine& engine() { return fs_.engine(); }
   ContainerLayout layout(const std::string& logical) const {
     return ContainerLayout(mount_, logical);
@@ -83,10 +84,6 @@ class Plfs {
   // for tests and bench instrumentation.
   IndexCache& index_cache() { return cache_; }
 
-  // Retries left before transient failures surface immediately (shared by
-  // every op of this instance; see PlfsMount::retry_budget).
-  std::uint64_t retry_budget_remaining() const { return budget_.remaining(); }
-
  private:
   friend class WriteHandle;
   friend class ReadHandle;
@@ -105,36 +102,9 @@ class Plfs {
   sim::Task<Status> ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& lay, std::size_t k,
                                      std::size_t backend);
 
-  // This instance's caller data for the one retry loop (sim/retry.h): the
-  // mount's RetryPolicy, the instance-wide budget, the plfs.retry.*
-  // counters and the plfs.retry.backoff span site.
-  sim::Retrier retrier();
-  // Runs a freshly-made op per attempt through sim::retry: transient
-  // failures back off with deterministic jitter keyed by op_key until
-  // attempts or the instance-wide budget run out. The ctx attributes
-  // backoff spans to the issuing rank.
-  template <typename MakeOp>
-  auto with_retry(pfs::IoCtx ctx, std::uint64_t op_key, MakeOp make_op)
-      -> decltype(make_op());
-  // Writes all of non-empty `data` through sim::write_fully, resuming after
-  // transient failures and short (torn) writes.
-  sim::Task<Result<std::uint64_t>> write_fully(pfs::IoCtx ctx, pfs::FileId fd,
-                                               std::uint64_t offset, DataView data,
-                                               std::uint64_t op_key);
-  // Retrying wrappers over the backend primitives.
-  sim::Task<Result<pfs::FileId>> open_retried(pfs::IoCtx ctx, std::string path,
-                                              pfs::OpenFlags flags);
-  sim::Task<Status> close_retried(pfs::IoCtx ctx, pfs::FileId fd);
-  sim::Task<Result<FragmentList>> read_retried(pfs::IoCtx ctx, pfs::FileId fd,
-                                               std::uint64_t offset, std::uint64_t len);
-  sim::Task<Status> mkdir_retried(pfs::IoCtx ctx, std::string path);
-  sim::Task<Status> unlink_retried(pfs::IoCtx ctx, std::string path);
-  sim::Task<Result<pfs::StatInfo>> stat_retried(pfs::IoCtx ctx, std::string path);
-  sim::Task<Result<std::vector<pfs::DirEntry>>> readdir_retried(pfs::IoCtx ctx,
-                                                                std::string path);
-
-  pfs::FsClient& fs_;
   PlfsMount mount_;
+  // Every backend op of this instance goes through it (plfs.retry.*).
+  pfs::RetryingFs fs_;
   // Shares the structure of uncoordinated (Original-design) index builds:
   // real processes hold their copies in separate nodes' memory, but the
   // simulator holds all ranks in one address space, so N identical
@@ -143,7 +113,6 @@ class Plfs {
   // maps (cleared wholesale on any write anywhere), the cache is
   // byte-budgeted and invalidated per container.
   IndexCache cache_;
-  RetryBudget budget_;
 };
 
 // A single writer's open stream (one per process per logical file).

@@ -124,7 +124,7 @@ class Group {
   void set_partitioned(std::size_t replica, bool isolated);
 
   // Keeps timers armed while no client operation is in flight (tests that
-  // drive the group with engine.run_until horizons).
+  // drive the group to virtual-time horizons).
   void keep_alive(bool on);
 
   // Introspection (tests, leader-targeted fault resolution).

@@ -138,13 +138,6 @@ std::int64_t Engine::next_event_ns() const {
   return t;
 }
 
-std::uint64_t Engine::run_until(std::int64_t horizon_ns) {
-  const std::uint64_t start = events_processed_;
-  while (next_event_ns() < horizon_ns && step()) {
-  }
-  return events_processed_ - start;
-}
-
 void Engine::rethrow_pending_error() {
   if (process_error_) {
     auto err = std::exchange(process_error_, nullptr);

@@ -75,11 +75,6 @@ class Engine {
 
   // Virtual time of the next pending event; INT64_MAX when idle.
   std::int64_t next_event_ns() const;
-  // Processes events with time strictly before `horizon_ns` (exclusive),
-  // then stops; returns the number of events run. For driving a system
-  // that never drains (e.g. a Raft group's heartbeats) to a virtual
-  // horizon. Does not publish counters or rethrow process errors.
-  std::uint64_t run_until(std::int64_t horizon_ns);
   // Flushes this engine's deltas into the process-global sim.engine.*
   // counters (run() does this automatically).
   void publish_counters();

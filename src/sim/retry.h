@@ -1,19 +1,18 @@
 // The one transient-fault retry loop.
 //
-// Every backend op that can fail transiently — the PLFS middleware's and the
-// direct-access comparator's — is re-issued through retry() below, under a
-// RetryPolicy's capped, deterministically jittered backoff (common/retry.h).
-// write_fully() builds torn-write resumption on the same loop.
+// retry() below re-issues an op that failed transiently, under a
+// RetryPolicy's capped, deterministically jittered backoff (common/retry.h);
+// write_fully() builds torn-write resumption on the same loop. In the
+// program its one caller is pfs::RetryingFs (pfs/retrying_fs.h), the
+// FsClient decorator that every retried backend op goes through: PLFS owns
+// one over its backend, and the direct-access comparator shares another.
 //
-// Callers differ only in the data they pass (a Retrier): the budget their
-// retries draw on, the counter family they report under, and the span site
-// of their backoff sleeps. PLFS passes its instance-wide budget, plfs.retry.*
-// and the plfs.retry.backoff span; the direct legs model a plain POSIX
-// client re-issuing a failed syscall, so they pass direct.retry.*, a budget
-// that never runs dry and no span.
+// A caller's data lives in its Retrier: the policy, the budget its retries
+// draw on, its counter family and, optionally, a span for its backoffs.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -28,9 +27,7 @@
 
 namespace tio::sim {
 
-// One caller's retry counters, `<family>.attempts` and so on. Callers build
-// theirs as a function-local static on first use, so a family registers
-// only once its caller runs.
+// One caller's retry counters, `<family>.attempts` and so on.
 struct RetryCounters {
   explicit RetryCounters(std::string_view family)
       : attempts(counter(std::string(family) + ".attempts")),
@@ -48,15 +45,40 @@ struct RetryCounters {
   Counter& short_write_resumed;  // torn writes resumed after their prefix
 };
 
-// What one caller brings to the loop. The getters are called only when
-// needed (counters on the first op, the span site on the first backoff),
-// which keeps counter and histogram registration lazy.
-struct Retrier {
+// One caller's retry state. The counters and the backoff span site (when
+// `backoff_span` is set; category `family`) register on first use — the
+// counters on the first op, the span site on the first backoff — so a
+// family shows up in a bench's report only once its caller runs.
+class Retrier {
+ public:
+  Retrier(Engine& engine, RetryPolicy policy, std::uint64_t budget, std::string family,
+          std::string backoff_span = {})
+      : engine(&engine), policy(policy), budget(budget), family_(std::move(family)),
+        backoff_span_(std::move(backoff_span)) {}
+  // In-flight ops hold its address.
+  Retrier(const Retrier&) = delete;
+  Retrier& operator=(const Retrier&) = delete;
+
+  RetryCounters& counters() {
+    if (!counters_) counters_.emplace(family_);
+    return *counters_;
+  }
+  // Null when backoff sleeps go untraced.
+  const trace::SpanSite* backoff_site() {
+    if (backoff_span_.empty()) return nullptr;
+    if (!site_) site_.emplace(family_, backoff_span_);
+    return &*site_;
+  }
+
   Engine* engine;
-  const RetryPolicy* policy;
-  RetryBudget* budget;
-  RetryCounters& (*counters)();
-  const trace::SpanSite& (*backoff_site)() = nullptr;  // null: sleeps untraced
+  RetryPolicy policy;
+  RetryBudget budget;
+
+ private:
+  std::string family_;
+  std::string backoff_span_;
+  std::optional<RetryCounters> counters_;
+  std::optional<trace::SpanSite> site_;
 };
 
 namespace detail {
@@ -81,7 +103,7 @@ struct task_value<Task<T>> {
 // member may report a successful attempt as partial progress (a torn
 // write): the loop then re-issues it with the attempt count reset.
 template <typename MakeOp>
-auto retry(Retrier r, int rank, std::uint64_t op_key, MakeOp make_op) -> decltype(make_op()) {
+auto retry(Retrier& r, int rank, std::uint64_t op_key, MakeOp make_op) -> decltype(make_op()) {
   using R = typename detail::task_value<decltype(make_op())>::type;
   RetryCounters& rc = r.counters();
   bool retried = false;
@@ -100,20 +122,22 @@ auto retry(Retrier r, int rank, std::uint64_t op_key, MakeOp make_op) -> decltyp
       co_return std::move(result);
     }
     if (!st.is_transient()) co_return std::move(result);
-    if (attempt + 1 >= r.policy->max_attempts) {
+    if (attempt + 1 >= r.policy.max_attempts) {
       rc.exhausted.add(1);
       co_return std::move(result);
     }
-    if (!r.budget->try_consume()) {
+    if (!r.budget.try_consume()) {
       rc.budget_exhausted.add(1);
       co_return std::move(result);
     }
-    const Duration wait = r.policy->backoff(attempt, op_key);
+    const Duration wait = r.policy.backoff(attempt, op_key);
     rc.attempts.add(1);
     rc.backoff_ns.add(static_cast<std::uint64_t>(wait.to_ns()));
     {
       trace::Span backoff;
-      if (r.backoff_site != nullptr) backoff = trace::Span(*r.engine, r.backoff_site(), rank);
+      if (const trace::SpanSite* site = r.backoff_site(); site != nullptr) {
+        backoff = trace::Span(*r.engine, *site, rank);
+      }
       co_await r.engine->sleep(wait);
     }
     retried = true;
@@ -146,7 +170,7 @@ struct ResumingWrite {
 // completion is guaranteed for any finite tear sequence. An empty `data`
 // still issues one write; callers skip empty writes.
 template <typename WriteAt>
-Task<Result<std::uint64_t>> write_fully(Retrier r, int rank, std::uint64_t op_key, DataView data,
+Task<Result<std::uint64_t>> write_fully(Retrier& r, int rank, std::uint64_t op_key, DataView data,
                                         WriteAt write_at) {
   return retry(r, rank, op_key, ResumingWrite<WriteAt>{std::move(write_at), std::move(data)});
 }

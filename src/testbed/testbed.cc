@@ -72,8 +72,6 @@ plfs::PlfsMount plfs_mount(std::size_t backends, std::size_t num_subdirs) {
     m.backends.push_back("/vol" + std::to_string(i) + "/plfs");
   }
   m.num_subdirs = num_subdirs;
-  m.spread_containers = backends > 1;
-  m.spread_subdirs = backends > 1;
   return m;
 }
 
@@ -102,6 +100,8 @@ Rig::Rig(Options options)
     faulty_ = std::make_unique<pfs::FaultyFs>(*pfs_, plan);
   }
   plfs_ = std::make_unique<plfs::Plfs>(fs(), mount_);
+  direct_fs_ = std::make_unique<pfs::RetryingFs>(fs(), /*key_seed=*/0xd12ec7a11ull, mount_.retry,
+                                                 RetryBudget::kUnlimited, "direct.retry");
   // Pre-create ("mount") the volume roots plus the direct-access dir.
   for (const auto& b : mount_.backends) {
     if (!pfs_->ns().mkdir_all(b).ok()) throw std::runtime_error("mount failed: " + b);

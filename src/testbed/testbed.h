@@ -19,6 +19,7 @@
 #include "net/cluster.h"
 #include "pfs/config.h"
 #include "pfs/faulty_fs.h"
+#include "pfs/retrying_fs.h"
 #include "pfs/sim_pfs.h"
 #include "plfs/mount.h"
 #include "plfs/plfs.h"
@@ -63,6 +64,9 @@ class Rig {
   // The FsClient PLFS actually talks to: the SimPfs itself, or the FaultyFs
   // wrapped around it when a fault plan is active.
   pfs::FsClient& fs() { return faulty_ ? static_cast<pfs::FsClient&>(*faulty_) : *pfs_; }
+  // fs() as the direct-access comparator sees it: behind a plain POSIX
+  // client's retries (direct.retry.*, no budget cap).
+  pfs::RetryingFs& direct_fs() { return *direct_fs_; }
   // Path for direct (non-PLFS) access experiments, on volume 0.
   std::string direct_dir() const { return "/vol0/direct"; }
 
@@ -73,6 +77,7 @@ class Rig {
   std::unique_ptr<pfs::FaultyFs> faulty_;
   plfs::PlfsMount mount_;
   std::unique_ptr<plfs::Plfs> plfs_;
+  std::unique_ptr<pfs::RetryingFs> direct_fs_;
 };
 
 }  // namespace tio::testbed

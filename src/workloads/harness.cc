@@ -101,7 +101,7 @@ sim::Task<void> run_phase(TargetFactory& factory, mpi::Comm comm, const JobSpec&
 }  // namespace
 
 JobResult run_job(testbed::Rig& rig, int nprocs, const JobSpec& spec) {
-  TargetFactory factory(rig.plfs(), rig.direct_dir());
+  TargetFactory factory(rig.plfs(), rig.direct_fs(), rig.direct_dir());
   JobResult result;
   const std::uint64_t bytes =
       spec.bytes_override > 0 ? spec.bytes_override : (spec.ops ? total_bytes(spec.ops, nprocs) : 0);

@@ -2,11 +2,9 @@
 
 #include <stdexcept>
 
-#include "common/rng.h"
 #include "common/strutil.h"
 #include "mpisim/comm.h"
 #include "plfs/plfs.h"
-#include "workloads/target.h"
 
 namespace tio::workloads {
 
@@ -31,8 +29,7 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
     sim::Engine& engine = comm.engine();
     std::vector<std::unique_ptr<plfs::WriteHandle>> plfs_handles;
     std::vector<pfs::FileId> direct_fds;
-    RetryBudget budget(RetryBudget::kUnlimited);
-    const sim::Retrier direct = direct_retrier(engine, rig.mount().retry, budget);
+    pfs::FsClient& direct = rig.direct_fs();
 
     co_await comm.barrier();
     const TimePoint t0 = engine.now();
@@ -51,17 +48,13 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
       } else if (spec.shared_file) {
         const std::string path = path_join(rig.direct_dir(), spec.dir + "/shared");
         if (comm.rank() == 0 && i == 0) {
-          auto fd = co_await sim::retry(direct, ctx.rank, direct_op_key(path), [&] {
-            return rig.fs().open(ctx, path, pfs::OpenFlags::wr_trunc());
-          });
+          auto fd = co_await direct.open(ctx, path, pfs::OpenFlags::wr_trunc());
           if (!fd.ok()) storm_failed("direct create", fd.status());
           direct_fds.push_back(*fd);
           co_await comm.barrier();
         } else {
           if (i == 0) co_await comm.barrier();
-          auto fd = co_await sim::retry(direct, ctx.rank, direct_op_key(path), [&] {
-            return rig.fs().open(ctx, path, pfs::OpenFlags::wr());
-          });
+          auto fd = co_await direct.open(ctx, path, pfs::OpenFlags::wr());
           if (!fd.ok()) storm_failed("direct open", fd.status());
           direct_fds.push_back(*fd);
         }
@@ -69,9 +62,7 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
         // Direct N-N: every create lands in the single shared directory.
         const std::string path = path_join(
             rig.direct_dir(), str_printf("%s/f%d_%d", spec.dir.c_str(), comm.rank(), i));
-        auto fd = co_await sim::retry(direct, ctx.rank, direct_op_key(path), [&] {
-          return rig.fs().open(ctx, path, pfs::OpenFlags::wr_trunc());
-        });
+        auto fd = co_await direct.open(ctx, path, pfs::OpenFlags::wr_trunc());
         if (!fd.ok()) storm_failed("direct create", fd.status());
         direct_fds.push_back(*fd);
       }
@@ -84,8 +75,7 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
       if (!st.ok()) storm_failed("plfs close", st);
     }
     for (const auto fd : direct_fds) {
-      const Status st = co_await sim::retry(direct, ctx.rank, splitmix64(fd) ^ 2,
-                                            [&] { return rig.fs().close(ctx, fd); });
+      const Status st = co_await direct.close(ctx, fd);
       if (!st.ok()) storm_failed("direct close", st);
     }
     co_await comm.barrier();

@@ -18,21 +18,6 @@ std::string_view access_name(Access access) {
   return "?";
 }
 
-namespace {
-
-sim::RetryCounters& direct_retry_counters() {
-  static sim::RetryCounters c("direct.retry");
-  return c;
-}
-
-}  // namespace
-
-sim::Retrier direct_retrier(sim::Engine& engine, const RetryPolicy& policy, RetryBudget& budget) {
-  return {&engine, &policy, &budget, &direct_retry_counters};
-}
-
-std::uint64_t direct_op_key(std::string_view path) { return path_op_key(0xd12ec7a11ull, path); }
-
 std::string TargetFactory::plfs_path(const std::string& name, Access access, int rank) const {
   return access == Access::plfs_n1 ? "/" + name : str_printf("/%s.%d", name.c_str(), rank);
 }
@@ -134,40 +119,27 @@ class PlfsNnTarget final : public JitterBase {
 class DirectTarget final : public JitterBase {
  public:
   DirectTarget(sim::Engine& engine, Duration jitter, std::uint64_t stream, mpi::Comm& comm,
-               pfs::FsClient& fs, const RetryPolicy& policy, pfs::FileId fd)
-      : JitterBase(engine, jitter, stream), engine_(&engine), comm_(&comm), fs_(&fs),
-        policy_(policy), fd_(fd) {}
+               pfs::FsClient& fs, pfs::FileId fd)
+      : JitterBase(engine, jitter, stream), comm_(&comm), fs_(&fs), fd_(fd) {}
   sim::Task<Status> write(std::uint64_t offset, DataView data) override {
     co_await think();
     if (data.empty()) co_return Status::Ok();
-    auto wrote = co_await sim::write_fully(
-        retrier(), comm_->global_rank(), splitmix64(fd_ ^ offset), std::move(data),
-        [this, offset](std::uint64_t done, DataView rest) {
-          return fs_->write(ctx(), fd_, offset + done, std::move(rest));
-        });
-    co_return wrote.status();
+    co_return (co_await fs_->write(ctx(), fd_, offset, std::move(data))).status();
   }
   sim::Task<Result<FragmentList>> read(std::uint64_t offset, std::uint64_t len) override {
     co_await think();
-    co_return co_await sim::retry(retrier(), comm_->global_rank(), splitmix64(fd_ ^ offset) ^ 1,
-                                  [&] { return fs_->read(ctx(), fd_, offset, len); });
+    co_return co_await fs_->read(ctx(), fd_, offset, len);
   }
   sim::Task<Status> close() override {
-    TIO_CO_RETURN_IF_ERROR(co_await sim::retry(retrier(), comm_->global_rank(),
-                                               splitmix64(fd_) ^ 2,
-                                               [&] { return fs_->close(ctx(), fd_); }));
+    TIO_CO_RETURN_IF_ERROR(co_await fs_->close(ctx(), fd_));
     co_await comm_->barrier();
     co_return Status::Ok();
   }
 
  private:
   pfs::IoCtx ctx() const { return IoCtx{comm_->my_node(), comm_->global_rank()}; }
-  sim::Retrier retrier() { return direct_retrier(*engine_, policy_, budget_); }
-  sim::Engine* engine_;
   mpi::Comm* comm_;
   pfs::FsClient* fs_;
-  RetryPolicy policy_;
-  RetryBudget budget_{RetryBudget::kUnlimited};
   pfs::FileId fd_;
 };
 
@@ -197,41 +169,30 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_write(mpi::Comm& 
                                                std::move(wh.value()), nullptr);
     }
     case Access::direct_n1: {
-      const RetryPolicy& retry = plfs_->mount().retry;
-      RetryBudget budget(RetryBudget::kUnlimited);
-      const sim::Retrier retrier = direct_retrier(comm.engine(), retry, budget);
       const std::string path = direct_path(name, options.access, 0);
       // Rank 0 creates/truncates the shared file; everyone else opens after.
       if (comm.rank() == 0) {
-        auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path), [&] {
-          return fs().open(ctx, path, OpenFlags::wr_trunc());
-        });
+        auto fd = co_await direct_fs_->open(ctx, path, OpenFlags::wr_trunc());
         if (!fd.ok()) co_return fd.status();
         co_await comm.barrier();
         co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter, 0, comm,
-                                                 fs(), retry, *fd);
+                                                 *direct_fs_, *fd);
       }
       co_await comm.barrier();
-      auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path),
-                                    [&] { return fs().open(ctx, path, OpenFlags::wr()); });
+      auto fd = co_await direct_fs_->open(ctx, path, OpenFlags::wr());
       if (!fd.ok()) co_return fd.status();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
                                                static_cast<std::uint64_t>(comm.rank()), comm,
-                                               fs(), retry, *fd);
+                                               *direct_fs_, *fd);
     }
     case Access::direct_nn: {
-      const RetryPolicy& retry = plfs_->mount().retry;
-      RetryBudget budget(RetryBudget::kUnlimited);
-      const sim::Retrier retrier = direct_retrier(comm.engine(), retry, budget);
-      const std::string path = direct_path(name, options.access, comm.rank());
-      auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path), [&] {
-        return fs().open(ctx, path, OpenFlags::wr_trunc());
-      });
+      auto fd = co_await direct_fs_->open(ctx, direct_path(name, options.access, comm.rank()),
+                                          OpenFlags::wr_trunc());
       if (!fd.ok()) co_return fd.status();
       co_await comm.barrier();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
                                                static_cast<std::uint64_t>(comm.rank()), comm,
-                                               fs(), retry, *fd);
+                                               *direct_fs_, *fd);
     }
   }
   co_return error(Errc::invalid, "bad access mode");
@@ -262,20 +223,15 @@ sim::Task<Result<std::unique_ptr<Target>>> TargetFactory::open_read(mpi::Comm& c
     }
     case Access::direct_n1:
     case Access::direct_nn: {
-      const RetryPolicy& retry = plfs_->mount().retry;
-      RetryBudget budget(RetryBudget::kUnlimited);
-      const sim::Retrier retrier = direct_retrier(comm.engine(), retry, budget);
       const std::string path = direct_path(name, options.access, comm.rank());
-      auto st = co_await sim::retry(retrier, ctx.rank, direct_op_key(path) ^ 4,
-                                    [&] { return fs().stat(ctx, path); });
+      auto st = co_await direct_fs_->stat(ctx, path);
       if (!st.ok()) co_return st.status();
-      auto fd = co_await sim::retry(retrier, ctx.rank, direct_op_key(path),
-                                    [&] { return fs().open(ctx, path, OpenFlags::ro()); });
+      auto fd = co_await direct_fs_->open(ctx, path, OpenFlags::ro());
       if (!fd.ok()) co_return fd.status();
       co_await comm.barrier();
       co_return std::make_unique<DirectTarget>(comm.engine(), options.op_jitter,
                                                static_cast<std::uint64_t>(comm.rank()), comm,
-                                               fs(), retry, *fd);
+                                               *direct_fs_, *fd);
     }
   }
   co_return error(Errc::invalid, "bad access mode");

@@ -13,7 +13,6 @@
 #include "pfs/fs_client.h"
 #include "plfs/mpiio.h"
 #include "plfs/plfs.h"
-#include "sim/retry.h"
 
 namespace tio::workloads {
 
@@ -47,19 +46,13 @@ class Target {
   virtual sim::Task<Status> close() = 0;
 };
 
-// The direct legs' caller data for the one retry loop (sim/retry.h). They
-// model a plain POSIX client re-issuing a failed syscall: the mount's
-// policy, but direct.retry.* counters, no span and a `budget` of the
-// caller's own that never runs dry (RetryBudget::kUnlimited).
-sim::Retrier direct_retrier(sim::Engine& engine, const RetryPolicy& policy, RetryBudget& budget);
-// Jitter-stream key of a direct op on `path`.
-std::uint64_t direct_op_key(std::string_view path);
-
 class TargetFactory {
  public:
-  // `direct_dir` must exist on the backend fs (Rig::direct_dir()).
-  TargetFactory(plfs::Plfs& plfs, std::string direct_dir)
-      : plfs_(&plfs), direct_dir_(std::move(direct_dir)) {}
+  // Direct targets go through `direct_fs` (Rig::direct_fs(): the backend
+  // behind the direct comparator's retry policy); `direct_dir` must exist
+  // on it (Rig::direct_dir()).
+  TargetFactory(plfs::Plfs& plfs, pfs::FsClient& direct_fs, std::string direct_dir)
+      : plfs_(&plfs), direct_fs_(&direct_fs), direct_dir_(std::move(direct_dir)) {}
 
   // Collective: every rank of `comm` calls and gets its own Target.
   sim::Task<Result<std::unique_ptr<Target>>> open_write(mpi::Comm& comm, std::string name,
@@ -67,14 +60,13 @@ class TargetFactory {
   sim::Task<Result<std::unique_ptr<Target>>> open_read(mpi::Comm& comm, std::string name,
                                                        TargetOptions options);
 
-  plfs::Plfs& plfs() { return *plfs_; }
-  pfs::FsClient& fs() { return plfs_->backend_fs(); }
 
  private:
   std::string plfs_path(const std::string& name, Access access, int rank) const;
   std::string direct_path(const std::string& name, Access access, int rank) const;
 
   plfs::Plfs* plfs_;
+  pfs::FsClient* direct_fs_;
   std::string direct_dir_;
 };
 

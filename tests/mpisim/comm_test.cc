@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "mpisim/runtime.h"
 
@@ -49,6 +51,26 @@ TEST(Runtime, InvalidSizeThrows) {
   sim::Engine engine;
   net::Cluster cluster(engine, test_cluster());
   EXPECT_THROW(Runtime(cluster, 0), std::invalid_argument);
+}
+
+// A rank that returns before a barrier its peers wait in strands them: the
+// engine drains with their frames suspended, and run_spmd fails the run
+// naming them instead of returning as if the job had finished. (Not run
+// under ASan: the stranded frames leak by construction.)
+TEST(RunSpmd, RankReturningBeforeABarrierFailsTheRun) {
+  int returned = 0;
+  try {
+    spmd(4, [&returned](Comm comm) -> sim::Task<void> {
+      if (comm.rank() != 2) co_await comm.barrier();
+      ++returned;
+    });
+    ADD_FAILURE() << "run_spmd returned with three ranks stranded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("3 of 4 ranks never returned"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(": 0, 1, 3"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(returned, 1);
 }
 
 TEST(Comm, SendRecvDeliversPayloadAndTakesTime) {

@@ -7,14 +7,11 @@
 namespace tio::plfs {
 namespace {
 
-PlfsMount mount_with(std::size_t backends, bool spread_containers = true,
-                     bool spread_subdirs = true) {
+PlfsMount mount_with(std::size_t backends) {
   PlfsMount m;
   for (std::size_t i = 0; i < backends; ++i) {
     m.backends.push_back("/vol" + std::to_string(i) + "/plfs");
   }
-  m.spread_containers = spread_containers;
-  m.spread_subdirs = spread_subdirs;
   m.num_subdirs = 16;
   return m;
 }
@@ -73,15 +70,6 @@ TEST(ContainerLayout, ContainerSpreadingDistributesContainers) {
     used.insert(ContainerLayout(m, "/file" + std::to_string(i)).canonical_backend());
   }
   EXPECT_GE(used.size(), 6u);
-}
-
-TEST(ContainerLayout, SpreadingDisabledPinsToBackendZero) {
-  const PlfsMount m = mount_with(8, /*spread_containers=*/false, /*spread_subdirs=*/false);
-  for (int i = 0; i < 16; ++i) {
-    const ContainerLayout lay(m, "/file" + std::to_string(i));
-    EXPECT_EQ(lay.canonical_backend(), 0u);
-    for (std::size_t k = 0; k < 16; ++k) EXPECT_EQ(lay.subdir_backend(k), 0u);
-  }
 }
 
 TEST(ContainerLayout, HashingIsDeterministic) {

@@ -23,6 +23,13 @@ struct GroupTestPeer {
 
 namespace {
 
+// Runs the events strictly before `horizon_ns`, then stops: drives a group
+// whose heartbeats never let the engine drain to a virtual horizon.
+void run_until(sim::Engine& engine, std::int64_t horizon_ns) {
+  while (engine.next_event_ns() < horizon_ns && engine.step()) {
+  }
+}
+
 net::ClusterConfig small_cluster() {
   net::ClusterConfig c;
   c.nodes = 8;
@@ -149,7 +156,7 @@ struct World {
 TEST(RaftTest, BootstrapElectsExactlyOneLeader) {
   World w;
   w.group.keep_alive(true);
-  w.engine.run_until(Duration::ms(500).to_ns());
+  run_until(w.engine, Duration::ms(500).to_ns());
   int leaders = 0;
   for (std::size_t r = 0; r < w.group.replicas(); ++r) {
     if (static_cast<int>(r) == w.group.leader_or_negative()) ++leaders;
@@ -248,7 +255,7 @@ TEST(RaftTest, CrashedReplicaRestartsAndCatchesUp) {
   }(w));
   // Heartbeat catch-up needs the group alive past the last client op.
   w.group.keep_alive(true);
-  w.engine.run_until(w.engine.now().to_ns() + Duration::ms(500).to_ns());
+  run_until(w.engine, w.engine.now().to_ns() + Duration::ms(500).to_ns());
   const auto leader = static_cast<std::size_t>(w.group.leader_or_negative());
   const std::size_t follower = leader == 0 ? 1 : 0;
   EXPECT_EQ(w.group.last_index_of(follower), w.group.last_index_of(leader));
@@ -273,7 +280,7 @@ TEST(RaftTest, LaggingFollowerGetsSnapshotAfterCompaction) {
     w.group.restart(follower);
   }(w));
   w.group.keep_alive(true);
-  w.engine.run_until(w.engine.now().to_ns() + Duration::sec(1).to_ns());
+  run_until(w.engine, w.engine.now().to_ns() + Duration::sec(1).to_ns());
   EXPECT_GT(counter("raft.snapshots_installed").value(), installs_before);
   const auto leader = static_cast<std::size_t>(w.group.leader_or_negative());
   const std::size_t follower = leader == 0 ? 1 : 0;
@@ -465,12 +472,12 @@ TEST(RaftTest, LostAppendReplyStallsAPeerAtMostOneHeartbeat) {
   w.engine.at(TimePoint::from_ns(heal),
               [&w, follower] { w.group.set_partitioned(follower, false); });
   w.engine.spawn(w.expect_submit(2));
-  w.engine.run_until(heal);
+  run_until(w.engine, heal);
   ASSERT_EQ(w.group.leader_or_negative(), static_cast<int>(leader));
   EXPECT_LT(w.group.last_index_of(follower), w.group.last_index_of(leader))
       << "the append was not lost";
   const Duration round_trip = (config.rpc_overhead + Duration::us(20)) * 2;
-  w.engine.run_until(heal + (config.heartbeat + round_trip).to_ns() + 1);
+  run_until(w.engine, heal + (config.heartbeat + round_trip).to_ns() + 1);
   EXPECT_EQ(w.group.last_index_of(follower), w.group.last_index_of(leader));
   w.group.keep_alive(false);
   w.engine.run();

@@ -34,15 +34,13 @@ struct Snapshot {
 
 struct World {
   Engine engine;
-  RetryPolicy policy;
-  RetryBudget budget{100};
+  Retrier retrier{engine, RetryPolicy{}, 100, "test.retry"};
   Snapshot before;
 
-  Retrier retrier() { return {&engine, &policy, &budget, &test_counters}; }
   // Sum of the first n backoffs of the op keyed kKey.
   std::int64_t backoff_sum(int n) const {
     std::int64_t ns = 0;
-    for (int i = 0; i < n; ++i) ns += policy.backoff(i, kKey).to_ns();
+    for (int i = 0; i < n; ++i) ns += retrier.policy.backoff(i, kKey).to_ns();
     return ns;
   }
 };
@@ -59,11 +57,11 @@ TEST(RetryLoop, TransientFailuresSleepTheBackoffScheduleAndTakeTokens) {
     World w;
     int calls = 0;
     const Status st = test::run_task(
-        w.engine, retry(w.retrier(), 0, kKey, [&] { return flaky(calls, k, Errc::io_error); }));
+        w.engine, retry(w.retrier, 0, kKey, [&] { return flaky(calls, k, Errc::io_error); }));
     EXPECT_TRUE(st.ok()) << k;
     EXPECT_EQ(calls, k + 1);
     EXPECT_EQ(w.engine.now().to_ns(), w.backoff_sum(k));
-    EXPECT_EQ(w.budget.remaining(), 100u - static_cast<std::uint64_t>(k));
+    EXPECT_EQ(w.retrier.budget.remaining(), 100u - static_cast<std::uint64_t>(k));
     EXPECT_EQ(test_counters().attempts.value() - w.before.attempts,
               static_cast<std::uint64_t>(k));
     EXPECT_EQ(test_counters().backoff_ns.value() - w.before.backoff_ns,
@@ -76,7 +74,7 @@ TEST(RetryLoop, FirstTrySuccessCountsNothing) {
   World w;
   int calls = 0;
   const Status st = test::run_task(
-      w.engine, retry(w.retrier(), 0, kKey, [&] { return flaky(calls, 0, Errc::io_error); }));
+      w.engine, retry(w.retrier, 0, kKey, [&] { return flaky(calls, 0, Errc::io_error); }));
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(w.engine.now().to_ns(), 0);
@@ -88,25 +86,25 @@ TEST(RetryLoop, PermanentErrorReturnsAtOnce) {
   World w;
   int calls = 0;
   const Status st = test::run_task(
-      w.engine, retry(w.retrier(), 0, kKey, [&] { return flaky(calls, 5, Errc::not_found); }));
+      w.engine, retry(w.retrier, 0, kKey, [&] { return flaky(calls, 5, Errc::not_found); }));
   EXPECT_EQ(st.code(), Errc::not_found);
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(w.engine.now().to_ns(), 0);
-  EXPECT_EQ(w.budget.remaining(), 100u);
+  EXPECT_EQ(w.retrier.budget.remaining(), 100u);
   EXPECT_EQ(test_counters().attempts.value(), w.before.attempts);
   EXPECT_EQ(test_counters().exhausted.value(), w.before.exhausted);
 }
 
 TEST(RetryLoop, StopsAtMaxAttempts) {
   World w;
-  w.policy.max_attempts = 4;
+  w.retrier.policy.max_attempts = 4;
   int calls = 0;
   const Status st = test::run_task(
-      w.engine, retry(w.retrier(), 0, kKey, [&] { return flaky(calls, 1000, Errc::busy); }));
+      w.engine, retry(w.retrier, 0, kKey, [&] { return flaky(calls, 1000, Errc::busy); }));
   EXPECT_EQ(st.code(), Errc::busy);
   EXPECT_EQ(calls, 4);
   EXPECT_EQ(w.engine.now().to_ns(), w.backoff_sum(3));
-  EXPECT_EQ(w.budget.remaining(), 97u);
+  EXPECT_EQ(w.retrier.budget.remaining(), 97u);
   EXPECT_EQ(test_counters().exhausted.value() - w.before.exhausted, 1u);
   EXPECT_EQ(test_counters().attempts.value() - w.before.attempts, 3u);
   EXPECT_EQ(test_counters().success_after_retry.value(), w.before.success_after_retry);
@@ -114,10 +112,10 @@ TEST(RetryLoop, StopsAtMaxAttempts) {
 
 TEST(RetryLoop, EmptyBudgetReturnsTheFailure) {
   World w;
-  w.budget.refill(0);
+  w.retrier.budget.refill(0);
   int calls = 0;
   const Status st = test::run_task(
-      w.engine, retry(w.retrier(), 0, kKey, [&] { return flaky(calls, 1, Errc::stale); }));
+      w.engine, retry(w.retrier, 0, kKey, [&] { return flaky(calls, 1, Errc::stale); }));
   EXPECT_EQ(st.code(), Errc::stale);
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(w.engine.now().to_ns(), 0);
@@ -128,14 +126,14 @@ TEST(RetryLoop, EmptyBudgetReturnsTheFailure) {
 
 TEST(RetryLoop, BudgetRunsDryMidOp) {
   World w;
-  w.budget.refill(2);
+  w.retrier.budget.refill(2);
   int calls = 0;
   const Status st = test::run_task(
-      w.engine, retry(w.retrier(), 0, kKey, [&] { return flaky(calls, 5, Errc::io_error); }));
+      w.engine, retry(w.retrier, 0, kKey, [&] { return flaky(calls, 5, Errc::io_error); }));
   EXPECT_EQ(st.code(), Errc::io_error);
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(w.engine.now().to_ns(), w.backoff_sum(2));
-  EXPECT_EQ(w.budget.remaining(), 0u);
+  EXPECT_EQ(w.retrier.budget.remaining(), 0u);
   EXPECT_EQ(test_counters().budget_exhausted.value() - w.before.budget_exhausted, 1u);
 }
 
@@ -165,7 +163,7 @@ TEST(RetryLoop, TornWriteResetsAttemptsAndCountsOneSuccess) {
   Script s;
   s.steps = {{true, 0}, {false, 3}, {true, 0}, {true, 0}, {false, 4}, {false, 10}};
   const Result<std::uint64_t> wrote = test::run_task(
-      w.engine, write_fully(w.retrier(), 0, kKey, DataView::zeros(10),
+      w.engine, write_fully(w.retrier, 0, kKey, DataView::zeros(10),
                             [&s](std::uint64_t done, DataView rest) {
                               return scripted_write(s, done, std::move(rest));
                             }));
@@ -177,7 +175,7 @@ TEST(RetryLoop, TornWriteResetsAttemptsAndCountsOneSuccess) {
   // The tear after the first failure resets the schedule: the next two
   // failures wait backoff(0) and backoff(1) again.
   EXPECT_EQ(w.engine.now().to_ns(), w.backoff_sum(1) + w.backoff_sum(2));
-  EXPECT_EQ(w.budget.remaining(), 97u);
+  EXPECT_EQ(w.retrier.budget.remaining(), 97u);
   EXPECT_EQ(test_counters().attempts.value() - w.before.attempts, 3u);
   EXPECT_EQ(test_counters().short_write_resumed.value() - w.before.short_write_resumed, 2u);
   EXPECT_EQ(test_counters().success_after_retry.value() - w.before.success_after_retry, 1u);
@@ -188,7 +186,7 @@ TEST(RetryLoop, TornWriteWithoutFailuresIsNotARetry) {
   Script s;
   s.steps = {{false, 6}, {false, 6}};
   const Result<std::uint64_t> wrote = test::run_task(
-      w.engine, write_fully(w.retrier(), 0, kKey, DataView::zeros(12),
+      w.engine, write_fully(w.retrier, 0, kKey, DataView::zeros(12),
                             [&s](std::uint64_t done, DataView rest) {
                               return scripted_write(s, done, std::move(rest));
                             }));
@@ -200,21 +198,20 @@ TEST(RetryLoop, TornWriteWithoutFailuresIsNotARetry) {
 }
 
 TEST(RetryLoop, BackoffSleepsAreTracedOnlyWithASpanSite) {
-  static const trace::SpanSite site("test.retry", "test.retry.backoff");
   World w;
-  const std::uint64_t before = site.hist->count();
+  Retrier traced(w.engine, RetryPolicy{}, 100, "test.retry", "test.retry.backoff");
+  EXPECT_TRUE(histogram_snapshot("test.retry").empty());  // registers on the first backoff
   int calls = 0;
-  Retrier traced = w.retrier();
-  traced.backoff_site = []() -> const trace::SpanSite& { return site; };
   EXPECT_TRUE(test::run_task(w.engine, retry(traced, 0, kKey, [&] {
                 return flaky(calls, 2, Errc::busy);
               })).ok());
-  EXPECT_EQ(site.hist->count() - before, 2u);
+  const Histogram& hist = histogram("test.retry.backoff");
+  EXPECT_EQ(hist.count(), 2u);
   calls = 0;
-  EXPECT_TRUE(test::run_task(w.engine, retry(w.retrier(), 0, kKey, [&] {
+  EXPECT_TRUE(test::run_task(w.engine, retry(w.retrier, 0, kKey, [&] {
                 return flaky(calls, 2, Errc::busy);
               })).ok());
-  EXPECT_EQ(site.hist->count() - before, 2u);
+  EXPECT_EQ(hist.count(), 2u);
 }
 
 }  // namespace

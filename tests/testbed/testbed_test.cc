@@ -32,12 +32,8 @@ TEST(Presets, PfsConfigsParameterizeMds) {
 TEST(PlfsMountHelper, BackendsAndSpreadPolicies) {
   const auto single = plfs_mount(1);
   EXPECT_EQ(single.backends.size(), 1u);
-  EXPECT_FALSE(single.spread_containers);
-  EXPECT_FALSE(single.spread_subdirs);
   const auto ten = plfs_mount(10);
   EXPECT_EQ(ten.backends.size(), 10u);
-  EXPECT_TRUE(ten.spread_containers);
-  EXPECT_TRUE(ten.spread_subdirs);
   EXPECT_EQ(ten.backends[3], "/vol3/plfs");
   EXPECT_THROW(plfs_mount(0), std::invalid_argument);
 }
