@@ -1,5 +1,5 @@
 // Microbenchmarks of the simulator core (google-benchmark): event loop
-// throughput, fair-share channel churn, extent-map writes, and shard-pool
+// throughput, storage-network flow churn, extent-map writes, and shard-pool
 // scaling — these bound how large a simulated machine the benches can
 // afford.
 //
@@ -23,9 +23,9 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "net/topology.h"
 #include "pfs/extent_map.h"
 #include "sim/engine.h"
-#include "sim/fairshare.h"
 #include "sim/sharded.h"
 #include "sim/sync.h"
 
@@ -60,23 +60,25 @@ void BM_CoroutineHops(benchmark::State& state) {
 }
 BENCHMARK(BM_CoroutineHops)->Arg(1000);
 
-Task<void> one_transfer(FairShareChannel& ch, std::uint64_t bytes) {
-  co_await ch.transfer(bytes);
+Task<void> one_transfer(net::StorageNet& storage, std::uint64_t bytes) {
+  co_await storage.transfer(bytes);
 }
 
-void BM_FairShareChurn(benchmark::State& state) {
+// Concurrent streams of random size on one storage link (every flow on one
+// route), the storage network's shape on N-1 checkpoints.
+void BM_StorageNetChurn(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
-    FairShareChannel ch(engine, 1e9);
+    net::StorageNet storage(engine, 1e9, 1e9);
     Rng rng(7);
     for (int i = 0; i < state.range(0); ++i) {
-      engine.spawn(one_transfer(ch, 1000 + rng.below(100000)));
+      engine.spawn(one_transfer(storage, 1000 + rng.below(100000)));
     }
     engine.run();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_FairShareChurn)->Arg(10000);
+BENCHMARK(BM_StorageNetChurn)->Arg(10000);
 
 void BM_ExtentMapRandomWrites(benchmark::State& state) {
   Rng rng(3);

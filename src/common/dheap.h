@@ -2,8 +2,8 @@
 //
 // Versus std::priority_queue's binary heap, a 4-ary heap halves the tree
 // depth, so sift-down touches half as many cache lines — the right trade
-// for the simulator's event queue and the fair-share completion heap, where
-// pops dominate and elements are small (an index or a 24-byte flow record).
+// for the simulator's event queue, where pops dominate and elements are
+// small.
 // `pop_top` moves the minimum out, avoiding the const_cast dance that
 // priority_queue::top() forces on move-only elements.
 #pragma once

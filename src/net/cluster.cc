@@ -47,9 +47,8 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     caches_.push_back(std::make_unique<PageCache>(config_.page_cache_per_node,
                                                   config_.page_cache_block));
   }
-  storage_net_ = std::make_unique<sim::FairShareChannel>(
-      engine_, config_.storage_net_bandwidth, config_.storage_nic_bandwidth,
-      "storage-net");
+  storage_net_ = std::make_unique<StorageNet>(engine_, config_.storage_net_bandwidth,
+                                              config_.storage_nic_bandwidth);
   topo_ = std::make_unique<Topology>(engine_, config_);
 }
 

@@ -4,15 +4,16 @@
 // The paper's central resource asymmetry — an InfiniBand/Gemini fabric that
 // is largely idle during I/O phases versus a thin 10GigE storage network —
 // is what transformative middleware exploits, so the two networks are
-// modeled as separate resources, one sharing model each:
+// modeled as separate resources, each a max-min-shared FlowNet
+// (net/topology.h):
 //   * fabric: every inter-node message is one cut-through flow through the
-//     preset's link graph under per-flow max-min sharing (net/topology.h),
-//     then the path's switch-hop latency. `flat` is a single non-blocking
-//     switch (per-node full-duplex host links at nic_bandwidth); `tor` and
-//     `fat_tree` add rack structure, so oversubscribed uplinks and incast
-//     contention become visible. Intra-node messages cost latency only.
-//   * storage network: one global fair-share pipe with a per-stream cap at
-//     the node's storage NIC rate (the 1.25 GB/s "theoretical peak").
+//     preset's link graph, then the path's switch-hop latency. `flat` is a
+//     single non-blocking switch (per-node full-duplex host links at
+//     nic_bandwidth); `tor` and `fat_tree` add rack structure, so
+//     oversubscribed uplinks and incast contention become visible.
+//     Intra-node messages cost latency only.
+//   * storage network: one global link with every flow capped at the
+//     storage NIC rate (the 1.25 GB/s "theoretical peak").
 #pragma once
 
 #include <cstdint>
@@ -22,11 +23,11 @@
 #include "common/units.h"
 #include "net/page_cache.h"
 #include "sim/engine.h"
-#include "sim/fairshare.h"
 #include "sim/task.h"
 
 namespace tio::net {
 
+class StorageNet;
 class Topology;
 
 // Fabric preset. `flat` is one non-blocking switch; the others add rack
@@ -54,7 +55,7 @@ struct ClusterConfig {
 
   // Storage network (10GigE class).
   double storage_net_bandwidth = 1.25e9;              // aggregate bytes/s
-  double storage_nic_bandwidth = 1.25e9;              // per-stream cap
+  double storage_nic_bandwidth = 1.25e9;              // per-flow cap
   Duration storage_net_latency = Duration::us(60);
 
   // Page cache devoted to file data per node.
@@ -97,7 +98,8 @@ class Cluster {
   // The routed link graph (never null).
   Topology* topology() { return topo_.get(); }
 
-  sim::FairShareChannel& storage_net() { return *storage_net_; }
+  // The storage network (net/topology.h).
+  StorageNet& storage_net() { return *storage_net_; }
   Duration storage_latency() const { return config_.storage_net_latency; }
   PageCache& page_cache(std::size_t node) { return *caches_[node]; }
   double cached_read_rate() const { return config_.page_cache_bandwidth; }
@@ -105,7 +107,7 @@ class Cluster {
  private:
   sim::Engine& engine_;
   ClusterConfig config_;
-  std::unique_ptr<sim::FairShareChannel> storage_net_;
+  std::unique_ptr<StorageNet> storage_net_;
   std::vector<std::unique_ptr<PageCache>> caches_;
   std::unique_ptr<Topology> topo_;
 };

@@ -14,12 +14,12 @@ namespace tio::net {
 namespace {
 
 // Virtual slack (bytes) absorbing integer-ns rounding of event times;
-// flows within this of done are taken as complete (sim/fairshare.cc).
+// flows within this of done are taken as complete.
 constexpr double kSlackBytes = 1e-3;
 
-// Flow spans by locality class, on the engine track like the fair-share
-// waits (the network does not know which rank awaits it). Trace-only: one
-// histogram entry per message would swamp the registry at full scale.
+// Flow spans sit on the engine track (the network does not know which rank
+// awaits it). Trace-only: one histogram entry per message would swamp the
+// registry at full scale. Fabric flows are named by locality class.
 const trace::SpanSite& intra_rack_site() {
   static const trace::SpanSite site("net.topo", "net.topo.flow.intra_rack",
                                     /*with_histogram=*/false);
@@ -27,6 +27,12 @@ const trace::SpanSite& intra_rack_site() {
 }
 const trace::SpanSite& cross_rack_site() {
   static const trace::SpanSite site("net.topo", "net.topo.flow.cross_rack",
+                                    /*with_histogram=*/false);
+  return site;
+}
+// Storage-network transfers.
+const trace::SpanSite& storage_wait_site() {
+  static const trace::SpanSite site("sim.fairshare", "sim.fairshare.wait",
                                     /*with_histogram=*/false);
   return site;
 }
@@ -39,7 +45,10 @@ const trace::SpanSite& link_busy_site() {
 
 }  // namespace
 
-FlowNet::FlowNet(sim::Engine& engine) : engine_(engine), last_update_(engine.now()) {}
+FlowNet::FlowNet(sim::Engine& engine, double flow_cap)
+    : engine_(engine), flow_cap_(flow_cap), last_update_(engine.now()) {
+  if (!(flow_cap > 0)) throw std::invalid_argument("FlowNet: flow cap must be > 0");
+}
 
 std::uint32_t FlowNet::add_link(double capacity_bytes_per_sec) {
   if (!(std::isfinite(capacity_bytes_per_sec) && capacity_bytes_per_sec > 0)) {
@@ -146,9 +155,13 @@ void FlowNet::LinkHeap::sift_down(std::size_t i) {
 // flows freeze in, and how they are grouped into items, cannot change a
 // residual: the rates are bit-identical to the textbook scan that freezes
 // one flow at a time.
-template <class PathOf, class WeightOf, class SetRate>
-void FlowNet::water_fill(std::span<const double> capacity, std::size_t num_items,
-                         PathOf path_of, WeightOf weight_of, SetRate set_rate, FillScratch& s) {
+void FlowNet::water_fill(std::span<const double> capacity, std::span<Route> routes,
+                         double flow_cap, FillScratch& s) {
+  const std::size_t num_items = routes.size();
+  const auto path_of = [routes](std::size_t i) { return routes[i].links(); };
+  const auto weight_of = [routes](std::size_t i) {
+    return static_cast<std::uint64_t>(routes[i].members.size());
+  };
   s.residual.resize(capacity.size());
   s.load.resize(capacity.size(), 0);
   s.pending.resize(capacity.size(), 0);
@@ -159,7 +172,7 @@ void FlowNet::water_fill(std::span<const double> capacity, std::size_t num_items
   for (std::size_t i = 0; i < num_items; ++i) {
     const std::span<const std::uint32_t> path = path_of(i);
     if (path.empty()) {
-      set_rate(i, std::numeric_limits<double>::infinity());
+      routes[i].rate = flow_cap;
       s.frozen[i] = 1;
       continue;
     }
@@ -199,11 +212,18 @@ void FlowNet::water_fill(std::span<const double> capacity, std::size_t num_items
     assert(!s.heap.empty() && "every unfrozen flow crosses a loaded link");
     const auto [share, bottleneck] = s.heap.top();
     assert(share > 0 && "max-min share must stay positive on positive capacities");
+    if (flow_cap <= share) {  // every flow left is held by its cap
+      for (std::size_t i = 0; i < num_items; ++i) {
+        if (!s.frozen[i]) routes[i].rate = flow_cap;
+      }
+      for (const std::uint32_t l : s.touched) s.load[l] = 0;
+      break;
+    }
     const std::uint32_t slot = s.slot[bottleneck];
     for (std::uint32_t k = s.start[slot]; k < s.start[slot + 1]; ++k) {
       const std::uint32_t i = s.members[k];
       if (s.frozen[i]) continue;
-      set_rate(i, share);
+      routes[i].rate = share;
       s.frozen[i] = 1;
       --unfrozen;
       for (const std::uint32_t l : path_of(i)) {
@@ -229,34 +249,20 @@ void FlowNet::water_fill(std::span<const double> capacity, std::size_t num_items
   }
 }
 
-std::vector<double> FlowNet::max_min_rates(const std::vector<double>& capacity,
-                                           const std::vector<std::vector<std::uint32_t>>& paths) {
-  std::vector<double> rate(paths.size(), 0.0);
-  FillScratch scratch;
-  water_fill(
-      capacity, paths.size(),
-      [&paths](std::size_t f) { return std::span<const std::uint32_t>(paths[f]); },
-      [](std::size_t) { return std::uint64_t{1}; },
-      [&rate](std::size_t f, double r) { rate[f] = r; }, scratch);
-  return rate;
-}
-
 namespace {
 
-// Min-heap order for a route's members: least remaining first. Draining
-// every member by the same amount (rounded, clamped at 0) is monotone, so
-// advance() never breaks the heap.
-struct DrainsLater {
+// Min-heap order for a route's members: least finish first.
+struct FinishesLater {
   template <class F>
   bool operator()(const F& a, const F& b) const {
-    return a.remaining > b.remaining;
+    return a.finish > b.finish;
   }
 };
 
 }  // namespace
 
 void FlowNet::start_transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
-                             std::coroutine_handle<> h) {
+                             const trace::SpanSite& site, std::coroutine_handle<> h) {
   assert(!path.empty() && path.size() <= kMaxHops && "FlowNet flows cross 1..kMaxHops links");
   advance();
   RouteKey key;
@@ -275,10 +281,9 @@ void FlowNet::start_transfer(std::span<const std::uint32_t> path, std::uint64_t 
     index = static_cast<std::uint32_t>(routes_.size());
   }
   Route& route = routes_[index - 1];
-  Flow flow{static_cast<double>(bytes), seq_++, h};
+  Flow flow{route.progress + static_cast<double>(bytes), seq_++, h};
   trace::Tracer& tracer = trace::Tracer::instance();
   if (tracer.enabled()) {
-    const trace::SpanSite& site = path.size() > 2 ? cross_rack_site() : intra_rack_site();
     flow.trace_rec =
         tracer.begin_span(-1, site.name_id, site.cat_id, engine_.trace_pid(), engine_.now().to_ns());
   }
@@ -287,7 +292,7 @@ void FlowNet::start_transfer(std::span<const std::uint32_t> path, std::uint64_t 
     link_started(l);
   }
   route.members.push_back(flow);
-  std::push_heap(route.members.begin(), route.members.end(), DrainsLater{});
+  std::push_heap(route.members.begin(), route.members.end(), FinishesLater{});
   ++active_flows_;
   ++stats_.flows;
   stats_.bytes += bytes;
@@ -299,9 +304,7 @@ void FlowNet::advance() {
   const TimePoint now = engine_.now();
   const double dt = (now - last_update_).to_seconds();
   if (dt > 0) {
-    for (Route& r : routes_) {
-      for (Flow& f : r.members) f.remaining = std::max(0.0, f.remaining - r.rate * dt);
-    }
+    for (Route& r : routes_) r.progress += r.rate * dt;
   }
   last_update_ = now;
 }
@@ -320,15 +323,12 @@ void FlowNet::settle() {
   settle_pending_ = false;
   if (routes_.empty()) return;
   ++stats_.recomputes;
-  water_fill(
-      capacity_, routes_.size(), [this](std::size_t r) { return routes_[r].links(); },
-      [this](std::size_t r) { return static_cast<std::uint64_t>(routes_[r].members.size()); },
-      [this](std::size_t r, double rate) { routes_[r].rate = rate; }, scratch_);
+  water_fill(capacity_, routes_, flow_cap_, scratch_);
 
   // Next completion: the earliest finish over all routes at the new rates.
   double next_s = std::numeric_limits<double>::infinity();
   for (const Route& r : routes_) {
-    next_s = std::min(next_s, r.members.front().remaining / r.rate);
+    next_s = std::min(next_s, std::max(0.0, r.members.front().finish - r.progress) / r.rate);
   }
   // Round up and add 1 ns so the event never fires short of the target.
   const auto ns = static_cast<std::int64_t>(std::ceil(next_s * 1e9)) + 1;
@@ -341,10 +341,11 @@ void FlowNet::on_completion_event(std::uint64_t generation) {
   advance();
   for (std::size_t r = 0; r < routes_.size();) {
     Route& route = routes_[r];
-    while (!route.members.empty() && route.members.front().remaining <= kSlackBytes) {
+    while (!route.members.empty() &&
+           route.members.front().finish <= route.progress + kSlackBytes) {
       const Flow& f = route.members.front();
       done_.push_back(Done{f.seq, f.handle, f.trace_rec, route.hops, route.key});
-      std::pop_heap(route.members.begin(), route.members.end(), DrainsLater{});
+      std::pop_heap(route.members.begin(), route.members.end(), FinishesLater{});
       route.members.pop_back();
       --active_flows_;
     }
@@ -362,7 +363,7 @@ void FlowNet::on_completion_event(std::uint64_t generation) {
     routes_.pop_back();
   }
   // Finished flows resume in arrival order; resumption is deferred through
-  // the engine queue like the fair-share channel's.
+  // the engine queue, so their handles can leave the heaps right away.
   std::sort(done_.begin(), done_.end(),
             [](const Done& a, const Done& b) { return a.seq < b.seq; });
   trace::Tracer& tracer = trace::Tracer::instance();
@@ -486,8 +487,17 @@ sim::Task<void> Topology::transfer(std::size_t from_node, std::size_t to_node,
       link_bytes_rack.add(2 * bytes);
       break;
   }
-  co_await net_.transfer(std::span<const std::uint32_t>(r.links, r.num_links), bytes);
+  const trace::SpanSite& site =
+      r.klass == Route::Class::cross_rack ? cross_rack_site() : intra_rack_site();
+  co_await net_.transfer(std::span<const std::uint32_t>(r.links, r.num_links), bytes, site);
   co_await engine_.sleep(r.latency);
+}
+
+StorageNet::StorageNet(sim::Engine& engine, double capacity, double flow_cap)
+    : net_(engine, flow_cap), link_(net_.add_link(capacity)) {}
+
+FlowNet::Awaiter StorageNet::transfer(std::uint64_t bytes) {
+  return net_.transfer(std::span<const std::uint32_t>(&link_, 1), bytes, storage_wait_site());
 }
 
 std::string topology_kind_name(TopologyKind kind) {

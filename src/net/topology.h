@@ -1,16 +1,22 @@
-// The fabric: a multi-link flow network with per-flow max-min fair
-// sharing, and the preset link graphs Cluster routes every message over.
+// The two networks: a multi-link flow network with per-flow max-min fair
+// sharing, the preset fabric link graphs Cluster routes every message
+// over, and the storage network.
 //
 //   * FlowNet — a set of capacitated links and a set of active flows, each
-//     flow crossing an ordered list of links. Bandwidth is allocated by
-//     max-min fairness: water-filling freezes the flows of the
-//     most-contended link at its equal share, subtracts, and repeats.
+//     flow crossing an ordered list of links, plus an optional per-flow
+//     rate cap (a private link of that capacity on every flow). Bandwidth
+//     is allocated by max-min fairness: water-filling freezes the flows of
+//     the most-contended link at its equal share, subtracts, and repeats.
 //     Rates are recomputed once per virtual instant in which flows arrive
 //     or depart; between membership changes all rates are constant, so
-//     each flow's completion instant is exact. Deterministic: bottleneck
-//     ties break on the lowest link index, completions resume in
-//     flow-arrival order, and event times are integer ns (ceil + 1 ns
-//     slack, like sim::FairShareChannel).
+//     each flow's completion instant is exact. Flows on the same links
+//     share one rate, so each route drains by virtual progress (bytes
+//     delivered per member flow) and a flow finishes when its route's
+//     progress reaches its admission progress plus its bytes. Advancing
+//     time costs O(routes), whatever the flow count. Deterministic:
+//     bottleneck ties break on the lowest link index (the cap first),
+//     completions resume in flow-arrival order, and event times are
+//     integer ns (ceil + 1 ns, with 1e-3-byte completion slack).
 //
 //   * Topology — builds the preset link graph from a ClusterConfig and
 //     routes node-to-node transfers through it. Every preset has per-node
@@ -31,16 +37,22 @@
 //     cross-rack. A transfer is one cut-through flow at the path's
 //     max-min rate; the hop latency is charged after the last byte.
 //
+//   * StorageNet — a FlowNet of one link at storage_net_bandwidth whose
+//     flows are capped at storage_nic_bandwidth: n concurrent PFS data
+//     transfers each move at min(cap, capacity / n).
+//
 // Observability: net.topo.* counters (message/byte split by locality
-// class, per-link-class bytes routed) and trace spans per flow
-// (net.topo.flow.intra_rack / .cross_rack) plus per-link busy periods
-// (net.topo.link.busy) on the engine track.
+// class, per-link-class bytes routed). Every flow is one trace span on the
+// engine track, named by its owner: net.topo.flow.intra_rack /
+// .cross_rack for fabric messages, sim.fairshare.wait for storage
+// transfers; every link records its busy periods (net.topo.link.busy).
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -59,7 +71,10 @@ class FlowNet {
   // Longest route a flow may take (a cross-rack tor/fat-tree path).
   static constexpr std::size_t kMaxHops = 4;
 
-  explicit FlowNet(sim::Engine& engine);
+  // `flow_cap` bounds every flow's rate (bytes/s); infinity means
+  // uncapped. Throws std::invalid_argument unless it is > 0.
+  explicit FlowNet(sim::Engine& engine,
+                   double flow_cap = std::numeric_limits<double>::infinity());
 
   // Registers a link; returns its dense index. Capacity must be finite
   // and > 0.
@@ -70,21 +85,24 @@ class FlowNet {
   std::uint64_t link_bytes(std::uint32_t link) const { return links_[link].bytes; }
 
   // Awaitable: completes when `bytes` have moved along `path` (1 to
-  // kMaxHops link indices) under global max-min sharing. Zero-byte
-  // transfers complete immediately.
+  // kMaxHops link indices) under global max-min sharing; the flow is one
+  // trace span at `site` on the engine track. Zero-byte transfers
+  // complete immediately.
   struct Awaiter {
     FlowNet* net;
     std::span<const std::uint32_t> path;
     std::uint64_t bytes;
+    const trace::SpanSite* site;
     bool await_ready() const noexcept { return bytes == 0; }
     void await_suspend(std::coroutine_handle<> h) {
       assert(net->engine_.is_current() && "FlowNet awaited off its engine's shard");
-      net->start_transfer(path, bytes, h);
+      net->start_transfer(path, bytes, *site, h);
     }
     void await_resume() const noexcept {}
   };
-  Awaiter transfer(std::span<const std::uint32_t> path, std::uint64_t bytes) {
-    return Awaiter{this, path, bytes};
+  Awaiter transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
+                   const trace::SpanSite& site) {
+    return Awaiter{this, path, bytes, &site};
   }
 
   std::size_t active_flows() const { return active_flows_; }
@@ -93,17 +111,6 @@ class FlowNet {
   // instant, so a flow admitted at now() may read a stale rate until the
   // instant's recompute has run.
   double rate_of(std::uint64_t seq) const;
-
-  // Pure max-min water-filling, exposed for closed-form unit tests:
-  // returns one rate per flow, where flow f crosses the links in
-  // `paths[f]`. Repeatedly finds the bottleneck link (smallest
-  // residual capacity / unfrozen flow count; ties on the lowest link
-  // index), freezes its flows at that equal share, and subtracts them
-  // from every link they cross. Flows with an empty path are
-  // unconstrained and get an infinite rate. The live network runs the
-  // same routine over its active flows.
-  static std::vector<double> max_min_rates(const std::vector<double>& capacity,
-                                           const std::vector<std::vector<std::uint32_t>>& paths);
 
   struct Stats {
     std::uint64_t flows = 0;
@@ -120,7 +127,7 @@ class FlowNet {
     std::uint32_t busy_rec = trace::kNoRecord;  // open busy-period span
   };
   struct Flow {
-    double remaining;  // bytes still to deliver
+    double finish;  // route progress at which the flow is done
     std::uint64_t seq;
     std::coroutine_handle<> handle;
     std::uint32_t trace_rec = trace::kNoRecord;
@@ -132,13 +139,14 @@ class FlowNet {
   // The active flows that cross one exact link list. Max-min gives flows
   // on the same links the same rate, so water-filling runs over routes
   // weighted by their flow count. Every member drains at that one rate,
-  // which preserves the order of their remaining bytes, so the members
-  // form a heap whose front finishes first.
+  // so the route keeps one progress figure for all of them, and the
+  // members form a heap whose front (least finish) is done first.
   struct Route {
     RouteKey key;
     std::uint32_t hops = 0;
-    double rate = 0;  // current max-min allocation per flow, bytes/s
-    std::vector<Flow> members;  // min-heap on remaining
+    double rate = 0;      // current max-min allocation per flow, bytes/s
+    double progress = 0;  // bytes delivered per member since the route opened
+    std::vector<Flow> members;  // min-heap on finish
     std::span<const std::uint32_t> links() const { return {key.data(), hops}; }
   };
   // A finished flow, held until the event's flows resume in arrival order.
@@ -190,16 +198,20 @@ class FlowNet {
     LinkHeap heap;
   };
 
-  // The one max-min routine behind max_min_rates and the live recompute.
-  // Item i stands for weight_of(i) flows that all cross path_of(i);
-  // set_rate(i, rate) receives their per-flow allocation.
-  template <class PathOf, class WeightOf, class SetRate>
-  static void water_fill(std::span<const double> capacity, std::size_t num_items,
-                         PathOf path_of, WeightOf weight_of, SetRate set_rate, FillScratch& s);
+  // The one max-min routine: sets each route's per-flow rate for its
+  // members.size() flows crossing links(). Repeatedly finds the
+  // bottleneck link (smallest residual capacity / unfrozen flow count;
+  // ties on the lowest link index), freezes its flows at that equal
+  // share, and subtracts them from every link they cross. Shares never
+  // fall from one round to the next, so once the smallest reaches
+  // `flow_cap`, every flow left is frozen at the cap: its private cap
+  // link is its bottleneck. A route with no links gets the cap.
+  static void water_fill(std::span<const double> capacity, std::span<Route> routes,
+                         double flow_cap, FillScratch& s);
 
   void start_transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
-                      std::coroutine_handle<> h);
-  // Moves every flow forward to now() at its route's rate.
+                      const trace::SpanSite& site, std::coroutine_handle<> h);
+  // Moves every route's progress forward to now() at its rate.
   void advance();
   // The flow set changed: invalidates the scheduled completion and, once
   // per virtual instant, queues settle() behind the events already due now.
@@ -211,7 +223,11 @@ class FlowNet {
   void link_started(std::uint32_t link);
   void link_finished(std::uint32_t link);
 
+  // Closed-form tests run water_fill on hand-built routes.
+  friend struct FlowNetTestPeer;
+
   sim::Engine& engine_;
+  double flow_cap_;
   std::vector<double> capacity_;
   std::vector<Link> links_;
   std::vector<Route> routes_;  // routes with active flows, in no particular order
@@ -263,6 +279,34 @@ class Topology {
   ClusterConfig config_;
   FlowNet net_;
   std::size_t spines_ = 1;  // parallel uplink planes per rack (fat_tree > 1)
+};
+
+// The storage network: every PFS data transfer is one flow over a single
+// link of `capacity` bytes/s, capped at `flow_cap`.
+class StorageNet {
+ public:
+  // Throws std::invalid_argument on a capacity that is not finite and
+  // > 0, or a cap that is not > 0.
+  StorageNet(sim::Engine& engine, double capacity, double flow_cap);
+
+  // Awaitable: completes when `bytes` have crossed the storage network,
+  // one sim.fairshare.wait span on the engine track.
+  FlowNet::Awaiter transfer(std::uint64_t bytes);
+
+  struct Stats {
+    std::uint64_t transfers = 0;
+    std::uint64_t bytes = 0;
+    std::size_t max_concurrency = 0;
+  };
+  Stats stats() const {
+    const FlowNet::Stats& s = net_.stats();
+    return Stats{s.flows, s.bytes, s.max_concurrency};
+  }
+  FlowNet& net() { return net_; }
+
+ private:
+  FlowNet net_;
+  std::uint32_t link_;
 };
 
 // Preset names for flags and tables: "flat" | "tor" | "fat-tree".

@@ -7,6 +7,7 @@
 #include "common/stats.h"
 #include "common/strutil.h"
 #include "common/trace.h"
+#include "net/topology.h"
 #include "pfs/faulty_fs.h"
 
 namespace tio::pfs {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "net/topology.h"
 #include "testutil.h"
 
 namespace tio::net {

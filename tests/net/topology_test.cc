@@ -17,7 +17,39 @@
 #include "testutil.h"
 
 namespace tio::net {
+
+// The max-min routine on its own: water_fill over hand-built routes, one
+// flow per path.
+struct FlowNetTestPeer {
+  static std::vector<double> max_min_rates(
+      const std::vector<double>& capacity, const std::vector<std::vector<std::uint32_t>>& paths,
+      double flow_cap = std::numeric_limits<double>::infinity()) {
+    std::vector<FlowNet::Route> routes(paths.size());
+    for (std::size_t f = 0; f < paths.size(); ++f) {
+      if (paths[f].size() > FlowNet::kMaxHops) throw std::length_error("path too long");
+      routes[f].key.fill(~0u);
+      std::copy(paths[f].begin(), paths[f].end(), routes[f].key.begin());
+      routes[f].hops = static_cast<std::uint32_t>(paths[f].size());
+      routes[f].members.resize(1);
+    }
+    FlowNet::FillScratch scratch;
+    FlowNet::water_fill(capacity, routes, flow_cap, scratch);
+    std::vector<double> rate;
+    for (const FlowNet::Route& r : routes) rate.push_back(r.rate);
+    return rate;
+  }
+};
+
 namespace {
+
+using Peer = FlowNetTestPeer;
+constexpr double kUncapped = std::numeric_limits<double>::infinity();
+
+// Every test flow is one trace span here.
+const trace::SpanSite& test_site() {
+  static const trace::SpanSite site("test", "test.flow", /*with_histogram=*/false);
+  return site;
+}
 
 // 8 nodes in 2 racks, 1 GB/s NICs, 2:1 oversubscribed ToR uplinks
 // (4 * 1 GB/s / 2 = 2 GB/s per rack, each direction).
@@ -35,10 +67,12 @@ ClusterConfig tor_config() {
 
 // The textbook water-fill, one full scan of every flow and link per round,
 // freezing one flow at a time: an independent oracle for FlowNet's
-// bucketed, heap-ordered, route-grouped routine.
+// bucketed, heap-ordered, route-grouped routine. Once no link's share is
+// below the cap, every flow left takes the cap.
 std::vector<double> scan_max_min(const std::vector<double>& capacity,
-                                 const std::vector<std::vector<std::uint32_t>>& paths) {
-  std::vector<double> rate(paths.size(), std::numeric_limits<double>::infinity());
+                                 const std::vector<std::vector<std::uint32_t>>& paths,
+                                 double flow_cap) {
+  std::vector<double> rate(paths.size(), flow_cap);
   std::vector<char> frozen(paths.size(), 0);
   std::vector<double> residual = capacity;
   for (std::size_t f = 0; f < paths.size(); ++f) frozen[f] = paths[f].empty();
@@ -59,7 +93,7 @@ std::vector<double> scan_max_min(const std::vector<double>& capacity,
         share = s;
       }
     }
-    if (bottleneck == capacity.size()) return rate;
+    if (bottleneck == capacity.size() || flow_cap <= share) return rate;
     for (std::size_t f = 0; f < paths.size(); ++f) {
       if (frozen[f] ||
           std::find(paths[f].begin(), paths[f].end(), bottleneck) == paths[f].end()) {
@@ -77,7 +111,7 @@ std::vector<double> scan_max_min(const std::vector<double>& capacity,
 TEST(MaxMin, EqualFlowsSplitOneLinkEvenly) {
   for (std::uint32_t n : {1u, 2u, 5u, 16u}) {
     const std::vector<std::vector<std::uint32_t>> paths(n, {0u});
-    const auto rates = FlowNet::max_min_rates({8e9}, paths);
+    const auto rates = Peer::max_min_rates({8e9}, paths);
     ASSERT_EQ(rates.size(), n);
     for (double r : rates) EXPECT_DOUBLE_EQ(r, 8e9 / n);
   }
@@ -87,7 +121,7 @@ TEST(MaxMin, WaterFillingFreezesBottleneckThenRedistributes) {
   // Flow 0 crosses only link A (10); flow 1 crosses A and B (5); flow 2
   // crosses only B. B is the bottleneck (5 / 2 = 2.5 < 10 / 2): flows 1
   // and 2 freeze at 2.5, then flow 0 takes A's full residual 7.5.
-  const auto rates = FlowNet::max_min_rates({10.0, 5.0}, {{0}, {0, 1}, {1}});
+  const auto rates = Peer::max_min_rates({10.0, 5.0}, {{0}, {0, 1}, {1}});
   ASSERT_EQ(rates.size(), 3u);
   EXPECT_DOUBLE_EQ(rates[0], 7.5);
   EXPECT_DOUBLE_EQ(rates[1], 2.5);
@@ -95,10 +129,22 @@ TEST(MaxMin, WaterFillingFreezesBottleneckThenRedistributes) {
 }
 
 TEST(MaxMin, EmptyPathIsUnconstrained) {
-  const auto rates = FlowNet::max_min_rates({1e9}, {{}, {0}});
+  const auto rates = Peer::max_min_rates({1e9}, {{}, {0}});
   ASSERT_EQ(rates.size(), 2u);
   EXPECT_EQ(rates[0], std::numeric_limits<double>::infinity());
   EXPECT_DOUBLE_EQ(rates[1], 1e9);
+}
+
+TEST(MaxMin, CapFreezesEveryFlowItBinds) {
+  // WaterFillingFreezesBottleneckThenRedistributes's graph with a cap of
+  // 4, plus a path with no links: flows 1 and 2 still freeze at
+  // B's 2.5, flow 0, alone on A's residual 7.5, is held at the cap, and
+  // the linkless flow takes the cap.
+  const auto rates = Peer::max_min_rates({10.0, 5.0}, {{0}, {0, 1}, {1}, {}}, 4.0);
+  EXPECT_EQ(rates, (std::vector<double>{4.0, 2.5, 2.5, 4.0}));
+  // A cap at or below every share binds every flow.
+  EXPECT_EQ(Peer::max_min_rates({10.0, 5.0}, {{0}, {0, 1}, {1}}, 2.5),
+            (std::vector<double>{2.5, 2.5, 2.5}));
 }
 
 TEST(MaxMin, TiedBottlenecksAreDeterministic) {
@@ -107,8 +153,8 @@ TEST(MaxMin, TiedBottlenecksAreDeterministic) {
   // repeated evaluation gives bit-identical output.
   const std::vector<double> caps = {10.0, 10.0};
   const std::vector<std::vector<std::uint32_t>> paths = {{0, 1}, {0}, {1}};
-  const auto a = FlowNet::max_min_rates(caps, paths);
-  const auto b = FlowNet::max_min_rates(caps, paths);
+  const auto a = Peer::max_min_rates(caps, paths);
+  const auto b = Peer::max_min_rates(caps, paths);
   EXPECT_EQ(a, b);
   for (double r : a) EXPECT_DOUBLE_EQ(r, 5.0);
 }
@@ -121,7 +167,7 @@ TEST(FlowNet, SingleFlowRunsAtLinkCapacity) {
   const std::uint32_t link = net.add_link(1e9);
   const std::uint32_t path[] = {link};
   test::run_task(e, [](FlowNet& n, std::span<const std::uint32_t> p) -> sim::Task<void> {
-    co_await n.transfer(p, 1000000000);
+    co_await n.transfer(p, 1000000000, test_site());
   }(net, path));
   // 1 GB at 1 GB/s = 1 s, rounded up by <= 2 ns of event slack.
   EXPECT_NEAR(static_cast<double>(e.now().to_ns()), 1e9, 10.0);
@@ -138,7 +184,7 @@ TEST(FlowNet, LateArrivalSplitsTheLink) {
                  Duration start, std::int64_t* out) -> sim::Task<void> {
     co_await eng.sleep(start);
     const std::uint32_t path[] = {l};
-    co_await n.transfer(path, bytes);
+    co_await n.transfer(path, bytes, test_site());
     *out = eng.now().to_ns();
   };
   e.spawn(xfer(e, net, link, 1000000000, Duration::zero(), &done_a));
@@ -157,7 +203,7 @@ TEST(FlowNet, ZeroByteTransferCompletesInline) {
   const std::uint32_t link = net.add_link(1e9);
   const std::uint32_t path[] = {link};
   test::run_task(e, [](FlowNet& n, std::span<const std::uint32_t> p) -> sim::Task<void> {
-    co_await n.transfer(p, 0);
+    co_await n.transfer(p, 0, test_site());
   }(net, path));
   EXPECT_EQ(e.now().to_ns(), 0);
   EXPECT_EQ(net.active_flows(), 0u);
@@ -171,6 +217,40 @@ TEST(FlowNet, RejectsNonPositiveCapacity) {
   EXPECT_THROW(net.add_link(std::nan("")), std::invalid_argument);
   EXPECT_THROW(net.add_link(std::numeric_limits<double>::infinity()), std::invalid_argument);
   EXPECT_EQ(net.num_links(), 0u);
+  EXPECT_THROW(FlowNet(e, 0.0), std::invalid_argument);
+  EXPECT_THROW(FlowNet(e, std::nan("")), std::invalid_argument);
+}
+
+TEST(FlowNet, PerFlowCapIsExactMaxMinOnTwoLinks) {
+  // Links L0 = 100 MB/s and L1 = 40 MB/s, every flow capped at 30 MB/s.
+  // a crosses L0 (45 MB), b crosses L0 and L1 (25 MB), c crosses L1 (10 MB).
+  // Until 0.5 s L1 is the bottleneck: b and c get 20 each, and a, alone on
+  // L0's residual 80, is held at the cap. c is done at 0.5 s. Then L1's
+  // share for b is 40 and L0's is 50, so the cap holds both a and b: b's
+  // last 15 MB take 0.5 s (1.0 s) and a's last 30 MB take 1 s (1.5 s).
+  // Uncapped, b would finish at 0.875 s and a at 1.25 s.
+  sim::Engine e;
+  FlowNet net(e, 30e6);
+  const std::uint32_t l0 = net.add_link(100e6);
+  const std::uint32_t l1 = net.add_link(40e6);
+  std::int64_t done_a = 0, done_b = 0, done_c = 0;
+  auto xfer = [](sim::Engine& eng, FlowNet& n, std::vector<std::uint32_t> path,
+                 std::uint64_t bytes, std::int64_t* out) -> sim::Task<void> {
+    co_await n.transfer(path, bytes, test_site());
+    *out = eng.now().to_ns();
+  };
+  e.spawn(xfer(e, net, {l0}, 45000000, &done_a));
+  e.spawn(xfer(e, net, {l0, l1}, 25000000, &done_b));
+  e.spawn(xfer(e, net, {l1}, 10000000, &done_c));
+  while (e.step() && e.next_event_ns() == 0) {
+  }
+  EXPECT_DOUBLE_EQ(net.rate_of(0), 30e6);
+  EXPECT_DOUBLE_EQ(net.rate_of(1), 20e6);
+  EXPECT_DOUBLE_EQ(net.rate_of(2), 20e6);
+  e.run();
+  EXPECT_NEAR(static_cast<double>(done_c), 0.5e9, 10.0);
+  EXPECT_NEAR(static_cast<double>(done_b), 1.0e9, 10.0);
+  EXPECT_NEAR(static_cast<double>(done_a), 1.5e9, 10.0);
 }
 
 TEST(FlowNet, SameInstantBurstCostsOneWaterFill) {
@@ -184,7 +264,7 @@ TEST(FlowNet, SameInstantBurstCostsOneWaterFill) {
   int done = 0;
   auto xfer = [](FlowNet& n, std::uint32_t l, int* out) -> sim::Task<void> {
     const std::uint32_t path[] = {l};
-    co_await n.transfer(path, 1000000);
+    co_await n.transfer(path, 1000000, test_site());
     ++*out;
   };
   for (int i = 0; i < kFlows; ++i) e.spawn(xfer(net, link, &done));
@@ -197,10 +277,12 @@ TEST(FlowNet, SameInstantBurstCostsOneWaterFill) {
 }
 
 // Random flows over a preset's link graph: arrival instants drawn from a
-// few ticks so same-instant bursts are common, random endpoints and sizes.
-// Whenever an instant's events are done, every live flow's rate must equal
-// the pure water-filling over the whole active set, and that must equal
-// the full-scan oracle, bit for bit.
+// few ticks so same-instant bursts are common, random endpoints and sizes,
+// and on most seeds a per-flow cap (one that binds some flows and not
+// others, one that binds every flow, or a third of a NIC, whose residuals
+// round). Whenever an instant's events are done, every live flow's rate
+// must equal the pure water-filling over the whole active set, and that
+// must equal the full-scan oracle, bit for bit.
 TEST(FlowNet, LiveRatesMatchMaxMinOnEverySeed) {
   constexpr std::uint64_t kSeeds = 240;
   std::size_t checks = 0;
@@ -211,11 +293,16 @@ TEST(FlowNet, LiveRatesMatchMaxMinOnEverySeed) {
                               TopologyKind::fat_tree}[seed % 3];
     cfg.racks = std::array<std::size_t, 3>{1, 2, 4}[rng.below(3)];
     cfg.oversubscription = std::array{1.0, 2.0, 8.0}[rng.below(3)];
+    const double flow_cap = std::array{kUncapped, 0.3e9, 0.05e9, 1e9 / 3}[rng.below(4)];
     sim::Engine e;
     Topology topo(e, cfg);
-    FlowNet& net = topo.net();
-    std::vector<double> caps(net.num_links());
-    for (std::uint32_t l = 0; l < caps.size(); ++l) caps[l] = net.link_capacity(l);
+    // The preset's links, under the seed's cap.
+    FlowNet net(e, flow_cap);
+    std::vector<double> caps;
+    for (std::uint32_t l = 0; l < topo.net().num_links(); ++l) {
+      caps.push_back(topo.net().link_capacity(l));
+      net.add_link(caps.back());
+    }
 
     // paths[seq]: the route of the flow admitted seq-th (admission order
     // is the order the coroutines reach transfer()).
@@ -226,7 +313,7 @@ TEST(FlowNet, LiveRatesMatchMaxMinOnEverySeed) {
       co_await eng.sleep(start);
       const std::span<const std::uint32_t> links(r.links, r.num_links);
       log->emplace_back(links.begin(), links.end());
-      co_await n.transfer(links, bytes);
+      co_await n.transfer(links, bytes, test_site());
     };
     const int flows = 4 + static_cast<int>(rng.below(28));
     for (int i = 0; i < flows; ++i) {
@@ -244,8 +331,8 @@ TEST(FlowNet, LiveRatesMatchMaxMinOnEverySeed) {
         live.push_back(seq);
         live_paths.push_back(paths[seq]);
       }
-      const std::vector<double> expect = FlowNet::max_min_rates(caps, live_paths);
-      ASSERT_EQ(expect, scan_max_min(caps, live_paths)) << "seed " << seed;
+      const std::vector<double> expect = Peer::max_min_rates(caps, live_paths, flow_cap);
+      ASSERT_EQ(expect, scan_max_min(caps, live_paths, flow_cap)) << "seed " << seed;
       for (std::size_t i = 0; i < live.size(); ++i) {
         ASSERT_EQ(net.rate_of(live[i]), expect[i]) << "seed " << seed << " seq " << live[i];
       }

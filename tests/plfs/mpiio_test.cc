@@ -189,7 +189,9 @@ TEST(Flatten, SkippedWhenAnyWriterExceedsThreshold) {
   mpi::run_spmd(w.cluster, 4, [&plfs](mpi::Comm comm) -> sim::Task<void> {
     auto idx = co_await aggregate_index(plfs, comm, "/big", ReadStrategy::index_flatten);
     EXPECT_TRUE(idx.ok());
-    if (idx.ok()) EXPECT_EQ((*idx)->logical_size(), 4u * 4 * 1000);
+    if (idx.ok()) {
+      EXPECT_EQ((*idx)->logical_size(), 4u * 4 * 1000);
+    }
   });
   EXPECT_EQ(counter("plfs.degrade.index_fallback").value(), fallbacks_before + 1);
 }
