@@ -54,12 +54,16 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
 
 Cluster::~Cluster() = default;
 
-sim::Task<void> Cluster::fabric_transfer(std::size_t from_node, std::size_t to_node,
-                                         std::uint64_t bytes) {
+Cluster::FabricTransfer Cluster::fabric_transfer(std::size_t from_node, std::size_t to_node,
+                                                 std::uint64_t bytes) {
   if (from_node >= config_.nodes || to_node >= config_.nodes) {
     throw std::out_of_range("Cluster::fabric_transfer: bad node index");
   }
-  return topo_->transfer(from_node, to_node, bytes);
+  return FabricTransfer{topo_.get(), from_node, to_node, bytes};
+}
+
+void Cluster::FabricTransfer::await_suspend(std::coroutine_handle<> h) {
+  topo->start(from_node, to_node, bytes, h);
 }
 
 }  // namespace tio::net

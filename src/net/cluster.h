@@ -16,6 +16,7 @@
 //     storage NIC rate (the 1.25 GB/s "theoretical peak").
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "common/units.h"
 #include "net/page_cache.h"
 #include "sim/engine.h"
-#include "sim/task.h"
 
 namespace tio::net {
 
@@ -87,13 +87,22 @@ class Cluster {
   sim::Engine& engine() { return engine_; }
   std::size_t nodes() const { return config_.nodes; }
 
-  // One fabric message from node to node (intra-node messages cost only a
-  // reduced latency). The awaiting process is blocked for the full
-  // transfer, like a blocking MPI send-receive pair: one max-min-shared
-  // flow through the preset's link graph (net/topology.h). Throws
-  // std::out_of_range on a bad node index.
-  sim::Task<void> fabric_transfer(std::size_t from_node, std::size_t to_node,
-                                  std::uint64_t bytes);
+  // Awaitable: one fabric message from node to node (intra-node messages
+  // cost only a reduced latency). The awaiting process is blocked for the
+  // full transfer, like a blocking MPI send-receive pair: one
+  // max-min-shared flow through the preset's link graph, then the path's
+  // hop latency (Topology::start). No coroutine frame of its own.
+  struct FabricTransfer {
+    Topology* topo;
+    std::size_t from_node;
+    std::size_t to_node;
+    std::uint64_t bytes;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const noexcept {}
+  };
+  // Throws std::out_of_range on a bad node index.
+  FabricTransfer fabric_transfer(std::size_t from_node, std::size_t to_node, std::uint64_t bytes);
 
   // The routed link graph (never null).
   Topology* topology() { return topo_.get(); }

@@ -262,7 +262,8 @@ struct FinishesLater {
 }  // namespace
 
 void FlowNet::start_transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
-                             const trace::SpanSite& site, std::coroutine_handle<> h) {
+                             const trace::SpanSite& site, Duration latency,
+                             std::coroutine_handle<> h) {
   assert(!path.empty() && path.size() <= kMaxHops && "FlowNet flows cross 1..kMaxHops links");
   advance();
   RouteKey key;
@@ -281,7 +282,7 @@ void FlowNet::start_transfer(std::span<const std::uint32_t> path, std::uint64_t 
     index = static_cast<std::uint32_t>(routes_.size());
   }
   Route& route = routes_[index - 1];
-  Flow flow{route.progress + static_cast<double>(bytes), seq_++, h};
+  Flow flow{route.progress + static_cast<double>(bytes), seq_++, h, latency};
   trace::Tracer& tracer = trace::Tracer::instance();
   if (tracer.enabled()) {
     flow.trace_rec =
@@ -344,7 +345,7 @@ void FlowNet::on_completion_event(std::uint64_t generation) {
     while (!route.members.empty() &&
            route.members.front().finish <= route.progress + kSlackBytes) {
       const Flow& f = route.members.front();
-      done_.push_back(Done{f.seq, f.handle, f.trace_rec, route.hops, route.key});
+      done_.push_back(Done{f.seq, f.handle, f.latency, f.trace_rec, route.hops, route.key});
       std::pop_heap(route.members.begin(), route.members.end(), FinishesLater{});
       route.members.pop_back();
       --active_flows_;
@@ -371,7 +372,15 @@ void FlowNet::on_completion_event(std::uint64_t generation) {
     if (d.trace_rec != trace::kNoRecord) tracer.end_span(-1, d.trace_rec, engine_.now().to_ns());
     for (std::uint32_t k = 0; k < d.hops; ++k) link_finished(d.links[k]);
     const auto h = d.handle;
-    engine_.after(Duration::zero(), [h] { h.resume(); });
+    if (d.latency == Duration::zero()) {
+      engine_.after(Duration::zero(), [h] { h.resume(); });
+    } else {
+      // The wake after the hop latency is posted by this zero-delay event,
+      // where a coroutine resumed here would have started its sleep.
+      engine_.after(Duration::zero(), [engine = &engine_, h, latency = d.latency] {
+        engine->after(latency, [h] { h.resume(); });
+      });
+    }
   }
   done_.clear();
   membership_changed();
@@ -456,8 +465,8 @@ Topology::Route Topology::route_of(std::size_t from_node, std::size_t to_node) c
   return r;
 }
 
-sim::Task<void> Topology::transfer(std::size_t from_node, std::size_t to_node,
-                                   std::uint64_t bytes) {
+void Topology::start(std::size_t from_node, std::size_t to_node, std::uint64_t bytes,
+                     std::coroutine_handle<> h) {
   static Counter& msgs_intra_node = counter("net.topo.msgs.intra_node");
   static Counter& msgs_intra_rack = counter("net.topo.msgs.intra_rack");
   static Counter& msgs_cross_rack = counter("net.topo.msgs.cross_rack");
@@ -473,8 +482,8 @@ sim::Task<void> Topology::transfer(std::size_t from_node, std::size_t to_node,
       msgs_intra_node.add(1);
       bytes_intra_node.add(bytes);
       // Shared-memory transport: latency only, no link involvement.
-      co_await engine_.sleep(r.latency);
-      co_return;
+      engine_.after(r.latency, [h] { h.resume(); });
+      return;
     case Route::Class::intra_rack:
       msgs_intra_rack.add(1);
       bytes_intra_rack.add(bytes);
@@ -489,8 +498,8 @@ sim::Task<void> Topology::transfer(std::size_t from_node, std::size_t to_node,
   }
   const trace::SpanSite& site =
       r.klass == Route::Class::cross_rack ? cross_rack_site() : intra_rack_site();
-  co_await net_.transfer(std::span<const std::uint32_t>(r.links, r.num_links), bytes, site);
-  co_await engine_.sleep(r.latency);
+  net_.transfer(std::span<const std::uint32_t>(r.links, r.num_links), bytes, site, r.latency)
+      .await_suspend(h);
 }
 
 StorageNet::StorageNet(sim::Engine& engine, double capacity, double flow_cap)

@@ -35,7 +35,8 @@
 //     fabric_latency / 4). Hop latency is fabric_latency per switch hop:
 //     1 hop through one switch (flat, or within a rack), 3 hops
 //     cross-rack. A transfer is one cut-through flow at the path's
-//     max-min rate; the hop latency is charged after the last byte.
+//     max-min rate; the hop latency is charged after the last byte, by a
+//     wake the flow's completion posts (no coroutine per message).
 //
 //   * StorageNet — a FlowNet of one link at storage_net_bandwidth whose
 //     flows are capped at storage_nic_bandwidth: n concurrent PFS data
@@ -62,7 +63,6 @@
 #include "common/trace.h"
 #include "net/cluster.h"
 #include "sim/engine.h"
-#include "sim/task.h"
 
 namespace tio::net {
 
@@ -84,25 +84,32 @@ class FlowNet {
   // Total bytes of flows routed over this link (counted at flow start).
   std::uint64_t link_bytes(std::uint32_t link) const { return links_[link].bytes; }
 
-  // Awaitable: completes when `bytes` have moved along `path` (1 to
-  // kMaxHops link indices) under global max-min sharing; the flow is one
-  // trace span at `site` on the engine track. Zero-byte transfers
-  // complete immediately.
+  // Awaitable: completes `latency` after `bytes` have moved along `path`
+  // (1 to kMaxHops link indices) under global max-min sharing; the flow is
+  // one trace span at `site` on the engine track. The zero-delay event that
+  // ends a flow posts its latency wake (or resumes the awaiter when the
+  // latency is zero). A zero-byte transfer starts no flow: it posts the
+  // latency wake at once, or completes immediately without latency.
   struct Awaiter {
     FlowNet* net;
     std::span<const std::uint32_t> path;
     std::uint64_t bytes;
     const trace::SpanSite* site;
-    bool await_ready() const noexcept { return bytes == 0; }
+    Duration latency = Duration::zero();
+    bool await_ready() const noexcept { return bytes == 0 && latency == Duration::zero(); }
     void await_suspend(std::coroutine_handle<> h) {
       assert(net->engine_.is_current() && "FlowNet awaited off its engine's shard");
-      net->start_transfer(path, bytes, *site, h);
+      if (bytes == 0) {
+        net->engine_.after(latency, [h] { h.resume(); });
+      } else {
+        net->start_transfer(path, bytes, *site, latency, h);
+      }
     }
     void await_resume() const noexcept {}
   };
   Awaiter transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
-                   const trace::SpanSite& site) {
-    return Awaiter{this, path, bytes, &site};
+                   const trace::SpanSite& site, Duration latency = Duration::zero()) {
+    return Awaiter{this, path, bytes, &site, latency};
   }
 
   std::size_t active_flows() const { return active_flows_; }
@@ -130,6 +137,7 @@ class FlowNet {
     double finish;  // route progress at which the flow is done
     std::uint64_t seq;
     std::coroutine_handle<> handle;
+    Duration latency;  // from the last byte to the awaiter's wake
     std::uint32_t trace_rec = trace::kNoRecord;
   };
   using RouteKey = std::array<std::uint32_t, kMaxHops>;  // unused hops = ~0u
@@ -153,6 +161,7 @@ class FlowNet {
   struct Done {
     std::uint64_t seq;
     std::coroutine_handle<> handle;
+    Duration latency;
     std::uint32_t trace_rec;
     std::uint32_t hops;
     RouteKey links;
@@ -210,7 +219,7 @@ class FlowNet {
                          double flow_cap, FillScratch& s);
 
   void start_transfer(std::span<const std::uint32_t> path, std::uint64_t bytes,
-                      const trace::SpanSite& site, std::coroutine_handle<> h);
+                      const trace::SpanSite& site, Duration latency, std::coroutine_handle<> h);
   // Moves every route's progress forward to now() at its rate.
   void advance();
   // The flow set changed: invalidates the scheduled completion and, once
@@ -248,9 +257,11 @@ class Topology {
  public:
   Topology(sim::Engine& engine, const ClusterConfig& config);
 
-  // One node-to-node message routed through the preset's links; the
-  // behavior Cluster::fabric_transfer delegates to.
-  sim::Task<void> transfer(std::size_t from_node, std::size_t to_node, std::uint64_t bytes);
+  // Starts one node-to-node message routed through the preset's links and
+  // resumes `h` once it has arrived: the behavior Cluster::fabric_transfer
+  // awaits. Intra-node messages wake after their latency alone.
+  void start(std::size_t from_node, std::size_t to_node, std::uint64_t bytes,
+             std::coroutine_handle<> h);
 
   // The links and latency a (from, to) message uses; exposed for tests.
   struct Route {

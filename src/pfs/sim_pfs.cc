@@ -21,8 +21,8 @@ struct BatchCounters {
   Counter& flush_linger = counter("pfs.batch.flush_linger");
   Counter& failures = counter("pfs.batch.failures");
   // Client->MDS round trips that carry mutations: the denominator of the
-  // batching win (one per unbatched dir_mutation/create RPC and raft submit,
-  // one per flushed batch regardless of its size).
+  // batching win (one per unbatched directory insert, create RPC and raft
+  // submit, one per flushed batch regardless of its size).
   Counter& mutation_round_trips = counter("pfs.meta.mutation_round_trips");
 };
 
@@ -125,9 +125,10 @@ Duration SimPfs::dir_insert_service(PathId dir) const {
 }
 
 Duration SimPfs::meta_service(const MetaCommand& mc) const {
-  // Same serialized-insert degradation as dir_mutation: the log (or the
-  // batch) already serializes mutations, but each one still costs
-  // directory-size-dependent MDS service time.
+  // Same serialized-insert degradation as an unbatched, unreplicated
+  // mutation's directory insert: the log (or the batch) already serializes
+  // mutations, but each one still costs directory-size-dependent MDS
+  // service time.
   const Duration insert = dir_insert_service(ns_.parent(mc.path));
   return mc.kind == MetaCommand::Kind::create ? insert + config_.mds_create_time : insert;
 }
@@ -255,19 +256,14 @@ sim::Mutex& SimPfs::dir_mutex(PathId dir) {
 
 sim::Task<Status> SimPfs::mds_op(IoCtx ctx, std::size_t g, Duration service) {
   ++stats_.metadata_ops;
-  if (replicated()) co_return co_await raft_groups_[g]->serve_read(ctx.node, ctx.rank, service);
+  if (replicated()) return raft_groups_[g]->serve_read(ctx.node, ctx.rank, service);
+  return mds_visit(g, service);
+}
+
+sim::Task<Status> SimPfs::mds_visit(std::size_t g, Duration service) {
   co_await engine().sleep(config_.rpc_overhead + cluster_.storage_latency());
   co_await mds_[g]->serve(service);
   co_return Status::Ok();
-}
-
-sim::Task<void> SimPfs::dir_mutation(IoCtx ctx, PathId dir) {
-  bc().mutation_round_trips.add();
-  sim::Mutex& mu = dir_mutex(dir);
-  co_await mu.lock();
-  const Status st = co_await mds_op(ctx, ns_.group(dir), dir_insert_service(dir));
-  (void)st;  // unreplicated mds_op cannot fail
-  mu.unlock();
 }
 
 std::uint64_t SimPfs::wire_bytes(const MetaBatch& batch) const {
@@ -284,7 +280,12 @@ sim::Task<Result<MetaBatchApply>> SimPfs::raft_apply(IoCtx ctx, std::size_t g, M
 sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
   const PathId parent = ns_.parent(cmd.path);
   const std::size_t g = ns_.group(parent);
-  if (config_.mds_batch > 0) co_return co_await batch_submit(ctx, g, std::move(cmd));
+  if (config_.mds_batch > 0) return batch_submit(ctx, g, std::move(cmd));
+  return mutate_unbatched(ctx, parent, g, std::move(cmd));
+}
+
+sim::Task<Result<MetaApply>> SimPfs::mutate_unbatched(IoCtx ctx, PathId parent, std::size_t g,
+                                                      MetaCommand cmd) {
   if (replicated()) {
     // The mutation is acked only after the group leader committed and
     // applied it: the caller's existence checks are advisory, the apply
@@ -300,15 +301,32 @@ sim::Task<Result<MetaApply>> SimPfs::mutate(IoCtx ctx, MetaCommand cmd) {
     }
     co_return applied.results.front();
   }
-  // Unreplicated: the serialized, directory-degraded insert at the parent's
-  // MDS; a create then pays its own object-creation round trip.
-  co_await dir_mutation(ctx, parent);
+  // Unreplicated: the directory-degraded insert at the parent's MDS,
+  // serialized under the directory's insert lock; a create then pays its
+  // own object-creation round trip. Unreplicated MDS visits cannot fail.
+  bc().mutation_round_trips.add();
+  sim::Mutex& mu = dir_mutex(parent);
+  co_await mu.lock();
+  ++stats_.metadata_ops;
+  co_await mds_visit(ns_.group(parent), dir_insert_service(parent));
+  mu.unlock();
   if (cmd.kind == MetaCommand::Kind::create) {
     bc().mutation_round_trips.add();
-    const Status st = co_await mds_op(ctx, g, config_.mds_create_time);
-    (void)st;  // unreplicated mds_op cannot fail
+    ++stats_.metadata_ops;
+    co_await mds_visit(g, config_.mds_create_time);
   }
   co_return apply_meta(cmd);
+}
+
+sim::Task<Status> SimPfs::mutate_status(IoCtx ctx, MetaCommand cmd) {
+  const Result<MetaApply> applied = co_await mutate(ctx, cmd);
+  if (!applied.ok()) co_return applied.status();
+  co_return applied->status;
+}
+
+sim::Task<Status> SimPfs::failed_op(IoCtx ctx, std::size_t g, Status failure) {
+  TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, g, config_.mds_open_time));
+  co_return failure;
 }
 
 // ------------------------------------------------- batched mutation client
@@ -408,53 +426,58 @@ sim::Task<Result<FileId>> SimPfs::open(IoCtx ctx, std::string path, OpenFlags fl
     co_return error(Errc::invalid, "open needs read or write: " + path);
   }
   const Namespace::Resolved r = ns_.resolve(path);
-  const std::size_t pg = parent_group(r.parent, path);
   ++stats_.opens;
 
+  // Every open but a create or a lease hit pays the parent's MDS open round
+  // trip, failed opens included, at one await site: each await site holds
+  // its own temporaries in every open's frame.
   ObjectId oid = kNoObject;
   PathId id = r.id;
+  Status failure;
+  Duration service = config_.mds_open_time;
+  bool rpc = true;
+  Object* existing = nullptr;
   if (ns_.present(id)) {
-    const Namespace::Entry existing = ns_.lookup(id).value();
-    if (existing.is_dir) {
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
-      co_return error(Errc::is_a_directory, path);
+    const Namespace::Entry entry = ns_.lookup(id).value();
+    if (entry.is_dir) {
+      failure = error(Errc::is_a_directory, path);
+    } else if (flags.create && flags.excl) {
+      failure = error(Errc::exists, path);
+    } else {
+      oid = entry.oid;
+      existing = &object(oid);
+      // A miss (or cache off) pays the MDS round trip, then leases the
+      // dentry so this node's repeat opens within the TTL stay local.
+      rpc = !cache_lookup(ctx, id);
+      if (existing->dentry_hot) service = config_.mds_cached_open_time;
     }
-    if (flags.create && flags.excl) {
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
-      co_return error(Errc::exists, path);
-    }
-    Object& cached = object(existing.oid);
-    if (!cache_lookup(ctx, id)) {
-      // Miss (or cache off): pay the MDS round trip, then lease the dentry
-      // so this node's repeat opens within the TTL stay local.
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg,
-                                             cached.dentry_hot ? config_.mds_cached_open_time
-                                                               : config_.mds_open_time));
-      cache_insert(ctx, id, existing.oid, /*is_dir=*/false);
-    }
-    cached.dentry_hot = true;
-    oid = existing.oid;
-    if (flags.trunc && flags.write) {
-      Object& o = object(oid);
-      o.data.clear();
-      o.size = 0;
-      o.mtime = engine().now();
-    }
+  } else if (!flags.create) {
+    failure = error(Errc::not_found, path);
+  } else if (!ns_.present(r.parent)) {
+    failure = error(Errc::not_found, "parent of " + path);
   } else {
-    if (!flags.create) {
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
-      co_return error(Errc::not_found, path);
-    }
     // Creation: serialized insert into the parent directory.
-    if (!ns_.present(r.parent)) {
-      TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, pg, config_.mds_open_time));
-      co_return error(Errc::not_found, "parent of " + path);
-    }
     if (id == kNoPath) id = ns_.intern(r.parent, r.leaf);
-    MetaCommand cmd{MetaCommand::Kind::create, id, flags.excl};
-    TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
-    TIO_CO_RETURN_IF_ERROR(applied.status);
-    oid = applied.oid;
+    const Result<MetaApply> applied =
+        co_await mutate(ctx, MetaCommand{MetaCommand::Kind::create, id, flags.excl});
+    if (!applied.ok()) co_return applied.status();
+    if (!applied->status.ok()) co_return applied->status;
+    oid = applied->oid;
+    rpc = false;
+  }
+  if (rpc) {
+    const Status visited = co_await mds_op(ctx, parent_group(r.parent, path), service);
+    if (!visited.ok()) co_return visited;
+    if (!failure.ok()) co_return failure;
+    cache_insert(ctx, id, oid, /*is_dir=*/false);
+  }
+  if (existing != nullptr) {
+    existing->dentry_hot = true;
+    if (flags.trunc && flags.write) {
+      existing->data.clear();
+      existing->size = 0;
+      existing->mtime = engine().now();
+    }
   }
 
   open_files_.push_back(OpenFile{oid, r.parent, flags.read, flags.write});
@@ -645,20 +668,24 @@ sim::Task<Result<FragmentList>> SimPfs::read(IoCtx ctx, FileId file, std::uint64
 sim::Task<Status> SimPfs::mkdir(IoCtx ctx, std::string path) {
   const Namespace::Resolved r = ns_.resolve(path);
   if (!ns_.present(r.parent)) {
-    TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent_group(r.parent, path),
-                                           config_.mds_open_time));
-    co_return error(Errc::not_found, "parent of " + path);
+    return failed_op(ctx, parent_group(r.parent, path), error(Errc::not_found, "parent of " + path));
   }
   const PathId id = r.id != kNoPath ? r.id : ns_.intern(r.parent, r.leaf);
-  MetaCommand cmd{MetaCommand::Kind::mkdir, id};
-  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
-  co_return applied.status;
+  return mutate_status(ctx, MetaCommand{MetaCommand::Kind::mkdir, id});
 }
 
 sim::Task<Status> SimPfs::unlink(IoCtx ctx, std::string path) {
-  MetaCommand cmd{MetaCommand::Kind::unlink, ns_.intern(path)};
-  TIO_CO_ASSIGN_OR_RETURN(MetaApply applied, co_await mutate(ctx, std::move(cmd)));
-  co_return applied.status;
+  return mutate_status(ctx, MetaCommand{MetaCommand::Kind::unlink, ns_.intern(path)});
+}
+
+StatInfo SimPfs::stat_info(bool is_dir, ObjectId oid) const {
+  StatInfo info;
+  info.is_dir = is_dir;
+  if (!is_dir && oid < objects_.size()) {
+    info.size = objects_[oid].size;
+    info.mtime = objects_[oid].mtime;
+  }
+  return info;
 }
 
 sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {
@@ -669,13 +696,7 @@ sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {
     // trip. Sizes/mtimes come from the shared truth — the lease only
     // vouches for existence and identity, which invalidation-on-mutation
     // and epoch revocation keep safe.
-    StatInfo info;
-    info.is_dir = lease.is_dir;
-    if (!lease.is_dir && lease.oid < objects_.size()) {
-      info.size = objects_[lease.oid].size;
-      info.mtime = objects_[lease.oid].mtime;
-    }
-    co_return info;
+    co_return stat_info(lease.is_dir, lease.oid);
   }
   TIO_CO_RETURN_IF_ERROR(co_await mds_op(ctx, parent_group(r.parent, path),
                                          config_.mds_stat_time));
@@ -683,14 +704,8 @@ sim::Task<Result<StatInfo>> SimPfs::stat(IoCtx ctx, std::string path) {
   const PathId id = r.id != kNoPath ? r.id : ns_.find(path);
   if (!ns_.present(id)) co_return error(Errc::not_found, path);
   const Namespace::Entry entry = ns_.lookup(id).value();
-  StatInfo info;
-  info.is_dir = entry.is_dir;
-  if (!entry.is_dir && entry.oid < objects_.size()) {
-    info.size = objects_[entry.oid].size;
-    info.mtime = objects_[entry.oid].mtime;
-  }
   cache_insert(ctx, id, entry.is_dir ? kNoObject : entry.oid, entry.is_dir);
-  co_return info;
+  co_return stat_info(entry.is_dir, entry.oid);
 }
 
 sim::Task<Result<std::vector<DirEntry>>> SimPfs::readdir(IoCtx ctx, std::string path) {

@@ -160,11 +160,23 @@ class SimPfs : public FsClient {
   Result<const OpenFile*> handle(FileId file) const;
   sim::Mutex& dir_mutex(PathId dir);
   // The one transport decision for a namespace mutation: mds_batch > 0
-  // enqueues it into its group's forming batch; otherwise a replicated
-  // deployment submits it as one Raft entry (a batch of one); otherwise it
-  // pays the unreplicated cost sequence (dir_mutation on the parent, plus
-  // an mds_create_time round trip for a create) and applies in place.
+  // enqueues it into its group's forming batch (batch_submit's task, so a
+  // batched mutation costs no frame of its own); otherwise it is
+  // mutate_unbatched's.
   sim::Task<Result<MetaApply>> mutate(IoCtx ctx, MetaCommand cmd);
+  // An unbatched mutation of an entry under `parent` (metadata group g): a
+  // replicated deployment submits it as one Raft entry (a batch of one);
+  // otherwise it pays the unreplicated cost sequence (the parent's
+  // serialized, size-degraded directory insert, plus an mds_create_time
+  // round trip for a create) and applies in place. Replicated mutations
+  // serialize through the group's log instead of the directory lock.
+  sim::Task<Result<MetaApply>> mutate_unbatched(IoCtx ctx, PathId parent, std::size_t g,
+                                                MetaCommand cmd);
+  // mutate, reduced to the applied entry's status (mkdir, unlink).
+  sim::Task<Status> mutate_status(IoCtx ctx, MetaCommand cmd);
+  // A metadata op that fails at group g's MDS: the open round trip, then
+  // `failure` (or the round trip's own error).
+  sim::Task<Status> failed_op(IoCtx ctx, std::size_t g, Status failure);
   // Applies one mutation to the namespace: the only code that creates,
   // makes, removes or unlinks entries in ns_, whichever transport carried
   // the command. Invalidate-on-mutation for the client metadata cache
@@ -181,6 +193,9 @@ class SimPfs : public FsClient {
   sim::Task<Result<MetaApply>> batch_submit(IoCtx ctx, std::size_t g, MetaCommand cmd);
   void flush_batch(std::size_t g);
   sim::Task<void> run_batch(std::size_t g, std::shared_ptr<PendingBatch> pending);
+  // stat's answer for an entry: a file's size and mtime from the object
+  // table, a directory's kind alone.
+  StatInfo stat_info(bool is_dir, ObjectId oid) const;
   // True when a valid lease for (node, path) exists; misses are counted.
   bool cache_lookup(const IoCtx& ctx, PathId path, MetaCache::Entry* out = nullptr);
   void cache_insert(const IoCtx& ctx, PathId path, ObjectId oid, bool is_dir);
@@ -189,13 +204,13 @@ class SimPfs : public FsClient {
   // the parent was never interned (an error path).
   std::size_t parent_group(PathId parent, std::string_view path) const;
   // RPC + queue + service at metadata group g's MDS. Unreplicated this
-  // never fails; replicated it is a leader read and can surface
-  // Errc::busy when the group has no reachable leader.
+  // never fails (mds_visit's task); replicated it is a leader read (the
+  // group's serve_read task) and can surface Errc::busy when the group has
+  // no reachable leader.
   sim::Task<Status> mds_op(IoCtx ctx, std::size_t g, Duration service);
-  // Namespace mutation cost under the directory's serialized insert lock,
-  // with size-dependent degradation (unreplicated, unbatched only —
-  // replicated mutations serialize through the group's log instead).
-  sim::Task<void> dir_mutation(IoCtx ctx, PathId dir);
+  // One unreplicated MDS visit: the RPC, then FCFS queueing and service at
+  // group g's server. Always Ok.
+  sim::Task<Status> mds_visit(std::size_t g, Duration service);
   // Submits `batch` to group g's Raft log as one entry and returns the
   // per-entry outcomes once the leader has committed and applied it.
   sim::Task<Result<MetaBatchApply>> raft_apply(IoCtx ctx, std::size_t g, MetaBatch batch);

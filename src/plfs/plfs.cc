@@ -17,9 +17,28 @@ using pfs::OpenFlags;
 
 namespace {
 
-sim::Task<void> finish_leg(sim::Task<Status> leg, Status& out, sim::WaitGroup& wg) {
+// One leg of legs_at_once, run as a process of its own.
+sim::Process finish_leg(sim::Engine&, sim::Task<Status> leg, Status& out, sim::WaitGroup& wg) {
   out = co_await std::move(leg);
   wg.done();
+}
+
+template <std::same_as<sim::Task<Status>>... Legs>
+sim::Task<Status> legs_in_turn(Legs... legs) {
+  for (sim::Task<Status>* leg : {&legs...}) TIO_CO_RETURN_IF_ERROR(co_await std::move(*leg));
+  co_return Status::Ok();
+}
+
+template <std::same_as<sim::Task<Status>>... Legs>
+sim::Task<Status> legs_at_once(sim::Engine& engine, Legs... legs) {
+  std::array<Status, sizeof...(Legs)> out;
+  sim::WaitGroup wg(engine);
+  wg.add(sizeof...(Legs));
+  std::size_t i = 0;
+  (engine.spawn(finish_leg(engine, std::move(legs), out[i++], wg)), ...);
+  co_await wg.wait();
+  for (const Status& st : out) TIO_CO_RETURN_IF_ERROR(st);
+  co_return Status::Ok();
 }
 
 // Runs the independent metadata legs of one create sequence and returns
@@ -28,20 +47,8 @@ sim::Task<void> finish_leg(sim::Task<Status> leg, Status& out, sim::WaitGroup& w
 // starts at once, so their mutations land in the same batch RPC.
 template <std::same_as<sim::Task<Status>>... Legs>
 sim::Task<Status> run_legs(sim::Engine& engine, bool concurrent, Legs... legs) {
-  std::array<sim::Task<Status>, sizeof...(Legs)> tasks{std::move(legs)...};
-  if (!concurrent) {
-    for (sim::Task<Status>& leg : tasks) TIO_CO_RETURN_IF_ERROR(co_await std::move(leg));
-    co_return Status::Ok();
-  }
-  std::array<Status, sizeof...(Legs)> out;
-  sim::WaitGroup wg(engine);
-  wg.add(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    engine.spawn(finish_leg(std::move(tasks[i]), out[i], wg));
-  }
-  co_await wg.wait();
-  for (const Status& st : out) TIO_CO_RETURN_IF_ERROR(st);
-  co_return Status::Ok();
+  if (!concurrent) return legs_in_turn(std::move(legs)...);
+  return legs_at_once(engine, std::move(legs)...);
 }
 
 }  // namespace
@@ -88,44 +95,47 @@ sim::Task<Status> Plfs::ensure_dir(pfs::IoCtx ctx, std::string dir) {
   co_return Status::Ok();
 }
 
-sim::Task<Status> Plfs::ensure_container_skeleton(pfs::IoCtx ctx, const ContainerLayout& layout) {
-  // Parent chain below the canonical backend root (the roots themselves are
-  // "mounted", i.e. pre-existing).
-  const std::string parent_logical(path_dirname(layout.logical()));
-  const std::size_t canonical = layout.canonical_backend();
+std::vector<std::string> Plfs::container_chain(const ContainerLayout& lay,
+                                               std::size_t backend) const {
+  // The parent chain below this backend's root (the roots themselves are
+  // "mounted", i.e. pre-existing), then the container itself.
+  std::vector<std::string> chain;
+  const std::string_view parent_logical = path_dirname(lay.logical());
   if (parent_logical != "/") {
-    std::string built = mount_.backends[canonical];
+    std::string built = mount_.backends[backend];
     for (const auto comp : path_components(parent_logical)) {
       built = path_join(built, comp);
-      TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, built));
+      chain.push_back(built);
     }
   }
-  TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, layout.canonical_container()));
+  chain.push_back(lay.container_on(backend));
+  return chain;
+}
+
+sim::Task<Status> Plfs::ensure_container_skeleton(pfs::IoCtx ctx, const ContainerLayout& layout) {
+  for (std::string& dir : container_chain(layout, layout.canonical_backend())) {
+    TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, std::move(dir)));
+  }
   // The access marker (created once, tolerated when racing) and the meta/
   // and openhosts/ subdirectories are independent once the container
-  // exists.
-  co_return co_await run_legs(engine(), mount_.meta_batching,
-                              touch(ctx, layout.access_path(), OpenFlags::wr_create_excl()),
-                              ensure_dir(ctx, layout.meta_dir()),
-                              ensure_dir(ctx, layout.openhosts_dir()));
+  // exists. (The legs are built in a lambda: its temporaries, the legs'
+  // paths among them, stay out of this frame.)
+  co_return co_await [&] {
+    return run_legs(engine(), mount_.meta_batching,
+                    touch(ctx, layout.access_path(), OpenFlags::wr_create_excl()),
+                    ensure_dir(ctx, layout.meta_dir()), ensure_dir(ctx, layout.openhosts_dir()));
+  }();
 }
 
 sim::Task<Status> Plfs::ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& lay,
                                          std::size_t k, std::size_t backend) {
-  // The shadow chain below this backend's root (the canonical chain was
-  // built by the skeleton).
-  if (backend != lay.canonical_backend()) {
-    const std::string parent_logical(path_dirname(lay.logical()));
-    if (parent_logical != "/") {
-      std::string built = mount_.backends[backend];
-      for (const auto comp : path_components(parent_logical)) {
-        built = path_join(built, comp);
-        TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, built));
-      }
-    }
-    TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, lay.container_on(backend)));
-  }
-  co_return co_await ensure_dir(ctx, lay.subdir_path_on(k, backend));
+  // A shadow container off the canonical backend (the skeleton built the
+  // canonical one), then the subdir.
+  std::vector<std::string> dirs;
+  if (backend != lay.canonical_backend()) dirs = container_chain(lay, backend);
+  dirs.push_back(lay.subdir_path_on(k, backend));
+  for (std::string& dir : dirs) TIO_CO_RETURN_IF_ERROR(co_await ensure_dir(ctx, std::move(dir)));
+  co_return Status::Ok();
 }
 
 sim::Task<Result<std::unique_ptr<WriteHandle>>> Plfs::open_write(pfs::IoCtx ctx,
@@ -173,10 +183,12 @@ sim::Task<Result<std::unique_ptr<WriteHandle>>> Plfs::open_write(pfs::IoCtx ctx,
   // independent creates.
   pfs::FileId data_fd{};
   pfs::FileId index_fd{};
-  TIO_CO_RETURN_IF_ERROR(co_await run_legs(
-      engine(), mount_.meta_batching, open_log(ctx, lay.data_log_path_on(rank, placed), data_fd),
-      open_log(ctx, lay.index_log_path_on(rank, placed), index_fd),
-      touch(ctx, lay.openhost_record_path(rank), OpenFlags::wr_create())));
+  TIO_CO_RETURN_IF_ERROR(co_await [&] {
+    return run_legs(engine(), mount_.meta_batching,
+                    open_log(ctx, lay.data_log_path_on(rank, placed), data_fd),
+                    open_log(ctx, lay.index_log_path_on(rank, placed), index_fd),
+                    touch(ctx, lay.openhost_record_path(rank), OpenFlags::wr_create()));
+  }());
 
   co_return std::unique_ptr<WriteHandle>(
       new WriteHandle(*this, ctx, std::move(lay), rank, data_fd, index_fd));
@@ -228,10 +240,12 @@ sim::Task<Status> WriteHandle::close() {
   // The size dropping (the logical high water is encoded in its name, as
   // PLFS does so that stat needs no index aggregation) and the openhost
   // unlink are independent mutations; the simulator prices both.
-  TIO_CO_RETURN_IF_ERROR(co_await run_legs(
-      plfs_->engine(), plfs_->mount_.meta_batching,
-      plfs_->touch(ctx_, layout_.meta_dropping_path(rank_, high_water_), OpenFlags::wr_create()),
-      plfs_->unlink_record(ctx_, layout_.openhost_record_path(rank_))));
+  TIO_CO_RETURN_IF_ERROR(co_await [this] {
+    return run_legs(
+        plfs_->engine(), plfs_->mount_.meta_batching,
+        plfs_->touch(ctx_, layout_.meta_dropping_path(rank_, high_water_), OpenFlags::wr_create()),
+        plfs_->unlink_record(ctx_, layout_.openhost_record_path(rank_)));
+  }());
   closed_ = true;
   co_return Status::Ok();
 }

@@ -88,6 +88,10 @@ class Plfs {
   friend class WriteHandle;
   friend class ReadHandle;
 
+  // The directories to ensure, in order, for `lay`'s container on
+  // `backend`: its parent chain below the backend root, then the container.
+  std::vector<std::string> container_chain(const ContainerLayout& lay, std::size_t backend) const;
+  // The canonical container with its access marker, meta/ and openhosts/.
   sim::Task<Status> ensure_container_skeleton(pfs::IoCtx ctx, const ContainerLayout& layout);
   // Legs of the create sequence. touch creates `path` and closes it at once
   // (markers, openhost records, size droppings); an exclusive create that
@@ -97,8 +101,9 @@ class Plfs {
   sim::Task<Status> touch(pfs::IoCtx ctx, std::string path, pfs::OpenFlags flags);
   sim::Task<Status> open_log(pfs::IoCtx ctx, std::string path, pfs::FileId& fd);
   sim::Task<Status> unlink_record(pfs::IoCtx ctx, std::string path);
-  // Creates the shadow chain + subdir.k on an explicit backend (the
-  // federation-ring walk of open_write probes these in order).
+  // Creates the shadow container (off the canonical backend) and subdir.k
+  // on an explicit backend (the federation-ring walk of open_write probes
+  // these in order).
   sim::Task<Status> ensure_subdir_on(pfs::IoCtx ctx, const ContainerLayout& lay, std::size_t k,
                                      std::size_t backend);
 

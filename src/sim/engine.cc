@@ -10,31 +10,9 @@
 namespace tio::sim {
 namespace {
 
-// Self-destroying driver coroutine that owns a detached process's Task.
-// Its frame comes from the same recycling pool as Task frames. An
-// exception escaping the process is recorded for Engine::run to rethrow.
-struct Driver {
-  struct promise_type : PooledFrame {
-    explicit promise_type(Engine* e, Task<void>&) : engine(e) {}
-    Driver get_return_object() {
-      return Driver{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }  // frame self-destructs
-    void return_void() {}
-    void unhandled_exception() { engine->record_process_error(std::current_exception()); }
-    Engine* engine;
-  };
-  std::coroutine_handle<promise_type> h;
-};
-
-Driver drive(Engine* engine, Task<void> process) {
-  struct Done {
-    Engine* engine;
-    ~Done() { engine->notify_process_finished(); }
-  } done{engine};
-  co_await std::move(process);
-}
+// The driver process that owns a spawned Task: its frame comes from the
+// same recycling pool as Task frames.
+Process drive(Engine&, Task<void> process) { co_await std::move(process); }
 
 // The engine currently dispatching an event on this thread (set around the
 // callback in step()); backs Engine::is_current().
@@ -91,10 +69,18 @@ void Engine::after(Duration d, MoveFn<void()> fn) {
   at(TimePoint::from_ns(t), std::move(fn));
 }
 
-void Engine::spawn(Task<void> process) {
+void Engine::spawn(Task<void> process) { spawn(drive(*this, std::move(process))); }
+
+void Engine::spawn(Process process) {
   ++processes_alive_;
-  const auto h = drive(this, std::move(process)).h;
+  const auto h = process.h_;
   after(Duration::zero(), [h] { h.resume(); });
+}
+
+Process::promise_type::~promise_type() { engine->notify_process_finished(); }
+
+void Process::promise_type::unhandled_exception() {
+  engine->record_process_error(std::current_exception());
 }
 
 bool Engine::step() {

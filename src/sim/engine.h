@@ -28,6 +28,36 @@
 
 namespace tio::sim {
 
+class Engine;
+
+// A coroutine that runs as a detached process of its own: a function
+// returning Process, whose first parameter is its Engine&, is started by
+// Engine::spawn(Process) and destroys its own frame when it finishes. It
+// is what spawn(Task<void>) wraps a task in; a fork that only needs to run
+// a body can be one directly and save that second frame. An exception
+// escaping the body is recorded for Engine::run to rethrow.
+class [[nodiscard]] Process {
+ public:
+  struct promise_type : PooledFrame {
+    template <typename... Args>
+    explicit promise_type(Engine& e, Args&...) : engine(&e) {}
+    ~promise_type();
+    Process get_return_object() {
+      return Process{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }  // frame self-destructs
+    void return_void() {}
+    void unhandled_exception();
+    Engine* engine;
+  };
+
+ private:
+  friend class Engine;
+  explicit Process(std::coroutine_handle<promise_type> h) : h_(h) {}
+  std::coroutine_handle<promise_type> h_;
+};
+
 class Engine {
  public:
   explicit Engine(std::uint64_t seed = 0x5eed)
@@ -64,6 +94,7 @@ class Engine {
   // and released when the process finishes. Start happens via the event
   // queue at the current time.
   void spawn(Task<void> process);
+  void spawn(Process process);
 
   // Runs until the event queue is empty. Throws if a detached process threw.
   // Returns the number of events processed. Once drained it trims this

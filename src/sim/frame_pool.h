@@ -4,19 +4,28 @@
 // frame per spawned process); at Cielo scale that is 10^7-10^8 frames per
 // run, all short-lived and drawn from a handful of distinct sizes. Frames
 // are rounded up to a 64-byte size class and cached on a per-class free
-// list when destroyed, so steady-state simulation never calls the global
-// allocator. Oversized frames (> kMaxPooled) and allocations past the
-// per-class cache cap fall back to ::operator new/delete and are counted.
+// list when destroyed, so steady-state simulation rarely calls the global
+// allocator. Oversized frames (> kMaxPooled) go straight to ::operator
+// new/delete and are counted.
+//
+// The cache follows the live frames. Each thread may cache at most
+// max(kBudgetFloor, live / kBudgetLiveDivisor) bytes, where `live` is the
+// pooled bytes its coroutines hold right now. A free that pushes the cache
+// past that budget hands whole classes back to the heap, least recently
+// allocated first, until the cache fits again; the class being freed into
+// is never released, so a phase that frees en masse keeps its frames for
+// the next phase that allocates the same sizes. What a finished phase
+// leaves behind in classes nobody allocates any more goes back to the heap,
+// where other classes and other allocations reuse it. (A fixed cap of
+// 131,072 frames per class, the earlier rule, held a create storm's dead
+// create-phase frames through its close and stat phases.)
 //
 // The simulator is single-threaded per engine; the pool state is
 // thread_local so concurrent engines on different threads never contend.
 //
-// Recycling pays within one engine run, where ranks free frames at one
-// phase barrier and allocate the same sizes at the next. Once a run drains,
-// every one of its processes has finished, so Engine::run trims the pool:
-// a later run (the next row of a sweep, or the read side after the write
-// side) starts with an empty cache instead of carrying the largest
-// earlier phase's dead frames as resident memory.
+// Once a run drains, every one of its processes has finished, so Engine::run
+// trims the pool: a later run (the next row of a sweep, or the read side
+// after the write side) starts with an empty cache.
 #pragma once
 
 #include <cstddef>
@@ -28,15 +37,10 @@ class FramePool {
  public:
   static constexpr std::size_t kGranularity = 64;   // size-class step, bytes
   static constexpr std::size_t kMaxPooled = 4096;   // largest pooled frame
-  // Per-class cap on cached frames; beyond it frees go straight to the
-  // heap. Sized to hold a whole 65,536-rank bulk-synchronous phase's worth
-  // of frames of one class — fig8-scale runs free rank frames en masse at
-  // phase barriers and reallocate them at the next phase. A tighter cap
-  // (cache no larger than the live frames of the class) cut a create
-  // storm's peak RSS further but multiplied its pool misses by ~4 and slowed
-  // its stat pass; the drain-time trim bounds the cache between runs
-  // instead.
-  static constexpr std::size_t kMaxCachedPerClass = 1 << 17;
+  // The cache budget: cached bytes may reach live bytes / kBudgetLiveDivisor,
+  // and kBudgetFloor whatever the live bytes.
+  static constexpr std::uint64_t kBudgetLiveDivisor = 2;
+  static constexpr std::uint64_t kBudgetFloor = std::uint64_t{4} << 20;
 
   static void* allocate(std::size_t bytes);
   static void deallocate(void* p, std::size_t bytes) noexcept;
@@ -45,18 +49,19 @@ class FramePool {
     std::uint64_t hits = 0;      // allocations served from a free list
     std::uint64_t misses = 0;    // pooled-size allocations that hit ::new
     std::uint64_t oversize = 0;  // frames larger than kMaxPooled
-    std::uint64_t dropped = 0;   // frees past the cache cap, sent to ::delete
+    std::uint64_t dropped = 0;   // cached frames the budget handed back to ::delete
     std::uint64_t cached = 0;    // frames currently held in free lists
     std::uint64_t bytes = 0;       // pooled bytes held now, live plus cached
     std::uint64_t peak_bytes = 0;  // high-water of `bytes`
+    std::uint64_t peak_live_bytes = 0;  // high-water of the live (not cached) bytes
   };
   // This thread's lifetime totals.
   static Stats stats();
 
   // Adds the deltas since the previous publish into the global counter
   // registry (sim.engine.frame_pool_*), and raises
-  // sim.engine.frame_pool_peak_bytes to this thread's high-water. Called
-  // from Engine::run.
+  // sim.engine.frame_pool_peak_bytes and frame_pool_peak_live_bytes to this
+  // thread's high-waters. Called from Engine::run.
   static void publish_counters();
 
   // Releases every cached frame back to the heap. Engine::run calls it once

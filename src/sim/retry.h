@@ -94,6 +94,17 @@ template <typename T>
 struct task_value<Task<T>> {
   using type = T;
 };
+
+// One backoff sleep, traced when the Retrier has a span site. A frame of
+// its own, made only when an op is retried, so the span does not sit in
+// the frame of every op's retry loop.
+inline Task<void> backoff(Retrier& r, int rank, Duration wait) {
+  trace::Span span;
+  if (const trace::SpanSite* site = r.backoff_site(); site != nullptr) {
+    span = trace::Span(*r.engine, *site, rank);
+  }
+  co_await r.engine->sleep(wait);
+}
 }  // namespace detail
 
 // Runs make_op() until it succeeds, fails permanently, or runs out of
@@ -102,6 +113,7 @@ struct task_value<Task<T>> {
 // attributes the backoff span. An op factory with a `landed(result)`
 // member may report a successful attempt as partial progress (a torn
 // write): the loop then re-issues it with the attempt count reset.
+// The loop's frame is live for every op, so it keeps no copy of a status.
 template <typename MakeOp>
 auto retry(Retrier& r, int rank, std::uint64_t op_key, MakeOp make_op) -> decltype(make_op()) {
   using R = typename detail::task_value<decltype(make_op())>::type;
@@ -109,8 +121,7 @@ auto retry(Retrier& r, int rank, std::uint64_t op_key, MakeOp make_op) -> declty
   bool retried = false;
   for (int attempt = 0;;) {
     R result = co_await make_op();
-    const Status st = detail::status_of(result);
-    if (st.ok()) {
+    if (detail::status_of(result).ok()) {
       if constexpr (requires { make_op.landed(result); }) {
         if (!make_op.landed(result)) {
           rc.short_write_resumed.add(1);
@@ -121,7 +132,7 @@ auto retry(Retrier& r, int rank, std::uint64_t op_key, MakeOp make_op) -> declty
       if (retried) rc.success_after_retry.add(1);
       co_return std::move(result);
     }
-    if (!st.is_transient()) co_return std::move(result);
+    if (!detail::status_of(result).is_transient()) co_return std::move(result);
     if (attempt + 1 >= r.policy.max_attempts) {
       rc.exhausted.add(1);
       co_return std::move(result);
@@ -133,13 +144,7 @@ auto retry(Retrier& r, int rank, std::uint64_t op_key, MakeOp make_op) -> declty
     const Duration wait = r.policy.backoff(attempt, op_key);
     rc.attempts.add(1);
     rc.backoff_ns.add(static_cast<std::uint64_t>(wait.to_ns()));
-    {
-      trace::Span backoff;
-      if (const trace::SpanSite* site = r.backoff_site(); site != nullptr) {
-        backoff = trace::Span(*r.engine, *site, rank);
-      }
-      co_await r.engine->sleep(wait);
-    }
+    co_await detail::backoff(r, rank, wait);
     retried = true;
     ++attempt;
   }

@@ -37,35 +37,36 @@ MetaResult run_metadata_storm(testbed::Rig& rig, int nprocs, const MetaSpec& spe
       if (spec.use_plfs) {
         // N-N: unique container per (rank, i). N-1: one shared container,
         // each process its own writer rank.
-        const std::string logical =
-            spec.shared_file
-                ? "/" + spec.dir + "/shared"
-                : str_printf("/%s/f%d_%d", spec.dir.c_str(), comm.rank(), i);
-        auto wh = co_await rig.plfs().open_write(
-            ctx, logical, spec.shared_file ? comm.rank() : 0);
+        // (The path is built in a lambda, so it is no temporary of this
+        // frame, which is live on every rank through the whole storm.)
+        auto wh = co_await [&] {
+          return rig.plfs().open_write(
+              ctx,
+              spec.shared_file ? "/" + spec.dir + "/shared"
+                               : str_printf("/%s/f%d_%d", spec.dir.c_str(), comm.rank(), i),
+              spec.shared_file ? comm.rank() : 0);
+        }();
         if (!wh.ok()) storm_failed("plfs open", wh.status());
         plfs_handles.push_back(std::move(wh.value()));
-      } else if (spec.shared_file) {
-        const std::string path = path_join(rig.direct_dir(), spec.dir + "/shared");
-        if (comm.rank() == 0 && i == 0) {
-          auto fd = co_await direct.open(ctx, path, pfs::OpenFlags::wr_trunc());
-          if (!fd.ok()) storm_failed("direct create", fd.status());
-          direct_fds.push_back(*fd);
-          co_await comm.barrier();
-        } else {
-          if (i == 0) co_await comm.barrier();
-          auto fd = co_await direct.open(ctx, path, pfs::OpenFlags::wr());
-          if (!fd.ok()) storm_failed("direct open", fd.status());
-          direct_fds.push_back(*fd);
-        }
-      } else {
-        // Direct N-N: every create lands in the single shared directory.
-        const std::string path = path_join(
-            rig.direct_dir(), str_printf("%s/f%d_%d", spec.dir.c_str(), comm.rank(), i));
-        auto fd = co_await direct.open(ctx, path, pfs::OpenFlags::wr_trunc());
-        if (!fd.ok()) storm_failed("direct create", fd.status());
-        direct_fds.push_back(*fd);
+        continue;
       }
+      // Direct N-1: rank 0 creates the shared file while the others wait
+      // at a barrier, then every later open is a plain open. Direct N-N:
+      // every create lands in the single shared directory.
+      const bool first_shared = spec.shared_file && i == 0;
+      const bool create = !spec.shared_file || (first_shared && comm.rank() == 0);
+      if (first_shared && comm.rank() != 0) co_await comm.barrier();
+      auto fd = co_await [&] {
+        return direct.open(
+            ctx,
+            path_join(rig.direct_dir(),
+                      spec.shared_file ? spec.dir + "/shared"
+                                       : str_printf("%s/f%d_%d", spec.dir.c_str(), comm.rank(), i)),
+            create ? pfs::OpenFlags::wr_trunc() : pfs::OpenFlags::wr());
+      }();
+      if (!fd.ok()) storm_failed(create ? "direct create" : "direct open", fd.status());
+      direct_fds.push_back(*fd);
+      if (first_shared && comm.rank() == 0) co_await comm.barrier();
     }
     co_await comm.barrier();
     const TimePoint t1 = engine.now();

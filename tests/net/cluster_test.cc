@@ -39,7 +39,7 @@ TEST(Cluster, ZeroNodesThrows) {
 TEST(Cluster, FabricTransferChargesLatencyPlusBandwidth) {
   sim::Engine e;
   Cluster c(e, small_config());
-  test::run_task(e, c.fabric_transfer(0, 1, 1000000));  // 1 MB at 1 GB/s
+  test::run_task(e, test::awaited(c.fabric_transfer(0, 1, 1000000)));  // 1 MB at 1 GB/s
   // Cut-through: 1 ms on the host links, then 2 us of switch hop (the
   // flow rounds its completion up by <= 2 ns).
   EXPECT_NEAR(static_cast<double>(e.now().to_ns()),
@@ -49,7 +49,7 @@ TEST(Cluster, FabricTransferChargesLatencyPlusBandwidth) {
 TEST(Cluster, IntraNodeTransferIsLatencyOnly) {
   sim::Engine e;
   Cluster c(e, small_config());
-  test::run_task(e, c.fabric_transfer(2, 2, 1000000000));
+  test::run_task(e, test::awaited(c.fabric_transfer(2, 2, 1000000000)));
   EXPECT_LT(e.now().to_ns(), Duration::us(1).to_ns());
 }
 

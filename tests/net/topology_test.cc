@@ -453,7 +453,7 @@ TEST(Topology, FatTreeSplitsUplinkAcrossSpinePlanes) {
 TEST(Topology, IntraRackTransferIsCutThrough) {
   sim::Engine e;
   Cluster c(e, tor_config());
-  test::run_task(e, c.fabric_transfer(0, 1, 1000000));
+  test::run_task(e, test::awaited(c.fabric_transfer(0, 1, 1000000)));
   // One 1 MB flow at the 1 GB/s host links = 1 ms, then one switch hop of
   // latency.
   EXPECT_NEAR(static_cast<double>(e.now().to_ns()),
@@ -524,8 +524,8 @@ TEST(Topology, TracedFlowsAreNamedByLocality) {
   {
     sim::Engine e;
     Cluster c(e, tor_config());  // 8 nodes in 2 racks of 4
-    test::run_task(e, c.fabric_transfer(0, 5, 1000000));
-    test::run_task(e, c.fabric_transfer(0, 1, 1000000));
+    test::run_task(e, test::awaited(c.fabric_transfer(0, 5, 1000000)));
+    test::run_task(e, test::awaited(c.fabric_transfer(0, 1, 1000000)));
   }
   tracer.set_enabled(false);
   std::vector<std::string> names;
@@ -550,7 +550,7 @@ TEST(Topology, OversubscribedUplinkThrottlesCrossRackIncast) {
   {
     sim::Engine e;
     Cluster c(e, cfg);
-    test::run_task(e, c.fabric_transfer(0, 2, 1000000));
+    test::run_task(e, test::awaited(c.fabric_transfer(0, 2, 1000000)));
     EXPECT_NEAR(static_cast<double>(e.now().to_ns()),
                 static_cast<double>(Duration::ms(2).to_ns() + (Duration::us(2) * 3).to_ns()),
                 10.0);
@@ -579,7 +579,7 @@ TEST(Topology, OversubscribedUplinkThrottlesCrossRackIncast) {
 TEST(Topology, IntraNodeTransferNeverTouchesLinks) {
   sim::Engine e;
   Cluster c(e, tor_config());
-  test::run_task(e, c.fabric_transfer(2, 2, 1000000000));
+  test::run_task(e, test::awaited(c.fabric_transfer(2, 2, 1000000000)));
   EXPECT_EQ(e.now().to_ns(), (Duration::us(2) / 4).to_ns());
   EXPECT_EQ(c.topology()->net().stats().flows, 0u);
 }

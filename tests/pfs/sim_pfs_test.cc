@@ -195,6 +195,19 @@ TEST_F(SimPfsTest, MkdirReaddirUnlinkFlow) {
   }(fs_, ctx_));
 }
 
+// A mkdir under a missing parent fails after the parent's MDS open round
+// trip, like every failed metadata op, and creates nothing.
+TEST_F(SimPfsTest, MkdirInMissingParentFailsAfterAnMdsRoundTrip) {
+  test::run_task(engine_, [](SimPfs& fs, IoCtx ctx) -> sim::Task<void> {
+    EXPECT_EQ((co_await fs.mkdir(ctx, "/no/such")).code(), Errc::not_found);
+    EXPECT_EQ((co_await fs.stat(ctx, "/no/such")).status().code(), Errc::not_found);
+  }(fs_, ctx_));
+  EXPECT_EQ(fs_.stats().metadata_ops, 2u);  // the failed mkdir's and the stat's
+  const PfsConfig c = test_pfs();
+  const Duration rtt = c.rpc_overhead + test_cluster().storage_net_latency;
+  EXPECT_EQ(engine_.now().to_ns(), (rtt + c.mds_open_time + rtt + c.mds_stat_time).to_ns());
+}
+
 // --- model-behaviour tests ---
 
 // The unreplicated, unbatched create instant in closed form: the

@@ -1,6 +1,6 @@
 // Tests for the allocation-recycling layers behind the engine hot path:
 // MoveFn's small-buffer optimization (inline vs heap spill), the coroutine
-// FramePool (size-class reuse, oversize fallback, cache cap), and the
+// FramePool (size-class reuse, oversize fallback, cache budget), and the
 // engine's pooled event slab. These run under ASan/UBSan via ci.sh, which
 // is the point: every pool recycles raw memory, so lifetime bugs here are
 // exactly what the sanitizers exist to catch.
@@ -107,21 +107,77 @@ TEST(FramePool, OversizeFallsBackToHeap) {
   EXPECT_EQ(after.cached, before.cached);  // oversize frames are never cached
 }
 
+// Allocates `n` frames of `bytes` and frees them again, leaving them cached.
+void churn(std::size_t bytes, std::size_t n) {
+  std::vector<void*> blocks;
+  blocks.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) blocks.push_back(FramePool::allocate(bytes));
+  for (void* p : blocks) FramePool::deallocate(p, bytes);
+}
+
+// With no live frames the budget is the floor. Three classes are cached in
+// turn, cold first: when the last one's frees push the cache past the
+// floor, the least recently allocated class (the cold one) goes back to
+// the heap whole, and the hot one keeps its frames. The class being freed
+// into is never released, however far past the budget its frees go.
 TEST(FramePool, CacheCapDropsExcessFrees) {
   FramePool::trim();
-  constexpr std::size_t kBytes = 256;
-  std::vector<void*> blocks;
-  blocks.reserve(FramePool::kMaxCachedPerClass + 8);
-  for (std::size_t i = 0; i < FramePool::kMaxCachedPerClass + 8; ++i) {
-    blocks.push_back(FramePool::allocate(kBytes));
-  }
+  constexpr std::uint64_t kFloor = FramePool::kBudgetFloor;
+  constexpr std::size_t kCold = 1024, kHot = 256, kFreeing = 512;
+  const std::size_t cold_n = kFloor / 4 / kCold;
+  const std::size_t hot_n = kFloor / 2 / kHot;
+  const std::size_t freeing_n = kFloor * 3 / 8 / kFreeing;
   const auto before = FramePool::stats();
-  for (void* p : blocks) FramePool::deallocate(p, kBytes);
+  churn(kCold, cold_n);
+  churn(kHot, hot_n);
+  EXPECT_EQ(FramePool::stats().dropped, before.dropped);  // 3/4 of the floor: kept
+  churn(kFreeing, freeing_n);
   const auto after = FramePool::stats();
-  EXPECT_EQ(after.dropped, before.dropped + 8);  // cap reached, rest dropped
-  EXPECT_EQ(after.cached, FramePool::kMaxCachedPerClass);
+  EXPECT_EQ(after.dropped, before.dropped + cold_n);  // the cold class, whole
+  EXPECT_EQ(after.cached, hot_n + freeing_n);
+  // The cold class starts over from the heap; the hot class is served
+  // from its cache.
+  void* cold = FramePool::allocate(kCold);
+  void* hot = FramePool::allocate(kHot);
+  const auto reuse = FramePool::stats();
+  EXPECT_EQ(reuse.misses, after.misses + 1);
+  EXPECT_EQ(reuse.hits, after.hits + 1);
+  FramePool::deallocate(cold, kCold);  // under the budget: cached again
+  FramePool::deallocate(hot, kHot);
+  EXPECT_EQ(FramePool::stats().dropped, after.dropped);
+
+  // Two floors' worth of frees into one class: every other class goes, the
+  // one being freed into keeps all of its frames.
+  const std::size_t big_n = 2 * kFloor / kFreeing;
+  churn(kFreeing, big_n);
+  const auto flood = FramePool::stats();
+  EXPECT_EQ(flood.dropped, after.dropped + 1 + hot_n);
+  EXPECT_EQ(flood.cached, big_n);
   FramePool::trim();
   EXPECT_EQ(FramePool::stats().cached, 0u);
+}
+
+// The budget grows with the live frames: with live / kBudgetLiveDivisor
+// above the floor, a cache above the floor but within that share stays.
+TEST(FramePool, CacheBudgetFollowsLiveBytes) {
+  FramePool::trim();
+  constexpr std::size_t kLive = 2048, kCold = 1024, kFreeing = 512;
+  const std::uint64_t live = 4 * FramePool::kBudgetFloor * FramePool::kBudgetLiveDivisor;
+  std::vector<void*> held;
+  for (std::uint64_t b = 0; b < live; b += kLive) held.push_back(FramePool::allocate(kLive));
+  const auto before = FramePool::stats();
+  EXPECT_GE(before.peak_live_bytes, live);
+  churn(kCold, 2 * FramePool::kBudgetFloor / kCold);
+  churn(kFreeing, FramePool::kBudgetFloor / kFreeing);
+  EXPECT_EQ(FramePool::stats().dropped, before.dropped);  // 3 floors < 4 floors of budget
+  for (void* p : held) FramePool::deallocate(p, kLive);
+  // Freeing the live frames shrinks the budget to the floor: the two cold
+  // classes go, the class being freed into stays.
+  const auto after = FramePool::stats();
+  EXPECT_EQ(after.dropped, before.dropped + 2 * FramePool::kBudgetFloor / kCold +
+                               FramePool::kBudgetFloor / kFreeing);
+  EXPECT_EQ(after.cached, held.size());
+  FramePool::trim();
 }
 
 // Coroutine frames actually route through the pool via PooledFrame.

@@ -25,4 +25,11 @@ inline void run_task(sim::Engine& engine, sim::Task<void> task) {
   engine.run();
 }
 
+// A task that awaits `awaitable` (an awaiter that is not a Task, such as
+// Cluster::fabric_transfer's), for run_task.
+template <typename Awaitable>
+sim::Task<void> awaited(Awaitable awaitable) {
+  co_await std::move(awaitable);
+}
+
 }  // namespace tio::test

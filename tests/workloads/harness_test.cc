@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "plfs/container.h"
 #include "sim/frame_pool.h"
@@ -107,8 +108,10 @@ TEST(FrameBudget, PlfsN1RecordWriteAndRead) {
 // through the retry decorator, which returns the retry loop's task itself;
 // a wrapper coroutine per op would add one frame to each of them.
 TEST(FrameBudget, PlfsNnCreateAndClose) {
-  // Measured: 137.9 (159.5 with a wrapper coroutine per retried op).
-  constexpr double kCreateFrames = 138.0;
+  // Measured: 127.3; 137.9 with a coroutine of its own for each
+  // unreplicated mutation's directory insert, and 159.5 with a wrapper
+  // coroutine per retried op besides.
+  constexpr double kCreateFrames = 127.4;
   constexpr int kProcs = 8;
   constexpr int kFew = 4;
   constexpr int kMany = 20;
@@ -122,6 +125,48 @@ TEST(FrameBudget, PlfsNnCreateAndClose) {
   const double per_create = static_cast<double>(storm_frames(kMany) - storm_frames(kFew)) /
                             ((kMany - kFew) * kProcs);
   EXPECT_LE(per_create, kCreateFrames) << "frames per create + close";
+}
+
+// Peak live coroutine-frame bytes per rank of a batched, raft-replicated
+// PLFS N-N create storm: the configuration of the nn_create_storm benchmark
+// (Cielo, 10 metadata groups, batches of 64 with a 1 ms linger, 4 files per
+// rank) at 256 ranks. Every rank holds its whole create chain live while
+// its mutations wait in a batch, so the peak prices the frames of that
+// chain. The storm runs on a thread of its own, whose frame pool high-water
+// is this storm's alone. Frame sizes are the compiler's, so the bound holds
+// for optimized builds only.
+TEST(FrameBudget, NnCreateStormPeakLiveFramesPerRank) {
+#ifndef __OPTIMIZE__
+  GTEST_SKIP() << "frame sizes are measured in an optimized build";
+#endif
+  // Measured: 6,760.5 bytes per rank; 10,852 with a SimPfs::mutate frame
+  // per batched mutation, larger SimPfs::open, retry-loop, skeleton,
+  // open_write and rank-main frames, and a spawn driver frame per
+  // concurrent create leg.
+  constexpr double kBytesPerRank = 6800;
+  constexpr int kProcs = 256;
+  std::uint64_t peak_live = 0;
+  std::string failure;
+  std::thread storm([&] {
+    try {
+      testbed::Rig::Options o;
+      o.cluster = testbed::cielo();
+      o.pfs = testbed::cielo_pfs(10);
+      o.pfs.mds_replication = pfs::MdsReplication::raft;
+      o.pfs.mds_batch = 64;
+      o.pfs.mds_batch_linger = Duration::ms(1);
+      testbed::Rig rig(std::move(o));
+      run_metadata_storm(rig, kProcs, MetaSpec{.files_per_proc = 4, .dir = "storm"});
+      peak_live = sim::FramePool::stats().peak_live_bytes;
+    } catch (const std::exception& e) {
+      failure = e.what();
+    }
+    sim::FramePool::trim();  // frames cached on an exited thread would leak
+  });
+  storm.join();
+  ASSERT_EQ(failure, "");
+  const double per_rank = static_cast<double>(peak_live) / kProcs;
+  EXPECT_LE(per_rank, kBytesPerRank) << "peak live frame bytes per rank";
 }
 
 // The state a simulation keeps grows with what it touches. Fig. 8a's read
