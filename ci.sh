@@ -356,17 +356,24 @@ rm -rf "$qs_parent"
 
 # The profiling cross-checks: an LD_PRELOAD heap interposer that reports
 # live bytes by call site at the heap's peak, and a SIGPROF stack sampler.
-# Both must build, and the interposer must write a non-empty report that
-# tools/symbolize.py resolves.
-echo "==> profiling tools: heap interposer + SIGPROF sampler build; interposer report on a smoke bench"
+# Each runs once on the pinned fig4 smoke and must write a non-empty report
+# that tools/symbolize.py resolves. The sampler unwinds inside its signal
+# handler, so its run is bounded by timeout (tools/sampler.c, "Signal
+# safety").
+echo "==> profiling tools: heap interposer and SIGPROF sampler reports on a smoke bench"
 mkdir -p build/tools
 ${CC:-cc} -O2 -g -Wall -Wextra -shared -fPIC -o build/tools/libtio_heapprof.so tools/heapprof.c -ldl
 ${CC:-cc} -O2 -g -Wall -Wextra -shared -fPIC -o build/tools/libtio_sampler.so tools/sampler.c -ldl -lrt
 LD_PRELOAD="$PWD/build/tools/libtio_heapprof.so" TIO_HEAPPROF_OUT="$out/heapprof_fig4.txt" \
-  ./build/bench/fig4_read_scaling --max-streams 8 --per-proc-mib 1 >/dev/null 2>&1
+  ./build/bench/fig4_read_scaling --max-streams 32 --per-proc-mib 2 >/dev/null 2>&1
 grep -q '^[0-9]' "$out/heapprof_fig4.txt" \
   || { echo "heap interposer wrote no call sites"; cat "$out/heapprof_fig4.txt"; exit 1; }
 python3 tools/symbolize.py "$out/heapprof_fig4.txt" --top 5
+timeout 300 env LD_PRELOAD="$PWD/build/tools/libtio_sampler.so" TIO_SAMPLER_OUT="$out/sampler_fig4.txt" \
+  ./build/bench/fig4_read_scaling --max-streams 32 --per-proc-mib 2 >/dev/null 2>&1
+grep -q '^[0-9]' "$out/sampler_fig4.txt" \
+  || { echo "sampler wrote no stacks"; cat "$out/sampler_fig4.txt"; exit 1; }
+python3 tools/symbolize.py "$out/sampler_fig4.txt" --top 5
 
 # Every function defined in a src/ .cc file must be run by the smoke
 # benches or the examples, or be allowlisted in tools/coverage_allowlist.txt

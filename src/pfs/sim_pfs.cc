@@ -307,13 +307,11 @@ sim::Task<Result<MetaApply>> SimPfs::mutate_unbatched(IoCtx ctx, PathId parent, 
   bc().mutation_round_trips.add();
   sim::Mutex& mu = dir_mutex(parent);
   co_await mu.lock();
-  ++stats_.metadata_ops;
-  co_await mds_visit(ns_.group(parent), dir_insert_service(parent));
+  co_await mds_op(ctx, g, dir_insert_service(parent));
   mu.unlock();
   if (cmd.kind == MetaCommand::Kind::create) {
     bc().mutation_round_trips.add();
-    ++stats_.metadata_ops;
-    co_await mds_visit(g, config_.mds_create_time);
+    co_await mds_op(ctx, g, config_.mds_create_time);
   }
   co_return apply_meta(cmd);
 }

@@ -139,7 +139,7 @@ TEST(FrameBudget, NnCreateStormPeakLiveFramesPerRank) {
 #ifndef __OPTIMIZE__
   GTEST_SKIP() << "frame sizes are measured in an optimized build";
 #endif
-  // Measured: 6,760.5 bytes per rank; 10,852 with a SimPfs::mutate frame
+  // Measured: 6,751.5 bytes per rank; 10,852 with a SimPfs::mutate frame
   // per batched mutation, larger SimPfs::open, retry-loop, skeleton,
   // open_write and rank-main frames, and a spawn driver frame per
   // concurrent create leg.

@@ -1,12 +1,12 @@
 // sampler: an LD_PRELOAD SIGPROF stack sampler.
 //
-// A POSIX timer on CLOCK_MONOTONIC raises SIGPROF TIO_SAMPLER_HZ times a
-// second of wall time (default 997); the handler stores the interrupted
-// call stack (up to kDepth addresses below the signal frame, via
-// backtrace) in a buffer mapped at start-up. Wall-clock sampling charges
-// time the process spends waiting too, which is what a single-threaded
-// simulator's wall is made of. At exit identical stacks are counted and
-// written, one line per distinct stack:
+// A POSIX timer on CLOCK_MONOTONIC raises SIGPROF kHz times a second of
+// wall time; the handler stores the interrupted call stack (up to kDepth
+// addresses below the signal frame, via backtrace) in a buffer mapped at
+// start-up. Wall-clock sampling charges time the process spends waiting
+// too, which is what a single-threaded simulator's wall is made of. At
+// exit identical stacks are counted and written, one line per distinct
+// stack:
 //
 //   # sampler hz=H samples=N lost=L
 //   <count> <module>+0x<offset> ...
@@ -14,6 +14,15 @@
 // Offsets are relative to each module's load base (absolute for a non-PIE
 // executable); tools/symbolize.py resolves them with addr2line and prints
 // self and inclusive samples per function.
+//
+// Signal safety: backtrace() is not async-signal-safe. It unwinds through
+// libgcc, which finds each frame's unwind table with _dl_find_object on
+// glibc >= 2.35 with libgcc >= 12 (no loader lock taken), but through
+// dl_iterate_phdr and the loader lock on older toolchains; there a sample
+// that lands inside a dlopen, or inside exception unwinding, can deadlock
+// the profiled program. Calling backtrace once at start-up only loads
+// libgcc_s outside the handler. Profile programs that do neither on their
+// hot paths (the simulator's benches do not), or run them under timeout(1).
 //
 // Build and run:
 //   cc -O2 -g -shared -fPIC -o libtio_sampler.so tools/sampler.c -ldl -lrt
@@ -36,7 +45,8 @@
 enum {
   kDepth = 24,            // return addresses kept per sample
   kSkip = 2,              // the handler and the signal trampoline
-  kMaxSamples = 1 << 18,  // about 4.4 minutes at the default rate
+  kMaxSamples = 1 << 18,  // about 4.4 minutes at kHz
+  kHz = 997,              // prime, so sampling does not beat with periodic work
 };
 
 typedef struct {
@@ -48,7 +58,6 @@ static atomic_uint g_next;
 static atomic_uint g_lost;
 static timer_t g_timer;
 static int g_armed;
-static long g_hz;
 
 static void on_sigprof(int sig) {
   (void)sig;
@@ -63,15 +72,12 @@ static void on_sigprof(int sig) {
 }
 
 __attribute__((constructor)) static void sampler_start(void) {
-  const char* hz = getenv("TIO_SAMPLER_HZ");
-  g_hz = hz != NULL ? strtol(hz, NULL, 10) : 997;
-  if (g_hz <= 0 || g_hz > 100000) g_hz = 997;
   void* p = mmap(NULL, sizeof(Sample) * kMaxSamples, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (p == MAP_FAILED) return;
   g_samples = p;
   void* warm[4];
-  backtrace(warm, 4);  // loads the unwinder outside the signal handler
+  backtrace(warm, 4);  // loads libgcc_s here, not in the signal handler
 
   struct sigaction sa;
   memset(&sa, 0, sizeof(sa));
@@ -84,7 +90,7 @@ __attribute__((constructor)) static void sampler_start(void) {
   ev.sigev_notify = SIGEV_SIGNAL;
   ev.sigev_signo = SIGPROF;
   if (timer_create(CLOCK_MONOTONIC, &ev, &g_timer) != 0) return;
-  const long ns = 1000000000L / g_hz;
+  const long ns = 1000000000L / kHz;
   struct itimerspec spec = {{ns / 1000000000L, ns % 1000000000L},
                             {ns / 1000000000L, ns % 1000000000L}};
   if (timer_settime(g_timer, 0, &spec, NULL) != 0) {
@@ -126,7 +132,7 @@ __attribute__((destructor)) static void sampler_report(void) {
   }
   FILE* f = fopen(path, "w");
   if (f == NULL) return;
-  fprintf(f, "# sampler hz=%ld samples=%u lost=%u\n", g_hz, n, atomic_load(&g_lost));
+  fprintf(f, "# sampler hz=%d samples=%u lost=%u\n", (int)kHz, n, atomic_load(&g_lost));
   // Sort so equal stacks are adjacent, then write one line per distinct
   // stack; symbolize.py orders them.
   qsort(g_samples, n, sizeof(Sample), by_stack);

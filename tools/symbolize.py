@@ -13,7 +13,7 @@ followed by frames of the form <module>+0x<offset>. This script resolves the fra
   * sampler reports: self samples (the interrupted function) and inclusive
     samples (every function on the stack, once per sample) per function.
 
-Usage: symbolize.py REPORT [--top N] [--callers N] [--skip REGEX]
+Usage: symbolize.py REPORT [--top N] [--callers N]
 """
 
 import argparse
@@ -23,11 +23,11 @@ import sys
 from collections import defaultdict
 
 # Frames a heap site is never charged to: the allocator and its wrappers.
-DEFAULT_SKIP = (r"^(malloc|calloc|realloc|free|memalign|aligned_alloc|posix_memalign"
-                r"|operator new.*|operator delete.*|__libc_.*"
-                r"|tio::sim::FramePool::.*|tio::sim::PooledFrame::.*"
-                r"|std::(__new_allocator|allocator|allocator_traits|_Vector_base|__cxx11::basic_string"
-                r"|vector|_Hashtable|__detail::_Hashtable_alloc).*)$")
+SKIP = re.compile(r"^(malloc|calloc|realloc|free|memalign|aligned_alloc|posix_memalign"
+                  r"|operator new.*|operator delete.*|__libc_.*"
+                  r"|tio::sim::FramePool::.*|tio::sim::PooledFrame::.*"
+                  r"|std::(__new_allocator|allocator|allocator_traits|_Vector_base|__cxx11::basic_string"
+                  r"|vector|_Hashtable|__detail::_Hashtable_alloc).*)$")
 
 
 def parse(path):
@@ -77,7 +77,7 @@ def short(fn, width=100):
     return fn if len(fn) <= width else fn[:width - 3] + "..."
 
 
-def heap_report(stacks, names, skip, top, callers):
+def heap_report(stacks, names, top, callers):
     """Live bytes by site; `callers` more frames name each site's caller chain."""
     by_site = defaultdict(lambda: [0, 0, 0, ""])
     total = 0
@@ -86,7 +86,7 @@ def heap_report(stacks, names, skip, top, callers):
         for fr in frames:
             module = fr.rpartition("+")[0]
             fn, loc = names[fr]
-            if not chain and ("heapprof" in module or skip.match(fn)):
+            if not chain and ("heapprof" in module or SKIP.match(fn)):
                 continue
             chain.append((fn, loc))
             if len(chain) > callers:
@@ -138,8 +138,6 @@ def main(argv):
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--callers", type=int, default=0,
                     help="heap reports: also name this many callers of each site")
-    ap.add_argument("--skip", default=DEFAULT_SKIP,
-                    help="regex of function names a heap site is never charged to")
     args = ap.parse_args(argv)
     header, stacks = parse(args.report)
     if not stacks:
@@ -148,7 +146,7 @@ def main(argv):
     print(header)
     names = resolve({fr for _, frames in stacks for fr in frames})
     if header.startswith("# heapprof"):
-        heap_report(stacks, names, re.compile(args.skip), args.top, args.callers)
+        heap_report(stacks, names, args.top, args.callers)
     else:
         sampler_report(stacks, names, args.top)
     return 0
